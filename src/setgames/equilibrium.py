@@ -32,7 +32,7 @@ from .compact import (
 from .errors import CapacityError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import DEFAULT_TOLERANCES, Tolerances, solve_matrix_game
-from .oracles import OracleQuery, attacker_oracle, defender_oracle
+from .oracles import OracleQuery, PreparedOracle, attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
 
@@ -104,7 +104,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     Starts from the empty-set vertex on both sides, alternates restricted
     matrix-game solves with best-response oracle calls, and stops when
-    neither player can improve by more than ``config.eps_gap``. If ``trace``
+    neither player can improve by more than ``config.eps_gap``. The oracle
+    tables are prepared once from the support and caps. If ``trace``
     is a list, one record per round is appended with the restricted value,
     both gaps, and the vertices added.
     """
@@ -113,6 +114,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
+    prepared = prepare(support, spec.attacker_cap, spec.defender_cap,
+                       method=config.oracle_method)
     max_rounds = config.max_iterations
     if max_rounds is None:
         max_rounds = 10 * support.size + 100
@@ -155,7 +158,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         new_attacks = {}
         for target in attack_targets:
             w = game.benefit_vec * target - game.attacker_cost_vec
-            br = attacker_oracle(OracleQuery(w, spec.attacker_cap), support)
+            br = attacker_oracle(OracleQuery(w, spec.attacker_cap), support, prepared=prepared)
             oracle_calls += 1
             if target is qd:
                 attacker_gap = br.value + float(game.defender_cost_vec @ qd) - value
@@ -166,8 +169,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         new_defenses = {}
         for target in defense_targets:
             w = -(game.benefit_vec * target + game.defender_cost_vec)
-            br = defender_oracle(OracleQuery(w, spec.defender_cap), support,
-                                 method=config.oracle_method)
+            br = defender_oracle(OracleQuery(w, spec.defender_cap), support, prepared=prepared)
             oracle_calls += 1
             if target is pa:
                 defender_gap = value - (-br.value - float(game.attacker_cost_vec @ pa))
@@ -230,26 +232,30 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
 
 def best_response_gap(spec: GameSpec, report: EquilibriumReport,
-                      game: CompactGame | None = None) -> tuple[float, float]:
+                      game: CompactGame | None = None,
+                      prepared: PreparedOracle | None = None) -> tuple[float, float]:
     """Exact improvement available to each player against the report's mixtures.
 
     Recomputed from scratch through the oracles, so it certifies a solution
     without trusting the path that produced it. Both gaps within tolerance
     means the pair is an equilibrium of the zero-sum-equivalent game (and so
-    of the original game).
+    of the original game). ``prepared`` may carry oracle tables already built
+    for the game's support and caps.
     """
     game = game or build_compact_game(spec)
     support = game.support
+    if prepared is None:
+        prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
     pa = marginal_attacker(support, report.attacker.atoms)
     qd = marginal_defender(support, report.defender.atoms)
     current = compact_value(game, pa, qd)
 
     w_att = game.benefit_vec * qd - game.attacker_cost_vec
-    br_att = attacker_oracle(OracleQuery(w_att, spec.attacker_cap), support)
+    br_att = attacker_oracle(OracleQuery(w_att, spec.attacker_cap), support, prepared=prepared)
     attacker_best = br_att.value + float(game.defender_cost_vec @ qd)
 
     w_def = -(game.benefit_vec * pa + game.defender_cost_vec)
-    br_def = defender_oracle(OracleQuery(w_def, spec.defender_cap), support)
+    br_def = defender_oracle(OracleQuery(w_def, spec.defender_cap), support, prepared=prepared)
     defender_best = -br_def.value - float(game.attacker_cost_vec @ pa)
 
     return attacker_best - current, current - defender_best

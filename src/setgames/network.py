@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index
 
 from .bits import iter_bits, masks_up_to_size
 from .compact import build_support
@@ -43,11 +44,19 @@ class Network:
     node_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # Node ids become masks through bit operations, so integer-like ids
+        # (numpy integers included) are stored as plain ints.
+        try:
+            node_count = index(self.node_count)
+            edges = [(index(u), index(v)) for u, v in self.edges]
+        except TypeError:
+            raise InvalidInputError("node count and edge endpoints must be integers") from None
+        object.__setattr__(self, "node_count", node_count)
         if self.node_count < 1:
             raise InvalidInputError("network needs at least one node")
         seen = set()
         cleaned = []
-        for u, v in self.edges:
+        for u, v in edges:
             if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
                 raise InvalidInputError(f"edge ({u}, {v}) outside node range")
             if u == v:

@@ -16,6 +16,16 @@ Methods:
     disjoint; each component is enumerated on its own, and a knapsack sweep
     combines per-component optima when the cap binds across components.
 
+Per-solve preparation: a solve fixes the support set and both caps, and only
+the weights change from one oracle call to the next. :func:`prepare` builds
+everything that depends on the support and the caps once: the component
+partition, the resolved defender method, the capped candidate strategies in
+ascending order and their boolean incidence with the support members (per
+component, and grouped by defended count, for the separable method). A call
+against a :class:`PreparedOracle` is then a matrix-vector product and an
+argmax per candidate table. Both oracles take ``prepared=``; without it they
+prepare for the single call, so every call runs the same evaluation.
+
 Ties everywhere resolve to the smallest strategy mask, so all methods return
 identical strategies whenever their objective values tie exactly.
 """
@@ -23,6 +33,7 @@ identical strategies whenever their objective values tie exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -31,8 +42,8 @@ from .compact import CompactVertex, SupportSet, embed_defender, embed_attacker
 from .errors import CapacityError, InvalidInputError, OracleMismatchError, PartitionError
 
 ENUMERATION_GUARD = 50_000_000
-COMPONENT_ENUM_LIMIT = 25
 AUTO_SEPARABLE_LIMIT = 20
+METHODS = ("bruteforce", "additive", "separable")
 
 
 @dataclass(frozen=True)
@@ -92,62 +103,262 @@ def to_pseudo_boolean(query: OracleQuery, support: SupportSet) -> PseudoBooleanP
     return PseudoBooleanProblem(terms=terms, n=support.n, min_ones=support.n - query.cap)
 
 
-def _candidate_values(candidates, member_masks, weights, *, defender: bool) -> np.ndarray:
-    if len(candidates) * len(member_masks) > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"oracle enumeration of {len(candidates)}x{len(member_masks)} exceeds the guard")
-    cand = np.asarray(candidates, dtype=np.int64)
-    masks = np.asarray(member_masks, dtype=np.int64)
-    meet = cand[:, None] & masks[None, :]
-    hit = (meet == 0) if defender else (meet == masks[None, :])
-    return hit @ weights
+@dataclass(frozen=True)
+class _Candidates:
+    """Strategies in ascending order and their incidence with member masks.
 
-
-def defender_oracle(query: OracleQuery, support: SupportSet, *, method: str = "auto",
-                    components: list[list[int]] | None = None) -> OracleResult:
-    """Best defense of size at most ``query.cap`` against coordinate weights.
-
-    ``method`` picks the strategy: ``auto`` routes to the cheapest applicable
-    one, the named methods raise :class:`OracleMismatchError` when their
-    structural requirements fail.
+    ``hits[j, t]`` is ``U_t ⊆ strategies[j]`` for attacks and
+    ``U_t ∩ strategies[j] = ∅`` for defenses, so ``hits @ weights`` scores
+    every candidate at once.
     """
+
+    strategies: np.ndarray
+    hits: np.ndarray
+
+    def best(self, weights: np.ndarray) -> tuple[int, float]:
+        """Highest-scoring strategy and its score; the first (smallest) on ties."""
+        values = self.hits @ weights
+        j = int(np.argmax(values))
+        return int(self.strategies[j]), float(values[j])
+
+
+def _candidates(strategies, members, *, defender: bool) -> _Candidates:
+    cand = np.asarray(strategies, dtype=np.int64)
+    masks = np.asarray(members, dtype=np.int64)
+    meet = cand[:, None] & masks[None, :]
+    hits = (meet == 0) if defender else (meet == masks[None, :])
+    return _Candidates(cand, hits)
+
+
+def _guard(candidates: int, members: int) -> None:
+    if candidates * members > ENUMERATION_GUARD:
+        raise CapacityError(f"oracle enumeration of {candidates}x{members} exceeds the guard")
+
+
+def _enumerate(n: int, cap: int, members: int) -> list[int]:
+    """``masks_up_to_size(n, cap)``, refused up front when its incidence is too big."""
+    _guard(sum(comb(n, r) for r in range(min(cap, n) + 1)), members)
+    return masks_up_to_size(n, cap)
+
+
+@dataclass(frozen=True)
+class _SeparableTables:
+    """Per-component defended submasks for the separable defender method.
+
+    ``strategies`` stacks one group of rows per component and defended count
+    ``t = 0..min(cap, width)``: the component's defended submasks of size t,
+    ascending. ``terms[j, r]`` is the position in the weight vector of the
+    j-th member of row r's component when row r leaves that member
+    undefended, and ``len(weights)`` otherwise, which picks a zero appended to
+    the weights. ``starts`` and ``sizes`` locate the groups, ``groups`` counts
+    them per component, and ``constant`` is the position of the empty-set
+    term, if any.
+    """
+
+    cap: int
+    constant: int | None
+    strategies: np.ndarray
+    terms: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    groups: tuple[int, ...]
+
+    def best(self, weights: np.ndarray) -> tuple[int, float]:
+        """Best defended mask and its value under the cap, smallest mask on ties."""
+        # A running sum down the member axis adds a component's terms in
+        # member order, one at a time, so each row's value is the same float
+        # as summing its undefended terms in order.
+        values = np.add.accumulate(np.append(weights, 0.0)[self.terms], axis=0)[-1]
+        group_max = np.maximum.reduceat(values, self.starts)
+        # The first row of each group that attains the group's maximum.
+        ties = np.flatnonzero(values == np.repeat(group_max, self.sizes))
+        masks = self.strategies[ties[np.searchsorted(ties, self.starts)]].tolist()
+        tops = group_max.tolist()
+        # Knapsack over components: maximize value, then minimize the defended
+        # mask (component unions are disjoint, so masks add without carries).
+        states: dict[int, tuple[float, int]] = {0: (0.0, 0)}
+        first = 0
+        for size in self.groups:
+            nxt: dict[int, tuple[float, int]] = {}
+            for used, (val, mask) in states.items():
+                for t in range(min(size, self.cap - used + 1)):
+                    cand = (val + tops[first + t], mask | masks[first + t])
+                    cur = nxt.get(used + t)
+                    if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
+                        nxt[used + t] = cand
+            states = nxt
+            first += size
+        best_val, best_mask = -np.inf, 0
+        for val, mask in states.values():
+            if val > best_val or (val == best_val and mask < best_mask):
+                best_val, best_mask = val, mask
+        constant = weights[self.constant] if self.constant is not None else 0.0
+        return best_mask, float(best_val + constant)
+
+
+def _separable_tables(members, components, cap: int) -> _SeparableTables:
+    """Validate a partition of ``members`` and enumerate each component up to ``cap``."""
+    index = {m: i for i, m in enumerate(members)}
+    claimed: set[int] = set()
+    for comp in components:
+        for m in comp:
+            if m == 0:
+                continue
+            if m in claimed:
+                raise PartitionError(f"mask {m:#x} appears in two components")
+            if m not in index:
+                raise PartitionError(f"mask {m:#x} is not a term of the problem")
+            claimed.add(m)
+    missing = [m for m in members if m and m not in claimed]
+    if missing:
+        raise PartitionError(f"terms {missing} missing from the partition")
+    unions = [_component_union(c) for c in components]
+    for i in range(len(unions)):
+        for j in range(i + 1, len(unions)):
+            if unions[i] & unions[j]:
+                raise PartitionError("component target unions overlap")
+
+    widest = max((u.bit_count() for u in unions), default=0)
+    # Ascending local masks of the widest component; a narrower component
+    # takes the prefix below 1 << width, and scattering local bit i onto the
+    # component's i-th target keeps the order.
+    local_all = np.array(_enumerate(widest, cap, len(members)), dtype=np.int64)
+    blocks, starts, groups, rows = [], [], [], 0
+    for comp, union in zip(components, unions):
+        bits = list(iter_bits(union))
+        local = local_all[local_all < (1 << len(bits))]
+        defended = np.zeros_like(local)
+        count = np.zeros_like(local)
+        for i, b in enumerate(bits):
+            bit = (local >> i) & 1
+            defended |= bit << b
+            count += bit
+        order = np.argsort(count, kind="stable")
+        blocks.append((rows, defended[order], [m for m in comp if m]))
+        groups.append(min(cap, len(bits)) + 1)
+        starts += (rows + np.searchsorted(count[order], np.arange(groups[-1]))).tolist()
+        rows += len(local)
+    depth = max([len(comp_members) for _, _, comp_members in blocks] + [1])
+    _guard(rows, depth)
+    strategies = np.zeros(rows, dtype=np.int64)
+    terms = np.full((depth, rows), len(members), dtype=np.intp)
+    for first, defended, comp_members in blocks:
+        block = slice(first, first + len(defended))
+        strategies[block] = defended
+        for j, m in enumerate(comp_members):
+            terms[j, block] = np.where((defended & m) == 0, index[m], len(members))
+    starts = np.array(starts, dtype=np.intp)
+    return _SeparableTables(cap=cap, constant=index.get(0), strategies=strategies, terms=terms,
+                            starts=starts, sizes=np.diff(starts, append=rows),
+                            groups=tuple(groups))
+
+
+@dataclass(frozen=True)
+class PreparedOracle:
+    """Oracle tables for one support set and fixed caps; built by :func:`prepare`.
+
+    A side whose cap is ``None`` was not prepared. ``method`` is the resolved
+    defender method; ``defenses`` is set for ``bruteforce`` and ``separable``
+    for ``separable``.
+    """
+
+    support: SupportSet
+    attacker_cap: int | None
+    defender_cap: int | None
+    method: str | None
+    components: tuple[tuple[int, ...], ...] | None
+    attacks: _Candidates | None
+    defenses: _Candidates | None
+    separable: _SeparableTables | None
+
+
+def prepare(support: SupportSet, attacker_cap: int | None, defender_cap: int | None,
+            method: str = "auto") -> PreparedOracle:
+    """Build the oracle tables that depend only on the support and the caps.
+
+    ``method`` picks the defender strategy: ``auto`` routes to the cheapest
+    applicable one; ``additive`` raises :class:`OracleMismatchError` on a
+    support with interactions; unknown names raise
+    :class:`InvalidInputError`. Passing ``None`` for a cap skips that side.
+    Raises :class:`CapacityError` when a candidate × member incidence would
+    exceed :data:`ENUMERATION_GUARD` cells.
+    """
+    components = resolved = separable = defenses = attacks = None
+    if defender_cap is not None:
+        components = tuple(tuple(c) for c in partition_support(support.members))
+        resolved = _resolve_method(support, components, method)
+        if resolved == "additive" and any(m.bit_count() > 1 for m in support.members):
+            raise OracleMismatchError("additive oracle needs a singleton-only support")
+        if resolved == "separable":
+            separable = _separable_tables(support.members, components, defender_cap)
+    caps = [c for c in (attacker_cap, defender_cap if resolved == "bruteforce" else None)
+            if c is not None]
+    if caps:
+        # Both sides enumerate the same lattice: list it once up to the larger
+        # cap and filter, which keeps the ascending order.
+        lattice = _enumerate(support.n, max(caps), support.size)
+        if attacker_cap is not None:
+            attacks = _candidates([m for m in lattice if m.bit_count() <= attacker_cap],
+                                  support.members, defender=False)
+        if resolved == "bruteforce":
+            defenses = _candidates([m for m in lattice if m.bit_count() <= defender_cap],
+                                   support.members, defender=True)
+    return PreparedOracle(support=support, attacker_cap=attacker_cap,
+                          defender_cap=defender_cap, method=resolved, components=components,
+                          attacks=attacks, defenses=defenses, separable=separable)
+
+
+def _resolve_method(support: SupportSet, components, method: str) -> str:
+    if method == "auto":
+        if all(m.bit_count() <= 1 for m in support.members):
+            return "additive"
+        if len(components) >= 2:
+            widest = max(_component_union(c).bit_count() for c in components)
+            if widest <= AUTO_SEPARABLE_LIMIT:
+                return "separable"
+        return "bruteforce"
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown oracle method {method!r}")
+    return method
+
+
+def _query_weights(query: OracleQuery, support: SupportSet, prepared: PreparedOracle,
+                   prepared_cap: int | None, role: str) -> np.ndarray:
     weights = np.asarray(query.weights, dtype=float)
     if weights.shape != (support.size,):
         raise InvalidInputError(f"weights must have length {support.size}")
-    if method == "auto":
-        method = _pick_method(support, components)
-    if method == "bruteforce":
-        candidates = masks_up_to_size(support.n, query.cap)
-        values = _candidate_values(candidates, support.members, weights, defender=True)
-        best = int(np.argmax(values))
-        defense = candidates[best]
-        return OracleResult(defense, float(values[best]), embed_defender(defense, support))
-    if method == "additive":
+    if prepared.support != support:
+        raise InvalidInputError("prepared oracle belongs to another support set")
+    if prepared_cap != query.cap:
+        raise InvalidInputError(
+            f"{role} query cap {query.cap} differs from the prepared cap {prepared_cap}")
+    return weights
+
+
+def defender_oracle(query: OracleQuery, support: SupportSet, *, method: str = "auto",
+                    prepared: PreparedOracle | None = None) -> OracleResult:
+    """Best defense of size at most ``query.cap`` against coordinate weights.
+
+    Without ``prepared``, the tables are built for this call from ``method``
+    (see :func:`prepare`). A prepared table carries its resolved method;
+    ``method`` must then be ``auto`` or name that method.
+    """
+    if prepared is None:
+        prepared = prepare(support, None, query.cap, method=method)
+    elif method not in ("auto", prepared.method):
+        raise InvalidInputError(
+            f"oracle method {method!r} differs from the prepared method {prepared.method!r}")
+    weights = _query_weights(query, support, prepared, prepared.defender_cap, "defender")
+    if prepared.method == "additive":
         return _defender_additive(query, support, weights)
-    if method == "separable":
-        problem = to_pseudo_boolean(query, support)
-        if components is None:
-            components = partition_support(support.members)
-        ones, value = solve_separable(problem, components)
-        defense = ((1 << support.n) - 1) ^ ones
-        return OracleResult(defense, value, embed_defender(defense, support))
-    raise InvalidInputError(f"unknown oracle method {method!r}")
-
-
-def _pick_method(support: SupportSet, components) -> str:
-    if all(m.bit_count() <= 1 for m in support.members):
-        return "additive"
-    comps = components if components is not None else partition_support(support.members)
-    if len(comps) >= 2:
-        widest = max(_component_union(c).bit_count() for c in comps)
-        if widest <= AUTO_SEPARABLE_LIMIT:
-            return "separable"
-    return "bruteforce"
+    if prepared.method == "separable":
+        defense, value = prepared.separable.best(weights)
+    else:
+        defense, value = prepared.defenses.best(weights)
+    return OracleResult(defense, value, embed_defender(defense, support))
 
 
 def _defender_additive(query: OracleQuery, support: SupportSet, weights) -> OracleResult:
-    if any(m.bit_count() > 1 for m in support.members):
-        raise OracleMismatchError("additive oracle needs a singleton-only support")
     base = float(weights[support.index[0]]) if 0 in support.index else 0.0
     singles = []
     for i in range(support.n):
@@ -168,51 +379,40 @@ def _defender_additive(query: OracleQuery, support: SupportSet, weights) -> Orac
     return OracleResult(defense, value, embed_defender(defense, support))
 
 
-def attacker_oracle(query: OracleQuery, support: SupportSet) -> OracleResult:
+def attacker_oracle(query: OracleQuery, support: SupportSet, *,
+                    prepared: PreparedOracle | None = None) -> OracleResult:
     """Best attack of size at most ``query.cap`` against coordinate weights."""
-    weights = np.asarray(query.weights, dtype=float)
-    if weights.shape != (support.size,):
-        raise InvalidInputError(f"weights must have length {support.size}")
-    candidates = masks_up_to_size(support.n, query.cap)
-    values = _candidate_values(candidates, support.members, weights, defender=False)
-    best = int(np.argmax(values))
-    attack = candidates[best]
-    return OracleResult(attack, float(values[best]), embed_attacker(attack, support))
+    if prepared is None:
+        prepared = prepare(support, query.cap, None)
+    weights = _query_weights(query, support, prepared, prepared.attacker_cap, "attacker")
+    attack, value = prepared.attacks.best(weights)
+    return OracleResult(attack, value, embed_attacker(attack, support))
 
 
 def partition_support(members) -> list[list[int]]:
     """Split support members into groups whose target unions are disjoint.
 
-    Union-find over shared targets: two members land in the same group when
-    their masks intersect, directly or through a chain. The empty mask joins
-    no group (it is a constant term).
+    Two members land in the same group when their masks intersect, directly
+    or through a chain: each member merges every group whose target union it
+    meets. The empty mask joins no group (it is a constant term). Groups come
+    out sorted, ordered by their smallest member.
     """
-    nonempty = [m for m in members if m]
-    parent: dict[int, int] = {}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for m in nonempty:
-        bits = list(iter_bits(m))
-        for b in bits:
-            parent.setdefault(b, b)
-        roots = {find(b) for b in bits}
-        first = roots.pop()
-        for r in roots:
-            parent[r] = first
-    groups: dict[int, list[int]] = {}
-    for m in nonempty:
-        root = find(next(iter_bits(m)))
-        groups.setdefault(root, []).append(m)
-    return [sorted(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))]
+    groups: list[tuple[int, list[int]]] = []
+    for m in members:
+        if not m:
+            continue
+        union, merged, kept = m, [m], []
+        for u, group in groups:
+            if u & m:
+                union |= u
+                merged += group
+            else:
+                kept.append((u, group))
+        groups = kept + [(union, merged)]
+    return sorted((sorted(group) for _, group in groups), key=lambda group: group[0])
 
 
-def _component_union(component: list[int]) -> int:
+def _component_union(component) -> int:
     u = 0
     for m in component:
         u |= m
@@ -223,76 +423,13 @@ def solve_separable(problem: PseudoBooleanProblem, components: list[list[int]],
                     ) -> tuple[int, float]:
     """Optimize a pseudo-boolean objective whose terms split into components.
 
-    Each component is enumerated exhaustively over its own targets; when the
-    defended-count budget ``n - min_ones`` binds across components, a knapsack
-    sweep over (component, defended count) combines the per-component optima.
-    Ties resolve to the smallest defended mask overall.
+    Each component is enumerated over its own targets up to the defended-count
+    budget ``n - min_ones``; a knapsack sweep over (component, defended count)
+    combines the per-component optima. Ties resolve to the smallest defended
+    mask overall. Returns the ones mask and the optimal value.
     """
-    term_weight = {m: w for m, w in problem.terms}
-    constant = term_weight.get(0, 0.0)
-    nonempty = [m for m, _ in problem.terms if m]
-    claimed: dict[int, int] = {}
-    for ci, comp in enumerate(components):
-        for m in comp:
-            if m == 0:
-                continue
-            if m in claimed:
-                raise PartitionError(f"mask {m:#x} appears in two components")
-            if m not in term_weight:
-                raise PartitionError(f"mask {m:#x} is not a term of the problem")
-            claimed[m] = ci
-    missing = [m for m in nonempty if m not in claimed]
-    if missing:
-        raise PartitionError(f"terms {missing} missing from the partition")
-    unions = [_component_union(c) for c in components]
-    for i in range(len(unions)):
-        for j in range(i + 1, len(unions)):
-            if unions[i] & unions[j]:
-                raise PartitionError("component target unions overlap")
-    for u in unions:
-        if u.bit_count() > COMPONENT_ENUM_LIMIT:
-            raise CapacityError(
-                f"component with {u.bit_count()} targets exceeds the enumeration limit")
-
-    budget = problem.n - problem.min_ones
-    # Per-component tables: best value and smallest defended submask for each
-    # defended count.
-    tables = []
-    for comp, union in zip(components, unions):
-        bits = list(iter_bits(union))
-        width = len(bits)
-        best: list[tuple[float, int]] = [(-np.inf, 0)] * (width + 1)
-        comp_terms = [(m, term_weight[m]) for m in comp if m]
-        for local in range(1 << width):
-            defended = 0
-            for b_idx in range(width):
-                if local >> b_idx & 1:
-                    defended |= 1 << bits[b_idx]
-            value = sum(w for m, w in comp_terms if m & defended == 0)
-            count = local.bit_count()
-            cur = best[count]
-            if value > cur[0] or (value == cur[0] and defended < cur[1]):
-                best[count] = (value, defended)
-        tables.append(best)
-
-    # Knapsack over components: maximize value, then minimize the defended
-    # mask (component unions are disjoint, so masks add without carries).
-    states: dict[int, tuple[float, int]] = {0: (0.0, 0)}
-    for table in tables:
-        nxt: dict[int, tuple[float, int]] = {}
-        for used, (val, mask) in states.items():
-            for t, (tval, tmask) in enumerate(table):
-                if tval == -np.inf or used + t > budget:
-                    continue
-                cand = (val + tval, mask | tmask)
-                cur = nxt.get(used + t)
-                if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-                    nxt[used + t] = cand
-        states = nxt
-
-    best_val, best_mask = -np.inf, 0
-    for val, mask in states.values():
-        if val > best_val or (val == best_val and mask < best_mask):
-            best_val, best_mask = val, mask
-    full = (1 << problem.n) - 1
-    return full ^ best_mask, float(best_val + constant)
+    masks = [m for m, _ in problem.terms]
+    weights = np.array([w for _, w in problem.terms], dtype=float)
+    tables = _separable_tables(masks, components, problem.n - problem.min_ones)
+    defended, value = tables.best(weights)
+    return ((1 << problem.n) - 1) ^ defended, value

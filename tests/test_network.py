@@ -30,6 +30,17 @@ class TestNetwork:
         net = Network(3, ((2, 1), (1, 2), (2, 3)))
         assert net.edges == ((1, 2), (2, 3))
 
+    def test_numpy_integer_ids(self):
+        path = ((1, 2), (2, 3), (3, 4))
+        net = Network(np.int64(4), tuple((np.int64(u), np.int64(v)) for u, v in path))
+        assert net == Network(4, path)
+        assert all(type(x) is int for edge in net.edges for x in edge)
+        vf, fop = ValueFunction("connected_pairs"), FailureOperator("node_removal")
+        expected = induce_benefit(Network(4, path), vf, fop, 2)
+        assert induce_benefit(net, vf, fop, 2).entries == expected.entries
+        with pytest.raises(InvalidInputError):
+            Network(4, ((1, 2.0),))
+
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidInputError):
             Network(2, ((1, 1),))

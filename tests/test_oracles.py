@@ -1,4 +1,4 @@
-"""Oracles: hand examples, method consistency, pseudo-boolean equivalence."""
+"""Oracles: hand examples, method consistency, pseudo-boolean equivalence, preparation."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,14 @@ from setgames import (
     defender_oracle,
     embed_defender,
     partition_support,
+    solve_compact,
     solve_separable,
     to_pseudo_boolean,
 )
-from setgames.errors import OracleMismatchError, PartitionError
+from setgames import oracles
+from setgames.errors import CapacityError, InvalidInputError, OracleMismatchError, PartitionError
+
+from conftest import random_game
 
 
 def weights_for(support, mapping):
@@ -238,3 +242,96 @@ class TestSeparable:
             separable = defender_oracle(query, support, method="separable")
             assert additive.value == separable.value
             assert additive.strategy == separable.strategy
+
+
+def random_supports(rng):
+    """Block, singleton-only and general supports, in turn."""
+    for trial in range(60):
+        n = int(rng.integers(2, 9))
+        kind = trial % 3
+        if kind == 0:
+            extra, used = [], 0
+            while used < n:
+                width = int(rng.integers(1, min(3, n - used) + 1))
+                extra.append(((1 << width) - 1) << used)
+                used += width
+        elif kind == 1:
+            extra = []
+        else:
+            extra = [int(rng.integers(1, 1 << n)) for _ in range(3)]
+        yield SupportSet.from_members(n, extra)
+
+
+class TestPrepared:
+    def test_prepared_calls_match_one_shot_calls_and_enumeration(self):
+        rng = np.random.default_rng(7)
+        for support in random_supports(rng):
+            n = support.n
+            a_cap, d_cap = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
+            singletons = all(m.bit_count() <= 1 for m in support.members)
+            methods = ["auto", "bruteforce", "separable"] + (["additive"] if singletons else [])
+            tables = {m: oracles.prepare(support, a_cap, d_cap, method=m) for m in methods}
+            masks = support.masks_array()
+            for _ in range(3):
+                # Narrow integer weights keep sums exact and make ties common.
+                w = rng.integers(-2, 3, size=support.size).astype(float)
+                attack = OracleQuery(w, a_cap)
+                one_shot = attacker_oracle(attack, support)
+                best = max((float(w @ ((masks & a) == masks)), -a)
+                           for a in range(1 << n) if a.bit_count() <= a_cap)
+                assert (one_shot.value, -one_shot.strategy) == best
+                for table in tables.values():
+                    got = attacker_oracle(attack, support, prepared=table)
+                    assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
+
+                defense = OracleQuery(w, d_cap)
+                ones, value = to_pseudo_boolean(defense, support).solve_bruteforce()
+                for method, table in tables.items():
+                    one_shot = defender_oracle(defense, support, method=method)
+                    got = defender_oracle(defense, support, prepared=table)
+                    assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
+                    assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
+
+    def test_prepare_rejects_mismatches(self):
+        support = SupportSet.from_members(3, [0b011])
+        w = np.zeros(support.size)
+        table = oracles.prepare(support, 2, 2)
+        with pytest.raises(InvalidInputError):
+            attacker_oracle(OracleQuery(w, 1), support, prepared=table)
+        with pytest.raises(InvalidInputError):
+            defender_oracle(OracleQuery(w, 3), support, prepared=table)
+        attacker_only = oracles.prepare(support, 2, None)
+        with pytest.raises(InvalidInputError):
+            defender_oracle(OracleQuery(w, 2), support, prepared=attacker_only)
+        with pytest.raises(InvalidInputError):
+            oracles.prepare(support, 2, 2, method="simplex")
+        with pytest.raises(OracleMismatchError):
+            oracles.prepare(support, 2, 2, method="additive")
+
+    def test_guard_raises_at_preparation(self, monkeypatch):
+        support = SupportSet.from_members(4, [0b0011])
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 10)
+        with pytest.raises(CapacityError):
+            oracles.prepare(support, 2, None)
+        with pytest.raises(CapacityError):
+            oracles.prepare(support, None, 2, method="bruteforce")
+
+    def test_solve_prepares_once(self, monkeypatch):
+        calls = {"partition_support": 0, "masks_up_to_size": 0}
+
+        def counted(name):
+            fn = getattr(oracles, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracles, name, counted(name))
+        spec = random_game(np.random.default_rng(8), 6, 3, 3)
+        report = solve_compact(spec)
+        assert report.converged and report.oracle_calls > 10
+        assert calls["partition_support"] <= 1
+        assert calls["masks_up_to_size"] <= 1
