@@ -32,7 +32,7 @@ from .compact import (
 from .errors import CapacityError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import DEFAULT_TOLERANCES, Tolerances, solve_matrix_game
-from .oracles import OracleQuery, PreparedOracle, attacker_oracle, defender_oracle, prepare
+from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
 
@@ -232,20 +232,17 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
 
 def best_response_gap(spec: GameSpec, report: EquilibriumReport,
-                      game: CompactGame | None = None,
-                      prepared: PreparedOracle | None = None) -> tuple[float, float]:
+                      game: CompactGame | None = None) -> tuple[float, float]:
     """Exact improvement available to each player against the report's mixtures.
 
     Recomputed from scratch through the oracles, so it certifies a solution
     without trusting the path that produced it. Both gaps within tolerance
     means the pair is an equilibrium of the zero-sum-equivalent game (and so
-    of the original game). ``prepared`` may carry oracle tables already built
-    for the game's support and caps.
+    of the original game).
     """
     game = game or build_compact_game(spec)
     support = game.support
-    if prepared is None:
-        prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
+    prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
     pa = marginal_attacker(support, report.attacker.atoms)
     qd = marginal_defender(support, report.defender.atoms)
     current = compact_value(game, pa, qd)

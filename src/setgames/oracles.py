@@ -19,12 +19,13 @@ Methods:
 Per-solve preparation: a solve fixes the support set and both caps, and only
 the weights change from one oracle call to the next. :func:`prepare` builds
 everything that depends on the support and the caps once: the component
-partition, the resolved defender method, the capped candidate strategies in
-ascending order and their boolean incidence with the support members (per
-component, and grouped by defended count, for the separable method). A call
-against a :class:`PreparedOracle` is then a matrix-vector product and an
-argmax per candidate table. Both oracles take ``prepared=``; without it they
-prepare for the single call, so every call runs the same evaluation.
+partition (checked once, for the separable method), the resolved defender
+method, and the capped candidate strategies in ascending order with their
+boolean incidence with the support members. A call against a
+:class:`PreparedOracle` is then a matrix-vector product and an argmax (the
+separable method still enumerates each component per call). Both oracles
+take ``prepared=``; without it they prepare for the single call, so every
+call runs the same evaluation.
 
 Ties everywhere resolve to the smallest strategy mask, so all methods return
 identical strategies whenever their objective values tie exactly.
@@ -42,6 +43,7 @@ from .compact import CompactVertex, SupportSet, embed_defender, embed_attacker
 from .errors import CapacityError, InvalidInputError, OracleMismatchError, PartitionError
 
 ENUMERATION_GUARD = 50_000_000
+COMPONENT_ENUM_LIMIT = 25
 AUTO_SEPARABLE_LIMIT = 20
 METHODS = ("bruteforce", "additive", "separable")
 
@@ -130,127 +132,12 @@ def _candidates(strategies, members, *, defender: bool) -> _Candidates:
     return _Candidates(cand, hits)
 
 
-def _guard(candidates: int, members: int) -> None:
-    if candidates * members > ENUMERATION_GUARD:
-        raise CapacityError(f"oracle enumeration of {candidates}x{members} exceeds the guard")
-
-
 def _enumerate(n: int, cap: int, members: int) -> list[int]:
     """``masks_up_to_size(n, cap)``, refused up front when its incidence is too big."""
-    _guard(sum(comb(n, r) for r in range(min(cap, n) + 1)), members)
+    candidates = sum(comb(n, r) for r in range(min(cap, n) + 1))
+    if candidates * members > ENUMERATION_GUARD:
+        raise CapacityError(f"oracle enumeration of {candidates}x{members} exceeds the guard")
     return masks_up_to_size(n, cap)
-
-
-@dataclass(frozen=True)
-class _SeparableTables:
-    """Per-component defended submasks for the separable defender method.
-
-    ``strategies`` stacks one group of rows per component and defended count
-    ``t = 0..min(cap, width)``: the component's defended submasks of size t,
-    ascending. ``terms[j, r]`` is the position in the weight vector of the
-    j-th member of row r's component when row r leaves that member
-    undefended, and ``len(weights)`` otherwise, which picks a zero appended to
-    the weights. ``starts`` and ``sizes`` locate the groups, ``groups`` counts
-    them per component, and ``constant`` is the position of the empty-set
-    term, if any.
-    """
-
-    cap: int
-    constant: int | None
-    strategies: np.ndarray
-    terms: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    groups: tuple[int, ...]
-
-    def best(self, weights: np.ndarray) -> tuple[int, float]:
-        """Best defended mask and its value under the cap, smallest mask on ties."""
-        # A running sum down the member axis adds a component's terms in
-        # member order, one at a time, so each row's value is the same float
-        # as summing its undefended terms in order.
-        values = np.add.accumulate(np.append(weights, 0.0)[self.terms], axis=0)[-1]
-        group_max = np.maximum.reduceat(values, self.starts)
-        # The first row of each group that attains the group's maximum.
-        ties = np.flatnonzero(values == np.repeat(group_max, self.sizes))
-        masks = self.strategies[ties[np.searchsorted(ties, self.starts)]].tolist()
-        tops = group_max.tolist()
-        # Knapsack over components: maximize value, then minimize the defended
-        # mask (component unions are disjoint, so masks add without carries).
-        states: dict[int, tuple[float, int]] = {0: (0.0, 0)}
-        first = 0
-        for size in self.groups:
-            nxt: dict[int, tuple[float, int]] = {}
-            for used, (val, mask) in states.items():
-                for t in range(min(size, self.cap - used + 1)):
-                    cand = (val + tops[first + t], mask | masks[first + t])
-                    cur = nxt.get(used + t)
-                    if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-                        nxt[used + t] = cand
-            states = nxt
-            first += size
-        best_val, best_mask = -np.inf, 0
-        for val, mask in states.values():
-            if val > best_val or (val == best_val and mask < best_mask):
-                best_val, best_mask = val, mask
-        constant = weights[self.constant] if self.constant is not None else 0.0
-        return best_mask, float(best_val + constant)
-
-
-def _separable_tables(members, components, cap: int) -> _SeparableTables:
-    """Validate a partition of ``members`` and enumerate each component up to ``cap``."""
-    index = {m: i for i, m in enumerate(members)}
-    claimed: set[int] = set()
-    for comp in components:
-        for m in comp:
-            if m == 0:
-                continue
-            if m in claimed:
-                raise PartitionError(f"mask {m:#x} appears in two components")
-            if m not in index:
-                raise PartitionError(f"mask {m:#x} is not a term of the problem")
-            claimed.add(m)
-    missing = [m for m in members if m and m not in claimed]
-    if missing:
-        raise PartitionError(f"terms {missing} missing from the partition")
-    unions = [_component_union(c) for c in components]
-    for i in range(len(unions)):
-        for j in range(i + 1, len(unions)):
-            if unions[i] & unions[j]:
-                raise PartitionError("component target unions overlap")
-
-    widest = max((u.bit_count() for u in unions), default=0)
-    # Ascending local masks of the widest component; a narrower component
-    # takes the prefix below 1 << width, and scattering local bit i onto the
-    # component's i-th target keeps the order.
-    local_all = np.array(_enumerate(widest, cap, len(members)), dtype=np.int64)
-    blocks, starts, groups, rows = [], [], [], 0
-    for comp, union in zip(components, unions):
-        bits = list(iter_bits(union))
-        local = local_all[local_all < (1 << len(bits))]
-        defended = np.zeros_like(local)
-        count = np.zeros_like(local)
-        for i, b in enumerate(bits):
-            bit = (local >> i) & 1
-            defended |= bit << b
-            count += bit
-        order = np.argsort(count, kind="stable")
-        blocks.append((rows, defended[order], [m for m in comp if m]))
-        groups.append(min(cap, len(bits)) + 1)
-        starts += (rows + np.searchsorted(count[order], np.arange(groups[-1]))).tolist()
-        rows += len(local)
-    depth = max([len(comp_members) for _, _, comp_members in blocks] + [1])
-    _guard(rows, depth)
-    strategies = np.zeros(rows, dtype=np.int64)
-    terms = np.full((depth, rows), len(members), dtype=np.intp)
-    for first, defended, comp_members in blocks:
-        block = slice(first, first + len(defended))
-        strategies[block] = defended
-        for j, m in enumerate(comp_members):
-            terms[j, block] = np.where((defended & m) == 0, index[m], len(members))
-    starts = np.array(starts, dtype=np.intp)
-    return _SeparableTables(cap=cap, constant=index.get(0), strategies=strategies, terms=terms,
-                            starts=starts, sizes=np.diff(starts, append=rows),
-                            groups=tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -258,18 +145,17 @@ class PreparedOracle:
     """Oracle tables for one support set and fixed caps; built by :func:`prepare`.
 
     A side whose cap is ``None`` was not prepared. ``method`` is the resolved
-    defender method; ``defenses`` is set for ``bruteforce`` and ``separable``
-    for ``separable``.
+    defender method and ``components`` the support's partition; ``defenses``
+    is set only for ``bruteforce``.
     """
 
     support: SupportSet
     attacker_cap: int | None
     defender_cap: int | None
     method: str | None
-    components: tuple[tuple[int, ...], ...] | None
     attacks: _Candidates | None
     defenses: _Candidates | None
-    separable: _SeparableTables | None
+    components: tuple[tuple[int, ...], ...] | None
 
 
 def prepare(support: SupportSet, attacker_cap: int | None, defender_cap: int | None,
@@ -283,14 +169,14 @@ def prepare(support: SupportSet, attacker_cap: int | None, defender_cap: int | N
     Raises :class:`CapacityError` when a candidate × member incidence would
     exceed :data:`ENUMERATION_GUARD` cells.
     """
-    components = resolved = separable = defenses = attacks = None
+    components = resolved = defenses = attacks = None
     if defender_cap is not None:
         components = tuple(tuple(c) for c in partition_support(support.members))
         resolved = _resolve_method(support, components, method)
         if resolved == "additive" and any(m.bit_count() > 1 for m in support.members):
             raise OracleMismatchError("additive oracle needs a singleton-only support")
         if resolved == "separable":
-            separable = _separable_tables(support.members, components, defender_cap)
+            _check_partition(support.members, components)
     caps = [c for c in (attacker_cap, defender_cap if resolved == "bruteforce" else None)
             if c is not None]
     if caps:
@@ -304,8 +190,8 @@ def prepare(support: SupportSet, attacker_cap: int | None, defender_cap: int | N
             defenses = _candidates([m for m in lattice if m.bit_count() <= defender_cap],
                                    support.members, defender=True)
     return PreparedOracle(support=support, attacker_cap=attacker_cap,
-                          defender_cap=defender_cap, method=resolved, components=components,
-                          attacks=attacks, defenses=defenses, separable=separable)
+                          defender_cap=defender_cap, method=resolved, attacks=attacks,
+                          defenses=defenses, components=components)
 
 
 def _resolve_method(support: SupportSet, components, method: str) -> str:
@@ -340,19 +226,17 @@ def defender_oracle(query: OracleQuery, support: SupportSet, *, method: str = "a
     """Best defense of size at most ``query.cap`` against coordinate weights.
 
     Without ``prepared``, the tables are built for this call from ``method``
-    (see :func:`prepare`). A prepared table carries its resolved method;
-    ``method`` must then be ``auto`` or name that method.
+    (see :func:`prepare`). With it, the table's resolved method runs and
+    ``method`` is ignored; every method returns the same strategy and value.
     """
     if prepared is None:
         prepared = prepare(support, None, query.cap, method=method)
-    elif method not in ("auto", prepared.method):
-        raise InvalidInputError(
-            f"oracle method {method!r} differs from the prepared method {prepared.method!r}")
     weights = _query_weights(query, support, prepared, prepared.defender_cap, "defender")
     if prepared.method == "additive":
         return _defender_additive(query, support, weights)
     if prepared.method == "separable":
-        defense, value = prepared.separable.best(weights)
+        defense, value = _separable_best(dict(zip(support.members, weights.tolist())),
+                                         prepared.components, query.cap)
     else:
         defense, value = prepared.defenses.best(weights)
     return OracleResult(defense, value, embed_defender(defense, support))
@@ -419,17 +303,93 @@ def _component_union(component) -> int:
     return u
 
 
+def _check_partition(members, components) -> None:
+    """Raise unless ``components`` partitions the nonempty ``members`` with disjoint unions."""
+    known = set(members)
+    claimed: set[int] = set()
+    for comp in components:
+        for m in comp:
+            if m == 0:
+                continue
+            if m in claimed:
+                raise PartitionError(f"mask {m:#x} appears in two components")
+            if m not in known:
+                raise PartitionError(f"mask {m:#x} is not a term of the problem")
+            claimed.add(m)
+    missing = [m for m in members if m and m not in claimed]
+    if missing:
+        raise PartitionError(f"terms {missing} missing from the partition")
+    unions = [_component_union(c) for c in components]
+    for i in range(len(unions)):
+        for j in range(i + 1, len(unions)):
+            if unions[i] & unions[j]:
+                raise PartitionError("component target unions overlap")
+    for u in unions:
+        if u.bit_count() > COMPONENT_ENUM_LIMIT:
+            raise CapacityError(
+                f"component with {u.bit_count()} targets exceeds the enumeration limit")
+
+
+def _separable_best(term_weight: dict[int, float], components, budget: int,
+                    ) -> tuple[int, float]:
+    """Best defended mask of at most ``budget`` targets over a checked partition.
+
+    Each component is enumerated exhaustively over its own targets; when the
+    budget binds across components, a knapsack sweep over (component,
+    defended count) combines the per-component optima. Ties resolve to the
+    smallest defended mask overall.
+    """
+    # Per-component tables: best value and smallest defended submask for each
+    # defended count.
+    tables = []
+    for comp in components:
+        bits = list(iter_bits(_component_union(comp)))
+        width = len(bits)
+        best: list[tuple[float, int]] = [(-np.inf, 0)] * (width + 1)
+        comp_terms = [(m, term_weight[m]) for m in comp if m]
+        for local in range(1 << width):
+            defended = 0
+            for b_idx in range(width):
+                if local >> b_idx & 1:
+                    defended |= 1 << bits[b_idx]
+            value = sum(w for m, w in comp_terms if m & defended == 0)
+            count = local.bit_count()
+            cur = best[count]
+            if value > cur[0] or (value == cur[0] and defended < cur[1]):
+                best[count] = (value, defended)
+        tables.append(best)
+
+    # Knapsack over components: maximize value, then minimize the defended
+    # mask (component unions are disjoint, so masks add without carries).
+    states: dict[int, tuple[float, int]] = {0: (0.0, 0)}
+    for table in tables:
+        nxt: dict[int, tuple[float, int]] = {}
+        for used, (val, mask) in states.items():
+            for t, (tval, tmask) in enumerate(table):
+                if tval == -np.inf or used + t > budget:
+                    continue
+                cand = (val + tval, mask | tmask)
+                cur = nxt.get(used + t)
+                if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
+                    nxt[used + t] = cand
+        states = nxt
+
+    best_val, best_mask = -np.inf, 0
+    for val, mask in states.values():
+        if val > best_val or (val == best_val and mask < best_mask):
+            best_val, best_mask = val, mask
+    return best_mask, float(best_val + term_weight.get(0, 0.0))
+
+
 def solve_separable(problem: PseudoBooleanProblem, components: list[list[int]],
                     ) -> tuple[int, float]:
     """Optimize a pseudo-boolean objective whose terms split into components.
 
-    Each component is enumerated over its own targets up to the defended-count
-    budget ``n - min_ones``; a knapsack sweep over (component, defended count)
-    combines the per-component optima. Ties resolve to the smallest defended
-    mask overall. Returns the ones mask and the optimal value.
+    Checks the partition, then solves it as the separable defender oracle
+    does, with defended-count budget ``n - min_ones``. Returns the ones mask
+    and the optimal value.
     """
-    masks = [m for m, _ in problem.terms]
-    weights = np.array([w for _, w in problem.terms], dtype=float)
-    tables = _separable_tables(masks, components, problem.n - problem.min_ones)
-    defended, value = tables.best(weights)
+    _check_partition([m for m, _ in problem.terms], components)
+    defended, value = _separable_best(dict(problem.terms), components,
+                                      problem.n - problem.min_ones)
     return ((1 << problem.n) - 1) ^ defended, value

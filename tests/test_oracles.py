@@ -315,6 +315,9 @@ class TestPrepared:
             oracles.prepare(support, 2, None)
         with pytest.raises(CapacityError):
             oracles.prepare(support, None, 2, method="bruteforce")
+        monkeypatch.setattr(oracles, "COMPONENT_ENUM_LIMIT", 1)
+        with pytest.raises(CapacityError):
+            oracles.prepare(support, None, 2, method="separable")
 
     def test_solve_prepares_once(self, monkeypatch):
         calls = {"partition_support": 0, "masks_up_to_size": 0}
