@@ -23,13 +23,12 @@ import numpy as np
 from .compact import (
     CompactGame,
     build_compact_game,
-    caratheodory_decompose,
     compact_value,
     marginal_attacker,
     marginal_defender,
     vertex_to_strategy,
 )
-from .errors import CapacityError
+from .errors import CapacityError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import DEFAULT_TOLERANCES, Tolerances, solve_matrix_game
 from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
@@ -89,13 +88,14 @@ def _mixture_from_vertices(weights, vertices) -> MixedStrategy:
     return MixedStrategy.from_pairs(pairs)
 
 
-def _reduce_atoms(point, vertices, weights, support):
-    """Carathéodory-reduce a mixture when it uses more than dim+1 vertices."""
-    active = [(w, v) for w, v in zip(weights, vertices) if w > 1e-12]
-    if len(active) <= support.size + 1:
-        return [w for w, _ in active], [v for _, v in active]
-    decomposition = caratheodory_decompose(point, [v for _, v in active])
-    return [w for w, _ in decomposition], [v for _, v in decomposition]
+def _check_atom_bound(side, weights, support):
+    """A basic restricted optimum uses at most ``support.size`` vertices."""
+    atoms = int(np.count_nonzero(weights > 0))
+    if atoms > support.size:
+        raise SolverFailureError(
+            f"restricted {side} mixture has {atoms} atoms, more than the support size",
+            diagnostics={"side": side, "atoms": atoms, "support_size": support.size},
+        )
 
 
 def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
@@ -108,6 +108,12 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     tables are prepared once from the support and caps. If ``trace``
     is a list, one record per round is appended with the restricted value,
     both gaps, and the vertices added.
+
+    Each mixture has at most ``|S|`` atoms (``S`` the support): the
+    restricted payoff matrix factors through the ``|S|`` compact coordinates,
+    so its rank is at most ``|S|`` and a basic LP optimum puts positive
+    weight on at most that many vertices. A restricted mixture that breaks
+    the bound raises :class:`SolverFailureError`.
     """
     config = config or SolverConfig()
     game = build_compact_game(spec)
@@ -215,15 +221,13 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
             converged = attacker_gap <= 10 * config.eps_gap and defender_gap <= 10 * config.eps_gap
             break
 
-    pa = sum(w * v.coords for w, v in zip(row_mix, attack_vertices[: len(row_mix)]))
-    qd = sum(w * v.coords for w, v in zip(col_mix, defense_vertices[: len(col_mix)]))
-    a_weights, a_vertices = _reduce_atoms(pa, attack_vertices[: len(row_mix)], row_mix, support)
-    d_weights, d_vertices = _reduce_atoms(qd, defense_vertices[: len(col_mix)], col_mix, support)
+    _check_atom_bound("attacker", row_mix, support)
+    _check_atom_bound("defender", col_mix, support)
 
     return EquilibriumReport(
         value=value,
-        defender=_mixture_from_vertices(d_weights, d_vertices),
-        attacker=_mixture_from_vertices(a_weights, a_vertices),
+        defender=_mixture_from_vertices(col_mix, defense_vertices),
+        attacker=_mixture_from_vertices(row_mix, attack_vertices),
         iterations=rounds,
         support_size=support.size,
         oracle_calls=oracle_calls,

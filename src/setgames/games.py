@@ -122,10 +122,6 @@ def pure_payoff(spec: GameSpec, attack: int, defense: int) -> PurePayoff:
     )
 
 
-def _value_table(fn: SetFunction) -> np.ndarray:
-    return fn.to_dense()
-
-
 def expand_normal_form(spec: GameSpec) -> NormalForm:
     """Materialize the zero-sum-equivalent payoff matrix for a small game."""
     na, nd = spec.strategy_counts()
@@ -133,9 +129,9 @@ def expand_normal_form(spec: GameSpec) -> NormalForm:
         raise CapacityError(f"normal form with {na}x{nd} cells exceeds the guard")
     rows = spec.attacker_strategies()
     cols = spec.defender_strategies()
-    benefit = _value_table(spec.benefit)
-    cost_a = _value_table(spec.attacker_cost)
-    cost_d = _value_table(spec.defender_cost)
+    benefit = spec.benefit.to_dense()
+    cost_a = spec.attacker_cost.to_dense()
+    cost_d = spec.defender_cost.to_dense()
     a = np.array(rows)
     d = np.array(cols)
     matrix = benefit[a[:, None] & ~d[None, :]] - cost_a[a][:, None] + cost_d[d][None, :]
@@ -203,9 +199,9 @@ def verify_ne_equivalence(spec: GameSpec, attacker_mix: MixedStrategy,
         raise CapacityError("game too large for the dense equilibrium check")
     rows = spec.attacker_strategies()
     cols = spec.defender_strategies()
-    benefit = _value_table(spec.benefit)
-    cost_a = _value_table(spec.attacker_cost)
-    cost_d = _value_table(spec.defender_cost)
+    benefit = spec.benefit.to_dense()
+    cost_a = spec.attacker_cost.to_dense()
+    cost_d = spec.defender_cost.to_dense()
     a = np.array(rows)
     d = np.array(cols)
     hit = benefit[a[:, None] & ~d[None, :]]

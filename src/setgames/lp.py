@@ -17,8 +17,12 @@ optimal mixture ``z / sum(z)`` and game value ``1 / sum(z)`` minus the shift.
 The row player is the column player of the negated transpose, so one routine
 serves both sides and the two optima double-check each other.
 
-Every public entry point takes ``exact=True`` to run the same pivoting over
-``fractions.Fraction``, in which case results are exact rationals.
+One engine serves both arithmetics. The tableau is a float64 array, or,
+with ``exact=True`` on a public entry point, an object array of
+``fractions.Fraction`` pivoted under zero tolerances. At zero tolerance the
+same rules are exact: Dantzig's argmin, ratio ties only when equal, a pivot
+is degenerate when its rhs is 0. Exact results are Fractions (vectors as
+lists of Fractions).
 """
 
 from __future__ import annotations
@@ -88,19 +92,46 @@ class LPResult:
 
 
 # ---------------------------------------------------------------------------
-# float tableau engine
+# tableau engine, float64 or Fraction
 
 
-def _pivot_float(T, row, col):
+_EXACT_TOLERANCES = Tolerances(feasibility=Fraction(0), optimality=Fraction(0))
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _arithmetic(exact, tol):
+    """Scalar type and tolerances: Fractions under zero tolerances in exact mode."""
+    return (Fraction, _EXACT_TOLERANCES) if exact else (float, tol)
+
+
+def _array(values, num):
+    """``values`` as a float64 array, or as an object array of Fractions."""
+    if num is float:
+        return np.asarray(values, dtype=float)
+    return _to_fraction(np.asarray(values, dtype=object))
+
+
+def _num(a):
+    """Scalar type of an LP array: Fraction for an object array, else float."""
+    return Fraction if a.dtype == object else float
+
+
+def _result(a):
+    """Float results stay arrays; exact ones are lists of Fractions."""
+    return a.tolist() if a.dtype == object else a
+
+
+def _pivot(T, row, col):
+    num = _num(T)
     T[row] = T[row] / T[row, col]
     colv = T[:, col].copy()
-    colv[row] = 0.0
+    colv[row] = num(0)
     T -= np.outer(colv, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[:, col] = num(0)
+    T[row, col] = num(1)
 
 
-def _simplex_float(T, basis, ncols, tol, context):
+def _simplex(T, basis, ncols, tol, context):
     """Run pivots until optimal or unbounded. T has shape (m+1, total+1)."""
     m = T.shape[0] - 1
     bland = False
@@ -123,7 +154,7 @@ def _simplex_float(T, basis, ncols, tol, context):
             return "unbounded"
         ratios = T[rows, -1] / colvals[rows]
         best = ratios.min()
-        near = rows[ratios <= best + tol.feasibility * (1.0 + abs(best))]
+        near = rows[ratios <= best + tol.feasibility * (1 + abs(best))]
         row = int(min(near, key=lambda r: basis[r]))
         if T[row, -1] <= tol.feasibility:
             degenerate_run += 1
@@ -131,7 +162,7 @@ def _simplex_float(T, basis, ncols, tol, context):
                 bland = True
         else:
             degenerate_run = 0
-        _pivot_float(T, row, col)
+        _pivot(T, row, col)
         basis[row] = col
     raise SolverFailureError(
         f"simplex did not terminate in {context}",
@@ -139,60 +170,51 @@ def _simplex_float(T, basis, ncols, tol, context):
     )
 
 
-def _price_out_float(T, basis, costs):
+def _price_out(T, basis, costs):
     """Recompute the reduced-cost row for the given costs and current basis."""
     m = T.shape[0] - 1
-    T[m, :] = 0.0
+    T[m, :] = _num(T)(0)
     T[m, : costs.size] = costs
     for i, b in enumerate(basis):
-        cb = costs[b] if b < costs.size else 0.0
-        if cb != 0.0:
-            T[m, :] -= cb * T[i, :]
+        if b < costs.size and costs[b] != 0:
+            T[m, :] -= costs[b] * T[i, :]
 
 
-def _solve_standard_float(c, A, b, tol, *, basis=None, context="lp"):
-    """Minimize c.x over Ax = b, x >= 0 with b >= 0.
+def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
+    """Minimize c.x over Ax = b, x >= 0 with b >= 0, in the arithmetic of ``A``.
 
     Returns (status, x, objective, farkas_y). ``basis`` may name an initial
     identity basis; otherwise phase 1 with artificial variables runs first.
     ``farkas_y`` is set only when status is "infeasible".
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    num = _num(A)
     m, ncols = A.shape
 
     if basis is None:
         total = ncols + m
-        T = np.zeros((m + 1, total + 1))
+        T = _array(np.zeros((m + 1, total + 1)), num)
         T[:m, :ncols] = A
-        T[:m, ncols : ncols + m] = np.eye(m)
+        T[:m, ncols : ncols + m] = _array(np.eye(m), num)
         T[:m, -1] = b
         basis = list(range(ncols, ncols + m))
-        phase1_cost = np.zeros(total)
-        phase1_cost[ncols:] = 1.0
-        _price_out_float(T, basis, phase1_cost)
-        status = _simplex_float(T, basis, total, tol, context + " phase 1")
+        phase1_cost = _array(np.concatenate([np.zeros(ncols), np.ones(m)]), num)
+        _price_out(T, basis, phase1_cost)
+        status = _simplex(T, basis, total, tol, context + " phase 1")
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverFailureError(f"phase 1 reported {status} in {context}")
         residual = -T[m, -1]
         scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
         if residual > tol.feasibility * scale:
-            y = np.array([1.0 - T[m, ncols + i] for i in range(m)])
-            return "infeasible", None, None, y
+            return "infeasible", None, None, 1 - T[m, ncols : ncols + m]
         # Pivot leftover artificial variables out of the basis; rows that
         # cannot pivot are linearly dependent and get dropped.
         drop = []
         for i in range(m):
             if basis[i] >= ncols:
-                pivot_col = -1
-                for j in range(ncols):
-                    if abs(T[i, j]) > 1e-9:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot_float(T, i, pivot_col)
-                    basis[i] = pivot_col
+                nonzero = np.nonzero(np.abs(T[i, :ncols]) > tol.feasibility)[0]
+                if nonzero.size:
+                    basis[i] = int(nonzero[0])
+                    _pivot(T, i, basis[i])
                 else:
                     drop.append(i)
         if drop:
@@ -202,195 +224,46 @@ def _solve_standard_float(c, A, b, tol, *, basis=None, context="lp"):
             m = len(keep)
         T = np.hstack([T[:, :ncols], T[:, -1:]])
     else:
-        T = np.zeros((m + 1, ncols + 1))
+        T = _array(np.zeros((m + 1, ncols + 1)), num)
         T[:m, :ncols] = A
         T[:m, -1] = b
         basis = list(basis)
 
-    _price_out_float(T, basis, c)
-    status = _simplex_float(T, basis, ncols, tol, context + " phase 2")
+    _price_out(T, basis, c)
+    status = _simplex(T, basis, ncols, tol, context + " phase 2")
     if status == "unbounded":
         return "unbounded", None, None, None
-    x = np.zeros(ncols)
+    x = _array(np.zeros(ncols), num)
     for i, bvar in enumerate(basis):
         if bvar < ncols:
             x[bvar] = T[i, -1]
-    return "optimal", x, float(c @ x), None
-
-
-# ---------------------------------------------------------------------------
-# exact tableau engine (Fractions, plain lists)
-
-
-def _pivot_exact(T, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    prow = T[row]
-    for i, r in enumerate(T):
-        if i == row:
-            continue
-        f = r[col]
-        if f != 0:
-            T[i] = [a - f * p for a, p in zip(r, prow)]
-
-
-def _simplex_exact(T, basis, ncols, context):
-    m = len(T) - 1
-    bland = False
-    degenerate_run = 0
-    max_iter = 50 * (m + ncols) + 1000
-    for _ in range(max_iter):
-        rc = T[m]
-        col = -1
-        if bland:
-            for j in range(ncols):
-                if rc[j] < 0:
-                    col = j
-                    break
-        else:
-            best = Fraction(0)
-            for j in range(ncols):
-                if rc[j] < best:
-                    best = rc[j]
-                    col = j
-        if col < 0:
-            return "optimal"
-        row, best_ratio = -1, None
-        for i in range(m):
-            a = T[i][col]
-            if a > 0:
-                ratio = T[i][-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[row]
-                ):
-                    best_ratio = ratio
-                    row = i
-        if row < 0:
-            return "unbounded"
-        if T[row][-1] == 0:
-            degenerate_run += 1
-            if degenerate_run > 20 + 2 * m:
-                bland = True
-        else:
-            degenerate_run = 0
-        _pivot_exact(T, row, col)
-        basis[row] = col
-    raise SolverFailureError(f"exact simplex did not terminate in {context}")
-
-
-def _price_out_exact(T, basis, costs):
-    m = len(T) - 1
-    width = len(T[0])
-    obj = [Fraction(0)] * width
-    for j, cj in enumerate(costs):
-        obj[j] = Fraction(cj)
-    for i, b in enumerate(basis):
-        cb = Fraction(costs[b]) if b < len(costs) else Fraction(0)
-        if cb != 0:
-            obj = [a - cb * t for a, t in zip(obj, T[i])]
-    T[m] = obj
-
-
-def _solve_standard_exact(c, A, b, *, basis=None, context="lp"):
-    m = len(A)
-    ncols = len(A[0]) if m else 0
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-
-    if basis is None:
-        total = ncols + m
-        T = []
-        for i in range(m):
-            row = A[i] + [Fraction(0)] * m + [b[i]]
-            row[ncols + i] = Fraction(1)
-            T.append(row)
-        T.append([Fraction(0)] * (total + 1))
-        basis = list(range(ncols, ncols + m))
-        phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * m
-        _price_out_exact(T, basis, phase1_cost)
-        status = _simplex_exact(T, basis, total, context + " phase 1")
-        if status != "optimal":  # pragma: no cover
-            raise SolverFailureError(f"phase 1 reported {status} in {context}")
-        if -T[m][-1] > 0:
-            y = [Fraction(1) - T[m][ncols + i] for i in range(m)]
-            return "infeasible", None, None, y
-        drop = []
-        for i in range(m):
-            if basis[i] >= ncols:
-                pivot_col = next((j for j in range(ncols) if T[i][j] != 0), -1)
-                if pivot_col >= 0:
-                    _pivot_exact(T, i, pivot_col)
-                    basis[i] = pivot_col
-                else:
-                    drop.append(i)
-        if drop:
-            T = [T[i] for i in range(m) if i not in drop] + [T[m]]
-            basis = [basis[i] for i in range(m) if i not in drop]
-            m = len(basis)
-        T = [row[:ncols] + row[-1:] for row in T]
-    else:
-        T = [A[i] + [b[i]] for i in range(m)]
-        T.append([Fraction(0)] * (ncols + 1))
-        basis = list(basis)
-
-    _price_out_exact(T, basis, c)
-    status = _simplex_exact(T, basis, ncols, context + " phase 2")
-    if status == "unbounded":
-        return "unbounded", None, None, None
-    x = [Fraction(0)] * ncols
-    for i, bvar in enumerate(basis):
-        if bvar < ncols:
-            x[bvar] = T[i][-1]
-    obj = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", x, obj, None
+    return "optimal", x, num(c @ x), None
 
 
 # ---------------------------------------------------------------------------
 # matrix games
 
 
-def _one_side_float(matrix, tol):
+def _one_side(matrix, tol):
     """Column player's optimal mixture and the game value for ``matrix``."""
+    num = _num(matrix)
     m, n = matrix.shape
-    shift = 1.0 - float(matrix.min())
+    shift = 1 - num(matrix.min())
     shifted = matrix + shift
     # max 1.z : shifted z <= 1  ->  min -1.z with slack identity basis
-    A = np.hstack([shifted, np.eye(m)])
-    b = np.ones(m)
-    c = np.concatenate([-np.ones(n), np.zeros(m)])
-    status, x, _, _ = _solve_standard_float(
+    A = np.hstack([shifted, _array(np.eye(m), num)])
+    b = _array(np.ones(m), num)
+    c = _array(np.concatenate([-np.ones(n), np.zeros(m)]), num)
+    status, x, _, _ = _solve_standard(
         c, A, b, tol, basis=list(range(n, n + m)), context="matrix game"
     )
     if status != "optimal":  # pragma: no cover - bounded by construction
         raise SolverFailureError(f"matrix-game LP reported {status}")
     z = x[:n]
-    total = float(z.sum())
+    total = num(z.sum())
     if total <= 0:  # pragma: no cover - impossible for a positive matrix
         raise SolverFailureError("matrix-game LP returned a zero mixture")
-    return 1.0 / total - shift, z / total
-
-
-def _one_side_exact(matrix):
-    m = len(matrix)
-    n = len(matrix[0])
-    low = min(min(row) for row in matrix)
-    shift = 1 - Fraction(low)
-    A = []
-    for i in range(m):
-        row = [Fraction(v) + shift for v in matrix[i]] + [Fraction(0)] * m
-        row[n + i] = Fraction(1)
-        A.append(row)
-    b = [Fraction(1)] * m
-    c = [Fraction(-1)] * n + [Fraction(0)] * m
-    status, x, _, _ = _solve_standard_exact(
-        c, A, b, basis=list(range(n, n + m)), context="matrix game"
-    )
-    if status != "optimal":  # pragma: no cover
-        raise SolverFailureError(f"exact matrix-game LP reported {status}")
-    z = x[:n]
-    total = sum(z)
-    return Fraction(1) / total - shift, [v / total for v in z]
+    return 1 / total - shift, z / total
 
 
 def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
@@ -399,22 +272,18 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
 
     Deterministic for a given matrix: pivot order is fixed, so repeated calls
     return identical strategies. In exact mode the matrix entries are taken
-    as rationals and the result is exact.
+    as rationals and the result is exact: a Fraction value and lists of
+    Fractions for the strategies.
     """
     matrix = game.matrix if isinstance(game, MatrixGame) else game
     if not isinstance(game, MatrixGame):
         MatrixGame(np.asarray(matrix, dtype=float))  # run the guards
-    if exact:
-        rows = [list(r) for r in (matrix.tolist() if hasattr(matrix, "tolist") else matrix)]
-        value, col_strategy = _one_side_exact(rows)
-        transposed = [[-rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-        _, row_strategy = _one_side_exact(transposed)
-        return GameSolution(value=value, row_strategy=row_strategy, col_strategy=col_strategy)
-
-    matrix = np.asarray(matrix, dtype=float)
-    value, col_strategy = _one_side_float(matrix, tol)
-    _, row_strategy = _one_side_float(-matrix.T, tol)
-    return GameSolution(value=value, row_strategy=row_strategy, col_strategy=col_strategy)
+    num, tol = _arithmetic(exact, tol)
+    matrix = _array(matrix, num)
+    value, col_strategy = _one_side(matrix, tol)
+    _, row_strategy = _one_side(-matrix.T, tol)
+    return GameSolution(value=value, row_strategy=_result(row_strategy),
+                        col_strategy=_result(col_strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +310,36 @@ def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = Fals
     constraints = list(constraints)
     if n_vars > MAX_LP_VARS or len(constraints) > MAX_LP_CONSTRAINTS:
         raise CapacityError("LP exceeds the size guard")
-    if exact:
-        return _feasibility_exact(objective, constraints, n_vars, maximize, nonneg)
+    num, tol = _arithmetic(exact, tol)
 
     width = n_vars if nonneg else 2 * n_vars
     n_slack = sum(1 for _, sense, _ in constraints if sense in ("<=", ">="))
-    A = np.zeros((len(constraints), width + n_slack))
-    b = np.zeros(len(constraints))
-    row_sign = np.ones(len(constraints))
+    A = _array(np.zeros((len(constraints), width + n_slack)), num)
+    b = _array(np.zeros(len(constraints)), num)
+    row_sign = _array(np.ones(len(constraints)), num)
     slack_at = 0
     identity_ok = []
     for i, (coeffs, sense, rhs) in enumerate(constraints):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _array(coeffs, num)
         if coeffs.size != n_vars:
             raise InvalidInputError(f"constraint {i} has {coeffs.size} coefficients, expected {n_vars}")
         if sense not in ("<=", ">=", "=="):
             raise InvalidInputError(f"unknown constraint sense {sense!r}")
         row = coeffs if nonneg else np.concatenate([coeffs, -coeffs])
-        slack_col = None
-        slack_val = 0.0
+        sign = num(-1) if rhs < 0 else num(1)
+        A[i, :width] = sign * row
+        b[i] = sign * num(rhs)
+        row_sign[i] = sign
         if sense != "==":
             slack_col = width + slack_at
-            slack_val = 1.0 if sense == "<=" else -1.0
             slack_at += 1
-        sign = 1.0
-        if rhs < 0:
-            sign = -1.0
-        A[i, :width] = sign * row
-        b[i] = sign * rhs
-        row_sign[i] = sign
-        if slack_col is not None:
-            A[i, slack_col] = sign * slack_val
-            if sign * slack_val > 0:
+            A[i, slack_col] = sign * num(1 if sense == "<=" else -1)
+            if A[i, slack_col] > 0:
                 identity_ok.append((i, slack_col))
 
-    c = np.zeros(A.shape[1])
-    obj = np.asarray(objective, dtype=float)
-    sgn = -1.0 if maximize else 1.0
+    c = _array(np.zeros(A.shape[1]), num)
+    obj = _array(objective, num)
+    sgn = num(-1) if maximize else num(1)
     c[:n_vars] = sgn * obj
     if not nonneg:
         c[n_vars:width] = -sgn * obj
@@ -485,49 +347,12 @@ def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = Fals
     basis = None
     if len(identity_ok) == len(constraints):
         basis = [col for _, col in sorted(identity_ok)]
-    status, x, objective_value, farkas = _solve_standard_float(
+    status, x, objective_value, farkas = _solve_standard(
         c, A, b, tol, basis=basis, context="feasibility lp"
     )
     if status == "infeasible":
-        return LPResult(status="infeasible", certificate=farkas * row_sign)
+        return LPResult(status="infeasible", certificate=_result(farkas * row_sign))
     if status == "unbounded":
         return LPResult(status="unbounded")
     point = x[:n_vars] if nonneg else x[:n_vars] - x[n_vars:width]
-    return LPResult(status="optimal", x=point, objective_value=float(sgn * objective_value))
-
-
-def _feasibility_exact(objective, constraints, n_vars, maximize, nonneg):
-    width = n_vars if nonneg else 2 * n_vars
-    n_slack = sum(1 for _, sense, _ in constraints if sense in ("<=", ">="))
-    total = width + n_slack
-    A = []
-    b = []
-    row_sign = []
-    slack_at = 0
-    for i, (coeffs, sense, rhs) in enumerate(constraints):
-        coeffs = [Fraction(v) for v in coeffs]
-        if len(coeffs) != n_vars:
-            raise InvalidInputError(f"constraint {i} has {len(coeffs)} coefficients, expected {n_vars}")
-        row = coeffs if nonneg else coeffs + [-v for v in coeffs]
-        row = row + [Fraction(0)] * n_slack
-        if sense != "==":
-            row[width + slack_at] = Fraction(1) if sense == "<=" else Fraction(-1)
-            slack_at += 1
-        rhs = Fraction(rhs)
-        sign = Fraction(-1) if rhs < 0 else Fraction(1)
-        A.append([sign * v for v in row])
-        b.append(sign * rhs)
-        row_sign.append(sign)
-    sgn = Fraction(-1) if maximize else Fraction(1)
-    c = [Fraction(0)] * total
-    for j, v in enumerate(objective):
-        c[j] = sgn * Fraction(v)
-        if not nonneg:
-            c[n_vars + j] = -sgn * Fraction(v)
-    status, x, objective_value, farkas = _solve_standard_exact(c, A, b, context="feasibility lp")
-    if status == "infeasible":
-        return LPResult(status="infeasible", certificate=[s * y for s, y in zip(row_sign, farkas)])
-    if status == "unbounded":
-        return LPResult(status="unbounded")
-    point = x[:n_vars] if nonneg else [u - v for u, v in zip(x[:n_vars], x[n_vars:width])]
-    return LPResult(status="optimal", x=point, objective_value=sgn * objective_value)
+    return LPResult(status="optimal", x=_result(point), objective_value=num(sgn * objective_value))

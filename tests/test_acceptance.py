@@ -5,6 +5,7 @@ per-criterion lines as they happen). Every tolerance is pinned here; nothing
 is calibrated at runtime.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -142,25 +143,28 @@ class TestCriterion5VertexMapping:
                 seen.add(got)
             assert len(seen) == 1 << n
 
-        # Cost model: time per call over floor supports of growing n. The
-        # mapping reads exactly the n singleton coordinates, so the log-log
-        # slope must not exceed 1 by more than 10% (plus measurement noise).
-        sizes = (6, 12, 24)
-        per_call = []
-        for n in sizes:
+        # Cost model: count the coordinates the mapping reads. Reading exactly
+        # the n singleton coordinates is linear in n; any superlinear mapping
+        # reads more than n of them for some n below.
+        for n in (6, 12, 24):
             support = SupportSet.from_members(n, [])
             vertex = embed_defender((1 << n) // 3, support)
-            best = float("inf")
-            for _ in range(5):
-                reps = 4000
-                t0 = time.perf_counter()
-                for _ in range(reps):
-                    vertex_to_strategy(vertex)
-                best = min(best, (time.perf_counter() - t0) / reps)
-            per_call.append(best)
-        slope = np.polyfit(np.log(sizes), np.log(per_call), 1)[0]
-        assert slope <= 1.10, f"cost grows superlinearly: slope {slope:.2f}"
-        report(5, f"exhaustive inverse up to n=12; cost slope {slope:.2f} <= 1.10")
+            coords = vertex.coords.view(_CountingCoords)
+            counted = dataclasses.replace(vertex, coords=coords)
+            assert vertex_to_strategy(counted) == (1 << n) // 3
+            assert coords.reads == n, f"n={n}: read {coords.reads} coordinates, expected {n}"
+        report(5, "exhaustive inverse up to n=12; reads exactly n coordinates for n in 6, 12, 24")
+
+
+class _CountingCoords(np.ndarray):
+    """Coordinate vector that counts the elements read through indexing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        self.reads += np.size(out)
+        return out
 
 
 class TestCriterion6PseudoBooleanEquivalence:

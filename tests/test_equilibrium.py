@@ -5,11 +5,14 @@ import pytest
 
 from setgames import (
     SolverConfig,
+    SupportSet,
     best_response_gap,
     solve_bruteforce,
     solve_compact,
     verify_ne_equivalence,
 )
+from setgames.equilibrium import _check_atom_bound
+from setgames.errors import SolverFailureError
 from conftest import additive_game, random_game
 from test_games import make_spec
 
@@ -84,8 +87,15 @@ class TestCompactSolver:
         for _ in range(5):
             spec = random_game(rng, 5, 5, 5, sparse=True)
             report = solve_compact(spec)
-            assert len(report.attacker.atoms) <= report.support_size + 1
-            assert len(report.defender.atoms) <= report.support_size + 1
+            assert len(report.attacker.atoms) <= report.support_size
+            assert len(report.defender.atoms) <= report.support_size
+
+    def test_atom_bound_violation_raises(self):
+        support = SupportSet.from_members(2, [])  # {}, {1}, {2}
+        _check_atom_bound("attacker", np.array([0.5, 0.0, 0.25, 0.25]), support)
+        with pytest.raises(SolverFailureError) as info:
+            _check_atom_bound("defender", np.full(4, 0.25), support)
+        assert info.value.diagnostics == {"side": "defender", "atoms": 4, "support_size": 3}
 
     def test_gap_certificate(self):
         rng = np.random.default_rng(5)

@@ -99,6 +99,13 @@ class TestMatrixGames:
         approx = solve_matrix_game(m.astype(float))
         assert float(exact.value) == pytest.approx(approx.value, abs=1e-9)
 
+    def test_exact_mode_stays_exact(self):
+        sol = solve_matrix_game([[2, -1], [-1, 1]], exact=True)
+        assert sol.value == Fraction(1, 5) and type(sol.value) is Fraction
+        for strategy in (sol.row_strategy, sol.col_strategy):
+            assert strategy == [Fraction(2, 5), Fraction(3, 5)]
+            assert all(type(p) is Fraction for p in strategy)
+
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             MatrixGame(np.array([[np.nan, 0.0]]))
@@ -138,6 +145,17 @@ class TestFeasibilityLP:
         b = np.array([2.0, 1.0])
         assert np.all(y @ a <= 1e-9)
         assert y @ b > 1e-9
+
+    def test_infeasible_exact_certificate(self):
+        a = [[Fraction(1), Fraction(1)], [Fraction(1, 3), Fraction(1, 3)]]
+        b = [Fraction(2), Fraction(1)]
+        result = feasibility_lp([0, 0], [(row, "==", rhs) for row, rhs in zip(a, b)],
+                                n_vars=2, nonneg=True, exact=True)
+        assert result.status == "infeasible"
+        y = result.certificate
+        assert all(type(v) is Fraction for v in y)
+        assert all(sum(y[i] * a[i][j] for i in range(2)) <= 0 for j in range(2))
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
 
     def test_nonneg_basic_solution(self):
         # Maximize total over the 3-simplex: basic optimum sits on a vertex.
