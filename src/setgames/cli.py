@@ -34,11 +34,10 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import build_compact_game, build_support
+from .compact import SupportSet, _transforms, build_compact_game
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
-from .lp import Tolerances
 from .network import FailureOperator, Network, ValueFunction, network_from_text, solve_network_game
 from .setfunctions import GroundSet, SetFunction, moebius
 
@@ -175,37 +174,18 @@ def _format_number(value) -> str:
 
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
-    truncate = spec.attacker_cap if spec.attacker_cap < spec.n else None
-    benefit = moebius(spec.benefit, max_size=truncate, exact=args.exact)
-    cost_a = moebius(spec.attacker_cost, max_size=truncate, exact=args.exact)
-    full = spec.ground.full_mask
-    reflected = SetFunction(
-        spec.ground,
-        {full ^ m: v for m, v in spec.defender_cost.entries.items()},
-        default=spec.defender_cost.default,
-    )
-    cost_d = moebius(reflected, exact=args.exact) if not spec.defender_cost.is_zero() else None
-    support = build_support(spec, exact=args.exact)
+    transforms = _transforms(spec, drop_tol=None, exact=args.exact)
+    support = SupportSet.from_members(spec.n, set().union(*(t.entries for t in transforms)))
     print(f"support size {support.size} over n={spec.n}")
     print("set : benefit / attacker-cost / reflected-defender-cost")
     for mask in support.members:
         name = "{" + ",".join(map(str, targets_of(mask))) + "}"
-        row = [
-            _format_number(benefit.value(mask)),
-            _format_number(cost_a.value(mask)),
-            _format_number(cost_d.value(mask) if cost_d is not None else 0),
-        ]
-        print(f"{name} : " + " / ".join(row))
+        print(f"{name} : " + " / ".join(_format_number(t.value(mask)) for t in transforms))
     return 0
 
 
 def _solve_config(args) -> SolverConfig:
-    tol = float(args.tol)
-    return SolverConfig(
-        eps_gap=tol,
-        oracle_method=args.oracle,
-        lp_tol=Tolerances(),
-    )
+    return SolverConfig(eps_gap=float(args.tol))
 
 
 def _cmd_solve(args) -> int:
@@ -275,9 +255,8 @@ def _cmd_net(args) -> int:
         kind=args.failure,
         threshold=args.cascade_threshold if args.failure == "threshold_cascade" else None,
     )
-    config = SolverConfig(eps_gap=float(args.tol))
     report, approx = solve_network_game(
-        net, value_fn, failure, args.c, args.eps_c, config=config)
+        net, value_fn, failure, args.c, args.eps_c, config=_solve_config(args))
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
     gaps = best_response_gap(approx.spec, report)
@@ -341,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a game by constraint generation")
     p.add_argument("game", help="game JSON file")
     p.add_argument("--tol", default="1e-7", help="best-response gap tolerance")
-    p.add_argument("--oracle", default="auto",
-                   choices=["auto", "bruteforce", "separable", "additive"],
-                   help="defender oracle method")
     p.add_argument("--trace", metavar="FILE", help="write one JSON record per round")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_solve)

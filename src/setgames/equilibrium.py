@@ -34,6 +34,10 @@ from .lp import DEFAULT_TOLERANCES, Tolerances, solve_matrix_game
 from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
+# At most this many oracle calls per side and round: one against the
+# opponent's mixture and one against each of its BR_BATCH - 1 heaviest
+# pure vertices.
+BR_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,6 @@ class SolverConfig:
 
     eps_gap: float = 1e-7
     max_iterations: int | None = None  # default 10 * support size + 100
-    oracle_method: str = "auto"
-    br_batch: int = 4
     lp_tol: Tolerances = DEFAULT_TOLERANCES
 
 
@@ -120,8 +122,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
-    prepared = prepare(support, spec.attacker_cap, spec.defender_cap,
-                       method=config.oracle_method)
+    prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
     max_rounds = config.max_iterations
     if max_rounds is None:
         max_rounds = 10 * support.size + 100
@@ -155,9 +156,9 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         # violated columns per round.
         attack_targets = [qd]
         defense_targets = [pa]
-        heavy_d = np.argsort(-col_mix)[: config.br_batch - 1]
+        heavy_d = np.argsort(-col_mix)[: BR_BATCH - 1]
         attack_targets += [defense_vertices[j].coords for j in heavy_d if col_mix[j] > 0]
-        heavy_a = np.argsort(-row_mix)[: config.br_batch - 1]
+        heavy_a = np.argsort(-row_mix)[: BR_BATCH - 1]
         defense_targets += [attack_vertices[j].coords for j in heavy_a if row_mix[j] > 0]
 
         attacker_gap = -np.inf

@@ -46,9 +46,5 @@ class PartitionError(SetGameError):
     """A claimed component partition is not pairwise disjoint."""
 
 
-class OracleMismatchError(SetGameError):
-    """The requested oracle method does not apply to the given problem."""
-
-
 class FormatError(SetGameError):
     """A game, report, or graph file failed validation."""

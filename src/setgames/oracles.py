@@ -8,27 +8,21 @@ maximizing the polynomial ``sum_V w[V] prod_{i in V} x_i`` over binary x with
 at least ``n - k`` ones, so the oracle is constrained pseudo-boolean
 maximization and its difficulty is governed by the support structure.
 
-Methods:
-  * ``bruteforce``: enumerate all capped strategies.
-  * ``additive``: support is singletons plus the empty set; pick the at most
-    k most negative singleton weights.
-  * ``separable``: the support splits into components whose target unions are
-    disjoint; each component is enumerated on its own, and a knapsack sweep
-    combines per-component optima when the cap binds across components.
+One kernel serves both players. Both objectives split over the support's
+components, the groups of members whose target unions are disjoint
+(:func:`partition_support`): a strategy scores, in each component, what its
+targets inside that component score there. A solve fixes the support and
+both caps and only the weights change between calls, so :func:`prepare`
+builds one table per side, once. The table lists every strategy of at most
+``min(cap, width)`` targets inside each component, grouped by (component,
+count) and ascending within a group, with its incidence against the support
+members; the empty member counts in the first component's rows. A call is
+one matrix-vector product, the best row of each (component, count) group,
+and a knapsack over components that spends the cap. On a one-component
+support the table is plain enumeration of the capped strategies; on an
+all-singleton support it picks the best single targets.
 
-Per-solve preparation: a solve fixes the support set and both caps, and only
-the weights change from one oracle call to the next. :func:`prepare` builds
-everything that depends on the support and the caps once: the component
-partition (checked once, for the separable method), the resolved defender
-method, and the capped candidate strategies in ascending order with their
-boolean incidence with the support members. A call against a
-:class:`PreparedOracle` is then a matrix-vector product and an argmax (the
-separable method still enumerates each component per call). Both oracles
-take ``prepared=``; without it they prepare for the single call, so every
-call runs the same evaluation.
-
-Ties everywhere resolve to the smallest strategy mask, so all methods return
-identical strategies whenever their objective values tie exactly.
+Ties resolve to the smallest strategy mask.
 """
 
 from __future__ import annotations
@@ -40,12 +34,10 @@ import numpy as np
 
 from .bits import iter_bits, masks_up_to_size
 from .compact import CompactVertex, SupportSet, embed_defender, embed_attacker
-from .errors import CapacityError, InvalidInputError, OracleMismatchError, PartitionError
+from .errors import CapacityError, InvalidInputError, PartitionError
 
 ENUMERATION_GUARD = 50_000_000
-COMPONENT_ENUM_LIMIT = 25
-AUTO_SEPARABLE_LIMIT = 20
-METHODS = ("bruteforce", "additive", "separable")
+_NO_MASK = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -106,106 +98,113 @@ def to_pseudo_boolean(query: OracleQuery, support: SupportSet) -> PseudoBooleanP
 
 
 @dataclass(frozen=True)
-class _Candidates:
-    """Strategies in ascending order and their incidence with member masks.
+class _Table:
+    """One side's capped strategies per component and their member incidence.
 
-    ``hits[j, t]`` is ``U_t ⊆ strategies[j]`` for attacks and
-    ``U_t ∩ strategies[j] = ∅`` for defenses, so ``hits @ weights`` scores
-    every candidate at once.
+    Rows come in segments, one per (component, count): components in
+    partition order, counts ascending, strategies ascending within a
+    segment. ``hits[j, t]`` is 1 when member t lies in the component of row
+    j (the empty member in the first component) and ``U_t ⊆ strategies[j]``
+    for attacks, ``U_t ∩ strategies[j] = ∅`` for defenses. Component c has
+    ``sizes[c]`` segments, one per count from 0 to ``min(cap, width)``.
     """
 
+    cap: int
     strategies: np.ndarray
     hits: np.ndarray
+    segment: np.ndarray
+    starts: np.ndarray
+    sizes: tuple[int, ...]
 
     def best(self, weights: np.ndarray) -> tuple[int, float]:
-        """Highest-scoring strategy and its score; the first (smallest) on ties."""
+        """Highest-scoring strategy of at most ``cap`` targets and its score."""
         values = self.hits @ weights
-        j = int(np.argmax(values))
-        return int(self.strategies[j]), float(values[j])
+        top = np.maximum.reduceat(values, self.starts)
+        # The smallest strategy of each segment that reaches its maximum.
+        tied = np.where(values == top[self.segment], self.strategies, _NO_MASK)
+        masks = np.minimum.reduceat(tied, self.starts)
+        return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
 
 
-def _candidates(strategies, members, *, defender: bool) -> _Candidates:
-    cand = np.asarray(strategies, dtype=np.int64)
+def _tables(members, components, attacker_cap: int | None, defender_cap: int | None,
+            ) -> tuple[_Table | None, _Table | None]:
+    """Attack and defense tables over one partition and one strategy listing.
+
+    ``components`` must partition the nonempty ``members`` into groups with
+    disjoint target unions. A ``None`` cap skips its side. Raises
+    :class:`CapacityError` when a table would exceed
+    :data:`ENUMERATION_GUARD` cells.
+    """
+    components = [tuple(c) for c in components] or [()]
+    unions = [_component_union(c) for c in components]
+    widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
+    caps = [cap for cap in (attacker_cap, defender_cap) if cap is not None]
+    for cap in caps:
+        rows = sum(comb(int(w), t) for w in widths for t in range(min(cap, w) + 1))
+        if rows * len(members) > ENUMERATION_GUARD:
+            raise CapacityError(f"oracle table of {rows}x{len(members)} exceeds the guard")
+    if not caps:
+        return None, None
+    # One listing over the widest component's bits, by count and ascending
+    # within a count. Each component takes the listed masks within its width,
+    # in listing order, and maps local bit i onto its i-th target.
+    widest = int(widths.max())
+    listing = masks_up_to_size(widest, max(caps))
+    listing.sort(key=int.bit_count)
+    local = np.array(listing, dtype=np.int64)
+    comp, pos = np.nonzero(local[None, :] < (1 << widths)[:, None])
+    count = np.array([m.bit_count() for m in listing], dtype=np.int64)[pos]
+    targets = np.zeros((len(unions), widest), dtype=np.int64)
+    for c, union in enumerate(unions):
+        targets[c, :widths[c]] = list(iter_bits(union))
+    strategies = (((local[pos, None] >> np.arange(widest)) & 1) << targets[comp]).sum(axis=1)
+    owner = {m: c for c, group in enumerate(components) for m in group}
+    owner[0] = 0
+    column = np.array([owner[m] for m in members])
     masks = np.asarray(members, dtype=np.int64)
-    meet = cand[:, None] & masks[None, :]
-    hits = (meet == 0) if defender else (meet == masks[None, :])
-    return _Candidates(cand, hits)
 
+    def table(cap, defender):
+        if cap is None:
+            return None
+        keep = count <= cap
+        rows, row_comp = strategies[keep], comp[keep]
+        meet = rows[:, None] & masks[None, :]
+        hits = (meet == 0) if defender else (meet == masks[None, :])
+        hits &= column[None, :] == row_comp[:, None]
+        sizes = np.minimum(widths, cap) + 1
+        segment = (np.cumsum(sizes) - sizes)[row_comp] + count[keep]
+        return _Table(cap=cap, strategies=rows, hits=hits.astype(float), segment=segment,
+                      starts=np.flatnonzero(np.diff(segment, prepend=-1)),
+                      sizes=tuple(sizes.tolist()))
 
-def _enumerate(n: int, cap: int, members: int) -> list[int]:
-    """``masks_up_to_size(n, cap)``, refused up front when its incidence is too big."""
-    candidates = sum(comb(n, r) for r in range(min(cap, n) + 1))
-    if candidates * members > ENUMERATION_GUARD:
-        raise CapacityError(f"oracle enumeration of {candidates}x{members} exceeds the guard")
-    return masks_up_to_size(n, cap)
+    return table(attacker_cap, False), table(defender_cap, True)
 
 
 @dataclass(frozen=True)
 class PreparedOracle:
     """Oracle tables for one support set and fixed caps; built by :func:`prepare`.
 
-    A side whose cap is ``None`` was not prepared. ``method`` is the resolved
-    defender method and ``components`` the support's partition; ``defenses``
-    is set only for ``bruteforce``.
+    A side whose cap is ``None`` was not prepared.
     """
 
     support: SupportSet
     attacker_cap: int | None
     defender_cap: int | None
-    method: str | None
-    attacks: _Candidates | None
-    defenses: _Candidates | None
-    components: tuple[tuple[int, ...], ...] | None
+    attacks: _Table | None
+    defenses: _Table | None
 
 
-def prepare(support: SupportSet, attacker_cap: int | None, defender_cap: int | None,
-            method: str = "auto") -> PreparedOracle:
+def prepare(support: SupportSet, attacker_cap: int | None,
+            defender_cap: int | None) -> PreparedOracle:
     """Build the oracle tables that depend only on the support and the caps.
 
-    ``method`` picks the defender strategy: ``auto`` routes to the cheapest
-    applicable one; ``additive`` raises :class:`OracleMismatchError` on a
-    support with interactions; unknown names raise
-    :class:`InvalidInputError`. Passing ``None`` for a cap skips that side.
-    Raises :class:`CapacityError` when a candidate × member incidence would
-    exceed :data:`ENUMERATION_GUARD` cells.
+    Passing ``None`` for a cap skips that side. Raises :class:`CapacityError`
+    when a side's table would exceed :data:`ENUMERATION_GUARD` cells.
     """
-    components = resolved = defenses = attacks = None
-    if defender_cap is not None:
-        components = tuple(tuple(c) for c in partition_support(support.members))
-        resolved = _resolve_method(support, components, method)
-        if resolved == "additive" and any(m.bit_count() > 1 for m in support.members):
-            raise OracleMismatchError("additive oracle needs a singleton-only support")
-        if resolved == "separable":
-            _check_partition(support.members, components)
-    caps = [c for c in (attacker_cap, defender_cap if resolved == "bruteforce" else None)
-            if c is not None]
-    if caps:
-        # Both sides enumerate the same lattice: list it once up to the larger
-        # cap and filter, which keeps the ascending order.
-        lattice = _enumerate(support.n, max(caps), support.size)
-        if attacker_cap is not None:
-            attacks = _candidates([m for m in lattice if m.bit_count() <= attacker_cap],
-                                  support.members, defender=False)
-        if resolved == "bruteforce":
-            defenses = _candidates([m for m in lattice if m.bit_count() <= defender_cap],
-                                   support.members, defender=True)
+    attacks, defenses = _tables(support.members, partition_support(support.members),
+                                attacker_cap, defender_cap)
     return PreparedOracle(support=support, attacker_cap=attacker_cap,
-                          defender_cap=defender_cap, method=resolved, attacks=attacks,
-                          defenses=defenses, components=components)
-
-
-def _resolve_method(support: SupportSet, components, method: str) -> str:
-    if method == "auto":
-        if all(m.bit_count() <= 1 for m in support.members):
-            return "additive"
-        if len(components) >= 2:
-            widest = max(_component_union(c).bit_count() for c in components)
-            if widest <= AUTO_SEPARABLE_LIMIT:
-                return "separable"
-        return "bruteforce"
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown oracle method {method!r}")
-    return method
+                          defender_cap=defender_cap, attacks=attacks, defenses=defenses)
 
 
 def _query_weights(query: OracleQuery, support: SupportSet, prepared: PreparedOracle,
@@ -221,45 +220,16 @@ def _query_weights(query: OracleQuery, support: SupportSet, prepared: PreparedOr
     return weights
 
 
-def defender_oracle(query: OracleQuery, support: SupportSet, *, method: str = "auto",
+def defender_oracle(query: OracleQuery, support: SupportSet, *,
                     prepared: PreparedOracle | None = None) -> OracleResult:
     """Best defense of size at most ``query.cap`` against coordinate weights.
 
-    Without ``prepared``, the tables are built for this call from ``method``
-    (see :func:`prepare`). With it, the table's resolved method runs and
-    ``method`` is ignored; every method returns the same strategy and value.
+    Without ``prepared``, the tables are built for this call.
     """
     if prepared is None:
-        prepared = prepare(support, None, query.cap, method=method)
+        prepared = prepare(support, None, query.cap)
     weights = _query_weights(query, support, prepared, prepared.defender_cap, "defender")
-    if prepared.method == "additive":
-        return _defender_additive(query, support, weights)
-    if prepared.method == "separable":
-        defense, value = _separable_best(dict(zip(support.members, weights.tolist())),
-                                         prepared.components, query.cap)
-    else:
-        defense, value = prepared.defenses.best(weights)
-    return OracleResult(defense, value, embed_defender(defense, support))
-
-
-def _defender_additive(query: OracleQuery, support: SupportSet, weights) -> OracleResult:
-    base = float(weights[support.index[0]]) if 0 in support.index else 0.0
-    singles = []
-    for i in range(support.n):
-        pos = support.index.get(1 << i)
-        if pos is not None:
-            singles.append((float(weights[pos]), i))
-    value = base + sum(w for w, _ in singles)
-    defense = 0
-    picked = 0
-    # Defending removes a singleton term, so take the most negative weights
-    # first; index order on ties yields the smallest mask.
-    for w, i in sorted(singles):
-        if w >= 0 or picked == query.cap:
-            break
-        defense |= 1 << i
-        value -= w
-        picked += 1
+    defense, value = prepared.defenses.best(weights)
     return OracleResult(defense, value, embed_defender(defense, support))
 
 
@@ -324,72 +294,45 @@ def _check_partition(members, components) -> None:
         for j in range(i + 1, len(unions)):
             if unions[i] & unions[j]:
                 raise PartitionError("component target unions overlap")
-    for u in unions:
-        if u.bit_count() > COMPONENT_ENUM_LIMIT:
-            raise CapacityError(
-                f"component with {u.bit_count()} targets exceeds the enumeration limit")
 
 
-def _separable_best(term_weight: dict[int, float], components, budget: int,
-                    ) -> tuple[int, float]:
-    """Best defended mask of at most ``budget`` targets over a checked partition.
+def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:
+    """Best strategy of at most ``budget`` targets over disjoint components.
 
-    Each component is enumerated exhaustively over its own targets; when the
-    budget binds across components, a knapsack sweep over (component,
-    defended count) combines the per-component optima. Ties resolve to the
-    smallest defended mask overall.
+    ``values`` and ``masks`` hold, component after component, the best value
+    and mask of each component using exactly t of its targets, t from 0 to
+    ``sizes[c] - 1``. A knapsack sweep over (component, count) combines
+    them; ties resolve to the smallest mask overall.
     """
-    # Per-component tables: best value and smallest defended submask for each
-    # defended count.
-    tables = []
-    for comp in components:
-        bits = list(iter_bits(_component_union(comp)))
-        width = len(bits)
-        best: list[tuple[float, int]] = [(-np.inf, 0)] * (width + 1)
-        comp_terms = [(m, term_weight[m]) for m in comp if m]
-        for local in range(1 << width):
-            defended = 0
-            for b_idx in range(width):
-                if local >> b_idx & 1:
-                    defended |= 1 << bits[b_idx]
-            value = sum(w for m, w in comp_terms if m & defended == 0)
-            count = local.bit_count()
-            cur = best[count]
-            if value > cur[0] or (value == cur[0] and defended < cur[1]):
-                best[count] = (value, defended)
-        tables.append(best)
-
-    # Knapsack over components: maximize value, then minimize the defended
-    # mask (component unions are disjoint, so masks add without carries).
-    states: dict[int, tuple[float, int]] = {0: (0.0, 0)}
-    for table in tables:
-        nxt: dict[int, tuple[float, int]] = {}
-        for used, (val, mask) in states.items():
-            for t, (tval, tmask) in enumerate(table):
-                if tval == -np.inf or used + t > budget:
-                    continue
-                cand = (val + tval, mask | tmask)
-                cur = nxt.get(used + t)
-                if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-                    nxt[used + t] = cand
-        states = nxt
-
-    best_val, best_mask = -np.inf, 0
-    for val, mask in states.values():
-        if val > best_val or (val == best_val and mask < best_mask):
-            best_val, best_mask = val, mask
-    return best_mask, float(best_val + term_weight.get(0, 0.0))
+    # best_val[u], best_mask[u]: best combination so far using u targets.
+    # Component unions are disjoint, so masks add without carries.
+    at = sizes[0]
+    best_val, best_mask = values[:at], masks[:at]
+    for size in sizes[1:]:
+        width = min(len(best_val) + size - 1, budget + 1)
+        new_val, new_mask = [-np.inf] * width, [0] * width
+        for u in range(len(best_val)):
+            val, mask = best_val[u], best_mask[u]
+            for t in range(min(size, width - u)):
+                v, m = val + values[at + t], mask | masks[at + t]
+                if v > new_val[u + t] or (v == new_val[u + t] and m < new_mask[u + t]):
+                    new_val[u + t], new_mask[u + t] = v, m
+        best_val, best_mask = new_val, new_mask
+        at += size
+    u = max(range(len(best_val)), key=lambda u: (best_val[u], -best_mask[u]))
+    return best_mask[u], best_val[u]
 
 
 def solve_separable(problem: PseudoBooleanProblem, components: list[list[int]],
                     ) -> tuple[int, float]:
     """Optimize a pseudo-boolean objective whose terms split into components.
 
-    Checks the partition, then solves it as the separable defender oracle
-    does, with defended-count budget ``n - min_ones``. Returns the ones mask
-    and the optimal value.
+    Checks the partition, then runs the defender oracle's kernel over it with
+    defended-count budget ``n - min_ones``. Returns the ones mask and the
+    optimal value.
     """
-    _check_partition([m for m, _ in problem.terms], components)
-    defended, value = _separable_best(dict(problem.terms), components,
-                                      problem.n - problem.min_ones)
+    members = [m for m, _ in problem.terms]
+    _check_partition(members, components)
+    _, defenses = _tables(members, components, None, problem.n - problem.min_ones)
+    defended, value = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
     return ((1 << problem.n) - 1) ^ defended, value

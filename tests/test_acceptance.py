@@ -17,8 +17,8 @@ from setgames import (
     GroundSet,
     OracleQuery,
     SetFunction,
-    SolverConfig,
     SupportSet,
+    attacker_oracle,
     build_compact_game,
     build_support,
     compact_value,
@@ -192,7 +192,7 @@ class TestCriterion6PseudoBooleanEquivalence:
                 if value > vertex_best:
                     vertex_best, vertex_defense = value, defense
 
-            oracle = defender_oracle(query, support, method="auto")
+            oracle = defender_oracle(query, support)
 
             assert pb_value == vertex_best == oracle.value, f"trial {trial}"
             assert pb_defense == vertex_defense == oracle.strategy, f"trial {trial}"
@@ -211,16 +211,16 @@ class TestCriterion7AdditiveDegeneration:
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
             query = OracleQuery(weights, cap)
-            fast = defender_oracle(query, support, method="additive")
-            slow = defender_oracle(query, support, method="bruteforce")
-            assert fast.value == slow.value and fast.strategy == slow.strategy
-        # The additive path drives the full solve to the same value.
+            fast = defender_oracle(query, support)
+            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+            assert fast.value == value and fast.strategy == ((1 << n) - 1) ^ ones
+        # The singleton support drives the full solve to the same value.
         for _ in range(10):
             spec = additive_game(rng, 5, 5, 5)
             reference = solve_bruteforce(spec)
-            result = solve_compact(spec, SolverConfig(oracle_method="additive"))
+            result = solve_compact(spec)
             assert abs(result.value - reference.value) <= 1e-6
-        report(7, "100 additive games: floor support exact, additive oracle == bruteforce")
+        report(7, "100 additive games: floor support exact, oracle == exhaustive enumeration")
 
 
 class TestCriterion8ApproximationBound:
@@ -256,6 +256,24 @@ class TestCriterion8ApproximationBound:
         report(8, f"50 graphs: |exact - approx| <= 2^(c+1) eps_c, eps_c=0 exact, {elapsed:.1f}s")
 
 
+def check_both_oracles(weights, cap, support, trial):
+    """Both oracles equal exhaustive enumeration, value and strategy."""
+    n = support.n
+    query = OracleQuery(weights, cap)
+    ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+    defense = defender_oracle(query, support)
+    assert defense.value == value, f"trial {trial}"
+    assert defense.strategy == ((1 << n) - 1) ^ ones, f"trial {trial}"
+    # Attacks in ascending order, so argmax keeps the smallest on ties.
+    attacks = [a for a in range(1 << n) if a.bit_count() <= cap]
+    masks = support.masks_array()
+    values = ((np.array(attacks)[:, None] & masks) == masks) @ weights
+    best = int(np.argmax(values))
+    attack = attacker_oracle(query, support)
+    assert attack.value == values[best], f"trial {trial}"
+    assert attack.strategy == attacks[best], f"trial {trial}"
+
+
 class TestCriterion9OracleConsistency:
     def test_methods_agree_with_bruteforce(self):
         rng = np.random.default_rng(1009)
@@ -271,20 +289,12 @@ class TestCriterion9OracleConsistency:
             support = SupportSet.from_members(n, blocks)
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(weights, cap)
-            reference = defender_oracle(query, support, method="bruteforce")
-            separable = defender_oracle(query, support, method="separable")
-            assert separable.value == reference.value, f"trial {trial}"
-            assert separable.strategy == reference.strategy, f"trial {trial}"
+            check_both_oracles(weights, cap, support, trial)
         # 100 additive-applicable instances: singleton supports.
         for trial in range(100):
             n = int(rng.integers(2, 11))
             support = SupportSet.from_members(n, [])
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(weights, cap)
-            reference = defender_oracle(query, support, method="bruteforce")
-            additive = defender_oracle(query, support, method="additive")
-            assert additive.value == reference.value, f"trial {trial}"
-            assert additive.strategy == reference.strategy, f"trial {trial}"
-        report(9, "200 instances: separable and additive match bruteforce, ties included")
+            check_both_oracles(weights, cap, support, trial)
+        report(9, "200 instances: both oracles match exhaustive enumeration, ties included")

@@ -107,14 +107,6 @@ class TestCommands:
         assert main(["solve", pennies_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_solve_oracle_flags_agree(self, pennies_file, tmp_path):
-        values = []
-        for oracle in ("auto", "bruteforce", "additive"):
-            out = tmp_path / f"{oracle}.json"
-            assert main(["solve", pennies_file, "--oracle", oracle, "--out", str(out)]) == 0
-            values.append(json.loads(out.read_text())["value"])
-        assert max(values) - min(values) <= 1e-6
-
     def test_solve_trace(self, pennies_file, tmp_path):
         trace_file = tmp_path / "trace.jsonl"
         out = tmp_path / "r.json"

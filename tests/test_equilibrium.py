@@ -127,12 +127,3 @@ class TestCompactSolver:
             [rec["restricted_value"] - rec["defender_gap"] for rec in trace])
         assert all(u + 1e-9 >= l for u, l in zip(uppers, lowers))
         assert lowers[-1] - 1e-6 <= report.value <= uppers[-1] + 1e-6
-
-    def test_oracle_method_flag_matches_auto(self):
-        rng = np.random.default_rng(7)
-        spec = additive_game(rng, 4, 4, 4)
-        by_auto = solve_compact(spec, SolverConfig(oracle_method="auto"))
-        by_brute = solve_compact(spec, SolverConfig(oracle_method="bruteforce"))
-        by_additive = solve_compact(spec, SolverConfig(oracle_method="additive"))
-        assert by_auto.value == pytest.approx(by_brute.value, abs=1e-9)
-        assert by_additive.value == pytest.approx(by_brute.value, abs=1e-9)

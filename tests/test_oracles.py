@@ -1,4 +1,4 @@
-"""Oracles: hand examples, method consistency, pseudo-boolean equivalence, preparation."""
+"""Oracles: hand examples, exhaustive references, pseudo-boolean equivalence, preparation."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from setgames import (
     to_pseudo_boolean,
 )
 from setgames import oracles
-from setgames.errors import CapacityError, InvalidInputError, OracleMismatchError, PartitionError
+from setgames.errors import CapacityError, InvalidInputError, PartitionError
 
 from conftest import random_game
 
@@ -33,22 +33,21 @@ class TestDefenderOracle:
         n = 4
         support = SupportSet.from_members(n, [])
         w = weights_for(support, {0: 1.5, 0b0001: 2.0, 0b0010: -1.0, 0b0100: 3.0, 0b1000: -0.5})
-        got = defender_oracle(OracleQuery(w, n), support, method="additive")
+        got = defender_oracle(OracleQuery(w, n), support)
         assert got.strategy == 0b1010  # defend exactly the negative weights
         assert got.value == pytest.approx(1.5 + 2.0 + 3.0)
 
     def test_constant_objective_breaks_ties_to_empty(self):
         support = SupportSet.from_members(3, [])
         w = weights_for(support, {0: 5.0})
-        for method in ("bruteforce", "additive"):
-            got = defender_oracle(OracleQuery(w, 3), support, method=method)
-            assert got.strategy == 0
-            assert got.value == 5.0
+        got = defender_oracle(OracleQuery(w, 3), support)
+        assert got.strategy == 0
+        assert got.value == 5.0
 
     def test_pair_weight_forces_targeted_defense(self):
         support = SupportSet.from_members(3, [0b011])
         w = weights_for(support, {0b011: 4.0, 0b100: -1.0})
-        got = defender_oracle(OracleQuery(w, 1), support, method="bruteforce")
+        got = defender_oracle(OracleQuery(w, 1), support)
         assert got.strategy == 0b100
         assert got.value == 4.0
 
@@ -64,11 +63,6 @@ class TestDefenderOracle:
         got = defender_oracle(OracleQuery(w, 3), support)
         assert np.array_equal(got.vertex.coords, embed_defender(got.strategy, support).coords)
 
-    def test_additive_rejects_interaction_support(self):
-        support = SupportSet.from_members(3, [0b011])
-        with pytest.raises(OracleMismatchError):
-            defender_oracle(OracleQuery(np.zeros(support.size), 3), support, method="additive")
-
     def test_value_is_max_over_embedded_vertices(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -77,7 +71,7 @@ class TestDefenderOracle:
             support = SupportSet.from_members(n, extra)
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
-            got = defender_oracle(OracleQuery(w, cap), support, method="bruteforce")
+            got = defender_oracle(OracleQuery(w, cap), support)
             best = max(
                 float(w @ embed_defender(d, support).coords)
                 for d in range(1 << n) if d.bit_count() <= cap)
@@ -92,10 +86,10 @@ class TestDefenderOracle:
         w = rng.integers(-4, 5, size=support.size).astype(float)
         cap = int(rng.integers(0, n + 1))
         query = OracleQuery(w, cap)
-        reference = defender_oracle(query, support, method="bruteforce")
-        auto = defender_oracle(query, support, method="auto")
-        assert auto.value == reference.value
-        assert auto.strategy == reference.strategy
+        ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+        got = defender_oracle(query, support)
+        assert got.value == value
+        assert got.strategy == ((1 << n) - 1) ^ ones
 
     def test_monotone_in_cap(self):
         rng = np.random.default_rng(1)
@@ -185,7 +179,7 @@ class TestPseudoBoolean:
             query = OracleQuery(w, cap)
             problem = to_pseudo_boolean(query, support)
             ones, value = problem.solve_bruteforce()
-            oracle = defender_oracle(query, support, method="bruteforce")
+            oracle = defender_oracle(query, support)
             assert value == oracle.value
             assert ((1 << n) - 1) ^ ones == oracle.strategy
 
@@ -227,10 +221,10 @@ class TestSeparable:
             w = rng.integers(-5, 6, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
             query = OracleQuery(w, cap)
-            reference = defender_oracle(query, support, method="bruteforce")
-            got = defender_oracle(query, support, method="separable")
-            assert got.value == reference.value
-            assert got.strategy == reference.strategy
+            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+            got = defender_oracle(query, support)
+            assert got.value == value
+            assert got.strategy == ((1 << n) - 1) ^ ones
 
     def test_all_singleton_components_reduce_to_additive(self):
         rng = np.random.default_rng(6)
@@ -238,10 +232,10 @@ class TestSeparable:
         w = rng.integers(-5, 6, size=support.size).astype(float)
         for cap in range(6):
             query = OracleQuery(w, cap)
-            additive = defender_oracle(query, support, method="additive")
-            separable = defender_oracle(query, support, method="separable")
-            assert additive.value == separable.value
-            assert additive.strategy == separable.strategy
+            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+            got = defender_oracle(query, support)
+            assert got.value == value
+            assert got.strategy == 0b11111 ^ ones
 
 
 def random_supports(rng):
@@ -268,9 +262,7 @@ class TestPrepared:
         for support in random_supports(rng):
             n = support.n
             a_cap, d_cap = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
-            singletons = all(m.bit_count() <= 1 for m in support.members)
-            methods = ["auto", "bruteforce", "separable"] + (["additive"] if singletons else [])
-            tables = {m: oracles.prepare(support, a_cap, d_cap, method=m) for m in methods}
+            table = oracles.prepare(support, a_cap, d_cap)
             masks = support.masks_array()
             for _ in range(3):
                 # Narrow integer weights keep sums exact and make ties common.
@@ -280,17 +272,15 @@ class TestPrepared:
                 best = max((float(w @ ((masks & a) == masks)), -a)
                            for a in range(1 << n) if a.bit_count() <= a_cap)
                 assert (one_shot.value, -one_shot.strategy) == best
-                for table in tables.values():
-                    got = attacker_oracle(attack, support, prepared=table)
-                    assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
+                got = attacker_oracle(attack, support, prepared=table)
+                assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
 
                 defense = OracleQuery(w, d_cap)
                 ones, value = to_pseudo_boolean(defense, support).solve_bruteforce()
-                for method, table in tables.items():
-                    one_shot = defender_oracle(defense, support, method=method)
-                    got = defender_oracle(defense, support, prepared=table)
-                    assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
-                    assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
+                one_shot = defender_oracle(defense, support)
+                got = defender_oracle(defense, support, prepared=table)
+                assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
+                assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
 
     def test_prepare_rejects_mismatches(self):
         support = SupportSet.from_members(3, [0b011])
@@ -303,10 +293,6 @@ class TestPrepared:
         attacker_only = oracles.prepare(support, 2, None)
         with pytest.raises(InvalidInputError):
             defender_oracle(OracleQuery(w, 2), support, prepared=attacker_only)
-        with pytest.raises(InvalidInputError):
-            oracles.prepare(support, 2, 2, method="simplex")
-        with pytest.raises(OracleMismatchError):
-            oracles.prepare(support, 2, 2, method="additive")
 
     def test_guard_raises_at_preparation(self, monkeypatch):
         support = SupportSet.from_members(4, [0b0011])
@@ -314,10 +300,29 @@ class TestPrepared:
         with pytest.raises(CapacityError):
             oracles.prepare(support, 2, None)
         with pytest.raises(CapacityError):
-            oracles.prepare(support, None, 2, method="bruteforce")
-        monkeypatch.setattr(oracles, "COMPONENT_ENUM_LIMIT", 1)
-        with pytest.raises(CapacityError):
-            oracles.prepare(support, None, 2, method="separable")
+            oracles.prepare(support, None, 2)
+
+    def test_guard_bounds_the_per_component_table(self, monkeypatch):
+        # Four disjoint 3-target blocks: the capped lattice over all 12
+        # targets has 299 strategies, the per-component table 32 rows.
+        n, cap = 12, 3
+        support = SupportSet.from_members(n, [0b111 << (3 * b) for b in range(4)])
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 100 * support.size)
+        table = oracles.prepare(support, cap, cap)
+        masks = support.masks_array()
+        strategies = [s for s in range(1 << n) if s.bit_count() <= cap]
+        attacks = (np.array(strategies)[:, None] & masks) == masks
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            w = rng.integers(-2, 3, size=support.size).astype(float)
+            got = attacker_oracle(OracleQuery(w, cap), support, prepared=table)
+            values = attacks @ w
+            j = int(np.argmax(values))
+            assert (got.strategy, got.value) == (strategies[j], values[j])
+            query = OracleQuery(w, cap)
+            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
+            got = defender_oracle(query, support, prepared=table)
+            assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
 
     def test_solve_prepares_once(self, monkeypatch):
         calls = {"partition_support": 0, "masks_up_to_size": 0}
