@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import SupportSet, _transforms, build_compact_game
+from .compact import _transforms, build_compact_game
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
@@ -57,6 +57,11 @@ class _Parser(argparse.ArgumentParser):
 # game files
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_entries(raw, n: int, label: str) -> dict[int, float]:
     if not isinstance(raw, list):
         raise FormatError(f"{label} must be a list of set/value records")
@@ -66,7 +71,7 @@ def _parse_entries(raw, n: int, label: str) -> dict[int, float]:
         if not isinstance(record, dict) or set(record) != {"set", "value"}:
             raise FormatError(f"{where} must be an object with 'set' and 'value'")
         targets = record["set"]
-        if not isinstance(targets, list) or not all(isinstance(t, int) for t in targets):
+        if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
             raise FormatError(f"{where}.set must be a list of integers")
         if any(not 1 <= t <= n for t in targets):
             raise FormatError(f"{where}.set has targets outside [1, {n}]")
@@ -93,13 +98,13 @@ def parse_game_json(text: str) -> GameSpec:
     unknown = set(doc) - {"n", "c", "k", "benefit", "cost_attacker", "cost_defender"}
     if unknown:
         raise FormatError(f"unknown keys {sorted(unknown)} in game file")
-    if "n" not in doc or not isinstance(doc["n"], int) or doc["n"] < 1:
+    if "n" not in doc or not _is_int(doc["n"]) or doc["n"] < 1:
         raise FormatError("game file needs a positive integer 'n'")
     n = doc["n"]
     caps = {}
     for key in ("c", "k"):
         value = doc.get(key, n)
-        if not isinstance(value, int) or not 0 <= value <= n:
+        if not _is_int(value) or not 0 <= value <= n:
             raise FormatError(f"'{key}' must be an integer in [0, {n}]")
         caps[key] = value
     ground = GroundSet(n)
@@ -174,8 +179,7 @@ def _format_number(value) -> str:
 
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
-    transforms = _transforms(spec, drop_tol=None, exact=args.exact)
-    support = SupportSet.from_members(spec.n, set().union(*(t.entries for t in transforms)))
+    transforms, support = _transforms(spec, drop_tol=None, exact=args.exact)
     print(f"support size {support.size} over n={spec.n}")
     print("set : benefit / attacker-cost / reflected-defender-cost")
     for mask in support.members:
@@ -218,10 +222,13 @@ def _parse_network_file(path: str) -> Network:
                 isinstance(e, list) and len(e) == 2 for e in edges):
             raise FormatError("graph 'edges' must be a list of [u, v] pairs")
         values = doc.get("values")
+        if values is not None and not (isinstance(values, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+            raise FormatError("graph 'values' must be a list of numbers")
         try:
             return Network(
                 node_count=doc["nodes"],
-                edges=tuple((int(u), int(v)) for u, v in edges),
+                edges=tuple((u, v) for u, v in edges),
                 node_values=tuple(values) if values is not None else None,
             )
         except SetGameError as exc:

@@ -51,20 +51,25 @@ class SupportSet:
     members: tuple[int, ...]
     index: dict[int, int] = field(repr=False, compare=False)
     singleton_positions: tuple[int, ...] = field(repr=False, compare=False)
+    member_array: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_members(cls, n: int, masks) -> "SupportSet":
         members = sorted(set(masks) | {0} | {1 << i for i in range(n)})
         index = {m: i for i, m in enumerate(members)}
         singles = tuple(index[1 << i] for i in range(n))
-        return cls(n=n, members=tuple(members), index=index, singleton_positions=singles)
+        array = np.array(members, dtype=np.int64)
+        array.flags.writeable = False
+        return cls(n=n, members=tuple(members), index=index, singleton_positions=singles,
+                   member_array=array)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def masks_array(self) -> np.ndarray:
-        return np.array(self.members, dtype=np.int64)
+        """Members as a read-only int64 array, built once per support."""
+        return self.member_array
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ def _reflected_defender_cost(spec: GameSpec) -> SetFunction:
 
 
 def _transforms(spec: GameSpec, *, drop_tol: float | None, exact: bool):
+    """Benefit, attacker-cost and reflected defender-cost coefficients, and
+    the support set their nonzero masks span."""
     truncate = spec.attacker_cap if spec.attacker_cap < spec.n else None
     b = moebius(spec.benefit, max_size=truncate, drop_tol=drop_tol, exact=exact)
     ca = moebius(spec.attacker_cost, max_size=truncate, drop_tol=drop_tol, exact=exact)
@@ -114,23 +121,20 @@ def _transforms(spec: GameSpec, *, drop_tol: float | None, exact: bool):
         # The reflection is dense near the top of the lattice, so the full
         # transform is required regardless of the attacker cap.
         cd = moebius(_reflected_defender_cost(spec), drop_tol=drop_tol, exact=exact)
-    return b, ca, cd
+    support = SupportSet.from_members(spec.n, set(b.entries) | set(ca.entries) | set(cd.entries))
+    return (b, ca, cd), support
 
 
 def build_support(spec: GameSpec, *, drop_tol: float | None = None,
                   exact: bool = False) -> SupportSet:
     """Support set of the game: empty set, singletons, and every mask where
     some interaction coefficient is nonzero."""
-    b, ca, cd = _transforms(spec, drop_tol=drop_tol, exact=exact)
-    return SupportSet.from_members(
-        spec.n, set(b.entries) | set(ca.entries) | set(cd.entries))
+    return _transforms(spec, drop_tol=drop_tol, exact=exact)[1]
 
 
 def build_compact_game(spec: GameSpec, *, drop_tol: float | None = None) -> CompactGame:
     """Compute the support set and coefficient vectors of ``spec``."""
-    b, ca, cd = _transforms(spec, drop_tol=drop_tol, exact=False)
-    support = SupportSet.from_members(
-        spec.n, set(b.entries) | set(ca.entries) | set(cd.entries))
+    (b, ca, cd), support = _transforms(spec, drop_tol=drop_tol, exact=False)
     return CompactGame(
         support=support,
         benefit_vec=np.array([float(b.value(m)) for m in support.members]),

@@ -15,7 +15,9 @@ benefit, zeroes every coefficient with magnitude at most ``eps_c``, and
 rebuilds the benefit from the survivors. Dropped coefficients perturb any
 single payoff entry by at most ``2^c * eps_c``, so the game value moves by at
 most ``2^(c+1) * eps_c``; meanwhile the surviving support usually splits into
-small disjoint components, which the separable defender oracle exploits.
+small disjoint components. The one best-response kernel that serves both
+players (:func:`setgames.oracles.prepare`) exploits them: it enumerates capped
+strategies inside each component only and spends the cap across components.
 """
 
 from __future__ import annotations

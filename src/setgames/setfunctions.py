@@ -10,9 +10,12 @@ inverse
 
     zeta(coeffs)(U) = sum over V below U of coeffs(V)
 
-rebuilds the set function. On the dense lattice both run as in-place bitwise
-scans in O(n 2^n); when only subsets up to a cardinality cap are needed the
-sums are taken directly over submasks instead.
+rebuilds the set function. The two differ only in the sign, so one engine
+computes both, over float64 or, in exact mode, over ``Fraction`` values. On
+the dense lattice it runs an in-place butterfly over an array of all 2^n
+values (a float64 array or an object array of Fractions) in O(n 2^n); when
+only subsets up to a cardinality cap are needed it sums directly over
+submasks instead.
 """
 
 from __future__ import annotations
@@ -98,24 +101,7 @@ class SetFunction:
 
     def to_dense(self) -> np.ndarray:
         """Values on all 2^n subsets as a float array indexed by mask."""
-        n = self.ground.n
-        if n > MAX_DENSE:
-            raise CapacityError(f"dense table for n={n} exceeds the limit of {MAX_DENSE}")
-        dense = np.full(self.ground.size, float(self.default))
-        for mask, v in self.entries.items():
-            dense[mask] = v
-        return dense
-
-    def to_dense_exact(self) -> list:
-        """Values on all 2^n subsets as Fractions, for the exact code path."""
-        n = self.ground.n
-        if n > MAX_DENSE:
-            raise CapacityError(f"dense table for n={n} exceeds the limit of {MAX_DENSE}")
-        default = Fraction(self.default)
-        dense = [default] * self.ground.size
-        for mask, v in self.entries.items():
-            dense[mask] = Fraction(v)
-        return dense
+        return _dense(self.ground, self.entries, self.default, exact=False)
 
     def is_zero(self) -> bool:
         return self.default == 0 and all(v == 0 for v in self.entries.values())
@@ -143,6 +129,53 @@ class MobiusTransform:
         return tuple(sorted(self.entries))
 
 
+def _dense(ground: GroundSet, values: dict, default, exact: bool) -> np.ndarray:
+    """All 2^n values as a float64 array, or an object array of Fractions."""
+    if ground.n > MAX_DENSE:
+        raise CapacityError(f"dense table for n={ground.n} exceeds the limit of {MAX_DENSE}")
+    cast = Fraction if exact else float
+    dense = np.full(ground.size, cast(default), dtype=object if exact else float)
+    for mask, v in values.items():
+        dense[mask] = cast(v)
+    return dense
+
+
+def _transform(ground: GroundSet, values: dict, default, *, max_size: int | None,
+               signed: bool, exact: bool, drop_tol: float | None) -> dict:
+    """Submask sums of the function ``values`` (unstored masks read ``default``).
+
+    Each subset U gets the sum over V below U of f(V), with the sign
+    (-1)^|U minus V| when ``signed`` (the Moebius transform) and without it
+    otherwise (the zeta transform). Sums are kept when nonzero and, if
+    ``drop_tol`` is given, at least ``drop_tol`` in magnitude. ``exact``
+    converts every value to a Fraction first.
+    """
+    n = ground.n
+    if max_size is not None and max_size < n:
+        entries = {}
+        for mask in masks_up_to_size(n, max_size):
+            bits = mask.bit_count()
+            acc = Fraction(0) if exact else 0.0
+            for sub in submasks(mask):
+                term = values.get(sub, default)
+                if exact:
+                    term = Fraction(term)
+                acc += -term if signed and (bits - sub.bit_count()) % 2 else term
+            if acc != 0 and (drop_tol is None or abs(acc) >= drop_tol):
+                entries[mask] = acc
+        return entries
+
+    dense = _dense(ground, values, default, exact)
+    if not exact and not np.all(np.isfinite(dense)):
+        raise InvalidInputError("non-finite value in set function")
+    combine = np.subtract if signed else np.add
+    for i in range(n):
+        half = dense.reshape(-1, 2, 1 << i)
+        combine(half[:, 1, :], half[:, 0, :], out=half[:, 1, :])
+    keep = np.abs(dense) >= drop_tol if drop_tol is not None and drop_tol > 0 else dense != 0
+    return {int(m): dense[m] if exact else float(dense[m]) for m in np.nonzero(keep)[0]}
+
+
 def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | None = None,
             exact: bool = False) -> MobiusTransform:
     """Interaction coefficients of ``f``.
@@ -159,59 +192,13 @@ def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | No
         exact: compute with rational arithmetic; values are converted to
             Fractions and results are exact.
     """
-    n = f.ground.n
-    if max_size is not None and max_size >= n:
-        max_size = None
     if exact:
-        entries = _moebius_exact(f, max_size)
-        return MobiusTransform(f.ground, entries)
-
-    if drop_tol is None:
+        drop_tol = None
+    elif drop_tol is None:
         drop_tol = SPARSITY_SCALE * f.max_abs()
-
-    if max_size is None:
-        dense = f.to_dense()
-        if not np.all(np.isfinite(dense)):
-            raise InvalidInputError("non-finite value in set function")
-        for i in range(n):
-            half = dense.reshape(-1, 2, 1 << i)
-            half[:, 1, :] -= half[:, 0, :]
-        keep = np.nonzero(np.abs(dense) >= drop_tol)[0] if drop_tol > 0 else np.nonzero(dense)[0]
-        entries = {int(m): float(dense[m]) for m in keep}
-        return MobiusTransform(f.ground, entries)
-
-    entries = {}
-    for mask in masks_up_to_size(n, max_size):
-        bits = mask.bit_count()
-        acc = 0.0
-        for sub in submasks(mask):
-            term = f.value(sub)
-            acc += term if (bits - sub.bit_count()) % 2 == 0 else -term
-        if abs(acc) >= drop_tol and acc != 0:
-            entries[mask] = acc
+    entries = _transform(f.ground, f.entries, f.default, max_size=max_size, signed=True,
+                         exact=exact, drop_tol=drop_tol)
     return MobiusTransform(f.ground, entries)
-
-
-def _moebius_exact(f: SetFunction, max_size: int | None) -> dict:
-    n = f.ground.n
-    if max_size is None:
-        dense = f.to_dense_exact()
-        for i in range(n):
-            bit = 1 << i
-            for m in range(f.ground.size):
-                if m & bit:
-                    dense[m] = dense[m] - dense[m ^ bit]
-        return {m: v for m, v in enumerate(dense) if v != 0}
-    entries = {}
-    for mask in masks_up_to_size(n, max_size):
-        bits = mask.bit_count()
-        acc = Fraction(0)
-        for sub in submasks(mask):
-            term = Fraction(f.value(sub))
-            acc += term if (bits - sub.bit_count()) % 2 == 0 else -term
-        if acc != 0:
-            entries[mask] = acc
-    return entries
 
 
 def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
@@ -222,42 +209,9 @@ def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
     all submasks of U. With ``max_size`` only subsets up to that size are
     materialized.
     """
-    n = coeffs.ground.n
-    if max_size is not None and max_size >= n:
-        max_size = None
-
-    if max_size is not None:
-        entries = {}
-        for mask in masks_up_to_size(n, max_size):
-            acc = Fraction(0) if exact else 0.0
-            for sub in submasks(mask):
-                acc = acc + (Fraction(coeffs.value(sub)) if exact else coeffs.value(sub))
-            if acc != 0:
-                entries[mask] = acc
-        return SetFunction(coeffs.ground, entries)
-
-    if n > MAX_DENSE:
-        raise CapacityError(f"dense inverse transform for n={n} exceeds the limit of {MAX_DENSE}")
-
-    if exact:
-        dense = [Fraction(0)] * coeffs.ground.size
-        for mask, v in coeffs.entries.items():
-            dense[mask] = Fraction(v)
-        for i in range(n):
-            bit = 1 << i
-            for m in range(coeffs.ground.size):
-                if m & bit:
-                    dense[m] = dense[m] + dense[m ^ bit]
-        return SetFunction(coeffs.ground, {m: v for m, v in enumerate(dense) if v != 0})
-
-    dense = np.zeros(coeffs.ground.size)
-    for mask, v in coeffs.entries.items():
-        dense[mask] = v
-    for i in range(n):
-        half = dense.reshape(-1, 2, 1 << i)
-        half[:, 1, :] += half[:, 0, :]
-    entries = {int(m): float(dense[m]) for m in np.nonzero(dense)[0]}
-    return SetFunction(coeffs.ground, entries, default=0.0)
+    entries = _transform(coeffs.ground, coeffs.entries, 0, max_size=max_size, signed=False,
+                         exact=exact, drop_tol=None)
+    return SetFunction(coeffs.ground, entries)
 
 
 def restrict_cardinality(f: SetFunction, cap: int) -> SetFunction:

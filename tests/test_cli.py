@@ -59,6 +59,16 @@ class TestGameFiles:
         with pytest.raises(FormatError, match="line"):
             parse_game_json("{\n  broken\n}")
 
+    @pytest.mark.parametrize("doc", [
+        {"n": True},
+        {"n": 2, "c": True},
+        {"n": 2, "k": False},
+        {"n": 2, "benefit": [{"set": [True], "value": 1.0}]},
+    ])
+    def test_rejects_booleans_as_integers(self, doc):
+        with pytest.raises(FormatError):
+            parse_game_json(json.dumps(doc))
+
 
 class TestCommands:
     def test_transform_lists_interactions(self, tmp_path, capsys):
@@ -184,3 +194,15 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "benefit": [{"set": [0], "value": 1.0}]}))
         assert main(["solve", str(path)]) == 1
+
+    @pytest.mark.parametrize("graph", [
+        {"nodes": 3, "edges": [["a", 2]]},
+        {"nodes": 3, "edges": [[1.7, 2]]},
+        {"nodes": 3, "edges": [[1, 2]], "values": 5},
+        {"nodes": 2, "edges": [[1, 2]], "values": [1.0, "a"]},
+    ])
+    def test_malformed_graph_json(self, tmp_path, capsys, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert main(["net", str(path), "--c", "1", "--eps-c", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")

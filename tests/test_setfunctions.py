@@ -97,6 +97,31 @@ class TestZeta:
         for m in range(16):
             assert back.value(m) == f.value(m)
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_roundtrip_exact_mode_capped(self, cap):
+        g = GroundSet(5)
+        rng = np.random.default_rng(cap)
+        f = SetFunction(g, {m: Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 9)))
+                            for m in range(1, 32)}, default=Fraction(1, 3))
+        mc = moebius(f, max_size=cap, exact=True)
+        back = zeta(mc, max_size=cap, exact=True)
+        assert all(isinstance(v, Fraction) for v in mc.entries.values())
+        assert all(isinstance(v, Fraction) for v in back.entries.values())
+        for m in range(32):
+            if m.bit_count() <= cap:
+                assert back.value(m) == f.value(m)
+
+    @pytest.mark.parametrize("max_size", [None, 2])
+    def test_float_and_exact_agree_on_integers(self, max_size):
+        g = GroundSet(5)
+        rng = np.random.default_rng(11)
+        f = SetFunction(g, {m: float(rng.integers(-9, 10)) for m in range(32)})
+        mf, mx = moebius(f, max_size=max_size), moebius(f, max_size=max_size, exact=True)
+        zf, zx = zeta(mf, max_size=max_size), zeta(mx, max_size=max_size, exact=True)
+        assert mf.entries == mx.entries and zf.entries == zx.entries
+        assert all(isinstance(v, float) for v in [*mf.entries.values(), *zf.entries.values()])
+        assert all(isinstance(v, Fraction) for v in [*mx.entries.values(), *zx.entries.values()])
+
     def test_truncated_zeta(self):
         g = GroundSet(4)
         mc = MobiusTransform(g, {0b0001: 1.0, 0b0011: 2.0, 0b0111: 9.0})
