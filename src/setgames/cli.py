@@ -34,12 +34,12 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import _transforms, build_compact_game
+from .compact import CompactGame, build_compact_game, interaction_coefficients
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
 from .network import FailureOperator, Network, ValueFunction, network_from_text, solve_network_game
-from .setfunctions import GroundSet, SetFunction, moebius
+from .setfunctions import GroundSet, SetFunction
 
 VERIFY_TOLERANCE = 1e-6
 
@@ -179,12 +179,13 @@ def _format_number(value) -> str:
 
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
-    transforms, support = _transforms(spec, drop_tol=None, exact=args.exact)
+    coeffs = interaction_coefficients(spec, exact=args.exact)
+    support = CompactGame.from_coefficients(coeffs, spec.attacker_cap, spec.defender_cap).support
     print(f"support size {support.size} over n={spec.n}")
     print("set : benefit / attacker-cost / reflected-defender-cost")
     for mask in support.members:
         name = "{" + ",".join(map(str, targets_of(mask))) + "}"
-        print(f"{name} : " + " / ".join(_format_number(t.value(mask)) for t in transforms))
+        print(f"{name} : " + " / ".join(_format_number(t.value(mask)) for t in coeffs))
     return 0
 
 
@@ -195,10 +196,11 @@ def _solve_config(args) -> SolverConfig:
 def _cmd_solve(args) -> int:
     spec = parse_game_json(_read(args.game))
     trace: list | None = [] if args.trace else None
-    report = solve_compact(spec, _solve_config(args), trace=trace)
+    game = build_compact_game(spec)
+    report = solve_compact(spec, _solve_config(args), trace=trace, game=game)
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
-    gaps = best_response_gap(spec, report)
+    gaps = best_response_gap(spec, report, game)
     if args.trace:
         with open(args.trace, "w") as fh:
             for record in trace:
@@ -240,8 +242,6 @@ def _histogram(magnitudes: list[float], bins: int = 10) -> list[str]:
     if not magnitudes:
         return ["  (no nonzero interaction coefficients)"]
     top = max(magnitudes)
-    if top <= 0:
-        return ["  (all coefficients are zero)"]
     counts = [0] * bins
     for m in magnitudes:
         idx = min(int(bins * m / top), bins - 1)
@@ -266,11 +266,9 @@ def _cmd_net(args) -> int:
         net, value_fn, failure, args.c, args.eps_c, config=_solve_config(args))
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
-    gaps = best_response_gap(approx.spec, report)
+    gaps = best_response_gap(approx.spec, report, approx.game)
 
-    coeffs = moebius(approx.spec.benefit,
-                     max_size=args.c if args.c < net.node_count else None)
-    magnitudes = sorted(abs(v) for v in coeffs.entries.values())
+    magnitudes = sorted(abs(float(v)) for v in approx.game.benefit_vec if v != 0)
     print(f"approximation: dropped {approx.dropped_terms} coefficient(s) at eps_c={approx.eps_c:g}")
     print(f"value error bound: {approx.error_bound:g}")
     print(f"components ({len(approx.components)}):")
@@ -291,10 +289,10 @@ def _cmd_verify(args) -> int:
         print(f"unverifiable at this size: {na}x{nd} normal form exceeds the guard")
         return 2
     reference = solve_bruteforce(spec)
-    compact_report = solve_compact(spec)
+    game = build_compact_game(spec)
+    compact_report = solve_compact(spec, game=game)
     value_gap = abs(reference.value - compact_report.value)
 
-    game = build_compact_game(spec)
     nf = expand_normal_form(spec)
     attack_coords = np.stack([game.embed_attacker(a).coords for a in nf.attacker_strategies])
     defense_coords = np.stack([game.embed_defender(d).coords for d in nf.defender_strategies])

@@ -14,10 +14,11 @@ zero-sum payoff is the bilinear form
     sum_U b[U] pa[U] qd[U] - sum_U ca[U] pa[U] + sum_U cd[U] qd[U]
 
 where b and ca are the interaction coefficients of the benefit and attacker
-cost, and cd are the coefficients of the reflected defender cost
-``W -> defender_cost(complement of W)``. The reflection is forced: it is the
-unique convention making ``sum_U cd[U] Pr[D disjoint from U]`` equal the
-expected defender cost identically.
+cost, truncated at c, and cd makes ``sum_U cd[U] 1{U disjoint from D}`` equal
+the defender cost of every defense D of at most k targets. The conjugate
+identity (Grabisch, Marichal and Roubens, Math. OR 2000) gives
+``cd[U] = (-1)^|U| sum over V above U of m[V]`` from the cost's coefficients
+m truncated at k, so cd too vanishes above k.
 
 S always contains the empty set and all singletons. The singleton floor keeps
 the defender embedding injective, so a defender vertex maps back to its pure
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bits import submasks
 from .errors import (
     InvalidInputError,
     InvalidStrategyError,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import DEFAULT_TOLERANCES, Tolerances, feasibility_lp
-from .setfunctions import MobiusTransform, SetFunction, moebius
+from .setfunctions import SPARSITY_SCALE, MobiusTransform, SetFunction, moebius, zeta
 
 HULL_TOL = 1e-7
 
@@ -93,56 +95,60 @@ class CompactGame:
     attacker_cap: int
     defender_cap: int
 
+    @classmethod
+    def from_coefficients(cls, coefficients, attacker_cap: int,
+                          defender_cap: int) -> "CompactGame":
+        """Assemble the game from the maps of :func:`interaction_coefficients`."""
+        masks = set().union(*(c.entries for c in coefficients))
+        support = SupportSet.from_members(coefficients[0].ground.n, masks)
+        b, ca, cd = (np.array([float(c.value(m)) for m in support.members])
+                     for c in coefficients)
+        return cls(support, b, ca, cd, attacker_cap, defender_cap)
+
     def embed_attacker(self, attack: int) -> CompactVertex:
         return embed_attacker(attack, self.support, cap=self.attacker_cap)
 
     def embed_defender(self, defense: int) -> CompactVertex:
         return embed_defender(defense, self.support, cap=self.defender_cap)
 
-    def value(self, pa: np.ndarray, qd: np.ndarray) -> float:
-        return compact_value(self, pa, qd)
+
+def _coefficients(f: SetFunction, cap: int, exact: bool) -> MobiusTransform:
+    """Interaction coefficients of ``f`` on subsets of at most ``cap`` targets."""
+    if f.is_zero():
+        return MobiusTransform(f.ground, {})
+    return moebius(f, max_size=cap if cap < f.ground.n else None, exact=exact)
 
 
-def _reflected_defender_cost(spec: GameSpec) -> SetFunction:
-    full = spec.ground.full_mask
-    entries = {full ^ m: v for m, v in spec.defender_cost.entries.items()}
-    return SetFunction(spec.ground, entries, default=spec.defender_cost.default)
+def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[MobiusTransform, ...]:
+    """Benefit and attacker-cost coefficients up to c, and defender-cost
+    coefficients up to k by the conjugate identity, as three
+    :class:`MobiusTransform` maps. Sums below the transform cutoff are dropped."""
+    b = _coefficients(spec.benefit, spec.attacker_cap, exact)
+    ca = _coefficients(spec.attacker_cost, spec.attacker_cap, exact)
+    m = _coefficients(spec.defender_cost, spec.defender_cap, exact).entries
+    if spec.defender_cap < spec.n:
+        sums = {}
+        for v, x in m.items():
+            for u in submasks(v):
+                sums[u] = sums.get(u, 0) + x
+    else:  # superset sums are submask sums over complements: one O(n 2^n) butterfly
+        full = spec.ground.full_mask
+        up = zeta(MobiusTransform(spec.ground, {full ^ v: x for v, x in m.items()}), exact=exact)
+        sums = {full ^ w: x for w, x in up.entries.items()}
+    tol = 0 if exact else SPARSITY_SCALE * spec.defender_cost.max_abs()
+    cd = {u: -s if u.bit_count() % 2 else s for u, s in sums.items() if abs(s) > tol}
+    return b, ca, MobiusTransform(spec.ground, cd)
 
 
-def _transforms(spec: GameSpec, *, drop_tol: float | None, exact: bool):
-    """Benefit, attacker-cost and reflected defender-cost coefficients, and
-    the support set their nonzero masks span."""
-    truncate = spec.attacker_cap if spec.attacker_cap < spec.n else None
-    b = moebius(spec.benefit, max_size=truncate, drop_tol=drop_tol, exact=exact)
-    ca = moebius(spec.attacker_cost, max_size=truncate, drop_tol=drop_tol, exact=exact)
-    if spec.defender_cost.is_zero():
-        cd = MobiusTransform(spec.ground, {})
-    else:
-        # The reflection is dense near the top of the lattice, so the full
-        # transform is required regardless of the attacker cap.
-        cd = moebius(_reflected_defender_cost(spec), drop_tol=drop_tol, exact=exact)
-    support = SupportSet.from_members(spec.n, set(b.entries) | set(ca.entries) | set(cd.entries))
-    return (b, ca, cd), support
-
-
-def build_support(spec: GameSpec, *, drop_tol: float | None = None,
-                  exact: bool = False) -> SupportSet:
-    """Support set of the game: empty set, singletons, and every mask where
-    some interaction coefficient is nonzero."""
-    return _transforms(spec, drop_tol=drop_tol, exact=exact)[1]
-
-
-def build_compact_game(spec: GameSpec, *, drop_tol: float | None = None) -> CompactGame:
+def build_compact_game(spec: GameSpec) -> CompactGame:
     """Compute the support set and coefficient vectors of ``spec``."""
-    (b, ca, cd), support = _transforms(spec, drop_tol=drop_tol, exact=False)
-    return CompactGame(
-        support=support,
-        benefit_vec=np.array([float(b.value(m)) for m in support.members]),
-        attacker_cost_vec=np.array([float(ca.value(m)) for m in support.members]),
-        defender_cost_vec=np.array([float(cd.value(m)) for m in support.members]),
-        attacker_cap=spec.attacker_cap,
-        defender_cap=spec.defender_cap,
-    )
+    return CompactGame.from_coefficients(interaction_coefficients(spec), spec.attacker_cap,
+                                         spec.defender_cap)
+
+
+def build_support(spec: GameSpec) -> SupportSet:
+    """Support set of :func:`build_compact_game`."""
+    return build_compact_game(spec).support
 
 
 def embed_attacker(attack: int, support: SupportSet, cap: int | None = None) -> CompactVertex:

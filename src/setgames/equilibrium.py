@@ -101,13 +101,14 @@ def _check_atom_bound(side, weights, support):
 
 
 def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
-                  trace: list | None = None) -> EquilibriumReport:
+                  trace: list | None = None, game: CompactGame | None = None) -> EquilibriumReport:
     """Double-oracle solve over compact coordinates.
 
     Starts from the empty-set vertex on both sides, alternates restricted
     matrix-game solves with best-response oracle calls, and stops when
     neither player can improve by more than ``config.eps_gap``. The oracle
-    tables are prepared once from the support and caps. If ``trace``
+    tables are prepared once from the support and caps; ``game`` is the
+    prepared compact game of ``spec``, built here if not given. If ``trace``
     is a list, one record per round is appended with the restricted value,
     both gaps, and the vertices added.
 
@@ -118,7 +119,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     the bound raises :class:`SolverFailureError`.
     """
     config = config or SolverConfig()
-    game = build_compact_game(spec)
+    game = game or build_compact_game(spec)
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")

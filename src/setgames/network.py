@@ -22,17 +22,18 @@ strategies inside each component only and spends the cap across components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from math import comb
 from operator import index
 
 from .bits import iter_bits, masks_up_to_size
-from .compact import build_support
+from .compact import CompactGame, interaction_coefficients
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
 from .oracles import partition_support
-from .setfunctions import GroundSet, MobiusTransform, SetFunction, moebius, zeta
+from .setfunctions import GroundSet, MobiusTransform, SetFunction, zeta
 
 INDUCE_GUARD = 1_000_000
 
@@ -53,6 +54,8 @@ class Network:
             edges = [(index(u), index(v)) for u, v in self.edges]
         except TypeError:
             raise InvalidInputError("node count and edge endpoints must be integers") from None
+        if any(isinstance(x, bool) for x in (self.node_count, *chain(*self.edges))):
+            raise InvalidInputError("node count and edge endpoints must not be booleans")
         object.__setattr__(self, "node_count", node_count)
         if self.node_count < 1:
             raise InvalidInputError("network needs at least one node")
@@ -210,6 +213,7 @@ def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperat
 class ApproxResult:
     """Outcome of the coefficient-threshold approximation.
 
+    ``game`` is the compact game of ``spec``, built from the kept coefficients.
     ``components`` partitions the surviving support's nonempty members into
     groups with pairwise disjoint target unions; ``error_bound`` is the
     guaranteed cap ``2^(c+1) * eps_c`` on the game-value perturbation. Every
@@ -217,6 +221,7 @@ class ApproxResult:
     """
 
     spec: GameSpec
+    game: CompactGame
     components: tuple[tuple[int, ...], ...]
     eps_c: float
     error_bound: float
@@ -230,29 +235,21 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     if eps_c < 0:
         raise InvalidInputError("eps_c must be nonnegative")
     n = benefit.ground.n
-    if defender_cap is None:
-        defender_cap = n
-    truncate = attacker_cap if attacker_cap < n else None
-    coeffs = moebius(benefit, max_size=truncate)
-    kept = {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c}
-    dropped = len(coeffs.entries) - len(kept)
-    approx_benefit = zeta(MobiusTransform(benefit.ground, kept), max_size=truncate)
-    spec = GameSpec(
-        ground=benefit.ground,
-        benefit=approx_benefit,
-        attacker_cost=attacker_cost,
-        defender_cost=defender_cost,
-        attacker_cap=attacker_cap,
-        defender_cap=defender_cap,
-    )
-    support = build_support(spec)
-    components = tuple(tuple(c) for c in partition_support(support.members))
+    spec = GameSpec(benefit.ground, benefit, attacker_cost, defender_cost, attacker_cap,
+                    n if defender_cap is None else defender_cap)
+    coeffs, cost_a, cost_d = interaction_coefficients(spec)
+    kept = MobiusTransform(benefit.ground,
+                           {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
+    game = CompactGame.from_coefficients((kept, cost_a, cost_d), attacker_cap, spec.defender_cap)
+    spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap if attacker_cap < n else None))
+    components = tuple(tuple(c) for c in partition_support(game.support.members))
     return ApproxResult(
         spec=spec,
+        game=game,
         components=components,
         eps_c=float(eps_c),
         error_bound=float(2 ** (attacker_cap + 1) * eps_c),
-        dropped_terms=dropped,
+        dropped_terms=len(coeffs.entries) - len(kept.entries),
     )
 
 
@@ -278,7 +275,7 @@ def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOp
         eps_c,
         attacker_cap,
     )
-    report = solve_compact(approx.spec, config, trace=trace)
+    report = solve_compact(approx.spec, config, trace=trace, game=approx.game)
     return report, approx
 
 

@@ -124,10 +124,6 @@ class MobiusTransform:
 
     __call__ = value
 
-    def support(self) -> tuple[int, ...]:
-        """Masks with a nonzero coefficient, ascending."""
-        return tuple(sorted(self.entries))
-
 
 def _dense(ground: GroundSet, values: dict, default, exact: bool) -> np.ndarray:
     """All 2^n values as a float64 array, or an object array of Fractions."""

@@ -1,9 +1,11 @@
 """CLI: file formats, command behavior, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
+from setgames import setfunctions
 from setgames.cli import format_game_json, main, parse_game_json
 from setgames.errors import FormatError
 
@@ -94,6 +96,21 @@ class TestCommands:
         assert main(["transform", str(path), "--exact"]) == 0
         assert "{1,2} : 2" in capsys.readouterr().out
 
+    def test_transform_float_and_exact_agree_on_capped_defender_cost(self, tmp_path, capsys):
+        # k=1: the cost of {1,2} is never paid, and no defender-cost
+        # coefficient above one target enters the support.
+        doc = {"n": 3, "c": 1, "k": 1, "benefit": [{"set": [1], "value": 2}],
+               "cost_defender": [{"set": [1], "value": 1}, {"set": [2], "value": 2},
+                                 {"set": [1, 2], "value": 7}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["transform", str(path)]) == 0
+        floats = capsys.readouterr().out
+        assert main(["transform", str(path), "--exact"]) == 0
+        assert capsys.readouterr().out == floats
+        assert "support size 4" in floats
+        assert "{} : 0 / 0 / 3\n{1} : 2 / 0 / -1\n{2} : 0 / 0 / -2\n{3} : 0 / 0 / 0\n" in floats
+
     def test_transform_empty_utilities_prints_floor(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text('{"n": 2}')
@@ -135,6 +152,25 @@ class TestCommands:
         assert "histogram" in printed
         report = json.loads(out.read_text())
         assert report["error_bound"] == pytest.approx(12.0)  # 2^3 * 1.5
+
+    def test_net_transforms_benefit_once(self, tmp_path, monkeypatch):
+        moebius = setfunctions.moebius
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moebius(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "setgames" or name.startswith("setgames."):
+                for attr, value in list(vars(module).items()):
+                    if value is moebius:
+                        monkeypatch.setattr(module, attr, counted)
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes 8\n1 2\n2 3\n3 4\n5 6\n6 7\n7 8\n1 5\n2 6\n3 7\n4 8\n")
+        out = tmp_path / "report.json"
+        assert main(["net", str(graph), "--c", "2", "--eps-c", "0.5", "--out", str(out)]) == 0
+        assert len(calls) == 1
 
     def test_net_json_graph(self, tmp_path):
         graph = tmp_path / "g.json"
@@ -200,6 +236,8 @@ class TestExitCodes:
         {"nodes": 3, "edges": [[1.7, 2]]},
         {"nodes": 3, "edges": [[1, 2]], "values": 5},
         {"nodes": 2, "edges": [[1, 2]], "values": [1.0, "a"]},
+        {"nodes": True, "edges": []},
+        {"nodes": 3, "edges": [[True, 2]]},
     ])
     def test_malformed_graph_json(self, tmp_path, capsys, graph):
         path = tmp_path / "g.json"

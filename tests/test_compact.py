@@ -1,5 +1,7 @@
 """Compact coordinates: support, embeddings, bilinear identity, vertices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from setgames import (
     marginal_defender,
     vertex_to_strategy,
 )
+from setgames import compact
 from setgames.errors import InvalidStrategyError, InvalidVertexError, NotInHullError
-from conftest import random_game
+from conftest import random_game, random_set_function
 from test_games import make_spec
 
 
@@ -45,6 +48,17 @@ class TestBuildSupport:
         spec = random_game(rng, 5, 2, 5, costs=False)
         support = build_support(spec)
         assert all(m.bit_count() <= 2 for m in support.members)
+        # Defender-cost coefficients stop at k like the others stop at c.
+        spec = replace(random_game(rng, 6, 2, 2),
+                       defender_cost=random_set_function(rng, 6, scale=0.3))
+        assert max(m.bit_count() for m in build_support(spec).members) == 2
+
+    def test_uncapped_defender_cost_never_walks_submasks(self, monkeypatch):
+        # With k = n the superset sums take one O(n 2^n) butterfly; a walk
+        # below each of up to 2^n coefficients would take 3^n steps.
+        monkeypatch.setattr(compact, "submasks", None)
+        game = build_compact_game(random_game(np.random.default_rng(3), 6, 2, 6))
+        assert game.support.members[-1] == 0b111111
 
 
 class TestEmbeddings:
@@ -84,9 +98,16 @@ class TestEmbeddings:
 class TestCompactValue:
     def test_reproduces_normal_form_exhaustively(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
+        for capped in [False] * 10 + [True] * 10:
             n = int(rng.integers(2, 5))
-            spec = random_game(rng, n, n, n)
+            if capped:
+                # Caps below n; the defender cost also has values above k,
+                # which no legal defense reads.
+                c, k = (int(x) for x in rng.integers(0, n, size=2))
+                spec = replace(random_game(rng, n, c, k),
+                               defender_cost=random_set_function(rng, n, scale=0.3))
+            else:
+                spec = random_game(rng, n, n, n)
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
             for i, a in enumerate(nf.attacker_strategies):

@@ -7,6 +7,7 @@ from setgames import (
     SolverConfig,
     SupportSet,
     best_response_gap,
+    build_compact_game,
     solve_bruteforce,
     solve_compact,
     verify_ne_equivalence,
@@ -104,6 +105,24 @@ class TestCompactSolver:
             report = solve_compact(spec)
             a_gap, d_gap = best_response_gap(spec, report)
             assert a_gap <= 1e-6 and d_gap <= 1e-6
+
+    def test_defender_cost_past_the_dense_limit(self):
+        # n=26 is past the dense-table limit; with k=2 the defender cost is
+        # transformed only up to pairs, and its value on a triple is never read.
+        rng = np.random.default_rng(8)
+        n = 26
+        benefit = {1 << i: float(rng.uniform(1, 3)) for i in range(n)}
+        cost_d = {1 << i: float(rng.uniform(0, 0.5)) for i in range(n)}
+        for i in range(0, n - 1, 2):
+            benefit[0b11 << i] = benefit[1 << i] + benefit[2 << i] + float(rng.uniform(-1, 1))
+            cost_d[0b11 << i] = cost_d[1 << i] + cost_d[2 << i] - 0.1
+        cost_d[0b111] = 5.0
+        spec = make_spec(n, benefit, cost_d=cost_d, c=2, k=2)
+        assert max(m.bit_count() for m in build_compact_game(spec).support.members) == 2
+        report = solve_compact(spec)
+        assert report.converged
+        a_gap, d_gap = best_response_gap(spec, report)
+        assert a_gap <= 1e-7 and d_gap <= 1e-7
 
     def test_truncated_run_leaves_large_gap(self):
         spec = matching_pennies()
