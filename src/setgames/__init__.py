@@ -43,7 +43,6 @@ from .lp import (
     GameSolution,
     LPResult,
     MatrixGame,
-    Tolerances,
     feasibility_lp,
     solve_matrix_game,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "SetFunction",
     "SolverConfig",
     "SupportSet",
-    "Tolerances",
     "ValueFunction",
     "attacker_oracle",
     "best_response_gap",

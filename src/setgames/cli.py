@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import CompactGame, build_compact_game, interaction_coefficients
+from .compact import CompactGame, build_compact_game, interaction_coefficients, payoff_block
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
@@ -189,8 +190,18 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
 def _solve_config(args) -> SolverConfig:
-    return SolverConfig(eps_gap=float(args.tol))
+    return SolverConfig(eps_gap=args.tol)
 
 
 def _cmd_solve(args) -> int:
@@ -296,11 +307,7 @@ def _cmd_verify(args) -> int:
     nf = expand_normal_form(spec)
     attack_coords = np.stack([game.embed_attacker(a).coords for a in nf.attacker_strategies])
     defense_coords = np.stack([game.embed_defender(d).coords for d in nf.defender_strategies])
-    rebuilt = (
-        (attack_coords * game.benefit_vec) @ defense_coords.T
-        - (attack_coords @ game.attacker_cost_vec)[:, None]
-        + (defense_coords @ game.defender_cost_vec)[None, :]
-    )
+    rebuilt = payoff_block(game, attack_coords, defense_coords)
     identity_gap = float(np.max(np.abs(rebuilt - nf.matrix)))
 
     print(f"value: brute force {reference.value:.9g}, constraint generation {compact_report.value:.9g}")
@@ -324,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a game by constraint generation")
     p.add_argument("game", help="game JSON file")
-    p.add_argument("--tol", default="1e-7", help="best-response gap tolerance")
+    p.add_argument("--tol", type=_positive_float, default="1e-7",
+                   help="best-response gap tolerance")
     p.add_argument("--trace", metavar="FILE", help="write one JSON record per round")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_solve)
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True, help="attacker cardinality cap")
     p.add_argument("--eps-c", type=float, required=True, dest="eps_c",
                    help="coefficient magnitude threshold")
-    p.add_argument("--tol", default="1e-7")
+    p.add_argument("--tol", type=_positive_float, default="1e-7")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_net)
 

@@ -18,7 +18,8 @@ cost, truncated at c, and cd makes ``sum_U cd[U] 1{U disjoint from D}`` equal
 the defender cost of every defense D of at most k targets. The conjugate
 identity (Grabisch, Marichal and Roubens, Math. OR 2000) gives
 ``cd[U] = (-1)^|U| sum over V above U of m[V]`` from the cost's coefficients
-m truncated at k, so cd too vanishes above k.
+m truncated at k, so cd too vanishes above k. :func:`payoff_block` evaluates
+the form between stacked coordinate rows, a whole payoff block at once.
 
 S always contains the empty set and all singletons. The singleton floor keeps
 the defender embedding injective, so a defender vertex maps back to its pure
@@ -39,7 +40,7 @@ from .errors import (
     NotInHullError,
 )
 from .games import GameSpec
-from .lp import DEFAULT_TOLERANCES, Tolerances, feasibility_lp
+from .lp import feasibility_lp
 from .setfunctions import SPARSITY_SCALE, MobiusTransform, SetFunction, moebius, zeta
 
 HULL_TOL = 1e-7
@@ -187,26 +188,36 @@ def marginal_defender(support: SupportSet, atoms) -> np.ndarray:
     return out
 
 
+def payoff_block(game: CompactGame, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Bilinear payoffs ``(P diag(b)) Q^T - (P ca) 1^T + 1 (Q cd)^T``.
+
+    Entry (i, j) is the zero-sum payoff at attack coordinates ``P[i]`` and
+    defense coordinates ``Q[j]``.
+    """
+    return (
+        (P * game.benefit_vec) @ Q.T
+        - (P @ game.attacker_cost_vec)[:, None]
+        + (Q @ game.defender_cost_vec)[None, :]
+    )
+
+
 def compact_value(game: CompactGame, pa: np.ndarray, qd: np.ndarray) -> float:
     """Bilinear zero-sum payoff at compact coordinate vectors.
 
-    On embedded pure strategies this reproduces the normal-form entry
-    exactly; on marginals of mixed strategies it reproduces the expected
-    payoff (coordinates of the empty set are 1 by construction).
+    The 1x1 case of :func:`payoff_block`. On embedded pure strategies this
+    reproduces the normal-form entry exactly; on marginals of mixed
+    strategies it reproduces the expected payoff (coordinates of the empty
+    set are 1 by construction).
     """
     pa = np.asarray(pa, dtype=float)
     qd = np.asarray(qd, dtype=float)
     if pa.shape != (game.support.size,) or qd.shape != (game.support.size,):
         raise InvalidInputError(
             f"coordinate vectors must have length {game.support.size}")
-    return float(
-        (game.benefit_vec * pa) @ qd
-        - game.attacker_cost_vec @ pa
-        + game.defender_cost_vec @ qd
-    )
+    return float(payoff_block(game, pa[None, :], qd[None, :])[0, 0])
 
 
-def vertex_to_strategy(vertex: CompactVertex, *, tol: float = 1e-9) -> int:
+def vertex_to_strategy(vertex: CompactVertex) -> int:
     """Recover the defended set from a defender vertex in O(n).
 
     Reads only the n singleton coordinates: target i is defended exactly when
@@ -218,16 +229,14 @@ def vertex_to_strategy(vertex: CompactVertex, *, tol: float = 1e-9) -> int:
     defense = 0
     for i, pos in enumerate(vertex.support.singleton_positions):
         c = coords[pos]
-        if abs(c) > tol and abs(c - 1.0) > tol:
+        if abs(c) > 1e-9 and abs(c - 1.0) > 1e-9:
             raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c}, not 0/1")
         if c < 0.5:
             defense |= 1 << i
     return defense
 
 
-def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex], *,
-                           tol: float = HULL_TOL,
-                           lp_tol: Tolerances = DEFAULT_TOLERANCES,
+def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex],
                            ) -> list[tuple[float, CompactVertex]]:
     """Express ``point`` as a convex combination of at most dim+1 vertices.
 
@@ -235,9 +244,9 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex], *,
 
         minimize sum of |residual|  over  weights >= 0, sum = 1
 
-    and accepts when the optimal residual is below ``tol``. The returned
+    and accepts when the optimal residual is below :data:`HULL_TOL`. The returned
     weights come from a basic solution, so at most ``len(point) + 1`` of them
-    are positive. If the point is further than ``tol`` from the hull, raises
+    are positive. If the point is further than that from the hull, raises
     :class:`NotInHullError` carrying a separating functional ``(normal,
     offset)`` with ``normal @ v + offset <= 0`` for every vertex and
     ``normal @ point + offset > 0``.
@@ -265,11 +274,11 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex], *,
     row[m + 2 * dim + 1] = -1.0
     constraints.append((row, "==", 1.0))
 
-    result = feasibility_lp(objective, constraints, n_vars=n_vars, nonneg=True, tol=lp_tol)
-    if result.status != "optimal" or result.objective_value > tol:
-        normal, offset = _separating_functional(point, coords, lp_tol)
+    result = feasibility_lp(objective, constraints, n_vars=n_vars, nonneg=True)
+    if result.status != "optimal" or result.objective_value > HULL_TOL:
+        normal, offset = _separating_functional(point, coords)
         raise NotInHullError(
-            f"point is not within {tol} of the convex hull of {m} vertices",
+            f"point is not within {HULL_TOL} of the convex hull of {m} vertices",
             certificate=(normal, offset),
         )
     weights = np.maximum(result.x[:m], 0.0)
@@ -278,7 +287,7 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex], *,
     return out
 
 
-def _separating_functional(point, coords, lp_tol):
+def _separating_functional(point, coords):
     """Maximize u @ point + t over u @ v + t <= 0 for all vertices, |u|,|t| <= 1."""
     dim = point.size
     n_vars = dim + 1
@@ -291,7 +300,7 @@ def _separating_functional(point, coords, lp_tol):
         constraints.append((e, "<=", 1.0))
         constraints.append((e, ">=", -1.0))
     objective = np.concatenate([point, [1.0]])
-    result = feasibility_lp(objective, constraints, n_vars=n_vars, maximize=True, tol=lp_tol)
+    result = feasibility_lp(objective, constraints, n_vars=n_vars, maximize=True)
     if result.status != "optimal":  # pragma: no cover - box-bounded by construction
         raise InvalidInputError(f"separation LP reported {result.status}")
     return result.x[:dim], float(result.x[dim])

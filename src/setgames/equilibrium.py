@@ -4,14 +4,16 @@
 matrix game; it is the ground truth for everything else at desk scale.
 
 :func:`solve_compact` never materializes the normal form. It runs a double
-oracle over compact coordinates: keep finite sets of embedded attacker and
-defender vertices, solve the restricted matrix game between them, then ask
-each side's best-response oracle whether any pure strategy beats the current
-restricted optimum by more than the gap tolerance. Improving vertices are
-added and the loop repeats; since vertex sets only grow inside finite spaces,
-termination is guaranteed. On convergence the restricted mixtures are optimal
-for the full game, and each vertex maps back to its pure strategy, so both
-mixed strategies come out for free.
+oracle over compact coordinates. The restricted game is two strategy lists
+with their stacked coordinates P (attacks) and Q (defenses), and its payoff
+matrix is :func:`~setgames.compact.payoff_block` of the two. Each round
+solves it, then asks each side's best-response oracle whether any pure
+strategy beats the restricted optimum by more than the gap tolerance. New
+attacks add one block of rows against Q, new defenses one block of columns
+against P; since the lists only grow inside finite spaces, termination is
+guaranteed. On convergence the restricted mixtures over the two lists are
+optimal for the full game. :func:`best_response_gap` certifies a report with
+the same best-response steps.
 """
 
 from __future__ import annotations
@@ -26,17 +28,17 @@ from .compact import (
     compact_value,
     marginal_attacker,
     marginal_defender,
-    vertex_to_strategy,
+    payoff_block,
 )
 from .errors import CapacityError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
-from .lp import DEFAULT_TOLERANCES, Tolerances, solve_matrix_game
+from .lp import solve_matrix_game
 from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
 # At most this many oracle calls per side and round: one against the
 # opponent's mixture and one against each of its BR_BATCH - 1 heaviest
-# pure vertices.
+# pure strategies.
 BR_BATCH = 4
 
 
@@ -46,7 +48,6 @@ class SolverConfig:
 
     eps_gap: float = 1e-7
     max_iterations: int | None = None  # default 10 * support size + 100
-    lp_tol: Tolerances = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,10 @@ class EquilibriumReport:
     converged: bool
 
 
-def solve_bruteforce(spec: GameSpec, *, tol: Tolerances = DEFAULT_TOLERANCES,
-                     exact: bool = False) -> EquilibriumReport:
+def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumReport:
     """Exact equilibrium via the dense normal form; the reference solver."""
     nf = expand_normal_form(spec)
-    solution = solve_matrix_game(nf.matrix, tol=tol, exact=exact)
+    solution = solve_matrix_game(nf.matrix, exact=exact)
     attacker = MixedStrategy.from_pairs(zip(nf.attacker_strategies, map(float, solution.row_strategy)))
     defender = MixedStrategy.from_pairs(zip(nf.defender_strategies, map(float, solution.col_strategy)))
     return EquilibriumReport(
@@ -80,18 +80,34 @@ def solve_bruteforce(spec: GameSpec, *, tol: Tolerances = DEFAULT_TOLERANCES,
     )
 
 
-def _mixture_from_vertices(weights, vertices) -> MixedStrategy:
-    pairs = []
-    for w, v in zip(weights, vertices):
-        if w <= 0:
-            continue
-        strategy = vertex_to_strategy(v) if v.role == "defender" else v.origin
-        pairs.append((strategy, float(w)))
-    return MixedStrategy.from_pairs(pairs)
+def _attacker_response(game, prepared, qd):
+    """Best attack against defense coordinates ``qd`` and its zero-sum payoff."""
+    w = game.benefit_vec * qd - game.attacker_cost_vec
+    br = attacker_oracle(OracleQuery(w, prepared.attacker_cap), game.support, prepared=prepared)
+    return br.strategy, br.value + float(game.defender_cost_vec @ qd)
+
+
+def _defender_response(game, prepared, pa):
+    """Best defense against attack coordinates ``pa`` and its zero-sum payoff."""
+    w = -(game.benefit_vec * pa + game.defender_cost_vec)
+    br = defender_oracle(OracleQuery(w, prepared.defender_cap), game.support, prepared=prepared)
+    return br.strategy, -br.value - float(game.attacker_cost_vec @ pa)
+
+
+def _responses(respond, game, prepared, mix, coords, known):
+    """One side's round: respond to the opponent's mixture ``mix`` over the rows
+    of ``coords`` and to its ``BR_BATCH - 1`` heaviest rows. Returns the payoff
+    against the mixture, the strategies not in ``known`` in discovery order, and
+    the number of oracle calls."""
+    point = sum(w * row for w, row in zip(mix, coords))
+    heavy = [coords[j] for j in np.argsort(-mix)[: BR_BATCH - 1] if mix[j] > 0]
+    found = [respond(game, prepared, target) for target in [point, *heavy]]
+    new = [s for s in dict.fromkeys(s for s, _ in found) if s not in known]
+    return found[0][1], new, len(found)
 
 
 def _check_atom_bound(side, weights, support):
-    """A basic restricted optimum uses at most ``support.size`` vertices."""
+    """A basic restricted optimum uses at most ``support.size`` strategies."""
     atoms = int(np.count_nonzero(weights > 0))
     if atoms > support.size:
         raise SolverFailureError(
@@ -104,18 +120,18 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                   trace: list | None = None, game: CompactGame | None = None) -> EquilibriumReport:
     """Double-oracle solve over compact coordinates.
 
-    Starts from the empty-set vertex on both sides, alternates restricted
+    Starts from the empty attack and the empty defense, alternates restricted
     matrix-game solves with best-response oracle calls, and stops when
     neither player can improve by more than ``config.eps_gap``. The oracle
     tables are prepared once from the support and caps; ``game`` is the
     prepared compact game of ``spec``, built here if not given. If ``trace``
     is a list, one record per round is appended with the restricted value,
-    both gaps, and the vertices added.
+    both gaps, the strategy counts, and the strategies found.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
     so its rank is at most ``|S|`` and a basic LP optimum puts positive
-    weight on at most that many vertices. A restricted mixture that breaks
+    weight on at most that many strategies. A restricted mixture that breaks
     the bound raises :class:`SolverFailureError`.
     """
     config = config or SolverConfig()
@@ -128,12 +144,10 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     if max_rounds is None:
         max_rounds = 10 * support.size + 100
 
-    attack_vertices = [game.embed_attacker(0)]
-    defense_vertices = [game.embed_defender(0)]
-    attack_seen = {0}
-    defense_seen = {0}
-    payoff = np.array([[compact_value(game, attack_vertices[0].coords,
-                                      defense_vertices[0].coords)]])
+    attacks, defenses = [0], [0]
+    P = game.embed_attacker(0).coords[None, :]
+    Q = game.embed_defender(0).coords[None, :]
+    payoff = payoff_block(game, P, Q)
 
     oracle_calls = 0
     rounds = 0
@@ -144,45 +158,18 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     while rounds < max_rounds:
         rounds += 1
-        solution = solve_matrix_game(payoff, tol=config.lp_tol)
+        solution = solve_matrix_game(payoff)
         row_mix = np.asarray(solution.row_strategy, dtype=float)
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
 
-        pa = sum(w * v.coords for w, v in zip(row_mix, attack_vertices))
-        qd = sum(w * v.coords for w, v in zip(col_mix, defense_vertices))
-
-        # Best responses against the opponent's mixture, plus responses to
-        # the heaviest pure vertices of that mixture to harvest extra
-        # violated columns per round.
-        attack_targets = [qd]
-        defense_targets = [pa]
-        heavy_d = np.argsort(-col_mix)[: BR_BATCH - 1]
-        attack_targets += [defense_vertices[j].coords for j in heavy_d if col_mix[j] > 0]
-        heavy_a = np.argsort(-row_mix)[: BR_BATCH - 1]
-        defense_targets += [attack_vertices[j].coords for j in heavy_a if row_mix[j] > 0]
-
-        attacker_gap = -np.inf
-        new_attacks = {}
-        for target in attack_targets:
-            w = game.benefit_vec * target - game.attacker_cost_vec
-            br = attacker_oracle(OracleQuery(w, spec.attacker_cap), support, prepared=prepared)
-            oracle_calls += 1
-            if target is qd:
-                attacker_gap = br.value + float(game.defender_cost_vec @ qd) - value
-            if br.strategy not in attack_seen:
-                new_attacks.setdefault(br.strategy, br)
-
-        defender_gap = -np.inf
-        new_defenses = {}
-        for target in defense_targets:
-            w = -(game.benefit_vec * target + game.defender_cost_vec)
-            br = defender_oracle(OracleQuery(w, spec.defender_cap), support, prepared=prepared)
-            oracle_calls += 1
-            if target is pa:
-                defender_gap = value - (-br.value - float(game.attacker_cost_vec @ pa))
-            if br.strategy not in defense_seen:
-                new_defenses.setdefault(br.strategy, br)
+        best_attack, new_attacks, calls_a = _responses(
+            _attacker_response, game, prepared, col_mix, Q, attacks)
+        best_defense, new_defenses, calls_d = _responses(
+            _defender_response, game, prepared, row_mix, P, defenses)
+        oracle_calls += calls_a + calls_d
+        attacker_gap = best_attack - value
+        defender_gap = value - best_defense
 
         if trace is not None:
             trace.append({
@@ -190,8 +177,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "restricted_value": value,
                 "attacker_gap": float(attacker_gap),
                 "defender_gap": float(defender_gap),
-                "attacker_vertices": len(attack_vertices),
-                "defender_vertices": len(defense_vertices),
+                "attacker_vertices": len(attacks),
+                "defender_vertices": len(defenses),
                 "added_attacks": sorted(new_attacks),
                 "added_defenses": sorted(new_defenses),
             })
@@ -200,36 +187,31 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
             converged = True
             break
 
-        grew = False
-        if attacker_gap > config.eps_gap:
-            for br in new_attacks.values():
-                attack_seen.add(br.strategy)
-                new_row = np.array([[compact_value(game, br.vertex.coords, v.coords)
-                                     for v in defense_vertices]])
-                payoff = np.vstack([payoff, new_row])
-                attack_vertices.append(br.vertex)
-                grew = True
-        if defender_gap > config.eps_gap:
-            for br in new_defenses.values():
-                defense_seen.add(br.strategy)
-                new_col = np.array([[compact_value(game, v.coords, br.vertex.coords)]
-                                    for v in attack_vertices])
-                payoff = np.hstack([payoff, new_col])
-                defense_vertices.append(br.vertex)
-                grew = True
-        if not grew:
-            # No vertex left to add: the restricted game already contains
+        new_attacks = new_attacks if attacker_gap > config.eps_gap else []
+        new_defenses = new_defenses if defender_gap > config.eps_gap else []
+        if not new_attacks and not new_defenses:
+            # No strategy left to add: the restricted game already contains
             # both best responses, so the gaps are numerical residue.
             converged = attacker_gap <= 10 * config.eps_gap and defender_gap <= 10 * config.eps_gap
             break
+        if new_attacks:
+            rows = np.array([game.embed_attacker(a).coords for a in new_attacks])
+            payoff = np.vstack([payoff, payoff_block(game, rows, Q)])
+            P = np.vstack([P, rows])
+            attacks += new_attacks
+        if new_defenses:
+            cols = np.array([game.embed_defender(d).coords for d in new_defenses])
+            payoff = np.hstack([payoff, payoff_block(game, P, cols)])
+            Q = np.vstack([Q, cols])
+            defenses += new_defenses
 
     _check_atom_bound("attacker", row_mix, support)
     _check_atom_bound("defender", col_mix, support)
 
     return EquilibriumReport(
         value=value,
-        defender=_mixture_from_vertices(col_mix, defense_vertices),
-        attacker=_mixture_from_vertices(row_mix, attack_vertices),
+        defender=MixedStrategy.from_pairs(zip(defenses, col_mix)),
+        attacker=MixedStrategy.from_pairs(zip(attacks, row_mix)),
         iterations=rounds,
         support_size=support.size,
         oracle_calls=oracle_calls,
@@ -252,13 +234,6 @@ def best_response_gap(spec: GameSpec, report: EquilibriumReport,
     pa = marginal_attacker(support, report.attacker.atoms)
     qd = marginal_defender(support, report.defender.atoms)
     current = compact_value(game, pa, qd)
-
-    w_att = game.benefit_vec * qd - game.attacker_cost_vec
-    br_att = attacker_oracle(OracleQuery(w_att, spec.attacker_cap), support, prepared=prepared)
-    attacker_best = br_att.value + float(game.defender_cost_vec @ qd)
-
-    w_def = -(game.benefit_vec * pa + game.defender_cost_vec)
-    br_def = defender_oracle(OracleQuery(w_def, spec.defender_cap), support, prepared=prepared)
-    defender_best = -br_def.value - float(game.attacker_cost_vec @ pa)
-
+    _, attacker_best = _attacker_response(game, prepared, qd)
+    _, defender_best = _defender_response(game, prepared, pa)
     return attacker_best - current, current - defender_best

@@ -122,19 +122,23 @@ def pure_payoff(spec: GameSpec, attack: int, defense: int) -> PurePayoff:
     )
 
 
-def expand_normal_form(spec: GameSpec) -> NormalForm:
-    """Materialize the zero-sum-equivalent payoff matrix for a small game."""
+def _dense_tables(spec: GameSpec):
+    """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors."""
     na, nd = spec.strategy_counts()
     if na * nd > NORMAL_FORM_GUARD:
         raise CapacityError(f"normal form with {na}x{nd} cells exceeds the guard")
     rows = spec.attacker_strategies()
     cols = spec.defender_strategies()
-    benefit = spec.benefit.to_dense()
-    cost_a = spec.attacker_cost.to_dense()
-    cost_d = spec.defender_cost.to_dense()
     a = np.array(rows)
     d = np.array(cols)
-    matrix = benefit[a[:, None] & ~d[None, :]] - cost_a[a][:, None] + cost_d[d][None, :]
+    hit = spec.benefit.to_dense()[a[:, None] & ~d[None, :]]
+    return rows, cols, hit, spec.attacker_cost.to_dense()[a], spec.defender_cost.to_dense()[d]
+
+
+def expand_normal_form(spec: GameSpec) -> NormalForm:
+    """Materialize the zero-sum-equivalent payoff matrix for a small game."""
+    rows, cols, hit, cost_a, cost_d = _dense_tables(spec)
+    matrix = hit - cost_a[:, None] + cost_d[None, :]
     return NormalForm(tuple(rows), tuple(cols), matrix)
 
 
@@ -154,12 +158,12 @@ class MixedStrategy:
             raise InvalidInputError(f"probabilities sum to {total}, expected 1")
 
     @classmethod
-    def from_pairs(cls, pairs, *, min_prob: float = 1e-12) -> "MixedStrategy":
-        """Merge duplicates, drop negligible atoms, and renormalize."""
+    def from_pairs(cls, pairs) -> "MixedStrategy":
+        """Merge duplicates, drop atoms of probability 1e-12 or less, and renormalize."""
         merged: dict[int, float] = {}
         for mask, prob in pairs:
             merged[mask] = merged.get(mask, 0.0) + float(prob)
-        kept = {m: p for m, p in merged.items() if p > min_prob}
+        kept = {m: p for m, p in merged.items() if p > 1e-12}
         total = sum(kept.values())
         if total <= 0:
             raise InvalidInputError("mixed strategy has no mass left after filtering")
@@ -194,19 +198,9 @@ def verify_ne_equivalence(spec: GameSpec, attacker_mix: MixedStrategy,
     that a solution computed on the zero-sum-equivalent matrix really is an
     equilibrium of the game as specified.
     """
-    na, nd = spec.strategy_counts()
-    if na * nd > NORMAL_FORM_GUARD:
-        raise CapacityError("game too large for the dense equilibrium check")
-    rows = spec.attacker_strategies()
-    cols = spec.defender_strategies()
-    benefit = spec.benefit.to_dense()
-    cost_a = spec.attacker_cost.to_dense()
-    cost_d = spec.defender_cost.to_dense()
-    a = np.array(rows)
-    d = np.array(cols)
-    hit = benefit[a[:, None] & ~d[None, :]]
-    attacker_payoff = hit - cost_a[a][:, None]
-    defender_payoff = -hit - cost_d[d][None, :]
+    rows, cols, hit, cost_a, cost_d = _dense_tables(spec)
+    attacker_payoff = hit - cost_a[:, None]
+    defender_payoff = -hit - cost_d[None, :]
 
     p = attacker_mix.as_vector(rows)
     q = defender_mix.as_vector(cols)

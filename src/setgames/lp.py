@@ -37,17 +37,9 @@ from .errors import CapacityError, InvalidInputError, SolverFailureError
 MAX_GAME_CELLS = 10_000_000
 MAX_LP_VARS = 10_000
 MAX_LP_CONSTRAINTS = 100_000
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds shared by the LP layer and its callers."""
-
-    feasibility: float = 1e-9
-    optimality: float = 1e-8
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
+FEASIBILITY_TOL = 1e-9
+OPTIMALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,13 +87,7 @@ class LPResult:
 # tableau engine, float64 or Fraction
 
 
-_EXACT_TOLERANCES = Tolerances(feasibility=Fraction(0), optimality=Fraction(0))
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
-
-
-def _arithmetic(exact, tol):
-    """Scalar type and tolerances: Fractions under zero tolerances in exact mode."""
-    return (Fraction, _EXACT_TOLERANCES) if exact else (float, tol)
 
 
 def _array(values, num):
@@ -114,6 +100,11 @@ def _array(values, num):
 def _num(a):
     """Scalar type of an LP array: Fraction for an object array, else float."""
     return Fraction if a.dtype == object else float
+
+
+def _tolerances(a):
+    """Feasibility and optimality thresholds for the arithmetic of ``a``."""
+    return (Fraction(0), Fraction(0)) if a.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
 
 
 def _result(a):
@@ -131,32 +122,33 @@ def _pivot(T, row, col):
     T[row, col] = num(1)
 
 
-def _simplex(T, basis, ncols, tol, context):
+def _simplex(T, basis, ncols, context):
     """Run pivots until optimal or unbounded. T has shape (m+1, total+1)."""
     m = T.shape[0] - 1
+    feasibility, optimality = _tolerances(T)
     bland = False
     degenerate_run = 0
     max_iter = 50 * (m + ncols) + 1000
     for _ in range(max_iter):
         rc = T[m, :ncols]
         if bland:
-            neg = np.nonzero(rc < -tol.optimality)[0]
+            neg = np.nonzero(rc < -optimality)[0]
             if neg.size == 0:
                 return "optimal"
             col = int(neg[0])
         else:
             col = int(np.argmin(rc))
-            if rc[col] >= -tol.optimality:
+            if rc[col] >= -optimality:
                 return "optimal"
         colvals = T[:m, col]
-        rows = np.nonzero(colvals > tol.feasibility)[0]
+        rows = np.nonzero(colvals > feasibility)[0]
         if rows.size == 0:
             return "unbounded"
         ratios = T[rows, -1] / colvals[rows]
         best = ratios.min()
-        near = rows[ratios <= best + tol.feasibility * (1 + abs(best))]
+        near = rows[ratios <= best + feasibility * (1 + abs(best))]
         row = int(min(near, key=lambda r: basis[r]))
-        if T[row, -1] <= tol.feasibility:
+        if T[row, -1] <= feasibility:
             degenerate_run += 1
             if degenerate_run > 20 + 2 * m:
                 bland = True
@@ -180,7 +172,7 @@ def _price_out(T, basis, costs):
             T[m, :] -= costs[b] * T[i, :]
 
 
-def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
+def _solve_standard(c, A, b, *, basis=None, context="lp"):
     """Minimize c.x over Ax = b, x >= 0 with b >= 0, in the arithmetic of ``A``.
 
     Returns (status, x, objective, farkas_y). ``basis`` may name an initial
@@ -188,6 +180,7 @@ def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
     ``farkas_y`` is set only when status is "infeasible".
     """
     num = _num(A)
+    feasibility, _ = _tolerances(A)
     m, ncols = A.shape
 
     if basis is None:
@@ -199,19 +192,19 @@ def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
         basis = list(range(ncols, ncols + m))
         phase1_cost = _array(np.concatenate([np.zeros(ncols), np.ones(m)]), num)
         _price_out(T, basis, phase1_cost)
-        status = _simplex(T, basis, total, tol, context + " phase 1")
+        status = _simplex(T, basis, total, context + " phase 1")
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverFailureError(f"phase 1 reported {status} in {context}")
         residual = -T[m, -1]
         scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
-        if residual > tol.feasibility * scale:
+        if residual > feasibility * scale:
             return "infeasible", None, None, 1 - T[m, ncols : ncols + m]
         # Pivot leftover artificial variables out of the basis; rows that
         # cannot pivot are linearly dependent and get dropped.
         drop = []
         for i in range(m):
             if basis[i] >= ncols:
-                nonzero = np.nonzero(np.abs(T[i, :ncols]) > tol.feasibility)[0]
+                nonzero = np.nonzero(np.abs(T[i, :ncols]) > feasibility)[0]
                 if nonzero.size:
                     basis[i] = int(nonzero[0])
                     _pivot(T, i, basis[i])
@@ -230,7 +223,7 @@ def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
         basis = list(basis)
 
     _price_out(T, basis, c)
-    status = _simplex(T, basis, ncols, tol, context + " phase 2")
+    status = _simplex(T, basis, ncols, context + " phase 2")
     if status == "unbounded":
         return "unbounded", None, None, None
     x = _array(np.zeros(ncols), num)
@@ -244,7 +237,7 @@ def _solve_standard(c, A, b, tol, *, basis=None, context="lp"):
 # matrix games
 
 
-def _one_side(matrix, tol):
+def _one_side(matrix):
     """Column player's optimal mixture and the game value for ``matrix``."""
     num = _num(matrix)
     m, n = matrix.shape
@@ -255,7 +248,7 @@ def _one_side(matrix, tol):
     b = _array(np.ones(m), num)
     c = _array(np.concatenate([-np.ones(n), np.zeros(m)]), num)
     status, x, _, _ = _solve_standard(
-        c, A, b, tol, basis=list(range(n, n + m)), context="matrix game"
+        c, A, b, basis=list(range(n, n + m)), context="matrix game"
     )
     if status != "optimal":  # pragma: no cover - bounded by construction
         raise SolverFailureError(f"matrix-game LP reported {status}")
@@ -266,8 +259,7 @@ def _one_side(matrix, tol):
     return 1 / total - shift, z / total
 
 
-def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> GameSolution:
+def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> GameSolution:
     """Optimal mixed strategies of a finite zero-sum game (rows maximize).
 
     Deterministic for a given matrix: pivot order is fixed, so repeated calls
@@ -278,10 +270,9 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
     matrix = game.matrix if isinstance(game, MatrixGame) else game
     if not isinstance(game, MatrixGame):
         MatrixGame(np.asarray(matrix, dtype=float))  # run the guards
-    num, tol = _arithmetic(exact, tol)
-    matrix = _array(matrix, num)
-    value, col_strategy = _one_side(matrix, tol)
-    _, row_strategy = _one_side(-matrix.T, tol)
+    matrix = _array(matrix, Fraction if exact else float)
+    value, col_strategy = _one_side(matrix)
+    _, row_strategy = _one_side(-matrix.T)
     return GameSolution(value=value, row_strategy=_result(row_strategy),
                         col_strategy=_result(col_strategy))
 
@@ -291,8 +282,7 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
 
 
 def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = False,
-                   nonneg: bool = False, exact: bool = False,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> LPResult:
+                   nonneg: bool = False, exact: bool = False) -> LPResult:
     """Optimize a linear functional over linear constraints.
 
     Args:
@@ -310,7 +300,7 @@ def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = Fals
     constraints = list(constraints)
     if n_vars > MAX_LP_VARS or len(constraints) > MAX_LP_CONSTRAINTS:
         raise CapacityError("LP exceeds the size guard")
-    num, tol = _arithmetic(exact, tol)
+    num = Fraction if exact else float
 
     width = n_vars if nonneg else 2 * n_vars
     n_slack = sum(1 for _, sense, _ in constraints if sense in ("<=", ">="))
@@ -348,7 +338,7 @@ def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = Fals
     if len(identity_ok) == len(constraints):
         basis = [col for _, col in sorted(identity_ok)]
     status, x, objective_value, farkas = _solve_standard(
-        c, A, b, tol, basis=basis, context="feasibility lp"
+        c, A, b, basis=basis, context="feasibility lp"
     )
     if status == "infeasible":
         return LPResult(status="infeasible", certificate=_result(farkas * row_sign))

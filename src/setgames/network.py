@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from math import comb
+from math import comb, isfinite
 from operator import index
 
 from .bits import iter_bits, masks_up_to_size
@@ -232,11 +232,12 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
                             defender_cost: SetFunction, eps_c: float, attacker_cap: int,
                             *, defender_cap: int | None = None) -> ApproxResult:
     """Zero out small benefit interactions and package the approximate game."""
-    if eps_c < 0:
-        raise InvalidInputError("eps_c must be nonnegative")
     n = benefit.ground.n
     spec = GameSpec(benefit.ground, benefit, attacker_cost, defender_cost, attacker_cap,
                     n if defender_cap is None else defender_cap)
+    error_bound = float(2 ** (attacker_cap + 1) * eps_c)
+    if not (eps_c >= 0 and isfinite(error_bound)):
+        raise InvalidInputError("eps_c must be nonnegative, with a finite bound 2^(c+1) * eps_c")
     coeffs, cost_a, cost_d = interaction_coefficients(spec)
     kept = MobiusTransform(benefit.ground,
                            {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
@@ -248,7 +249,7 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
         game=game,
         components=components,
         eps_c=float(eps_c),
-        error_bound=float(2 ** (attacker_cap + 1) * eps_c),
+        error_bound=error_bound,
         dropped_terms=len(coeffs.entries) - len(kept.entries),
     )
 

@@ -22,7 +22,7 @@ and a knapsack over components that spends the cap. On a one-component
 support the table is plain enumeration of the capped strategies; on an
 all-singleton support it picks the best single targets.
 
-Ties resolve to the smallest strategy mask.
+An oracle returns the best strategy mask, ties to the smallest, and its value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .bits import iter_bits, masks_up_to_size
-from .compact import CompactVertex, SupportSet, embed_defender, embed_attacker
+from .compact import SupportSet
 from .errors import CapacityError, InvalidInputError, PartitionError
 
 ENUMERATION_GUARD = 50_000_000
@@ -55,9 +55,10 @@ class OracleQuery:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Best strategy mask and its objective value; a caller embeds what it keeps."""
+
     strategy: int
     value: float
-    vertex: CompactVertex
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def defender_oracle(query: OracleQuery, support: SupportSet, *,
         prepared = prepare(support, None, query.cap)
     weights = _query_weights(query, support, prepared, prepared.defender_cap, "defender")
     defense, value = prepared.defenses.best(weights)
-    return OracleResult(defense, value, embed_defender(defense, support))
+    return OracleResult(defense, value)
 
 
 def attacker_oracle(query: OracleQuery, support: SupportSet, *,
@@ -240,7 +241,7 @@ def attacker_oracle(query: OracleQuery, support: SupportSet, *,
         prepared = prepare(support, query.cap, None)
     weights = _query_weights(query, support, prepared, prepared.attacker_cap, "attacker")
     attack, value = prepared.attacks.best(weights)
-    return OracleResult(attack, value, embed_attacker(attack, support))
+    return OracleResult(attack, value)
 
 
 def partition_support(members) -> list[list[int]]:

@@ -244,3 +244,15 @@ class TestExitCodes:
         path.write_text(json.dumps(graph))
         assert main(["net", str(path), "--c", "1", "--eps-c", "0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "-1", "0"])
+    def test_solve_rejects_bad_tolerance(self, pennies_file, capsys, tol):
+        assert main(["solve", pennies_file, f"--tol={tol}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5", "1e308"])
+    def test_net_rejects_bad_threshold(self, tmp_path, capsys, eps):
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes 3\n1 2\n2 3\n")
+        assert main(["net", str(graph), "--c", "2", f"--eps-c={eps}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -110,12 +110,12 @@ class TestCompactValue:
                 spec = random_game(rng, n, n, n)
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
-            for i, a in enumerate(nf.attacker_strategies):
-                va = game.embed_attacker(a)
-                for j, d in enumerate(nf.defender_strategies):
-                    vd = game.embed_defender(d)
-                    assert compact_value(game, va.coords, vd.coords) == pytest.approx(
-                        nf.matrix[i, j], abs=1e-9)
+            P = np.array([game.embed_attacker(a).coords for a in nf.attacker_strategies])
+            Q = np.array([game.embed_defender(d).coords for d in nf.defender_strategies])
+            assert np.allclose(compact.payoff_block(game, P, Q), nf.matrix, rtol=0, atol=1e-9)
+            for i, pa in enumerate(P):
+                for j, qd in enumerate(Q):
+                    assert compact_value(game, pa, qd) == pytest.approx(nf.matrix[i, j], abs=1e-9)
 
     def test_zero_game_is_zero(self):
         spec = make_spec(3, {})

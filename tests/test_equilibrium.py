@@ -146,3 +146,23 @@ class TestCompactSolver:
             [rec["restricted_value"] - rec["defender_gap"] for rec in trace])
         assert all(u + 1e-9 >= l for u, l in zip(uppers, lowers))
         assert lowers[-1] - 1e-6 <= report.value <= uppers[-1] + 1e-6
+
+    def test_trace_growth_matches_added_strategies(self):
+        # A round adds the strategies it found on each side whose gap is
+        # over the tolerance, and nothing else.
+        rng = np.random.default_rng(7)
+        eps = SolverConfig().eps_gap
+        for c, k in [(5, 5), (3, 2), (2, 3)]:
+            trace = []
+            report = solve_compact(random_game(rng, 5, c, k), trace=trace)
+            assert report.converged and len(trace) > 2
+            attacks, defenses = [0], [0]
+            for rec in trace:
+                assert rec["attacker_vertices"] == len(attacks)
+                assert rec["defender_vertices"] == len(defenses)
+                if rec["attacker_gap"] > eps:
+                    attacks += rec["added_attacks"]
+                if rec["defender_gap"] > eps:
+                    defenses += rec["added_defenses"]
+            assert len(set(attacks)) == len(attacks)
+            assert len(set(defenses)) == len(defenses)

@@ -57,12 +57,6 @@ class TestDefenderOracle:
         got = defender_oracle(OracleQuery(w, 0), support)
         assert got.strategy == 0
 
-    def test_vertex_attached(self):
-        support = SupportSet.from_members(3, [])
-        w = weights_for(support, {0b010: -2.0})
-        got = defender_oracle(OracleQuery(w, 3), support)
-        assert np.array_equal(got.vertex.coords, embed_defender(got.strategy, support).coords)
-
     def test_value_is_max_over_embedded_vertices(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
