@@ -39,13 +39,7 @@ from .compact import (
     marginal_defender,
     vertex_to_strategy,
 )
-from .lp import (
-    GameSolution,
-    LPResult,
-    MatrixGame,
-    feasibility_lp,
-    solve_matrix_game,
-)
+from .lp import GameSolution, MatrixGame, solve_matrix_game
 from .oracles import (
     OracleQuery,
     OracleResult,
@@ -84,7 +78,6 @@ __all__ = [
     "GameSolution",
     "GameSpec",
     "GroundSet",
-    "LPResult",
     "MatrixGame",
     "MixedStrategy",
     "MobiusTransform",

@@ -40,7 +40,7 @@ from .errors import (
     NotInHullError,
 )
 from .games import GameSpec
-from .lp import feasibility_lp
+from .lp import solve_matrix_game
 from .setfunctions import SPARSITY_SCALE, MobiusTransform, SetFunction, moebius, zeta
 
 HULL_TOL = 1e-7
@@ -69,10 +69,6 @@ class SupportSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def masks_array(self) -> np.ndarray:
-        """Members as a read-only int64 array, built once per support."""
-        return self.member_array
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def embed_attacker(attack: int, support: SupportSet, cap: int | None = None) -> 
     """0/1 coordinates ``1{U subset of attack}`` for every support member."""
     if cap is not None and attack.bit_count() > cap:
         raise InvalidStrategyError(f"attack {attack:#x} exceeds the cap {cap}")
-    masks = support.masks_array()
+    masks = support.member_array
     coords = ((masks & attack) == masks).astype(float)
     return CompactVertex(support=support, coords=coords, origin=attack, role="attacker")
 
@@ -165,14 +161,14 @@ def embed_defender(defense: int, support: SupportSet, cap: int | None = None) ->
     """0/1 coordinates ``1{U disjoint from defense}`` for every support member."""
     if cap is not None and defense.bit_count() > cap:
         raise InvalidStrategyError(f"defense {defense:#x} exceeds the cap {cap}")
-    masks = support.masks_array()
+    masks = support.member_array
     coords = ((masks & defense) == 0).astype(float)
     return CompactVertex(support=support, coords=coords, origin=defense, role="defender")
 
 
 def marginal_attacker(support: SupportSet, atoms) -> np.ndarray:
     """Compact coordinates of a mixed attack: ``pa[U] = Pr[attack covers U]``."""
-    masks = support.masks_array()
+    masks = support.member_array
     out = np.zeros(support.size)
     for mask, prob in atoms:
         out += prob * ((masks & mask) == masks)
@@ -181,7 +177,7 @@ def marginal_attacker(support: SupportSet, atoms) -> np.ndarray:
 
 def marginal_defender(support: SupportSet, atoms) -> np.ndarray:
     """Compact coordinates of a mixed defense: ``qd[U] = Pr[defense misses U]``."""
-    masks = support.masks_array()
+    masks = support.member_array
     out = np.zeros(support.size)
     for mask, prob in atoms:
         out += prob * ((masks & mask) == 0)
@@ -240,67 +236,32 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex],
                            ) -> list[tuple[float, CompactVertex]]:
     """Express ``point`` as a convex combination of at most dim+1 vertices.
 
-    Solves the elastic feasibility program
+    Solves one matrix game. Its columns are the vertices v_j and its rows the
+    2 dim signed coordinates +-e_i, with payoff ``+-(v_j - point)_i``, so its
+    value is the L-infinity distance from ``point`` to the hull of the
+    vertices and the column player's mixture is the nearest combination.
+    The game matrix has rank at most dim+1 (one more than the coordinates,
+    for the positive shift of the LP), so the basic optimum puts positive
+    weight on at most dim+1 vertices. Accepts when ``dim * distance`` is at
+    most :data:`HULL_TOL`, which bounds the L1 residual by the same.
 
-        minimize sum of |residual|  over  weights >= 0, sum = 1
-
-    and accepts when the optimal residual is below :data:`HULL_TOL`. The returned
-    weights come from a basic solution, so at most ``len(point) + 1`` of them
-    are positive. If the point is further than that from the hull, raises
-    :class:`NotInHullError` carrying a separating functional ``(normal,
-    offset)`` with ``normal @ v + offset <= 0`` for every vertex and
-    ``normal @ point + offset > 0``.
+    Otherwise raises :class:`NotInHullError` carrying a separating functional
+    ``(normal, offset)`` with ``normal @ v + offset <= 0`` for every vertex
+    and ``normal @ point + offset > 0``, read from the row player's mixture:
+    with ``u = p_plus - p_minus``, every vertex has ``u @ (v - point) >=
+    distance``, so ``(-u, u @ point + distance / 2)`` separates.
     """
     point = np.asarray(point, dtype=float)
     dim = point.size
-    m = len(vertices)
-    if m == 0:
+    if not vertices:
         raise InvalidInputError("need at least one vertex")
-    coords = np.stack([v.coords for v in vertices])  # m x dim
-
-    # Variables: m weights, then dim+1 elastic pairs (plus, minus).
-    n_vars = m + 2 * (dim + 1)
-    objective = np.concatenate([np.zeros(m), np.ones(2 * (dim + 1))])
-    constraints = []
-    for r in range(dim):
-        row = np.zeros(n_vars)
-        row[:m] = coords[:, r]
-        row[m + 2 * r] = 1.0
-        row[m + 2 * r + 1] = -1.0
-        constraints.append((row, "==", float(point[r])))
-    row = np.zeros(n_vars)
-    row[:m] = 1.0
-    row[m + 2 * dim] = 1.0
-    row[m + 2 * dim + 1] = -1.0
-    constraints.append((row, "==", 1.0))
-
-    result = feasibility_lp(objective, constraints, n_vars=n_vars, nonneg=True)
-    if result.status != "optimal" or result.objective_value > HULL_TOL:
-        normal, offset = _separating_functional(point, coords)
+    offsets = np.stack([v.coords for v in vertices], axis=1) - point[:, None]  # dim x m
+    solution = solve_matrix_game(np.vstack([offsets, -offsets]))
+    distance = solution.value
+    if dim * distance > HULL_TOL:
+        u = solution.row_strategy[:dim] - solution.row_strategy[dim:]
         raise NotInHullError(
-            f"point is not within {HULL_TOL} of the convex hull of {m} vertices",
-            certificate=(normal, offset),
+            f"point is not within {HULL_TOL} of the convex hull of {len(vertices)} vertices",
+            certificate=(-u, float(u @ point + distance / 2)),
         )
-    weights = np.maximum(result.x[:m], 0.0)
-    total = weights.sum()
-    out = [(float(w / total), vertices[j]) for j, w in enumerate(weights) if w / total > 1e-12]
-    return out
-
-
-def _separating_functional(point, coords):
-    """Maximize u @ point + t over u @ v + t <= 0 for all vertices, |u|,|t| <= 1."""
-    dim = point.size
-    n_vars = dim + 1
-    constraints = []
-    for v in coords:
-        constraints.append((np.concatenate([v, [1.0]]), "<=", 0.0))
-    for j in range(n_vars):
-        e = np.zeros(n_vars)
-        e[j] = 1.0
-        constraints.append((e, "<=", 1.0))
-        constraints.append((e, ">=", -1.0))
-    objective = np.concatenate([point, [1.0]])
-    result = feasibility_lp(objective, constraints, n_vars=n_vars, maximize=True)
-    if result.status != "optimal":  # pragma: no cover - box-bounded by construction
-        raise InvalidInputError(f"separation LP reported {result.status}")
-    return result.x[:dim], float(result.x[dim])
+    return [(float(w), v) for w, v in zip(solution.col_strategy, vertices) if w > 1e-12]

@@ -37,8 +37,8 @@ from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
 # At most this many oracle calls per side and round: one against the
-# opponent's mixture and one against each of its BR_BATCH - 1 heaviest
-# pure strategies.
+# opponent's mixture and, when that leaves a gap, one against each of its
+# BR_BATCH - 1 heaviest pure strategies.
 BR_BATCH = 4
 
 
@@ -94,16 +94,20 @@ def _defender_response(game, prepared, pa):
     return br.strategy, -br.value - float(game.attacker_cost_vec @ pa)
 
 
-def _responses(respond, game, prepared, mix, coords, known):
+def _responses(respond, gap_of, eps_gap, game, prepared, mix, coords, known):
     """One side's round: respond to the opponent's mixture ``mix`` over the rows
-    of ``coords`` and to its ``BR_BATCH - 1`` heaviest rows. Returns the payoff
-    against the mixture, the strategies not in ``known`` in discovery order, and
-    the number of oracle calls."""
-    point = sum(w * row for w, row in zip(mix, coords))
+    of ``coords``; ``gap_of(payoff)`` is the side's gap. Only when the gap
+    exceeds ``eps_gap`` also respond to the ``BR_BATCH - 1`` heaviest rows.
+    Returns the gap, the strategies the round adds (those not in ``known``, in
+    discovery order; none for a side within tolerance), and the number of
+    oracle calls."""
+    best, payoff = respond(game, prepared, sum(w * row for w, row in zip(mix, coords)))
+    gap = gap_of(payoff)
+    if gap <= eps_gap:
+        return gap, [], 1
     heavy = [coords[j] for j in np.argsort(-mix)[: BR_BATCH - 1] if mix[j] > 0]
-    found = [respond(game, prepared, target) for target in [point, *heavy]]
-    new = [s for s in dict.fromkeys(s for s, _ in found) if s not in known]
-    return found[0][1], new, len(found)
+    found = [best] + [respond(game, prepared, row)[0] for row in heavy]
+    return gap, [s for s in dict.fromkeys(found) if s not in known], len(found)
 
 
 def _check_atom_bound(side, weights, support):
@@ -126,12 +130,13 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     tables are prepared once from the support and caps; ``game`` is the
     prepared compact game of ``spec``, built here if not given. If ``trace``
     is a list, one record per round is appended with the restricted value,
-    both gaps, the strategy counts, and the strategies found.
+    both gaps, the strategy counts, and the strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
-    so its rank is at most ``|S|`` and a basic LP optimum puts positive
-    weight on at most that many strategies. A restricted mixture that breaks
+    so its rank is at most ``|S|``. A basic LP optimum puts positive weight
+    on at most that many columns, and its dual, read from the same tableau,
+    on at most as many rows. A restricted mixture that breaks
     the bound raises :class:`SolverFailureError`.
     """
     config = config or SolverConfig()
@@ -163,13 +168,13 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
 
-        best_attack, new_attacks, calls_a = _responses(
-            _attacker_response, game, prepared, col_mix, Q, attacks)
-        best_defense, new_defenses, calls_d = _responses(
-            _defender_response, game, prepared, row_mix, P, defenses)
+        attacker_gap, new_attacks, calls_a = _responses(
+            _attacker_response, lambda payoff: payoff - value, config.eps_gap,
+            game, prepared, col_mix, Q, attacks)
+        defender_gap, new_defenses, calls_d = _responses(
+            _defender_response, lambda payoff: value - payoff, config.eps_gap,
+            game, prepared, row_mix, P, defenses)
         oracle_calls += calls_a + calls_d
-        attacker_gap = best_attack - value
-        defender_gap = value - best_defense
 
         if trace is not None:
             trace.append({
@@ -186,9 +191,6 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         if attacker_gap <= config.eps_gap and defender_gap <= config.eps_gap:
             converged = True
             break
-
-        new_attacks = new_attacks if attacker_gap > config.eps_gap else []
-        new_defenses = new_defenses if defender_gap > config.eps_gap else []
         if not new_attacks and not new_defenses:
             # No strategy left to add: the restricted game already contains
             # both best responses, so the gaps are numerical residue.

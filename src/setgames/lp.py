@@ -1,28 +1,31 @@
-"""Dense-tableau simplex: finite zero-sum matrix games and small LPs.
+"""Dense-tableau simplex for finite zero-sum matrix games.
 
-Everything here solves the standard form
+A game with payoff matrix M (rows maximize) is solved through the classic
+reduction: shift M positive, then one LP
 
-    minimize c . x   subject to   A x = b,  x >= 0,  b >= 0,
+    maximize 1.z   subject to   M z + s = 1,  z, s >= 0,
 
-with a full tableau T of shape (m+1, ncols+1): row i < m holds the current
-constraint row and its rhs in the last column, row m holds the reduced costs
-and minus the current objective value. Entering variable by Dantzig's rule
-(most negative reduced cost, first index on ties); after a run of degenerate
-pivots the rule switches to Bland's, which cannot cycle. Leaving row by the
+started from the slack basis, yields the column player's optimal mixture
+``z / sum(z)`` and the game value ``1 / sum(z)`` minus the shift. The row
+player's mixture is that LP's dual, read from the same final tableau: the
+reduced costs w of the slack columns satisfy ``w M >= 1`` with
+``sum(w) = sum(z)``, so ``w / sum(w)`` is optimal for the rows (Dantzig,
+1951). One tableau per game, so both mixtures come from one basis. There is
+no general LP solver; Carathéodory decompositions and hull checks are posed
+as matrix games (:func:`setgames.compact.caratheodory_decompose`).
+
+The tableau T has shape (m+1, n+m+1): row i < m holds the current constraint
+row and its rhs in the last column, row m holds the reduced costs and minus
+the current objective value. Entering variable by Dantzig's rule (most
+negative reduced cost, first index on ties); after a run of degenerate pivots
+the rule switches to Bland's, which cannot cycle. Leaving row by the
 minimum-ratio test, ties broken toward the smallest basis index.
 
-Matrix games are solved through the classic reduction: shift the matrix
-positive, then ``max 1.z : M z <= 1, z >= 0`` yields the column player's
-optimal mixture ``z / sum(z)`` and game value ``1 / sum(z)`` minus the shift.
-The row player is the column player of the negated transpose, so one routine
-serves both sides and the two optima double-check each other.
-
-One engine serves both arithmetics. The tableau is a float64 array, or,
-with ``exact=True`` on a public entry point, an object array of
-``fractions.Fraction`` pivoted under zero tolerances. At zero tolerance the
-same rules are exact: Dantzig's argmin, ratio ties only when equal, a pivot
-is degenerate when its rhs is 0. Exact results are Fractions (vectors as
-lists of Fractions).
+One engine serves both arithmetics. The tableau is a float64 array, or, with
+``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
+tolerances. At zero tolerance the same rules are exact: Dantzig's argmin,
+ratio ties only when equal, a pivot is degenerate when its rhs is 0. Exact
+results are Fractions (vectors as lists of Fractions).
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError, SolverFailureError
 
 MAX_GAME_CELLS = 10_000_000
-MAX_LP_VARS = 10_000
-MAX_LP_CONSTRAINTS = 100_000
 # Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
@@ -65,22 +66,6 @@ class GameSolution:
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
-
-
-@dataclass(frozen=True)
-class LPResult:
-    """Outcome of a general LP solve.
-
-    ``status`` is one of ``optimal``, ``infeasible``, ``unbounded``. For an
-    infeasible system built from equality rows over nonnegative variables,
-    ``certificate`` is a row-multiplier vector y with y.A <= 0 componentwise
-    and y.b > 0 (a Farkas witness in the original row order and signs).
-    """
-
-    status: str
-    x: np.ndarray | list | None = None
-    objective_value: float | None = None
-    certificate: np.ndarray | list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +107,9 @@ def _pivot(T, row, col):
     T[row, col] = num(1)
 
 
-def _simplex(T, basis, ncols, context):
-    """Run pivots until optimal or unbounded. T has shape (m+1, total+1)."""
-    m = T.shape[0] - 1
+def _simplex(T, basis):
+    """Run pivots until optimal or unbounded. T has shape (m+1, ncols+1)."""
+    m, ncols = T.shape[0] - 1, T.shape[1] - 1
     feasibility, optimality = _tolerances(T)
     bland = False
     degenerate_run = 0
@@ -157,106 +142,9 @@ def _simplex(T, basis, ncols, context):
         _pivot(T, row, col)
         basis[row] = col
     raise SolverFailureError(
-        f"simplex did not terminate in {context}",
+        "simplex did not terminate in matrix game",
         diagnostics={"iterations": max_iter, "objective": float(-T[m, -1]), "bland": bland},
     )
-
-
-def _price_out(T, basis, costs):
-    """Recompute the reduced-cost row for the given costs and current basis."""
-    m = T.shape[0] - 1
-    T[m, :] = _num(T)(0)
-    T[m, : costs.size] = costs
-    for i, b in enumerate(basis):
-        if b < costs.size and costs[b] != 0:
-            T[m, :] -= costs[b] * T[i, :]
-
-
-def _solve_standard(c, A, b, *, basis=None, context="lp"):
-    """Minimize c.x over Ax = b, x >= 0 with b >= 0, in the arithmetic of ``A``.
-
-    Returns (status, x, objective, farkas_y). ``basis`` may name an initial
-    identity basis; otherwise phase 1 with artificial variables runs first.
-    ``farkas_y`` is set only when status is "infeasible".
-    """
-    num = _num(A)
-    feasibility, _ = _tolerances(A)
-    m, ncols = A.shape
-
-    if basis is None:
-        total = ncols + m
-        T = _array(np.zeros((m + 1, total + 1)), num)
-        T[:m, :ncols] = A
-        T[:m, ncols : ncols + m] = _array(np.eye(m), num)
-        T[:m, -1] = b
-        basis = list(range(ncols, ncols + m))
-        phase1_cost = _array(np.concatenate([np.zeros(ncols), np.ones(m)]), num)
-        _price_out(T, basis, phase1_cost)
-        status = _simplex(T, basis, total, context + " phase 1")
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise SolverFailureError(f"phase 1 reported {status} in {context}")
-        residual = -T[m, -1]
-        scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
-        if residual > feasibility * scale:
-            return "infeasible", None, None, 1 - T[m, ncols : ncols + m]
-        # Pivot leftover artificial variables out of the basis; rows that
-        # cannot pivot are linearly dependent and get dropped.
-        drop = []
-        for i in range(m):
-            if basis[i] >= ncols:
-                nonzero = np.nonzero(np.abs(T[i, :ncols]) > feasibility)[0]
-                if nonzero.size:
-                    basis[i] = int(nonzero[0])
-                    _pivot(T, i, basis[i])
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = np.vstack([T[keep], T[m : m + 1]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        T = np.hstack([T[:, :ncols], T[:, -1:]])
-    else:
-        T = _array(np.zeros((m + 1, ncols + 1)), num)
-        T[:m, :ncols] = A
-        T[:m, -1] = b
-        basis = list(basis)
-
-    _price_out(T, basis, c)
-    status = _simplex(T, basis, ncols, context + " phase 2")
-    if status == "unbounded":
-        return "unbounded", None, None, None
-    x = _array(np.zeros(ncols), num)
-    for i, bvar in enumerate(basis):
-        if bvar < ncols:
-            x[bvar] = T[i, -1]
-    return "optimal", x, num(c @ x), None
-
-
-# ---------------------------------------------------------------------------
-# matrix games
-
-
-def _one_side(matrix):
-    """Column player's optimal mixture and the game value for ``matrix``."""
-    num = _num(matrix)
-    m, n = matrix.shape
-    shift = 1 - num(matrix.min())
-    shifted = matrix + shift
-    # max 1.z : shifted z <= 1  ->  min -1.z with slack identity basis
-    A = np.hstack([shifted, _array(np.eye(m), num)])
-    b = _array(np.ones(m), num)
-    c = _array(np.concatenate([-np.ones(n), np.zeros(m)]), num)
-    status, x, _, _ = _solve_standard(
-        c, A, b, basis=list(range(n, n + m)), context="matrix game"
-    )
-    if status != "optimal":  # pragma: no cover - bounded by construction
-        raise SolverFailureError(f"matrix-game LP reported {status}")
-    z = x[:n]
-    total = num(z.sum())
-    if total <= 0:  # pragma: no cover - impossible for a positive matrix
-        raise SolverFailureError("matrix-game LP returned a zero mixture")
-    return 1 / total - shift, z / total
 
 
 def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> GameSolution:
@@ -270,79 +158,27 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> 
     matrix = game.matrix if isinstance(game, MatrixGame) else game
     if not isinstance(game, MatrixGame):
         MatrixGame(np.asarray(matrix, dtype=float))  # run the guards
-    matrix = _array(matrix, Fraction if exact else float)
-    value, col_strategy = _one_side(matrix)
-    _, row_strategy = _one_side(-matrix.T)
-    return GameSolution(value=value, row_strategy=_result(row_strategy),
-                        col_strategy=_result(col_strategy))
-
-
-# ---------------------------------------------------------------------------
-# general small LPs
-
-
-def feasibility_lp(objective, constraints, *, n_vars: int, maximize: bool = False,
-                   nonneg: bool = False, exact: bool = False) -> LPResult:
-    """Optimize a linear functional over linear constraints.
-
-    Args:
-        objective: length ``n_vars`` cost vector (may be all zeros for a pure
-            feasibility check).
-        constraints: iterables of ``(coeffs, sense, rhs)`` with sense one of
-            ``"<="``, ``">="``, ``"=="``.
-        n_vars: number of decision variables.
-        maximize: flip the optimization direction.
-        nonneg: restrict variables to x >= 0 instead of free.
-
-    Returns an :class:`LPResult`; the solution point is always a basic one,
-    so at most ``len(constraints)`` coordinates are nonzero when ``nonneg``.
-    """
-    constraints = list(constraints)
-    if n_vars > MAX_LP_VARS or len(constraints) > MAX_LP_CONSTRAINTS:
-        raise CapacityError("LP exceeds the size guard")
     num = Fraction if exact else float
-
-    width = n_vars if nonneg else 2 * n_vars
-    n_slack = sum(1 for _, sense, _ in constraints if sense in ("<=", ">="))
-    A = _array(np.zeros((len(constraints), width + n_slack)), num)
-    b = _array(np.zeros(len(constraints)), num)
-    row_sign = _array(np.ones(len(constraints)), num)
-    slack_at = 0
-    identity_ok = []
-    for i, (coeffs, sense, rhs) in enumerate(constraints):
-        coeffs = _array(coeffs, num)
-        if coeffs.size != n_vars:
-            raise InvalidInputError(f"constraint {i} has {coeffs.size} coefficients, expected {n_vars}")
-        if sense not in ("<=", ">=", "=="):
-            raise InvalidInputError(f"unknown constraint sense {sense!r}")
-        row = coeffs if nonneg else np.concatenate([coeffs, -coeffs])
-        sign = num(-1) if rhs < 0 else num(1)
-        A[i, :width] = sign * row
-        b[i] = sign * num(rhs)
-        row_sign[i] = sign
-        if sense != "==":
-            slack_col = width + slack_at
-            slack_at += 1
-            A[i, slack_col] = sign * num(1 if sense == "<=" else -1)
-            if A[i, slack_col] > 0:
-                identity_ok.append((i, slack_col))
-
-    c = _array(np.zeros(A.shape[1]), num)
-    obj = _array(objective, num)
-    sgn = num(-1) if maximize else num(1)
-    c[:n_vars] = sgn * obj
-    if not nonneg:
-        c[n_vars:width] = -sgn * obj
-
-    basis = None
-    if len(identity_ok) == len(constraints):
-        basis = [col for _, col in sorted(identity_ok)]
-    status, x, objective_value, farkas = _solve_standard(
-        c, A, b, basis=basis, context="feasibility lp"
-    )
-    if status == "infeasible":
-        return LPResult(status="infeasible", certificate=_result(farkas * row_sign))
-    if status == "unbounded":
-        return LPResult(status="unbounded")
-    point = x[:n_vars] if nonneg else x[:n_vars] - x[n_vars:width]
-    return LPResult(status="optimal", x=_result(point), objective_value=num(sgn * objective_value))
+    matrix = _array(matrix, num)
+    m, n = matrix.shape
+    shift = 1 - num(matrix.min())
+    # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
+    T = _array(np.zeros((m + 1, n + m + 1)), num)
+    T[:m, :n] = matrix + shift
+    T[:m, n:-1] = _array(np.eye(m), num)
+    T[:m, -1] = num(1)
+    T[m, :n] = num(-1)
+    basis = list(range(n, n + m))
+    if _simplex(T, basis) != "optimal":  # pragma: no cover - bounded by construction
+        raise SolverFailureError("matrix-game LP reported unbounded")
+    z = _array(np.zeros(n), num)
+    for i, b in enumerate(basis):
+        if b < n:
+            z[b] = T[i, -1]
+    total = num(z.sum())
+    if total <= 0:  # pragma: no cover - impossible for a positive matrix
+        raise SolverFailureError("matrix-game LP returned a zero mixture")
+    # Slack reduced costs are the dual; a float one may sit just below 0.
+    w = T[m, n:-1] if exact else np.maximum(T[m, n:-1], 0.0)
+    return GameSolution(value=1 / total - shift, row_strategy=_result(w / num(w.sum())),
+                        col_strategy=_result(z / total))

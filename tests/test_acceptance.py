@@ -266,7 +266,7 @@ def check_both_oracles(weights, cap, support, trial):
     assert defense.strategy == ((1 << n) - 1) ^ ones, f"trial {trial}"
     # Attacks in ascending order, so argmax keeps the smallest on ties.
     attacks = [a for a in range(1 << n) if a.bit_count() <= cap]
-    masks = support.masks_array()
+    masks = support.member_array
     values = ((np.array(attacks)[:, None] & masks) == masks) @ weights
     best = int(np.argmax(values))
     attack = attacker_oracle(query, support)

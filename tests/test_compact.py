@@ -240,6 +240,17 @@ class TestCaratheodory:
             assert normal @ v.coords + offset <= 1e-9
         assert normal @ outside + offset > 1e-9
 
+    def test_tolerance_bounds_the_l1_residual(self):
+        # Off by 3e-8 in each of 5 coordinates: L-infinity 3e-8 but L1 1.5e-7,
+        # over HULL_TOL, so the point is rejected; off by 1e-9 it is accepted.
+        support = build_support(make_spec(4, {}))
+        vertex = embed_defender(0b0101, support)
+        assert support.size == 5
+        with pytest.raises(NotInHullError):
+            caratheodory_decompose(vertex.coords + 3e-8, [vertex])
+        out = caratheodory_decompose(vertex.coords + 1e-9, [vertex])
+        assert [(w, v.origin) for w, v in out] == [(pytest.approx(1.0), 0b0101)]
+
     def test_solver_output_decomposes_end_to_end(self):
         # Optimal defender marginals decompose back over embedded defenses
         # and map to a legal mixed strategy.

@@ -148,21 +148,24 @@ class TestCompactSolver:
         assert lowers[-1] - 1e-6 <= report.value <= uppers[-1] + 1e-6
 
     def test_trace_growth_matches_added_strategies(self):
-        # A round adds the strategies it found on each side whose gap is
-        # over the tolerance, and nothing else.
+        # Each round's strategy counts grow by exactly the previous round's
+        # added strategies, and a side within tolerance adds none.
         rng = np.random.default_rng(7)
         eps = SolverConfig().eps_gap
-        for c, k in [(5, 5), (3, 2), (2, 3)]:
+        specs = [random_game(rng, 5, c, k) for c, k in [(5, 5), (3, 2), (2, 3)]]
+        # A game whose sides fall within tolerance one at a time.
+        specs.append(random_game(np.random.default_rng(0), 5, 5, 5))
+        for spec in specs:
             trace = []
-            report = solve_compact(random_game(rng, 5, c, k), trace=trace)
+            report = solve_compact(spec, trace=trace)
             assert report.converged and len(trace) > 2
             attacks, defenses = [0], [0]
             for rec in trace:
                 assert rec["attacker_vertices"] == len(attacks)
                 assert rec["defender_vertices"] == len(defenses)
-                if rec["attacker_gap"] > eps:
-                    attacks += rec["added_attacks"]
-                if rec["defender_gap"] > eps:
-                    defenses += rec["added_defenses"]
+                assert rec["attacker_gap"] > eps or not rec["added_attacks"]
+                assert rec["defender_gap"] > eps or not rec["added_defenses"]
+                attacks += rec["added_attacks"]
+                defenses += rec["added_defenses"]
             assert len(set(attacks)) == len(attacks)
             assert len(set(defenses)) == len(defenses)

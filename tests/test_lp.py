@@ -1,12 +1,20 @@
-"""LP core: matrix games, feasibility LPs, duality and equivariance checks."""
+"""LP core: matrix games solved by one simplex each, with both players'
+mixtures read from one tableau; duality and equivariance checks."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setgames import MatrixGame, feasibility_lp, solve_matrix_game
+from setgames import MatrixGame, lp, solve_matrix_game
 from setgames.errors import CapacityError, InvalidInputError
+
+# The last restricted game of a network solve (5x6 grid, c=4, k=3): integer
+# payoffs with range 236, on which two independent float solves returned
+# strategies with a duality gap of 0.0105 at the right value.
+NET_WIDE_GAME = Path(__file__).with_name("net_wide_restricted_39x59.json")
 
 
 def assert_solution_certifies(matrix, sol, tol=1e-8):
@@ -105,6 +113,44 @@ class TestMatrixGames:
         for strategy in (sol.row_strategy, sol.col_strategy):
             assert strategy == [Fraction(2, 5), Fraction(3, 5)]
             assert all(type(p) is Fraction for p in strategy)
+        # The row player's optimal mixture is not unique here (row 4 alone,
+        # or rows 1 and 3 half each); the one read from the tableau is exact.
+        half = Fraction(1, 2)
+        m = [[1, 1, 0], [1, 1, 0], [0, 0, 1], [half, half, half]]
+        sol = solve_matrix_game(m, exact=True)
+        p, q = sol.row_strategy, sol.col_strategy
+        assert all(type(x) is Fraction for x in [sol.value, *p, *q])
+        assert sum(p) == 1 and sum(q) == 1 and min(p) >= 0 and min(q) >= 0
+        best_row = max(sum(a * b for a, b in zip(row, q)) for row in m)
+        best_col = min(sum(p[i] * m[i][j] for i in range(4)) for j in range(3))
+        assert best_row == sol.value == best_col == half
+
+    def test_mixtures_from_one_tableau_close_the_gap(self):
+        data = json.loads(NET_WIDE_GAME.read_text())
+        m = np.array(data["matrix"], dtype=float)
+        assert m.shape == (39, 59) and m.max() - m.min() == 236
+        sol = solve_matrix_game(m)
+        p = np.asarray(sol.row_strategy)
+        q = np.asarray(sol.col_strategy)
+        assert sol.value == pytest.approx(data["value"], rel=1e-12)
+        assert p.min() >= 0 and q.min() >= 0
+        assert (m @ q).max() - (p @ m).min() <= 1e-9 * (m.max() - m.min())
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_simplex_per_game(self, monkeypatch, exact):
+        calls = []
+        simplex = lp._simplex
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simplex(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "_simplex", counted)
+        rng = np.random.default_rng(12)
+        for shape in [(1, 1), (3, 5), (6, 2)]:
+            m = rng.integers(-4, 5, size=shape)
+            solve_matrix_game(m.tolist() if exact else m.astype(float), exact=exact)
+        assert len(calls) == 3
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
@@ -113,62 +159,3 @@ class TestMatrixGames:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             MatrixGame(np.zeros((4000, 3000)))
-
-
-class TestFeasibilityLP:
-    def test_box(self):
-        result = feasibility_lp(
-            [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 0.0)], n_vars=1, maximize=True)
-        assert result.status == "optimal"
-        assert result.x[0] == pytest.approx(1.0)
-
-    def test_simplex_vertex(self):
-        result = feasibility_lp(
-            [-1.0, 1.0],
-            [([1.0, 1.0], "==", 1.0), ([1.0, 0.0], ">=", 0.0), ([0.0, 1.0], ">=", 0.0)],
-            n_vars=2, maximize=True)
-        assert result.status == "optimal"
-        assert np.allclose(result.x, [0.0, 1.0], atol=1e-9)
-        assert result.objective_value == pytest.approx(1.0)
-
-    def test_unbounded_reported(self):
-        result = feasibility_lp([1.0], [([1.0], ">=", 0.0)], n_vars=1, maximize=True)
-        assert result.status == "unbounded"
-
-    def test_infeasible_with_farkas_certificate(self):
-        # x1 + x2 = 2 and x1 + x2 = 1 cannot both hold for x >= 0.
-        constraints = [([1.0, 1.0], "==", 2.0), ([1.0, 1.0], "==", 1.0)]
-        result = feasibility_lp([0.0, 0.0], constraints, n_vars=2, nonneg=True)
-        assert result.status == "infeasible"
-        y = np.asarray(result.certificate, dtype=float)
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([2.0, 1.0])
-        assert np.all(y @ a <= 1e-9)
-        assert y @ b > 1e-9
-
-    def test_infeasible_exact_certificate(self):
-        a = [[Fraction(1), Fraction(1)], [Fraction(1, 3), Fraction(1, 3)]]
-        b = [Fraction(2), Fraction(1)]
-        result = feasibility_lp([0, 0], [(row, "==", rhs) for row, rhs in zip(a, b)],
-                                n_vars=2, nonneg=True, exact=True)
-        assert result.status == "infeasible"
-        y = result.certificate
-        assert all(type(v) is Fraction for v in y)
-        assert all(sum(y[i] * a[i][j] for i in range(2)) <= 0 for j in range(2))
-        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
-
-    def test_nonneg_basic_solution(self):
-        # Maximize total over the 3-simplex: basic optimum sits on a vertex.
-        result = feasibility_lp(
-            [1.0, 2.0, 3.0], [([1.0, 1.0, 1.0], "==", 1.0)], n_vars=3,
-            nonneg=True, maximize=True)
-        assert result.status == "optimal"
-        assert result.objective_value == pytest.approx(3.0)
-        assert np.count_nonzero(np.abs(result.x) > 1e-12) == 1
-
-    def test_exact_mode(self):
-        result = feasibility_lp(
-            [Fraction(1)], [([Fraction(1)], "<=", Fraction(1, 3))],
-            n_vars=1, nonneg=True, maximize=True, exact=True)
-        assert result.status == "optimal"
-        assert result.x[0] == Fraction(1, 3)

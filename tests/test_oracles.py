@@ -124,7 +124,7 @@ class TestAttackerOracle:
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
             got = attacker_oracle(OracleQuery(w, cap), support)
-            masks = support.masks_array()
+            masks = support.member_array
             best = max(
                 (float(w @ ((masks & a) == masks)), -a)
                 for a in range(1 << n) if a.bit_count() <= cap)
@@ -157,7 +157,7 @@ class TestPseudoBoolean:
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
             problem = to_pseudo_boolean(OracleQuery(w, cap), support)
-            masks = support.masks_array()
+            masks = support.member_array
             full = (1 << n) - 1
             for defense in range(1 << n):
                 direct = float(w @ ((masks & defense) == 0))
@@ -257,7 +257,7 @@ class TestPrepared:
             n = support.n
             a_cap, d_cap = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
             table = oracles.prepare(support, a_cap, d_cap)
-            masks = support.masks_array()
+            masks = support.member_array
             for _ in range(3):
                 # Narrow integer weights keep sums exact and make ties common.
                 w = rng.integers(-2, 3, size=support.size).astype(float)
@@ -303,7 +303,7 @@ class TestPrepared:
         support = SupportSet.from_members(n, [0b111 << (3 * b) for b in range(4)])
         monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 100 * support.size)
         table = oracles.prepare(support, cap, cap)
-        masks = support.masks_array()
+        masks = support.member_array
         strategies = [s for s in range(1 << n) if s.bit_count() <= cap]
         attacks = (np.array(strategies)[:, None] & masks) == masks
         rng = np.random.default_rng(9)
