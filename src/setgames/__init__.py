@@ -41,8 +41,6 @@ from .compact import (
 )
 from .lp import GameSolution, MatrixGame, solve_matrix_game
 from .oracles import (
-    OracleQuery,
-    OracleResult,
     PseudoBooleanProblem,
     attacker_oracle,
     defender_oracle,
@@ -83,8 +81,6 @@ __all__ = [
     "MobiusTransform",
     "Network",
     "NormalForm",
-    "OracleQuery",
-    "OracleResult",
     "PseudoBooleanProblem",
     "PurePayoff",
     "SetFunction",

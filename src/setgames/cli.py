@@ -183,7 +183,7 @@ def _cmd_transform(args) -> int:
     coeffs = interaction_coefficients(spec, exact=args.exact)
     support = CompactGame.from_coefficients(coeffs, spec.attacker_cap, spec.defender_cap).support
     print(f"support size {support.size} over n={spec.n}")
-    print("set : benefit / attacker-cost / reflected-defender-cost")
+    print("set : benefit / attacker-cost / defender-cost-coordinates")
     for mask in support.members:
         name = "{" + ",".join(map(str, targets_of(mask))) + "}"
         print(f"{name} : " + " / ".join(_format_number(t.value(mask)) for t in coeffs))

@@ -28,6 +28,7 @@ strategy by reading the n singleton coordinates (zero coordinate = defended).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,23 +49,20 @@ HULL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Ordered coordinate index: member masks ascending, with position map."""
+    """Ordered coordinate index: member masks ascending, singleton positions noted."""
 
     n: int
     members: tuple[int, ...]
-    index: dict[int, int] = field(repr=False, compare=False)
     singleton_positions: tuple[int, ...] = field(repr=False, compare=False)
     member_array: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_members(cls, n: int, masks) -> "SupportSet":
         members = sorted(set(masks) | {0} | {1 << i for i in range(n)})
-        index = {m: i for i, m in enumerate(members)}
-        singles = tuple(index[1 << i] for i in range(n))
+        singles = tuple(bisect_left(members, 1 << i) for i in range(n))
         array = np.array(members, dtype=np.int64)
         array.flags.writeable = False
-        return cls(n=n, members=tuple(members), index=index, singleton_positions=singles,
-                   member_array=array)
+        return cls(n=n, members=tuple(members), singleton_positions=singles, member_array=array)
 
     @property
     def size(self) -> int:

@@ -33,7 +33,7 @@ from .compact import (
 from .errors import CapacityError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import solve_matrix_game
-from .oracles import OracleQuery, attacker_oracle, defender_oracle, prepare
+from .oracles import attacker_oracle, defender_oracle, prepare
 
 SUPPORT_GUARD = 10_000
 # At most this many oracle calls per side and round: one against the
@@ -83,15 +83,15 @@ def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumRepor
 def _attacker_response(game, prepared, qd):
     """Best attack against defense coordinates ``qd`` and its zero-sum payoff."""
     w = game.benefit_vec * qd - game.attacker_cost_vec
-    br = attacker_oracle(OracleQuery(w, prepared.attacker_cap), game.support, prepared=prepared)
-    return br.strategy, br.value + float(game.defender_cost_vec @ qd)
+    attack, value = attacker_oracle(prepared, w)
+    return attack, value + float(game.defender_cost_vec @ qd)
 
 
 def _defender_response(game, prepared, pa):
     """Best defense against attack coordinates ``pa`` and its zero-sum payoff."""
     w = -(game.benefit_vec * pa + game.defender_cost_vec)
-    br = defender_oracle(OracleQuery(w, prepared.defender_cap), game.support, prepared=prepared)
-    return br.strategy, -br.value - float(game.attacker_cost_vec @ pa)
+    defense, value = defender_oracle(prepared, w)
+    return defense, -value - float(game.attacker_cost_vec @ pa)
 
 
 def _responses(respond, gap_of, eps_gap, game, prepared, mix, coords, known):

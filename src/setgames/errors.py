@@ -42,9 +42,5 @@ class SolverFailureError(SetGameError):
         self.diagnostics = diagnostics or {}
 
 
-class PartitionError(SetGameError):
-    """A claimed component partition is not pairwise disjoint."""
-
-
 class FormatError(SetGameError):
     """A game, report, or graph file failed validation."""

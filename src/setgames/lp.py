@@ -108,7 +108,11 @@ def _pivot(T, row, col):
 
 
 def _simplex(T, basis):
-    """Run pivots until optimal or unbounded. T has shape (m+1, ncols+1)."""
+    """Pivot T, of shape (m+1, ncols+1), to optimality.
+
+    The matrix-game LP is bounded, so an entering column with no row to
+    leave is a numerical failure and raises :class:`SolverFailureError`.
+    """
     m, ncols = T.shape[0] - 1, T.shape[1] - 1
     feasibility, optimality = _tolerances(T)
     bland = False
@@ -119,16 +123,19 @@ def _simplex(T, basis):
         if bland:
             neg = np.nonzero(rc < -optimality)[0]
             if neg.size == 0:
-                return "optimal"
+                return
             col = int(neg[0])
         else:
             col = int(np.argmin(rc))
             if rc[col] >= -optimality:
-                return "optimal"
+                return
         colvals = T[:m, col]
         rows = np.nonzero(colvals > feasibility)[0]
         if rows.size == 0:
-            return "unbounded"
+            raise SolverFailureError(
+                "simplex found no leaving row in matrix game",
+                diagnostics={"column": col, "objective": float(-T[m, -1]), "bland": bland},
+            )
         ratios = T[rows, -1] / colvals[rows]
         best = ratios.min()
         near = rows[ratios <= best + feasibility * (1 + abs(best))]
@@ -169,8 +176,7 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> 
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
     basis = list(range(n, n + m))
-    if _simplex(T, basis) != "optimal":  # pragma: no cover - bounded by construction
-        raise SolverFailureError("matrix-game LP reported unbounded")
+    _simplex(T, basis)
     z = _array(np.zeros(n), num)
     for i, b in enumerate(basis):
         if b < n:

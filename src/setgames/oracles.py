@@ -12,17 +12,21 @@ One kernel serves both players. Both objectives split over the support's
 components, the groups of members whose target unions are disjoint
 (:func:`partition_support`): a strategy scores, in each component, what its
 targets inside that component score there. A solve fixes the support and
-both caps and only the weights change between calls, so :func:`prepare`
-builds one table per side, once. The table lists every strategy of at most
-``min(cap, width)`` targets inside each component, grouped by (component,
-count) and ascending within a group, with its incidence against the support
-members; the empty member counts in the first component's rows. A call is
-one matrix-vector product, the best row of each (component, count) group,
-and a knapsack over components that spends the cap. On a one-component
-support the table is plain enumeration of the capped strategies; on an
-all-singleton support it picks the best single targets.
+both caps and only the weights change between calls, so
+``prepare(support, attacker_cap, defender_cap)`` builds one table per side,
+once per solve and once per certificate. The table lists every strategy of
+at most ``min(cap, width)`` targets inside each component, grouped by
+(component, count) and ascending within a group, with its incidence against
+the support members; the empty member counts in the first component's rows.
+On a one-component support the table is plain enumeration of the capped
+strategies; on an all-singleton support it picks the best single targets.
 
-An oracle returns the best strategy mask, ties to the smallest, and its value.
+A call, ``attacker_oracle(prepared, weights)`` or
+``defender_oracle(prepared, weights)``, takes only the weights aligned with
+the support: one matrix-vector product, the best row of each (component,
+count) group, and a knapsack over components that spends the cap. It
+returns ``(mask, value)``, the best strategy, ties to the smallest, and its
+value.
 """
 
 from __future__ import annotations
@@ -34,31 +38,10 @@ import numpy as np
 
 from .bits import iter_bits, masks_up_to_size
 from .compact import SupportSet
-from .errors import CapacityError, InvalidInputError, PartitionError
+from .errors import CapacityError, InvalidInputError
 
 ENUMERATION_GUARD = 50_000_000
 _NO_MASK = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True)
-class OracleQuery:
-    """Coordinate weights (aligned with a support set) and a cardinality cap."""
-
-    weights: np.ndarray
-    cap: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("oracle weights contain non-finite entries")
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Best strategy mask and its objective value; a caller embeds what it keeps."""
-
-    strategy: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -91,11 +74,10 @@ class PseudoBooleanProblem:
         return best_ones, best
 
 
-def to_pseudo_boolean(query: OracleQuery, support: SupportSet) -> PseudoBooleanProblem:
-    """Restate a defender oracle query as constrained polynomial maximization."""
-    weights = np.asarray(query.weights, dtype=float)
+def to_pseudo_boolean(weights, cap: int, support: SupportSet) -> PseudoBooleanProblem:
+    """Restate a defender oracle call as constrained polynomial maximization."""
     terms = tuple((m, float(w)) for m, w in zip(support.members, weights))
-    return PseudoBooleanProblem(terms=terms, n=support.n, min_ones=support.n - query.cap)
+    return PseudoBooleanProblem(terms=terms, n=support.n, min_ones=support.n - cap)
 
 
 @dataclass(frozen=True)
@@ -127,16 +109,14 @@ class _Table:
         return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
 
 
-def _tables(members, components, attacker_cap: int | None, defender_cap: int | None,
+def _tables(members, attacker_cap: int | None, defender_cap: int | None,
             ) -> tuple[_Table | None, _Table | None]:
-    """Attack and defense tables over one partition and one strategy listing.
+    """Attack and defense tables over the members' components and one strategy listing.
 
-    ``components`` must partition the nonempty ``members`` into groups with
-    disjoint target unions. A ``None`` cap skips its side. Raises
-    :class:`CapacityError` when a table would exceed
-    :data:`ENUMERATION_GUARD` cells.
+    A ``None`` cap skips its side. Raises :class:`CapacityError` when a table
+    would exceed :data:`ENUMERATION_GUARD` cells.
     """
-    components = [tuple(c) for c in components] or [()]
+    components = partition_support(members) or [()]
     unions = [_component_union(c) for c in components]
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
     caps = [cap for cap in (attacker_cap, defender_cap) if cap is not None]
@@ -183,14 +163,11 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
 
 @dataclass(frozen=True)
 class PreparedOracle:
-    """Oracle tables for one support set and fixed caps; built by :func:`prepare`.
+    """Both sides' oracle tables for one support and fixed caps; built by :func:`prepare`.
 
-    A side whose cap is ``None`` was not prepared.
+    A side whose cap was ``None`` has no table.
     """
 
-    support: SupportSet
-    attacker_cap: int | None
-    defender_cap: int | None
     attacks: _Table | None
     defenses: _Table | None
 
@@ -202,46 +179,29 @@ def prepare(support: SupportSet, attacker_cap: int | None,
     Passing ``None`` for a cap skips that side. Raises :class:`CapacityError`
     when a side's table would exceed :data:`ENUMERATION_GUARD` cells.
     """
-    attacks, defenses = _tables(support.members, partition_support(support.members),
-                                attacker_cap, defender_cap)
-    return PreparedOracle(support=support, attacker_cap=attacker_cap,
-                          defender_cap=defender_cap, attacks=attacks, defenses=defenses)
+    return PreparedOracle(*_tables(support.members, attacker_cap, defender_cap))
 
 
-def _query_weights(query: OracleQuery, support: SupportSet, prepared: PreparedOracle,
-                   prepared_cap: int | None, role: str) -> np.ndarray:
-    weights = np.asarray(query.weights, dtype=float)
-    if weights.shape != (support.size,):
-        raise InvalidInputError(f"weights must have length {support.size}")
-    if prepared.support != support:
-        raise InvalidInputError("prepared oracle belongs to another support set")
-    if prepared_cap != query.cap:
-        raise InvalidInputError(
-            f"{role} query cap {query.cap} differs from the prepared cap {prepared_cap}")
-    return weights
+def _best(table: _Table | None, weights, side: str) -> tuple[int, float]:
+    """Check a call's weights against a prepared side, then run its kernel."""
+    if table is None:
+        raise InvalidInputError(f"the {side} side was not prepared")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (table.hits.shape[1],):
+        raise InvalidInputError(f"weights must have length {table.hits.shape[1]}")
+    if not np.all(np.isfinite(weights)):
+        raise InvalidInputError("oracle weights contain non-finite entries")
+    return table.best(weights)
 
 
-def defender_oracle(query: OracleQuery, support: SupportSet, *,
-                    prepared: PreparedOracle | None = None) -> OracleResult:
-    """Best defense of size at most ``query.cap`` against coordinate weights.
-
-    Without ``prepared``, the tables are built for this call.
-    """
-    if prepared is None:
-        prepared = prepare(support, None, query.cap)
-    weights = _query_weights(query, support, prepared, prepared.defender_cap, "defender")
-    defense, value = prepared.defenses.best(weights)
-    return OracleResult(defense, value)
+def attacker_oracle(prepared: PreparedOracle, weights) -> tuple[int, float]:
+    """Best attack within the prepared cap against coordinate weights: ``(mask, value)``."""
+    return _best(prepared.attacks, weights, "attacker")
 
 
-def attacker_oracle(query: OracleQuery, support: SupportSet, *,
-                    prepared: PreparedOracle | None = None) -> OracleResult:
-    """Best attack of size at most ``query.cap`` against coordinate weights."""
-    if prepared is None:
-        prepared = prepare(support, query.cap, None)
-    weights = _query_weights(query, support, prepared, prepared.attacker_cap, "attacker")
-    attack, value = prepared.attacks.best(weights)
-    return OracleResult(attack, value)
+def defender_oracle(prepared: PreparedOracle, weights) -> tuple[int, float]:
+    """Best defense within the prepared cap against coordinate weights: ``(mask, value)``."""
+    return _best(prepared.defenses, weights, "defender")
 
 
 def partition_support(members) -> list[list[int]]:
@@ -274,29 +234,6 @@ def _component_union(component) -> int:
     return u
 
 
-def _check_partition(members, components) -> None:
-    """Raise unless ``components`` partitions the nonempty ``members`` with disjoint unions."""
-    known = set(members)
-    claimed: set[int] = set()
-    for comp in components:
-        for m in comp:
-            if m == 0:
-                continue
-            if m in claimed:
-                raise PartitionError(f"mask {m:#x} appears in two components")
-            if m not in known:
-                raise PartitionError(f"mask {m:#x} is not a term of the problem")
-            claimed.add(m)
-    missing = [m for m in members if m and m not in claimed]
-    if missing:
-        raise PartitionError(f"terms {missing} missing from the partition")
-    unions = [_component_union(c) for c in components]
-    for i in range(len(unions)):
-        for j in range(i + 1, len(unions)):
-            if unions[i] & unions[j]:
-                raise PartitionError("component target unions overlap")
-
-
 def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:
     """Best strategy of at most ``budget`` targets over disjoint components.
 
@@ -324,16 +261,13 @@ def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:
     return best_mask[u], best_val[u]
 
 
-def solve_separable(problem: PseudoBooleanProblem, components: list[list[int]],
-                    ) -> tuple[int, float]:
+def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
     """Optimize a pseudo-boolean objective whose terms split into components.
 
-    Checks the partition, then runs the defender oracle's kernel over it with
+    Partitions the terms and runs the defender oracle's kernel over them with
     defended-count budget ``n - min_ones``. Returns the ones mask and the
     optimal value.
     """
-    members = [m for m, _ in problem.terms]
-    _check_partition(members, components)
-    _, defenses = _tables(members, components, None, problem.n - problem.min_ones)
+    _, defenses = _tables([m for m, _ in problem.terms], None, problem.n - problem.min_ones)
     defended, value = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
     return ((1 << problem.n) - 1) ^ defended, value

@@ -15,7 +15,6 @@ import pytest
 from setgames import (
     GameSpec,
     GroundSet,
-    OracleQuery,
     SetFunction,
     SupportSet,
     attacker_oracle,
@@ -37,6 +36,7 @@ from setgames import (
     FailureOperator,
     ValueFunction,
 )
+from setgames.oracles import prepare
 from conftest import additive_game, random_game, random_graph, random_set_function
 
 
@@ -178,9 +178,7 @@ class TestCriterion6PseudoBooleanEquivalence:
             # value equality can be exact and ties are real ties.
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(weights, cap)
-
-            problem = to_pseudo_boolean(query, support)
+            problem = to_pseudo_boolean(weights, cap, support)
             ones, pb_value = problem.solve_bruteforce()
             pb_defense = ((1 << n) - 1) ^ ones
 
@@ -192,10 +190,10 @@ class TestCriterion6PseudoBooleanEquivalence:
                 if value > vertex_best:
                     vertex_best, vertex_defense = value, defense
 
-            oracle = defender_oracle(query, support)
+            oracle_defense, oracle_value = defender_oracle(prepare(support, None, cap), weights)
 
-            assert pb_value == vertex_best == oracle.value, f"trial {trial}"
-            assert pb_defense == vertex_defense == oracle.strategy, f"trial {trial}"
+            assert pb_value == vertex_best == oracle_value, f"trial {trial}"
+            assert pb_defense == vertex_defense == oracle_defense, f"trial {trial}"
         report(6, "100 weight vectors: polynomial, vertex, and oracle optima identical")
 
 
@@ -210,10 +208,9 @@ class TestCriterion7AdditiveDegeneration:
             assert support.members == expected, f"trial {trial}: support {support.members}"
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(weights, cap)
-            fast = defender_oracle(query, support)
-            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-            assert fast.value == value and fast.strategy == ((1 << n) - 1) ^ ones
+            fast_defense, fast_value = defender_oracle(prepare(support, None, cap), weights)
+            ones, value = to_pseudo_boolean(weights, cap, support).solve_bruteforce()
+            assert fast_value == value and fast_defense == ((1 << n) - 1) ^ ones
         # The singleton support drives the full solve to the same value.
         for _ in range(10):
             spec = additive_game(rng, 5, 5, 5)
@@ -259,19 +256,19 @@ class TestCriterion8ApproximationBound:
 def check_both_oracles(weights, cap, support, trial):
     """Both oracles equal exhaustive enumeration, value and strategy."""
     n = support.n
-    query = OracleQuery(weights, cap)
-    ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-    defense = defender_oracle(query, support)
-    assert defense.value == value, f"trial {trial}"
-    assert defense.strategy == ((1 << n) - 1) ^ ones, f"trial {trial}"
+    prepared = prepare(support, cap, cap)
+    ones, value = to_pseudo_boolean(weights, cap, support).solve_bruteforce()
+    defense, defense_value = defender_oracle(prepared, weights)
+    assert defense_value == value, f"trial {trial}"
+    assert defense == ((1 << n) - 1) ^ ones, f"trial {trial}"
     # Attacks in ascending order, so argmax keeps the smallest on ties.
     attacks = [a for a in range(1 << n) if a.bit_count() <= cap]
     masks = support.member_array
     values = ((np.array(attacks)[:, None] & masks) == masks) @ weights
     best = int(np.argmax(values))
-    attack = attacker_oracle(query, support)
-    assert attack.value == values[best], f"trial {trial}"
-    assert attack.strategy == attacks[best], f"trial {trial}"
+    attack, attack_value = attacker_oracle(prepared, weights)
+    assert attack_value == values[best], f"trial {trial}"
+    assert attack == attacks[best], f"trial {trial}"
 
 
 class TestCriterion9OracleConsistency:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from setgames import MatrixGame, lp, solve_matrix_game
-from setgames.errors import CapacityError, InvalidInputError
+from setgames.errors import CapacityError, InvalidInputError, SolverFailureError
 
 # The last restricted game of a network solve (5x6 grid, c=4, k=3): integer
 # payoffs with range 236, on which two independent float solves returned
@@ -159,3 +159,11 @@ class TestMatrixGames:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             MatrixGame(np.zeros((4000, 3000)))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_simplex_raises_when_no_row_can_leave(self, exact):
+        # maximize z subject to -z + s = 1: z enters and nothing bounds it.
+        num = Fraction if exact else float
+        T = lp._array([[-1, 1, 1], [-1, 0, 0]], num)
+        with pytest.raises(SolverFailureError):
+            lp._simplex(T, [1])

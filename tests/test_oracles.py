@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgames import (
-    OracleQuery,
+    PseudoBooleanProblem,
     SupportSet,
     attacker_oracle,
     defender_oracle,
@@ -16,7 +16,7 @@ from setgames import (
     to_pseudo_boolean,
 )
 from setgames import oracles
-from setgames.errors import CapacityError, InvalidInputError, PartitionError
+from setgames.errors import CapacityError, InvalidInputError
 
 from conftest import random_game
 
@@ -24,8 +24,16 @@ from conftest import random_game
 def weights_for(support, mapping):
     w = np.zeros(support.size)
     for mask, value in mapping.items():
-        w[support.index[mask]] = value
+        w[support.members.index(mask)] = value
     return w
+
+
+def defend(support, w, cap):
+    return defender_oracle(oracles.prepare(support, None, cap), w)
+
+
+def attack(support, w, cap):
+    return attacker_oracle(oracles.prepare(support, cap, None), w)
 
 
 class TestDefenderOracle:
@@ -33,29 +41,29 @@ class TestDefenderOracle:
         n = 4
         support = SupportSet.from_members(n, [])
         w = weights_for(support, {0: 1.5, 0b0001: 2.0, 0b0010: -1.0, 0b0100: 3.0, 0b1000: -0.5})
-        got = defender_oracle(OracleQuery(w, n), support)
-        assert got.strategy == 0b1010  # defend exactly the negative weights
-        assert got.value == pytest.approx(1.5 + 2.0 + 3.0)
+        defense, value = defend(support, w, n)
+        assert defense == 0b1010  # defend exactly the negative weights
+        assert value == pytest.approx(1.5 + 2.0 + 3.0)
 
     def test_constant_objective_breaks_ties_to_empty(self):
         support = SupportSet.from_members(3, [])
         w = weights_for(support, {0: 5.0})
-        got = defender_oracle(OracleQuery(w, 3), support)
-        assert got.strategy == 0
-        assert got.value == 5.0
+        defense, value = defend(support, w, 3)
+        assert defense == 0
+        assert value == 5.0
 
     def test_pair_weight_forces_targeted_defense(self):
         support = SupportSet.from_members(3, [0b011])
         w = weights_for(support, {0b011: 4.0, 0b100: -1.0})
-        got = defender_oracle(OracleQuery(w, 1), support)
-        assert got.strategy == 0b100
-        assert got.value == 4.0
+        defense, value = defend(support, w, 1)
+        assert defense == 0b100
+        assert value == 4.0
 
     def test_cap_zero_forces_empty(self):
         support = SupportSet.from_members(3, [])
         w = weights_for(support, {0b001: -9.0})
-        got = defender_oracle(OracleQuery(w, 0), support)
-        assert got.strategy == 0
+        defense, _ = defend(support, w, 0)
+        assert defense == 0
 
     def test_value_is_max_over_embedded_vertices(self):
         rng = np.random.default_rng(0)
@@ -65,11 +73,11 @@ class TestDefenderOracle:
             support = SupportSet.from_members(n, extra)
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
-            got = defender_oracle(OracleQuery(w, cap), support)
+            _, value = defend(support, w, cap)
             best = max(
                 float(w @ embed_defender(d, support).coords)
                 for d in range(1 << n) if d.bit_count() <= cap)
-            assert got.value == pytest.approx(best, abs=1e-12)
+            assert value == pytest.approx(best, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -79,11 +87,8 @@ class TestDefenderOracle:
         support = SupportSet.from_members(n, [int(rng.integers(1, 1 << n)) for _ in range(2)])
         w = rng.integers(-4, 5, size=support.size).astype(float)
         cap = int(rng.integers(0, n + 1))
-        query = OracleQuery(w, cap)
-        ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-        got = defender_oracle(query, support)
-        assert got.value == value
-        assert got.strategy == ((1 << n) - 1) ^ ones
+        ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
+        assert defend(support, w, cap) == (((1 << n) - 1) ^ ones, value)
 
     def test_monotone_in_cap(self):
         rng = np.random.default_rng(1)
@@ -91,30 +96,28 @@ class TestDefenderOracle:
             n = 5
             support = SupportSet.from_members(n, [int(rng.integers(1, 32)) for _ in range(3)])
             w = rng.normal(size=support.size)
-            values = [defender_oracle(OracleQuery(w, k), support).value for k in range(n + 1)]
+            values = [defend(support, w, k)[1] for k in range(n + 1)]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestAttackerOracle:
     def test_zero_weights(self):
         support = SupportSet.from_members(3, [])
-        got = attacker_oracle(OracleQuery(np.zeros(support.size), 2), support)
-        assert got.strategy == 0
-        assert got.value == 0.0
+        assert attack(support, np.zeros(support.size), 2) == (0, 0.0)
 
     def test_picks_heavier_singleton(self):
         support = SupportSet.from_members(2, [])
         w = weights_for(support, {0: 0.5, 0b01: 1.0, 0b10: 2.0})
-        got = attacker_oracle(OracleQuery(w, 1), support)
-        assert got.strategy == 0b10
-        assert got.value == pytest.approx(2.5)
+        mask, value = attack(support, w, 1)
+        assert mask == 0b10
+        assert value == pytest.approx(2.5)
 
     def test_interaction_reward_pulls_in_both(self):
         support = SupportSet.from_members(2, [0b11])
         w = weights_for(support, {0: 1.0, 0b01: -1.0, 0b10: -1.0, 0b11: 10.0})
-        got = attacker_oracle(OracleQuery(w, 2), support)
-        assert got.strategy == 0b11
-        assert got.value == pytest.approx(9.0)
+        mask, value = attack(support, w, 2)
+        assert mask == 0b11
+        assert value == pytest.approx(9.0)
 
     def test_exhaustive_match(self):
         rng = np.random.default_rng(2)
@@ -123,30 +126,30 @@ class TestAttackerOracle:
             support = SupportSet.from_members(n, [int(rng.integers(1, 1 << n))])
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
-            got = attacker_oracle(OracleQuery(w, cap), support)
+            _, value = attack(support, w, cap)
             masks = support.member_array
             best = max(
                 (float(w @ ((masks & a) == masks)), -a)
                 for a in range(1 << n) if a.bit_count() <= cap)
-            assert got.value == pytest.approx(best[0], abs=1e-12)
+            assert value == pytest.approx(best[0], abs=1e-12)
 
 
 class TestPseudoBoolean:
     def test_min_ones_accounting(self):
         support = SupportSet.from_members(4, [0b0011])
-        problem = to_pseudo_boolean(OracleQuery(np.zeros(support.size), 4), support)
+        problem = to_pseudo_boolean(np.zeros(support.size), 4, support)
         assert problem.min_ones == 0  # cap = n degenerates to unconstrained
-        problem = to_pseudo_boolean(OracleQuery(np.zeros(support.size), 1), support)
+        problem = to_pseudo_boolean(np.zeros(support.size), 1, support)
         assert problem.min_ones == 3
 
     def test_singleton_support_is_linear(self):
         support = SupportSet.from_members(3, [])
-        problem = to_pseudo_boolean(OracleQuery(np.ones(support.size), 3), support)
+        problem = to_pseudo_boolean(np.ones(support.size), 3, support)
         assert all(mask.bit_count() <= 1 for mask, _ in problem.terms)
 
     def test_pairwise_support_is_quadratic(self):
         support = SupportSet.from_members(3, [0b011, 0b110])
-        problem = to_pseudo_boolean(OracleQuery(np.ones(support.size), 3), support)
+        problem = to_pseudo_boolean(np.ones(support.size), 3, support)
         assert max(mask.bit_count() for mask, _ in problem.terms) == 2
 
     def test_objective_matches_defender_objective(self):
@@ -156,7 +159,7 @@ class TestPseudoBoolean:
             support = SupportSet.from_members(n, [int(rng.integers(1, 1 << n)) for _ in range(2)])
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
-            problem = to_pseudo_boolean(OracleQuery(w, cap), support)
+            problem = to_pseudo_boolean(w, cap, support)
             masks = support.member_array
             full = (1 << n) - 1
             for defense in range(1 << n):
@@ -170,12 +173,10 @@ class TestPseudoBoolean:
             support = SupportSet.from_members(n, [int(rng.integers(1, 1 << n))])
             w = rng.integers(-4, 5, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(w, cap)
-            problem = to_pseudo_boolean(query, support)
-            ones, value = problem.solve_bruteforce()
-            oracle = defender_oracle(query, support)
-            assert value == oracle.value
-            assert ((1 << n) - 1) ^ ones == oracle.strategy
+            ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
+            defense, oracle_value = defend(support, w, cap)
+            assert value == oracle_value
+            assert ((1 << n) - 1) ^ ones == defense
 
 
 class TestSeparable:
@@ -188,22 +189,38 @@ class TestSeparable:
         assert {0b00100} in as_sets
         assert {0b01000, 0b10000, 0b11000} in as_sets
 
-    def test_non_disjoint_components_rejected(self):
-        support = SupportSet.from_members(3, [0b011])
-        problem = to_pseudo_boolean(OracleQuery(np.ones(support.size), 3), support)
-        bad = [[0b001, 0b011], [0b010, 0b100]]  # unions overlap on target 2
-        with pytest.raises(PartitionError):
-            solve_separable(problem, bad)
-
     def test_two_pair_components(self):
         # +4 pair stays whole; the -4 pair gets one variable zeroed.
         support = SupportSet.from_members(4, [0b0011, 0b1100])
         w = weights_for(support, {0b0011: 4.0, 0b1100: -4.0, 0: 1.0})
-        problem = to_pseudo_boolean(OracleQuery(w, 4), support)
-        ones, value = solve_separable(problem, partition_support(support.members))
+        ones, value = solve_separable(to_pseudo_boolean(w, 4, support))
         assert value == pytest.approx(1.0 + 4.0 + 0.0)
         assert ones & 0b0011 == 0b0011  # +4 component untouched
         assert ones & 0b1100 != 0b1100  # -4 component broken
+
+    def test_random_multi_component_problems_match_bruteforce(self):
+        rng = np.random.default_rng(10)
+        components = []
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            # Disjoint blocks of targets, some left out of every term, each
+            # with a few random nonempty submasks; a constant term at times.
+            masks, used = set(), 0
+            while used < n:
+                width = int(rng.integers(1, min(3, n - used) + 1))
+                if rng.random() < 0.8:
+                    masks |= {int(rng.integers(1, 1 << width)) << used
+                              for _ in range(int(rng.integers(1, 4)))}
+                used += width
+            if rng.random() < 0.5:
+                masks.add(0)
+            weights = rng.integers(-5, 6, size=len(masks)).astype(float)
+            problem = PseudoBooleanProblem(
+                terms=tuple(zip(sorted(masks), weights.tolist())), n=n,
+                min_ones=int(rng.integers(0, n + 1)))
+            components.append(len(partition_support(sorted(masks))))
+            assert solve_separable(problem) == problem.solve_bruteforce()
+        assert max(components) >= 3
 
     def test_matches_bruteforce_including_caps(self):
         rng = np.random.default_rng(5)
@@ -214,22 +231,16 @@ class TestSeparable:
             support = SupportSet.from_members(n, extra)
             w = rng.integers(-5, 6, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            query = OracleQuery(w, cap)
-            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-            got = defender_oracle(query, support)
-            assert got.value == value
-            assert got.strategy == ((1 << n) - 1) ^ ones
+            ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
+            assert defend(support, w, cap) == (((1 << n) - 1) ^ ones, value)
 
     def test_all_singleton_components_reduce_to_additive(self):
         rng = np.random.default_rng(6)
         support = SupportSet.from_members(5, [])
         w = rng.integers(-5, 6, size=support.size).astype(float)
         for cap in range(6):
-            query = OracleQuery(w, cap)
-            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-            got = defender_oracle(query, support)
-            assert got.value == value
-            assert got.strategy == 0b11111 ^ ones
+            ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
+            assert defend(support, w, cap) == (0b11111 ^ ones, value)
 
 
 def random_supports(rng):
@@ -252,6 +263,8 @@ def random_supports(rng):
 
 class TestPrepared:
     def test_prepared_calls_match_one_shot_calls_and_enumeration(self):
+        # A one-shot table is prepared for its side alone; the shared table
+        # lists both sides' strategies from one enumeration.
         rng = np.random.default_rng(7)
         for support in random_supports(rng):
             n = support.n
@@ -261,32 +274,36 @@ class TestPrepared:
             for _ in range(3):
                 # Narrow integer weights keep sums exact and make ties common.
                 w = rng.integers(-2, 3, size=support.size).astype(float)
-                attack = OracleQuery(w, a_cap)
-                one_shot = attacker_oracle(attack, support)
+                one_shot = attack(support, w, a_cap)
                 best = max((float(w @ ((masks & a) == masks)), -a)
                            for a in range(1 << n) if a.bit_count() <= a_cap)
-                assert (one_shot.value, -one_shot.strategy) == best
-                got = attacker_oracle(attack, support, prepared=table)
-                assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
+                assert (one_shot[1], -one_shot[0]) == best
+                assert attacker_oracle(table, w) == one_shot
 
-                defense = OracleQuery(w, d_cap)
-                ones, value = to_pseudo_boolean(defense, support).solve_bruteforce()
-                one_shot = defender_oracle(defense, support)
-                got = defender_oracle(defense, support, prepared=table)
-                assert (got.strategy, got.value) == (one_shot.strategy, one_shot.value)
-                assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
+                ones, value = to_pseudo_boolean(w, d_cap, support).solve_bruteforce()
+                one_shot = defend(support, w, d_cap)
+                got = defender_oracle(table, w)
+                assert got == one_shot
+                assert got == (((1 << n) - 1) ^ ones, value)
 
-    def test_prepare_rejects_mismatches(self):
+    def test_calls_reject_bad_weights_and_unprepared_sides(self):
         support = SupportSet.from_members(3, [0b011])
-        w = np.zeros(support.size)
         table = oracles.prepare(support, 2, 2)
+        for oracle in (attacker_oracle, defender_oracle):
+            assert oracle(table, np.zeros(support.size)) == (0, 0.0)
+            with pytest.raises(InvalidInputError):
+                oracle(table, np.zeros(support.size - 1))
+            with pytest.raises(InvalidInputError):
+                oracle(table, np.zeros((1, support.size)))
+            for bad in (np.nan, np.inf):
+                w = np.zeros(support.size)
+                w[2] = bad
+                with pytest.raises(InvalidInputError):
+                    oracle(table, w)
         with pytest.raises(InvalidInputError):
-            attacker_oracle(OracleQuery(w, 1), support, prepared=table)
+            defender_oracle(oracles.prepare(support, 2, None), np.zeros(support.size))
         with pytest.raises(InvalidInputError):
-            defender_oracle(OracleQuery(w, 3), support, prepared=table)
-        attacker_only = oracles.prepare(support, 2, None)
-        with pytest.raises(InvalidInputError):
-            defender_oracle(OracleQuery(w, 2), support, prepared=attacker_only)
+            attacker_oracle(oracles.prepare(support, None, 2), np.zeros(support.size))
 
     def test_guard_raises_at_preparation(self, monkeypatch):
         support = SupportSet.from_members(4, [0b0011])
@@ -309,14 +326,11 @@ class TestPrepared:
         rng = np.random.default_rng(9)
         for _ in range(20):
             w = rng.integers(-2, 3, size=support.size).astype(float)
-            got = attacker_oracle(OracleQuery(w, cap), support, prepared=table)
             values = attacks @ w
             j = int(np.argmax(values))
-            assert (got.strategy, got.value) == (strategies[j], values[j])
-            query = OracleQuery(w, cap)
-            ones, value = to_pseudo_boolean(query, support).solve_bruteforce()
-            got = defender_oracle(query, support, prepared=table)
-            assert (got.strategy, got.value) == (((1 << n) - 1) ^ ones, value)
+            assert attacker_oracle(table, w) == (strategies[j], values[j])
+            ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
+            assert defender_oracle(table, w) == (((1 << n) - 1) ^ ones, value)
 
     def test_solve_prepares_once(self, monkeypatch):
         calls = {"partition_support": 0, "masks_up_to_size": 0}
