@@ -34,16 +34,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def submasks(mask: int):
-    """Yield every submask of ``mask``, in decreasing numeric order, ending at 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def masks_up_to_size(n: int, cap: int) -> list[int]:
     """All masks over n bits with at most ``cap`` bits set, ascending."""
     out = []

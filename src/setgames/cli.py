@@ -200,15 +200,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _solve_config(args) -> SolverConfig:
-    return SolverConfig(eps_gap=args.tol)
-
-
 def _cmd_solve(args) -> int:
     spec = parse_game_json(_read(args.game))
     trace: list | None = [] if args.trace else None
     game = build_compact_game(spec)
-    report = solve_compact(spec, _solve_config(args), trace=trace, game=game)
+    report = solve_compact(spec, SolverConfig(eps_gap=args.tol), trace=trace, game=game)
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
     gaps = best_response_gap(spec, report, game)
@@ -274,7 +270,7 @@ def _cmd_net(args) -> int:
         threshold=args.cascade_threshold if args.failure == "threshold_cascade" else None,
     )
     report, approx = solve_network_game(
-        net, value_fn, failure, args.c, args.eps_c, config=_solve_config(args))
+        net, value_fn, failure, args.c, args.eps_c, config=SolverConfig(eps_gap=args.tol))
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
     gaps = best_response_gap(approx.spec, report, approx.game)
@@ -364,9 +360,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

@@ -18,7 +18,9 @@ cost, truncated at c, and cd makes ``sum_U cd[U] 1{U disjoint from D}`` equal
 the defender cost of every defense D of at most k targets. The conjugate
 identity (Grabisch, Marichal and Roubens, Math. OR 2000) gives
 ``cd[U] = (-1)^|U| sum over V above U of m[V]`` from the cost's coefficients
-m truncated at k, so cd too vanishes above k. :func:`payoff_block` evaluates
+m truncated at k, so cd too vanishes above k. The superset sums are one call
+of the transform engine that computes m, with each mask's role in the
+butterfly swapped, over the masks up to k. :func:`payoff_block` evaluates
 the form between stacked coordinate rows, a whole payoff block at once.
 
 S always contains the empty set and all singletons. The singleton floor keeps
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import submasks
 from .errors import (
     InvalidInputError,
     InvalidStrategyError,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import solve_matrix_game
-from .setfunctions import SPARSITY_SCALE, MobiusTransform, SetFunction, moebius, zeta
+from .setfunctions import SPARSITY_SCALE, MobiusTransform, _transform, moebius
 
 HULL_TOL = 1e-7
 
@@ -107,31 +108,17 @@ class CompactGame:
         return embed_defender(defense, self.support, cap=self.defender_cap)
 
 
-def _coefficients(f: SetFunction, cap: int, exact: bool) -> MobiusTransform:
-    """Interaction coefficients of ``f`` on subsets of at most ``cap`` targets."""
-    if f.is_zero():
-        return MobiusTransform(f.ground, {})
-    return moebius(f, max_size=cap if cap < f.ground.n else None, exact=exact)
-
-
 def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[MobiusTransform, ...]:
     """Benefit and attacker-cost coefficients up to c, and defender-cost
     coefficients up to k by the conjugate identity, as three
     :class:`MobiusTransform` maps. Sums below the transform cutoff are dropped."""
-    b = _coefficients(spec.benefit, spec.attacker_cap, exact)
-    ca = _coefficients(spec.attacker_cost, spec.attacker_cap, exact)
-    m = _coefficients(spec.defender_cost, spec.defender_cap, exact).entries
-    if spec.defender_cap < spec.n:
-        sums = {}
-        for v, x in m.items():
-            for u in submasks(v):
-                sums[u] = sums.get(u, 0) + x
-    else:  # superset sums are submask sums over complements: one O(n 2^n) butterfly
-        full = spec.ground.full_mask
-        up = zeta(MobiusTransform(spec.ground, {full ^ v: x for v, x in m.items()}), exact=exact)
-        sums = {full ^ w: x for w, x in up.entries.items()}
-    tol = 0 if exact else SPARSITY_SCALE * spec.defender_cost.max_abs()
-    cd = {u: -s if u.bit_count() % 2 else s for u, s in sums.items() if abs(s) > tol}
+    b = moebius(spec.benefit, max_size=spec.attacker_cap, exact=exact)
+    ca = moebius(spec.attacker_cost, max_size=spec.attacker_cap, exact=exact)
+    m = moebius(spec.defender_cost, max_size=spec.defender_cap, exact=exact)
+    tol = None if exact else SPARSITY_SCALE * spec.defender_cost.max_abs()
+    sums = _transform(spec.ground, m.entries, 0, cap=spec.defender_cap, signed=False,
+                      exact=exact, drop_tol=tol, superset=True)
+    cd = {u: -s if u.bit_count() % 2 else s for u, s in sums.items()}
     return b, ca, MobiusTransform(spec.ground, cd)
 
 

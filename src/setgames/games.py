@@ -169,15 +169,6 @@ class MixedStrategy:
             raise InvalidInputError("mixed strategy has no mass left after filtering")
         return cls(tuple((m, p / total) for m, p in sorted(kept.items())))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.atoms)
-
-    def probability(self, mask: int) -> float:
-        for m, p in self.atoms:
-            if m == mask:
-                return p
-        return 0.0
-
     def as_vector(self, strategy_masks) -> np.ndarray:
         """Probability vector aligned with ``strategy_masks``."""
         index = {m: i for i, m in enumerate(strategy_masks)}

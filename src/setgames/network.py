@@ -242,7 +242,7 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     kept = MobiusTransform(benefit.ground,
                            {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
     game = CompactGame.from_coefficients((kept, cost_a, cost_d), attacker_cap, spec.defender_cap)
-    spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap if attacker_cap < n else None))
+    spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
     components = tuple(tuple(c) for c in partition_support(game.support.members))
     return ApproxResult(
         spec=spec,

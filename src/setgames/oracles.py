@@ -75,7 +75,11 @@ class PseudoBooleanProblem:
 
 
 def to_pseudo_boolean(weights, cap: int, support: SupportSet) -> PseudoBooleanProblem:
-    """Restate a defender oracle call as constrained polynomial maximization."""
+    """Restate a defender oracle call as constrained polynomial maximization.
+
+    Raises :class:`InvalidInputError` unless ``weights`` holds one finite
+    weight per support member, as the oracles do."""
+    weights = _checked(weights, support.size)
     terms = tuple((m, float(w)) for m, w in zip(support.members, weights))
     return PseudoBooleanProblem(terms=terms, n=support.n, min_ones=support.n - cap)
 
@@ -182,16 +186,21 @@ def prepare(support: SupportSet, attacker_cap: int | None,
     return PreparedOracle(*_tables(support.members, attacker_cap, defender_cap))
 
 
+def _checked(weights, size: int) -> np.ndarray:
+    """``weights`` as a float vector of ``size`` finite entries."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (size,):
+        raise InvalidInputError(f"weights must have length {size}")
+    if not np.all(np.isfinite(weights)):
+        raise InvalidInputError("oracle weights contain non-finite entries")
+    return weights
+
+
 def _best(table: _Table | None, weights, side: str) -> tuple[int, float]:
     """Check a call's weights against a prepared side, then run its kernel."""
     if table is None:
         raise InvalidInputError(f"the {side} side was not prepared")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (table.hits.shape[1],):
-        raise InvalidInputError(f"weights must have length {table.hits.shape[1]}")
-    if not np.all(np.isfinite(weights)):
-        raise InvalidInputError("oracle weights contain non-finite entries")
-    return table.best(weights)
+    return table.best(_checked(weights, table.hits.shape[1]))
 
 
 def attacker_oracle(prepared: PreparedOracle, weights) -> tuple[int, float]:

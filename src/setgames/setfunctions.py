@@ -11,11 +11,15 @@ inverse
     zeta(coeffs)(U) = sum over V below U of coeffs(V)
 
 rebuilds the set function. The two differ only in the sign, so one engine
-computes both, over float64 or, in exact mode, over ``Fraction`` values. On
-the dense lattice it runs an in-place butterfly over an array of all 2^n
-values (a float64 array or an object array of Fractions) in O(n 2^n); when
-only subsets up to a cardinality cap are needed it sums directly over
-submasks instead.
+computes both, over float64 or, in exact mode, over ``Fraction`` values. It
+is Yates's butterfly: one pass per target adds (or subtracts) the value of
+each mask without the target into the same mask with it. The masks of at
+most ``cap`` targets are closed under removing a target, so the pass stays
+exact when trimmed to them (Bjorklund, Husfeldt, Kaski and Koivisto,
+"Trimmed Moebius inversion and graphs of bounded degree", STACS 2008). With
+cap >= n the pass runs in place over an array of all 2^n values in
+O(n 2^n); otherwise over the ascending masks up to the cap, pairing each
+mask with the same mask minus one target.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .bits import masks_up_to_size, submasks
+from .bits import masks_up_to_size
 from .errors import CapacityError, InvalidInputError
 
 MAX_GROUND = 30
@@ -103,9 +108,6 @@ class SetFunction:
         """Values on all 2^n subsets as a float array indexed by mask."""
         return _dense(self.ground, self.entries, self.default, exact=False)
 
-    def is_zero(self) -> bool:
-        return self.default == 0 and all(v == 0 for v in self.entries.values())
-
 
 @dataclass(frozen=True)
 class MobiusTransform:
@@ -136,40 +138,60 @@ def _dense(ground: GroundSet, values: dict, default, exact: bool) -> np.ndarray:
     return dense
 
 
-def _transform(ground: GroundSet, values: dict, default, *, max_size: int | None,
-               signed: bool, exact: bool, drop_tol: float | None) -> dict:
-    """Submask sums of the function ``values`` (unstored masks read ``default``).
+@lru_cache(maxsize=32)
+def _capped_layout(n: int, cap: int) -> tuple[np.ndarray, tuple]:
+    """The masks of at most ``cap`` of n targets, ascending, and for each bit
+    the positions of the masks that hold it paired with the positions of the
+    same masks without it. Built once per (n, cap) and shared read-only."""
+    masks = np.array(masks_up_to_size(n, cap), dtype=np.int64)
+    pairs = []
+    for bit in range(n):
+        hi = np.flatnonzero(masks >> bit & 1)
+        lo = np.searchsorted(masks, masks[hi] ^ (1 << bit))
+        hi.flags.writeable = lo.flags.writeable = False
+        pairs.append((hi, lo))
+    masks.flags.writeable = False
+    return masks, tuple(pairs)
 
-    Each subset U gets the sum over V below U of f(V), with the sign
-    (-1)^|U minus V| when ``signed`` (the Moebius transform) and without it
-    otherwise (the zeta transform). Sums are kept when nonzero and, if
-    ``drop_tol`` is given, at least ``drop_tol`` in magnitude. ``exact``
-    converts every value to a Fraction first.
+
+def _transform(ground: GroundSet, values: dict, default, *, cap: int | None, signed: bool,
+               exact: bool, drop_tol: float | None, superset: bool = False) -> dict:
+    """Lattice sums of the function ``values`` (unstored masks read ``default``).
+
+    Each subset U of at most ``cap`` targets (of any size when ``cap`` is
+    None) gets the sum over V below U of f(V), with the sign (-1)^|U minus V|
+    when ``signed`` (the Moebius transform) and without it otherwise (the
+    zeta transform). ``superset`` sums over the V above U of at most ``cap``
+    targets instead. Sums are kept when nonzero and, if ``drop_tol`` is
+    given, at least ``drop_tol`` in magnitude. ``exact`` converts every value
+    to a Fraction first. A function with no nonzero value gives ``{}`` at once.
     """
+    if not default and not any(values.values()):
+        return {}
     n = ground.n
-    if max_size is not None and max_size < n:
-        entries = {}
-        for mask in masks_up_to_size(n, max_size):
-            bits = mask.bit_count()
-            acc = Fraction(0) if exact else 0.0
-            for sub in submasks(mask):
-                term = values.get(sub, default)
-                if exact:
-                    term = Fraction(term)
-                acc += -term if signed and (bits - sub.bit_count()) % 2 else term
-            if acc != 0 and (drop_tol is None or abs(acc) >= drop_tol):
-                entries[mask] = acc
-        return entries
-
-    dense = _dense(ground, values, default, exact)
-    if not exact and not np.all(np.isfinite(dense)):
-        raise InvalidInputError("non-finite value in set function")
     combine = np.subtract if signed else np.add
-    for i in range(n):
-        half = dense.reshape(-1, 2, 1 << i)
-        combine(half[:, 1, :], half[:, 0, :], out=half[:, 1, :])
-    keep = np.abs(dense) >= drop_tol if drop_tol is not None and drop_tol > 0 else dense != 0
-    return {int(m): dense[m] if exact else float(dense[m]) for m in np.nonzero(keep)[0]}
+    if cap is None or cap >= n:
+        masks, table = None, _dense(ground, values, default, exact)
+        for bit in range(n):
+            half = table.reshape(-1, 2, 1 << bit)
+            hi, lo = half[:, 1, :], half[:, 0, :]
+            if superset:
+                hi, lo = lo, hi
+            combine(hi, lo, out=hi)
+    else:
+        masks, pairs = _capped_layout(n, cap)
+        cast = Fraction if exact else float
+        table = np.array([cast(values.get(m, default)) for m in masks.tolist()],
+                         dtype=object if exact else float)
+        for hi, lo in pairs:
+            if superset:
+                hi, lo = lo, hi
+            table[hi] = combine(table[hi], table[lo])
+    if not exact and not np.all(np.isfinite(table)):
+        raise InvalidInputError("non-finite value in set function")
+    kept = np.flatnonzero(np.abs(table) >= drop_tol if drop_tol else table != 0)
+    return {int(m): v if exact else float(v)
+            for m, v in zip(kept if masks is None else masks[kept], table[kept])}
 
 
 def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | None = None,
@@ -179,9 +201,10 @@ def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | No
     Args:
         f: set function defined (entries plus default) on the whole lattice,
             or at least on all subsets of size <= ``max_size``.
-        max_size: if given, compute coefficients only for subsets of at most
-            this many targets, by direct submask sums. Otherwise the dense
-            O(n 2^n) scan is used, which requires n <= 24.
+        max_size: if given and below n, compute coefficients only for
+            subsets of at most this many targets, by the butterfly trimmed
+            to them. Otherwise the butterfly runs over all 2^n subsets in
+            O(n 2^n), which requires n <= 24.
         drop_tol: absolute cutoff below which coefficients are discarded as
             zeros. Defaults to 1e-12 times the largest absolute value of
             ``f``. Ignored in exact mode, where only exact zeros are dropped.
@@ -192,7 +215,7 @@ def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | No
         drop_tol = None
     elif drop_tol is None:
         drop_tol = SPARSITY_SCALE * f.max_abs()
-    entries = _transform(f.ground, f.entries, f.default, max_size=max_size, signed=True,
+    entries = _transform(f.ground, f.entries, f.default, cap=max_size, signed=True,
                          exact=exact, drop_tol=drop_tol)
     return MobiusTransform(f.ground, entries)
 
@@ -202,10 +225,10 @@ def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
     """Rebuild the set function whose interaction coefficients are ``coeffs``.
 
     Inverse of :func:`moebius`: the value at U is the sum of coefficients over
-    all submasks of U. With ``max_size`` only subsets up to that size are
-    materialized.
+    all submasks of U. With ``max_size`` below n only subsets up to that size
+    are materialized, by the same trimmed butterfly as :func:`moebius`.
     """
-    entries = _transform(coeffs.ground, coeffs.entries, 0, max_size=max_size, signed=False,
+    entries = _transform(coeffs.ground, coeffs.entries, 0, cap=max_size, signed=False,
                          exact=exact, drop_tol=None)
     return SetFunction(coeffs.ground, entries)
 

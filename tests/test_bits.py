@@ -1,6 +1,6 @@
 """Mask helpers."""
 
-from setgames.bits import iter_bits, mask_of, masks_up_to_size, submasks, targets_of
+from setgames.bits import iter_bits, mask_of, masks_up_to_size, targets_of
 
 
 def test_mask_roundtrip():
@@ -11,11 +11,6 @@ def test_mask_roundtrip():
 
 def test_iter_bits():
     assert list(iter_bits(0b1011)) == [0, 1, 3]
-
-
-def test_submasks_cover_everything_once():
-    seen = list(submasks(0b101))
-    assert seen == [0b101, 0b100, 0b001, 0b000]
 
 
 def test_masks_up_to_size():

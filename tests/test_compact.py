@@ -1,5 +1,7 @@
 """Compact coordinates: support, embeddings, bilinear identity, vertices."""
 
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -53,12 +55,30 @@ class TestBuildSupport:
                        defender_cost=random_set_function(rng, 6, scale=0.3))
         assert max(m.bit_count() for m in build_support(spec).members) == 2
 
-    def test_uncapped_defender_cost_never_walks_submasks(self, monkeypatch):
-        # With k = n the superset sums take one O(n 2^n) butterfly; a walk
-        # below each of up to 2^n coefficients would take 3^n steps.
-        monkeypatch.setattr(compact, "submasks", None)
-        game = build_compact_game(random_game(np.random.default_rng(3), 6, 2, 6))
-        assert game.support.members[-1] == 0b111111
+    def test_uncapped_defender_cost_never_walks_submasks(self):
+        # With k = n the superset sums take one O(n 2^n) butterfly in numpy,
+        # so the package runs a few Python lines per coefficient; a walk
+        # below each of the 2^n coefficients would run 3^n = 194 * 2^n.
+        n = 13
+        spec = random_game(np.random.default_rng(3), n, 1, n)
+        package = os.path.dirname(compact.__file__)
+        lines = 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if not frame.f_code.co_filename.startswith(package):
+                return None
+            lines += event == "line"
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(count)
+        try:
+            cd = compact.interaction_coefficients(spec)[2]
+        finally:
+            sys.settrace(previous)
+        assert max(cd.entries) == (1 << n) - 1
+        assert lines < 40 * 2 ** n
 
 
 class TestEmbeddings:

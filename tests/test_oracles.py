@@ -142,6 +142,13 @@ class TestPseudoBoolean:
         problem = to_pseudo_boolean(np.zeros(support.size), 1, support)
         assert problem.min_ones == 3
 
+    def test_rejects_bad_weights(self):
+        support = SupportSet.from_members(3, [])  # 4 members
+        for bad in (np.zeros(2), np.zeros(9), np.zeros((1, 4)), [0.0, np.nan, 0.0, 0.0],
+                    [0.0, 0.0, np.inf, 0.0]):
+            with pytest.raises(InvalidInputError):
+                to_pseudo_boolean(bad, 2, support)
+
     def test_singleton_support_is_linear(self):
         support = SupportSet.from_members(3, [])
         problem = to_pseudo_boolean(np.ones(support.size), 3, support)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from setgames import GroundSet, MobiusTransform, SetFunction, moebius, restrict_cardinality, zeta
 from setgames.errors import CapacityError, InvalidInputError
+from setgames.setfunctions import _transform
 
 
 def dense_values(f):
@@ -128,6 +129,36 @@ class TestZeta:
         f = zeta(mc, max_size=2)
         assert f.value(0b0011) == 3.0
         assert f.value(0b0111) == 0.0  # not materialized above the cap
+
+
+class TestEngine:
+    @given(st.data(), st.integers(1, 6), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_sums_match_definitions(self, data, n, signed, superset, exact):
+        # Every mask of at most cap targets U gets the sum of f(V) over the V
+        # below U (or above U and of at most cap targets), times
+        # (-1)^|U xor V| when signed. Stored zeros, values above the cap and
+        # a nonzero default all occur.
+        cap = data.draw(st.integers(0, n))
+        number = st.fractions(-4, 4, max_denominator=6) if exact else st.floats(-4, 4)
+        values = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                           st.just(0) | number, max_size=1 << n))
+        default = data.draw(st.just(0) | number)
+        got = _transform(GroundSet(n), values, default, cap=cap, signed=signed, exact=exact,
+                         drop_tol=None, superset=superset)
+        family = [m for m in range(1 << n) if m.bit_count() <= cap]
+        scale = sum(abs(Fraction(v)) for v in [default, *values.values()])
+        assert set(got) <= set(family)
+        for u in family:
+            want = sum((-1 if signed and (u ^ v).bit_count() % 2 else 1)
+                       * Fraction(values.get(v, default))
+                       for v in family if (v | u == v if superset else v & u == v))
+            if exact:
+                assert got.get(u, 0) == want and (u in got) == (want != 0)
+                assert all(isinstance(x, Fraction) for x in got.values())
+            else:
+                assert abs(got.get(u, 0.0) - float(want)) <= 1e-12 * max(scale, 1)
+                assert all(isinstance(x, float) for x in got.values())
 
 
 class TestLinearityAndSparsity:
