@@ -269,8 +269,8 @@ def _cmd_net(args) -> int:
         kind=args.failure,
         threshold=args.cascade_threshold if args.failure == "threshold_cascade" else None,
     )
-    report, approx = solve_network_game(
-        net, value_fn, failure, args.c, args.eps_c, config=SolverConfig(eps_gap=args.tol))
+    report, approx = solve_network_game(net, value_fn, failure, args.c, args.eps_c,
+                                        config=SolverConfig(eps_gap=args.tol), defender_cap=args.k)
     if not report.converged:
         raise SolverFailureError("constraint generation did not converge")
     gaps = best_response_gap(approx.spec, report, approx.game)
@@ -341,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cascade-threshold", type=float, default=0.5,
                    help="surviving-neighbor fraction below which a node fails")
     p.add_argument("--c", type=int, required=True, help="attacker cardinality cap")
+    p.add_argument("--k", type=int, help="defender cardinality cap (default: every node)")
     p.add_argument("--eps-c", type=float, required=True, dest="eps_c",
                    help="coefficient magnitude threshold")
     p.add_argument("--tol", type=_positive_float, default="1e-7")

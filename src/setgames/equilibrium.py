@@ -101,7 +101,7 @@ def _responses(respond, gap_of, eps_gap, game, prepared, mix, coords, known):
     Returns the gap, the strategies the round adds (those not in ``known``, in
     discovery order; none for a side within tolerance), and the number of
     oracle calls."""
-    best, payoff = respond(game, prepared, sum(w * row for w, row in zip(mix, coords)))
+    best, payoff = respond(game, prepared, mix @ coords)
     gap = gap_of(payoff)
     if gap <= eps_gap:
         return gap, [], 1
@@ -126,11 +126,15 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     Starts from the empty attack and the empty defense, alternates restricted
     matrix-game solves with best-response oracle calls, and stops when
-    neither player can improve by more than ``config.eps_gap``. The oracle
-    tables are prepared once from the support and caps; ``game`` is the
-    prepared compact game of ``spec``, built here if not given. If ``trace``
-    is a list, one record per round is appended with the restricted value,
-    both gaps, the strategy counts, and the strategies the round adds.
+    neither player can improve by more than ``config.eps_gap``. Each round's
+    restricted game is the last one with rows added at the bottom and
+    columns at the right, so its solve starts from the last round's optimal
+    basis: a dual simplex repairs the rows of the new attacks, then the
+    primal simplex prices the new defenses. The oracle tables are prepared
+    once from the support and caps; ``game`` is the prepared compact game of
+    ``spec``, built here if not given. If ``trace`` is a list, one record per
+    round is appended with the restricted value, both gaps, the strategy
+    counts, the LP's pivots, and the strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
@@ -160,10 +164,12 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     row_mix = np.array([1.0])
     col_mix = np.array([1.0])
     value = float(payoff[0, 0])
+    basis = None
 
     while rounds < max_rounds:
         rounds += 1
-        solution = solve_matrix_game(payoff)
+        solution = solve_matrix_game(payoff, start=basis)
+        basis = solution.basis
         row_mix = np.asarray(solution.row_strategy, dtype=float)
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
@@ -184,6 +190,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "defender_gap": float(defender_gap),
                 "attacker_vertices": len(attacks),
                 "defender_vertices": len(defenses),
+                "lp_pivots": solution.pivots,
                 "added_attacks": sorted(new_attacks),
                 "added_defenses": sorted(new_defenses),
             })

@@ -5,10 +5,10 @@ reduction: shift M positive, then one LP
 
     maximize 1.z   subject to   M z + s = 1,  z, s >= 0,
 
-started from the slack basis, yields the column player's optimal mixture
-``z / sum(z)`` and the game value ``1 / sum(z)`` minus the shift. The row
-player's mixture is that LP's dual, read from the same final tableau: the
-reduced costs w of the slack columns satisfy ``w M >= 1`` with
+from the slack basis or a given basis, yields the column player's optimal
+mixture ``z / sum(z)`` and the game value ``1 / sum(z)`` minus the shift.
+The row player's mixture is that LP's dual, read from the same final
+tableau: the reduced costs w of the slack columns satisfy ``w M >= 1`` with
 ``sum(w) = sum(z)``, so ``w / sum(w)`` is optimal for the rows (Dantzig,
 1951). One tableau per game, so both mixtures come from one basis. There is
 no general LP solver; Carathéodory decompositions and hull checks are posed
@@ -20,6 +20,14 @@ the current objective value. Entering variable by Dantzig's rule (most
 negative reduced cost, first index on ties); after a run of degenerate pivots
 the rule switches to Bland's, which cannot cycle. Leaving row by the
 minimum-ratio test, ties broken toward the smallest basis index.
+
+A float solve may start from the :class:`Basis` of an earlier solve of a
+leading block of M, as constraint generation does each round. It keeps that
+shift if every entry stays at least 1 (else it starts cold), rebuilds the
+tableau from the basis plus the new rows' slacks with one linear solve, and
+lets a dual simplex repair the rows left infeasible before the primal simplex
+prices the new columns. Should the dual simplex get stuck on round-off, the
+solve starts over from the slack basis.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -60,12 +68,22 @@ class MatrixGame:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """Final basis, ``j >= 0`` column j and ``~i`` row i's slack, and its shift."""
+
+    members: tuple
+    shift: float
+
+
+@dataclass(frozen=True)
 class GameSolution:
-    """Minimax solution; strategies are probability vectors over rows/columns."""
+    """Minimax solution (probability vectors over rows/columns), final basis, pivots."""
 
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
+    basis: Basis
+    pivots: int
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +100,13 @@ def _array(values, num):
     return _to_fraction(np.asarray(values, dtype=object))
 
 
-def _num(a):
-    """Scalar type of an LP array: Fraction for an object array, else float."""
-    return Fraction if a.dtype == object else float
-
-
-def _tolerances(a):
-    """Feasibility and optimality thresholds for the arithmetic of ``a``."""
-    return (Fraction(0), Fraction(0)) if a.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
-
-
 def _result(a):
     """Float results stay arrays; exact ones are lists of Fractions."""
     return a.tolist() if a.dtype == object else a
 
 
 def _pivot(T, row, col):
-    num = _num(T)
+    num = Fraction if T.dtype == object else float
     T[row] = T[row] / T[row, col]
     colv = T[:, col].copy()
     colv[row] = num(0)
@@ -108,27 +116,27 @@ def _pivot(T, row, col):
 
 
 def _simplex(T, basis):
-    """Pivot T, of shape (m+1, ncols+1), to optimality.
+    """Pivot T, of shape (m+1, ncols+1), to optimality; returns the pivot count.
 
     The matrix-game LP is bounded, so an entering column with no row to
     leave is a numerical failure and raises :class:`SolverFailureError`.
     """
     m, ncols = T.shape[0] - 1, T.shape[1] - 1
-    feasibility, optimality = _tolerances(T)
+    feasibility, optimality = (0, 0) if T.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
     bland = False
     degenerate_run = 0
     max_iter = 50 * (m + ncols) + 1000
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         rc = T[m, :ncols]
         if bland:
             neg = np.nonzero(rc < -optimality)[0]
             if neg.size == 0:
-                return
+                return pivots
             col = int(neg[0])
         else:
             col = int(np.argmin(rc))
             if rc[col] >= -optimality:
-                return
+                return pivots
         colvals = T[:m, col]
         rows = np.nonzero(colvals > feasibility)[0]
         if rows.size == 0:
@@ -154,11 +162,33 @@ def _simplex(T, basis):
     )
 
 
-def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> GameSolution:
+def _dual_simplex(T, basis):
+    """Pivot a float T to a feasible rhs; returns the pivot count. Only columns
+    of feasible reduced cost enter, the largest pivot among near ties."""
+    m = T.shape[0] - 1
+    for pivots in range(50 * T.shape[1] + 1000):
+        row = int(np.argmin(T[:m, -1]))
+        if T[row, -1] >= -FEASIBILITY_TOL:
+            return pivots
+        rc, a = T[m, :-1], T[row, :-1]
+        cols = np.nonzero((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL))[0]
+        if cols.size == 0:
+            break
+        ratios = np.maximum(rc[cols], 0) / -a[cols]
+        best = ratios.min()
+        near = cols[ratios <= best + FEASIBILITY_TOL * (1 + abs(best))]
+        col = int(near[np.argmin(a[near])])
+        _pivot(T, row, col)
+        basis[row] = col
+    raise SolverFailureError("dual simplex stalled", diagnostics={"pivots": pivots, "row": row})
+
+
+def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
+                      start: Basis | None = None) -> GameSolution:
     """Optimal mixed strategies of a finite zero-sum game (rows maximize).
 
-    Deterministic for a given matrix: pivot order is fixed, so repeated calls
-    return identical strategies. In exact mode the matrix entries are taken
+    Deterministic for a given matrix and ``start``, the ``basis`` of an earlier
+    float solve of a leading block. In exact mode the matrix entries are taken
     as rationals and the result is exact: a Fraction value and lists of
     Fractions for the strategies.
     """
@@ -168,7 +198,11 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> 
     num = Fraction if exact else float
     matrix = _array(matrix, num)
     m, n = matrix.shape
-    shift = 1 - num(matrix.min())
+    if start is not None and (exact or len(start.members) > m
+                              or any(j >= n or ~j >= m for j in start.members)):
+        raise InvalidInputError("a start basis is float-only and must index inside the matrix")
+    warm = start is not None and start.shift >= 1 - float(matrix.min())
+    shift = start.shift if warm else 1 - num(matrix.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
     T = _array(np.zeros((m + 1, n + m + 1)), num)
     T[:m, :n] = matrix + shift
@@ -176,7 +210,16 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> 
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
     basis = list(range(n, n + m))
-    _simplex(T, basis)
+    pivots = 0
+    if warm:  # rebuild T from the start basis; its new rows keep their slacks
+        basis[:len(start.members)] = [j if j >= 0 else n + ~j for j in start.members]
+        T[:m] = np.linalg.solve(T[:m, basis], T[:m])
+        T[m] -= T[m, basis] @ T[:m]
+        try:
+            pivots = _dual_simplex(T, basis)
+        except SolverFailureError:  # stuck on round-off: start over cold
+            return solve_matrix_game(game)
+    pivots += _simplex(T, basis)
     z = _array(np.zeros(n), num)
     for i, b in enumerate(basis):
         if b < n:
@@ -186,5 +229,5 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False) -> 
         raise SolverFailureError("matrix-game LP returned a zero mixture")
     # Slack reduced costs are the dual; a float one may sit just below 0.
     w = T[m, n:-1] if exact else np.maximum(T[m, n:-1], 0.0)
-    return GameSolution(value=1 / total - shift, row_strategy=_result(w / num(w.sum())),
-                        col_strategy=_result(z / total))
+    return GameSolution(1 / total - shift, _result(w / num(w.sum())), _result(z / total),
+                        Basis(tuple(b if b < n else ~(b - n) for b in basis), shift), pivots)

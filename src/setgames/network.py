@@ -260,11 +260,13 @@ def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOp
                        attacker_cost: SetFunction | None = None,
                        defender_cost: SetFunction | None = None,
                        trace: list | None = None,
+                       defender_cap: int | None = None,
                        ) -> tuple[EquilibriumReport, ApproxResult]:
-    """Induce the benefit, approximate, and solve; the defender may guard all nodes.
+    """Induce the benefit, approximate, and solve.
 
-    Costs default to zero. The returned report is the equilibrium of the
-    approximated game; the true value lies within ``error_bound`` of it.
+    Costs default to zero, and ``defender_cap`` to every node. The returned
+    report is the equilibrium of the approximated game; the true value lies
+    within ``error_bound`` of it.
     """
     ground = GroundSet(net.node_count)
     benefit = induce_benefit(net, value_fn, failure, attacker_cap)
@@ -275,6 +277,7 @@ def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOp
         defender_cost if defender_cost is not None else zero,
         eps_c,
         attacker_cap,
+        defender_cap=defender_cap,
     )
     report = solve_compact(approx.spec, config, trace=trace, game=approx.game)
     return report, approx

@@ -222,35 +222,42 @@ class TestCriterion7AdditiveDegeneration:
 
 class TestCriterion8ApproximationBound:
     def test_value_error_within_bound(self):
+        # The defender guards one node (k = 1), so the value is nonzero on
+        # almost every graph and the bound is tested against a real error.
         start = time.perf_counter()
         rng = np.random.default_rng(1008)
-        cap = 2
+        cap, k = 2, 1
         vf = ValueFunction("connected_pairs")
         fop = FailureOperator("node_removal")
+        nonzero, worst = 0, 0.0
         for trial in range(50):
             n = int(rng.integers(4, 9))
             net = random_graph(rng, n, p=float(rng.uniform(0.3, 0.7)))
             benefit = induce_benefit(net, vf, fop, cap)
             zero = SetFunction(GroundSet(n))
             exact_value = solve_bruteforce(
-                GameSpec(GroundSet(n), benefit, zero, zero, cap, n)).value
+                GameSpec(GroundSet(n), benefit, zero, zero, cap, k)).value
+            nonzero += abs(exact_value) > 1e-9
 
             coeffs = moebius(benefit, max_size=cap)
             magnitudes = [abs(v) for v in coeffs.entries.values()]
             top = max(magnitudes, default=1.0)
             eps_c = float(rng.uniform(0.0, top))
-            result, approx = solve_network_game(net, vf, fop, cap, eps_c)
+            result, approx = solve_network_game(net, vf, fop, cap, eps_c, defender_cap=k)
             bound = 2 ** (cap + 1) * eps_c
             assert approx.error_bound == pytest.approx(bound)
             diff = abs(exact_value - result.value)
             assert diff <= bound + 1e-9, (
                 f"trial {trial}: |{exact_value} - {result.value}| = {diff} > {bound}")
+            worst = max(worst, diff / bound if bound > 0 else 0.0)
 
-            exact_result, _ = solve_network_game(net, vf, fop, cap, 0.0)
+            exact_result, _ = solve_network_game(net, vf, fop, cap, 0.0, defender_cap=k)
             assert abs(exact_result.value - exact_value) <= 1e-6
+        assert nonzero >= 45, f"only {nonzero} of 50 exact values are nonzero"
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
-        report(8, f"50 graphs: |exact - approx| <= 2^(c+1) eps_c, eps_c=0 exact, {elapsed:.1f}s")
+        report(8, f"50 graphs, k={k}: {nonzero} nonzero values, |exact - approx| <= "
+                  f"2^(c+1) eps_c (worst ratio {worst:.2f}), eps_c=0 exact, {elapsed:.1f}s")
 
 
 def check_both_oracles(weights, cap, support, trial):

@@ -146,6 +146,9 @@ class TestCompactSolver:
             [rec["restricted_value"] - rec["defender_gap"] for rec in trace])
         assert all(u + 1e-9 >= l for u, l in zip(uppers, lowers))
         assert lowers[-1] - 1e-6 <= report.value <= uppers[-1] + 1e-6
+        # Each round records its LP's pivots; the first, cold 1x1 solve takes one.
+        pivots = [rec["lp_pivots"] for rec in trace]
+        assert all(isinstance(p, int) and p >= 0 for p in pivots) and pivots[0] == 1
 
     def test_trace_growth_matches_added_strategies(self):
         # Each round's strategy counts grow by exactly the previous round's

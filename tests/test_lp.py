@@ -1,5 +1,6 @@
 """LP core: matrix games solved by one simplex each, with both players'
-mixtures read from one tableau; duality and equivariance checks."""
+mixtures read from one tableau; duality and equivariance checks, and warm
+starts from an earlier basis."""
 
 import json
 from fractions import Fraction
@@ -167,3 +168,74 @@ class TestMatrixGames:
         T = lp._array([[-1, 1, 1], [-1, 0, 0]], num)
         with pytest.raises(SolverFailureError):
             lp._simplex(T, [1])
+
+
+def _growth(kind):
+    """Leading blocks of the 39x59 game, grown by rows, columns or both."""
+    if kind == "rows":
+        return [(r, 59) for r in range(3, 40, 6)] + [(39, 59)]
+    if kind == "cols":
+        return [(39, c) for c in range(5, 60, 9)] + [(39, 59)]
+    return [(min(r, 39), min(c, 59)) for r, c in zip(range(4, 46, 6), range(6, 66, 9))]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["rows", "cols", "both"])
+    def test_growth_order_matches_cold_with_fewer_pivots(self, kind):
+        m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+        start, warm_pivots, cold_pivots = None, 0, 0
+        for rows, cols in _growth(kind):
+            block = m[:rows, :cols]
+            warm = solve_matrix_game(block, start=start)
+            cold = solve_matrix_game(block)
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+            assert_solution_certifies(block, warm)
+            start = warm.basis
+            warm_pivots += warm.pivots
+            cold_pivots += cold.pivots
+        assert warm_pivots < cold_pivots
+
+    def test_row_below_the_old_minimum_starts_from_the_slack_basis(self):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(6, 5))
+        m[5, 2] = m[:5].min() - 1.5  # the stored shift no longer suffices
+        start = solve_matrix_game(m[:5]).basis
+        warm = solve_matrix_game(m, start=start)
+        cold = solve_matrix_game(m)
+        assert warm.value == cold.value and warm.pivots == cold.pivots
+        assert np.array_equal(warm.row_strategy, cold.row_strategy)
+        assert np.array_equal(warm.col_strategy, cold.col_strategy)
+        assert_solution_certifies(m, warm)
+
+    def test_stuck_dual_simplex_starts_over_from_the_slack_basis(self, monkeypatch):
+        m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+        start = solve_matrix_game(m[:20, :30]).basis
+        cold = solve_matrix_game(m)
+        calls = []
+
+        def stuck(T, basis):
+            calls.append(T.shape)
+            raise SolverFailureError("dual simplex stalled")
+
+        monkeypatch.setattr(lp, "_dual_simplex", stuck)
+        warm = solve_matrix_game(m, start=start)
+        assert calls == [(40, 99)]
+        assert warm.value == cold.value and warm.pivots == cold.pivots
+        assert np.array_equal(warm.row_strategy, cold.row_strategy)
+        assert np.array_equal(warm.col_strategy, cold.col_strategy)
+
+    def test_rejects_exact_or_out_of_range_starts(self):
+        m = [[1, -1], [-1, 1]]
+        start = solve_matrix_game(np.array(m, dtype=float)).basis
+        with pytest.raises(InvalidInputError):
+            solve_matrix_game(m, exact=True, start=start)
+        for members in [(2,), (~2,), (0, 1, ~0)]:
+            with pytest.raises(InvalidInputError):
+                solve_matrix_game(np.array(m, dtype=float), start=lp.Basis(members, 1.0))
+
+    def test_dual_simplex_raises_when_no_column_can_enter(self):
+        # x + s = -1 has no solution with x, s >= 0, so no column can enter.
+        T = lp._array([[1, 1, -1], [-1, 0, 0]], float)
+        with pytest.raises(SolverFailureError):
+            lp._dual_simplex(T, [1])
+
