@@ -30,7 +30,6 @@ from .compact import (
     CompactVertex,
     SupportSet,
     build_compact_game,
-    build_support,
     caratheodory_decompose,
     compact_value,
     embed_attacker,
@@ -90,7 +89,6 @@ __all__ = [
     "attacker_oracle",
     "best_response_gap",
     "build_compact_game",
-    "build_support",
     "caratheodory_decompose",
     "compact_value",
     "defender_oracle",

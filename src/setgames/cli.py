@@ -35,7 +35,8 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import CompactGame, build_compact_game, interaction_coefficients, payoff_block
+from .compact import (CompactGame, build_compact_game, embed_attacker, embed_defender,
+                      interaction_coefficients, payoff_block)
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
@@ -301,10 +302,9 @@ def _cmd_verify(args) -> int:
     value_gap = abs(reference.value - compact_report.value)
 
     nf = expand_normal_form(spec)
-    attack_coords = np.stack([game.embed_attacker(a).coords for a in nf.attacker_strategies])
-    defense_coords = np.stack([game.embed_defender(d).coords for d in nf.defender_strategies])
-    rebuilt = payoff_block(game, attack_coords, defense_coords)
-    identity_gap = float(np.max(np.abs(rebuilt - nf.matrix)))
+    P = np.stack([embed_attacker(a, game.support).coords for a in nf.attacker_strategies])
+    Q = np.stack([embed_defender(d, game.support).coords for d in nf.defender_strategies])
+    identity_gap = float(np.max(np.abs(payoff_block(game, P, Q) - nf.matrix)))
 
     print(f"value: brute force {reference.value:.9g}, constraint generation {compact_report.value:.9g}")
     print(f"max value discrepancy: {value_gap:.3g}")

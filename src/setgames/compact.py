@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import solve_matrix_game
+from .oracles import PreparedOracle, prepare
 from .setfunctions import SPARSITY_SCALE, MobiusTransform, _transform, moebius
 
 HULL_TOL = 1e-7
@@ -101,11 +103,10 @@ class CompactGame:
                      for c in coefficients)
         return cls(support, b, ca, cd, attacker_cap, defender_cap)
 
-    def embed_attacker(self, attack: int) -> CompactVertex:
-        return embed_attacker(attack, self.support, cap=self.attacker_cap)
-
-    def embed_defender(self, defense: int) -> CompactVertex:
-        return embed_defender(defense, self.support, cap=self.defender_cap)
+    @cached_property
+    def oracle(self) -> PreparedOracle:
+        """Both players' read-only oracle tables, built on first use and then shared."""
+        return prepare(self.support, self.attacker_cap, self.defender_cap)
 
 
 def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[MobiusTransform, ...]:
@@ -126,11 +127,6 @@ def build_compact_game(spec: GameSpec) -> CompactGame:
     """Compute the support set and coefficient vectors of ``spec``."""
     return CompactGame.from_coefficients(interaction_coefficients(spec), spec.attacker_cap,
                                          spec.defender_cap)
-
-
-def build_support(spec: GameSpec) -> SupportSet:
-    """Support set of :func:`build_compact_game`."""
-    return build_compact_game(spec).support
 
 
 def embed_attacker(attack: int, support: SupportSet, cap: int | None = None) -> CompactVertex:

@@ -26,6 +26,8 @@ from .compact import (
     CompactGame,
     build_compact_game,
     compact_value,
+    embed_attacker,
+    embed_defender,
     marginal_attacker,
     marginal_defender,
     payoff_block,
@@ -33,7 +35,7 @@ from .compact import (
 from .errors import CapacityError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import solve_matrix_game
-from .oracles import attacker_oracle, defender_oracle, prepare
+from .oracles import attacker_oracle, defender_oracle
 
 SUPPORT_GUARD = 10_000
 # At most this many oracle calls per side and round: one against the
@@ -80,33 +82,33 @@ def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumRepor
     )
 
 
-def _attacker_response(game, prepared, qd):
+def _attacker_response(game, qd):
     """Best attack against defense coordinates ``qd`` and its zero-sum payoff."""
     w = game.benefit_vec * qd - game.attacker_cost_vec
-    attack, value = attacker_oracle(prepared, w)
+    attack, value = attacker_oracle(game.oracle, w)
     return attack, value + float(game.defender_cost_vec @ qd)
 
 
-def _defender_response(game, prepared, pa):
+def _defender_response(game, pa):
     """Best defense against attack coordinates ``pa`` and its zero-sum payoff."""
     w = -(game.benefit_vec * pa + game.defender_cost_vec)
-    defense, value = defender_oracle(prepared, w)
+    defense, value = defender_oracle(game.oracle, w)
     return defense, -value - float(game.attacker_cost_vec @ pa)
 
 
-def _responses(respond, gap_of, eps_gap, game, prepared, mix, coords, known):
+def _responses(respond, gap_of, eps_gap, game, mix, coords, known):
     """One side's round: respond to the opponent's mixture ``mix`` over the rows
     of ``coords``; ``gap_of(payoff)`` is the side's gap. Only when the gap
     exceeds ``eps_gap`` also respond to the ``BR_BATCH - 1`` heaviest rows.
     Returns the gap, the strategies the round adds (those not in ``known``, in
     discovery order; none for a side within tolerance), and the number of
     oracle calls."""
-    best, payoff = respond(game, prepared, mix @ coords)
+    best, payoff = respond(game, mix @ coords)
     gap = gap_of(payoff)
     if gap <= eps_gap:
         return gap, [], 1
     heavy = [coords[j] for j in np.argsort(-mix)[: BR_BATCH - 1] if mix[j] > 0]
-    found = [best] + [respond(game, prepared, row)[0] for row in heavy]
+    found = [best] + [respond(game, row)[0] for row in heavy]
     return gap, [s for s in dict.fromkeys(found) if s not in known], len(found)
 
 
@@ -130,9 +132,10 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     restricted game is the last one with rows added at the bottom and
     columns at the right, so its solve starts from the last round's optimal
     basis: a dual simplex repairs the rows of the new attacks, then the
-    primal simplex prices the new defenses. The oracle tables are prepared
-    once from the support and caps; ``game`` is the prepared compact game of
-    ``spec``, built here if not given. If ``trace`` is a list, one record per
+    primal simplex prices the new defenses. ``game`` is the compact game of
+    ``spec``, built here if not given; the oracles run on its tables
+    (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
+    the same game reuses them. If ``trace`` is a list, one record per
     round is appended with the restricted value, both gaps, the strategy
     counts, the LP's pivots, and the strategies the round adds.
 
@@ -148,14 +151,13 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
-    prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
     max_rounds = config.max_iterations
     if max_rounds is None:
         max_rounds = 10 * support.size + 100
 
     attacks, defenses = [0], [0]
-    P = game.embed_attacker(0).coords[None, :]
-    Q = game.embed_defender(0).coords[None, :]
+    P = embed_attacker(0, support).coords[None, :]
+    Q = embed_defender(0, support).coords[None, :]
     payoff = payoff_block(game, P, Q)
 
     oracle_calls = 0
@@ -176,10 +178,10 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
         attacker_gap, new_attacks, calls_a = _responses(
             _attacker_response, lambda payoff: payoff - value, config.eps_gap,
-            game, prepared, col_mix, Q, attacks)
+            game, col_mix, Q, attacks)
         defender_gap, new_defenses, calls_d = _responses(
             _defender_response, lambda payoff: value - payoff, config.eps_gap,
-            game, prepared, row_mix, P, defenses)
+            game, row_mix, P, defenses)
         oracle_calls += calls_a + calls_d
 
         if trace is not None:
@@ -204,12 +206,12 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
             converged = attacker_gap <= 10 * config.eps_gap and defender_gap <= 10 * config.eps_gap
             break
         if new_attacks:
-            rows = np.array([game.embed_attacker(a).coords for a in new_attacks])
+            rows = np.array([embed_attacker(a, support).coords for a in new_attacks])
             payoff = np.vstack([payoff, payoff_block(game, rows, Q)])
             P = np.vstack([P, rows])
             attacks += new_attacks
         if new_defenses:
-            cols = np.array([game.embed_defender(d).coords for d in new_defenses])
+            cols = np.array([embed_defender(d, support).coords for d in new_defenses])
             payoff = np.hstack([payoff, payoff_block(game, P, cols)])
             Q = np.vstack([Q, cols])
             defenses += new_defenses
@@ -232,17 +234,16 @@ def best_response_gap(spec: GameSpec, report: EquilibriumReport,
                       game: CompactGame | None = None) -> tuple[float, float]:
     """Exact improvement available to each player against the report's mixtures.
 
-    Recomputed from scratch through the oracles, so it certifies a solution
-    without trusting the path that produced it. Both gaps within tolerance
-    means the pair is an equilibrium of the zero-sum-equivalent game (and so
-    of the original game).
+    Fresh oracle calls against the report's mixtures, on the game's read-only
+    tables: the solve's own when it was given the same game (rebuilding them
+    by the same code checks nothing more; an independent check needs exact
+    arithmetic). Both gaps within tolerance means the pair is an equilibrium
+    of the zero-sum-equivalent game (and so of the original game).
     """
     game = game or build_compact_game(spec)
-    support = game.support
-    prepared = prepare(support, spec.attacker_cap, spec.defender_cap)
-    pa = marginal_attacker(support, report.attacker.atoms)
-    qd = marginal_defender(support, report.defender.atoms)
+    pa = marginal_attacker(game.support, report.attacker.atoms)
+    qd = marginal_defender(game.support, report.defender.atoms)
     current = compact_value(game, pa, qd)
-    _, attacker_best = _attacker_response(game, prepared, qd)
-    _, defender_best = _defender_response(game, prepared, pa)
+    _, attacker_best = _attacker_response(game, qd)
+    _, defender_best = _defender_response(game, pa)
     return attacker_best - current, current - defender_best

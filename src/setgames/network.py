@@ -15,9 +15,9 @@ benefit, zeroes every coefficient with magnitude at most ``eps_c``, and
 rebuilds the benefit from the survivors. Dropped coefficients perturb any
 single payoff entry by at most ``2^c * eps_c``, so the game value moves by at
 most ``2^(c+1) * eps_c``; meanwhile the surviving support usually splits into
-small disjoint components. The one best-response kernel that serves both
-players (:func:`setgames.oracles.prepare`) exploits them: it enumerates capped
-strategies inside each component only and spends the cap across components.
+small disjoint components. The best-response tables of the approximate game
+(``CompactGame.oracle``) exploit them: they enumerate capped strategies
+inside each component only, and each call spends the cap across components.
 """
 
 from __future__ import annotations

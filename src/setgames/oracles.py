@@ -11,13 +11,14 @@ maximization and its difficulty is governed by the support structure.
 One kernel serves both players. Both objectives split over the support's
 components, the groups of members whose target unions are disjoint
 (:func:`partition_support`): a strategy scores, in each component, what its
-targets inside that component score there. A solve fixes the support and
-both caps and only the weights change between calls, so
-``prepare(support, attacker_cap, defender_cap)`` builds one table per side,
-once per solve and once per certificate. The table lists every strategy of
-at most ``min(cap, width)`` targets inside each component, grouped by
-(component, count) and ascending within a group, with its incidence against
-the support members; the empty member counts in the first component's rows.
+targets inside that component score there. Only the weights change between
+calls, so ``prepare(support, attacker_cap, defender_cap)`` builds one
+read-only table per side; a game's ``CompactGame.oracle`` builds them once,
+on first use, for a solve and the certificate of its report. The table
+lists every strategy of at most ``min(cap, width)`` targets inside each
+component, grouped by (component, count) and ascending within a group, with
+its incidence against the support members; the empty member counts in the
+first component's rows.
 On a one-component support the table is plain enumeration of the capped
 strategies; on an all-singleton support it picks the best single targets.
 
@@ -32,13 +33,18 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bits import iter_bits, masks_up_to_size
-from .compact import SupportSet
 from .errors import CapacityError, InvalidInputError
+
+if TYPE_CHECKING:  # compact imports prepare from here
+    from .compact import SupportSet
 
 ENUMERATION_GUARD = 50_000_000
 _NO_MASK = np.iinfo(np.int64).max
@@ -103,6 +109,10 @@ class _Table:
     starts: np.ndarray
     sizes: tuple[int, ...]
 
+    def __post_init__(self):
+        for array in (self.strategies, self.hits, self.segment, self.starts):
+            array.setflags(write=False)
+
     def best(self, weights: np.ndarray) -> tuple[int, float]:
         """Highest-scoring strategy of at most ``cap`` targets and its score."""
         values = self.hits @ weights
@@ -121,7 +131,7 @@ def _tables(members, attacker_cap: int | None, defender_cap: int | None,
     would exceed :data:`ENUMERATION_GUARD` cells.
     """
     components = partition_support(members) or [()]
-    unions = [_component_union(c) for c in components]
+    unions = [reduce(or_, c, 0) for c in components]
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
     caps = [cap for cap in (attacker_cap, defender_cap) if cap is not None]
     for cap in caps:
@@ -234,13 +244,6 @@ def partition_support(members) -> list[list[int]]:
                 kept.append((u, group))
         groups = kept + [(union, merged)]
     return sorted((sorted(group) for _, group in groups), key=lambda group: group[0])
-
-
-def _component_union(component) -> int:
-    u = 0
-    for m in component:
-        u |= m
-    return u
 
 
 def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:

@@ -19,9 +19,9 @@ from setgames import (
     SupportSet,
     attacker_oracle,
     build_compact_game,
-    build_support,
     compact_value,
     defender_oracle,
+    embed_attacker,
     embed_defender,
     expand_normal_form,
     induce_benefit,
@@ -78,8 +78,8 @@ class TestCriterion2DecompositionIdentity:
             spec = random_game(rng, n, n, n, sparse=bool(rng.integers(0, 2)))
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
-            attack_vertices = [game.embed_attacker(a) for a in nf.attacker_strategies]
-            defense_vertices = [game.embed_defender(d) for d in nf.defender_strategies]
+            attack_vertices = [embed_attacker(a, game.support) for a in nf.attacker_strategies]
+            defense_vertices = [embed_defender(d, game.support) for d in nf.defender_strategies]
             for i, va in enumerate(attack_vertices):
                 for j, vd in enumerate(defense_vertices):
                     got = compact_value(game, va.coords, vd.coords)
@@ -97,7 +97,7 @@ class TestCriterion3RankBound:
         for _ in range(50):
             n = int(rng.integers(3, 9))
             spec = random_game(rng, n, n, n, sparse=True)
-            support = build_support(spec)
+            support = build_compact_game(spec).support
             nf = expand_normal_form(spec)
             norm = np.linalg.norm(nf.matrix, 2)
             if norm == 0:
@@ -203,7 +203,7 @@ class TestCriterion7AdditiveDegeneration:
         for trial in range(100):
             n = int(rng.integers(2, 9))
             spec = additive_game(rng, n, n, n)
-            support = build_support(spec)
+            support = build_compact_game(spec).support
             expected = tuple(sorted({0} | {1 << i for i in range(n)}))
             assert support.members == expected, f"trial {trial}: support {support.members}"
             weights = rng.integers(-9, 10, size=support.size).astype(float)

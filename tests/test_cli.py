@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from setgames import setfunctions
+from setgames import oracles, setfunctions
 from setgames.cli import format_game_json, main, parse_game_json
 from setgames.errors import FormatError
 
@@ -204,6 +204,13 @@ class TestCommands:
         path = tmp_path / "zero.json"
         path.write_text('{"n": 2}')
         assert main(["verify", str(path)]) == 0
+
+    def test_oracle_tables_are_built_on_first_use(self, pennies_file, monkeypatch, capsys):
+        # transform builds the compact game but calls no oracle.
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 1)
+        assert main(["transform", pennies_file]) == 0
+        assert main(["solve", pennies_file]) == 2
+        assert "capacity error" in capsys.readouterr().err
 
     def test_verify_capacity(self, tmp_path, capsys):
         path = tmp_path / "big.json"

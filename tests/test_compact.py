@@ -11,7 +11,6 @@ from setgames import (
     GroundSet,
     SetFunction,
     build_compact_game,
-    build_support,
     caratheodory_decompose,
     compact_value,
     embed_attacker,
@@ -32,28 +31,28 @@ class TestBuildSupport:
         weights = {0b001: 1.0, 0b010: 2.0, 0b100: -0.5}
         entries = {m: sum(w for b, w in weights.items() if m & b) for m in range(8)}
         spec = make_spec(3, entries)
-        support = build_support(spec)
+        support = build_compact_game(spec).support
         assert support.members == (0, 1, 2, 4)
 
     def test_interaction_enters_support(self):
         spec = make_spec(2, {0b01: 1.0, 0b10: 2.0, 0b11: 5.0})
-        support = build_support(spec)
+        support = build_compact_game(spec).support
         assert support.members == (0, 1, 2, 3)
 
     def test_zero_game_keeps_floor(self):
         spec = make_spec(3, {})
-        support = build_support(spec)
+        support = build_compact_game(spec).support
         assert support.members == (0, 1, 2, 4)
 
     def test_capped_game_only_small_benefit_sets(self):
         rng = np.random.default_rng(0)
         spec = random_game(rng, 5, 2, 5, costs=False)
-        support = build_support(spec)
+        support = build_compact_game(spec).support
         assert all(m.bit_count() <= 2 for m in support.members)
         # Defender-cost coefficients stop at k like the others stop at c.
         spec = replace(random_game(rng, 6, 2, 2),
                        defender_cost=random_set_function(rng, 6, scale=0.3))
-        assert max(m.bit_count() for m in build_support(spec).members) == 2
+        assert max(m.bit_count() for m in build_compact_game(spec).support.members) == 2
 
     def test_uncapped_defender_cost_never_walks_submasks(self):
         # With k = n the superset sums take one O(n 2^n) butterfly in numpy,
@@ -83,34 +82,34 @@ class TestBuildSupport:
 
 class TestEmbeddings:
     def test_attacker_empty(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         v = embed_attacker(0, support)
         assert v.coords.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_attacker_full(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         v = embed_attacker(0b11, support)
         assert v.coords.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_attacker_single(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         v = embed_attacker(0b01, support)
         assert v.coords.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_defender_empty_is_all_ones(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         assert embed_defender(0, support).coords.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_defender_single(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         assert embed_defender(0b01, support).coords.tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_defender_full_keeps_only_empty_coord(self):
-        support = build_support(make_spec(2, {0b11: 1.0}))
+        support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         assert embed_defender(0b11, support).coords.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_cap_enforced(self):
-        support = build_support(make_spec(3, {0b1: 1.0}))
+        support = build_compact_game(make_spec(3, {0b1: 1.0})).support
         with pytest.raises(InvalidStrategyError):
             embed_attacker(0b111, support, cap=2)
 
@@ -130,8 +129,8 @@ class TestCompactValue:
                 spec = random_game(rng, n, n, n)
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
-            P = np.array([game.embed_attacker(a).coords for a in nf.attacker_strategies])
-            Q = np.array([game.embed_defender(d).coords for d in nf.defender_strategies])
+            P = np.array([embed_attacker(a, game.support).coords for a in nf.attacker_strategies])
+            Q = np.array([embed_defender(d, game.support).coords for d in nf.defender_strategies])
             assert np.allclose(compact.payoff_block(game, P, Q), nf.matrix, rtol=0, atol=1e-9)
             for i, pa in enumerate(P):
                 for j, qd in enumerate(Q):
@@ -185,33 +184,33 @@ class TestCompactValue:
 class TestVertexMapping:
     def test_roundtrip_exhaustive(self):
         spec = make_spec(4, {0b1010: 2.0, 0b0110: -1.0})
-        support = build_support(spec)
+        support = build_compact_game(spec).support
         for defense in range(16):
             v = embed_defender(defense, support)
             assert vertex_to_strategy(v) == defense
 
     def test_all_ones_is_empty_defense(self):
-        support = build_support(make_spec(3, {}))
+        support = build_compact_game(make_spec(3, {})).support
         v = embed_defender(0, support)
         assert vertex_to_strategy(v) == 0
 
     def test_zero_singletons_is_full_defense(self):
-        support = build_support(make_spec(3, {}))
+        support = build_compact_game(make_spec(3, {})).support
         v = embed_defender(0b111, support)
         assert vertex_to_strategy(v) == 0b111
 
     def test_distinct_defenses_distinct_vertices(self):
-        support = build_support(make_spec(3, {0b111: 1.0}))
+        support = build_compact_game(make_spec(3, {0b111: 1.0})).support
         seen = {tuple(embed_defender(d, support).coords) for d in range(8)}
         assert len(seen) == 8
 
     def test_rejects_attacker_vertex(self):
-        support = build_support(make_spec(2, {}))
+        support = build_compact_game(make_spec(2, {})).support
         with pytest.raises(InvalidVertexError):
             vertex_to_strategy(embed_attacker(1, support))
 
     def test_rejects_fractional_coords(self):
-        support = build_support(make_spec(2, {}))
+        support = build_compact_game(make_spec(2, {})).support
         v = embed_defender(1, support)
         bad = type(v)(support=support, coords=v.coords * 0.5, origin=1, role="defender")
         with pytest.raises(InvalidVertexError):
@@ -220,7 +219,7 @@ class TestVertexMapping:
 
 class TestCaratheodory:
     def test_vertex_decomposes_to_itself(self):
-        support = build_support(make_spec(3, {}))
+        support = build_compact_game(make_spec(3, {})).support
         vertices = [embed_defender(d, support) for d in range(8)]
         target = vertices[3].coords.astype(float)
         out = caratheodory_decompose(target, vertices)
@@ -230,7 +229,7 @@ class TestCaratheodory:
         assert vertex.origin == 3
 
     def test_midpoint(self):
-        support = build_support(make_spec(2, {}))
+        support = build_compact_game(make_spec(2, {})).support
         v1 = embed_defender(0b01, support)
         v2 = embed_defender(0b10, support)
         mid = 0.5 * (v1.coords + v2.coords)
@@ -240,7 +239,7 @@ class TestCaratheodory:
 
     def test_atom_bound(self):
         rng = np.random.default_rng(5)
-        support = build_support(make_spec(4, {}))
+        support = build_compact_game(make_spec(4, {})).support
         vertices = [embed_defender(d, support) for d in range(16)]
         weights = rng.dirichlet(np.ones(16))
         point = sum(w * v.coords for w, v in zip(weights, vertices))
@@ -250,7 +249,7 @@ class TestCaratheodory:
         assert np.allclose(rebuilt, point, atol=1e-7)
 
     def test_not_in_hull_raises_with_certificate(self):
-        support = build_support(make_spec(2, {}))
+        support = build_compact_game(make_spec(2, {})).support
         vertices = [embed_defender(d, support) for d in [0b01, 0b10]]
         outside = embed_defender(0, support).coords  # the no-defense vertex
         with pytest.raises(NotInHullError) as err:
@@ -263,7 +262,7 @@ class TestCaratheodory:
     def test_tolerance_bounds_the_l1_residual(self):
         # Off by 3e-8 in each of 5 coordinates: L-infinity 3e-8 but L1 1.5e-7,
         # over HULL_TOL, so the point is rejected; off by 1e-9 it is accepted.
-        support = build_support(make_spec(4, {}))
+        support = build_compact_game(make_spec(4, {})).support
         vertex = embed_defender(0b0101, support)
         assert support.size == 5
         with pytest.raises(NotInHullError):
@@ -297,7 +296,7 @@ class TestCaratheodory:
         # Every embedded defense is a true vertex: not decomposable over the rest.
         for n in (2, 3):
             spec = make_spec(n, {(1 << n) - 1: 1.5})
-            support = build_support(spec)
+            support = build_compact_game(spec).support
             vertices = [embed_defender(d, support) for d in range(1 << n)]
             for i, v in enumerate(vertices):
                 others = vertices[:i] + vertices[i + 1:]

@@ -139,12 +139,12 @@ class TestVerifyNE:
 
 class TestRankBound:
     def test_rank_at_most_support_size(self):
-        from setgames import build_support
+        from setgames import build_compact_game
         rng = np.random.default_rng(4)
         for _ in range(10):
             n = int(rng.integers(3, 7))
             spec = random_game(rng, n, n, n, sparse=True)
-            support = build_support(spec)
+            support = build_compact_game(spec).support
             nf = expand_normal_form(spec)
             norm = np.linalg.norm(nf.matrix, 2)
             if norm == 0:

@@ -5,20 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgames import (
+    FailureOperator,
     PseudoBooleanProblem,
     SupportSet,
+    ValueFunction,
     attacker_oracle,
+    best_response_gap,
+    build_compact_game,
     defender_oracle,
     embed_defender,
     partition_support,
     solve_compact,
+    solve_network_game,
     solve_separable,
     to_pseudo_boolean,
 )
-from setgames import oracles
+from setgames import cli, oracles
 from setgames.errors import CapacityError, InvalidInputError
 
-from conftest import random_game
+from conftest import random_game, random_graph
 
 
 def weights_for(support, mapping):
@@ -268,6 +273,30 @@ def random_supports(rng):
         yield SupportSet.from_members(n, extra)
 
 
+# One oracle-table build partitions the support once and lists the capped
+# strategies once.
+ONE_BUILD = {"partition_support": 1, "masks_up_to_size": 1}
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Calls into the two steps of an oracle-table build, counted by name."""
+    calls = dict.fromkeys(ONE_BUILD, 0)
+
+    def counted(name):
+        fn = getattr(oracles, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracles, name, counted(name))
+    return calls
+
+
 class TestPrepared:
     def test_prepared_calls_match_one_shot_calls_and_enumeration(self):
         # A one-shot table is prepared for its side alone; the shared table
@@ -339,22 +368,39 @@ class TestPrepared:
             ones, value = to_pseudo_boolean(w, cap, support).solve_bruteforce()
             assert defender_oracle(table, w) == (((1 << n) - 1) ^ ones, value)
 
-    def test_solve_prepares_once(self, monkeypatch):
-        calls = {"partition_support": 0, "masks_up_to_size": 0}
+    def test_tables_are_read_only(self):
+        game = build_compact_game(random_game(np.random.default_rng(8), 4, 2, 2))
+        assert game.oracle is game.oracle
+        for table in (game.oracle.attacks, game.oracle.defenses):
+            for array in (table.strategies, table.hits, table.segment, table.starts):
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
-        def counted(name):
-            fn = getattr(oracles, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(oracles, name, counted(name))
+    def test_solve_prepares_once(self, table_builds):
+        # The solve and the certificate of its report share the game's tables.
         spec = random_game(np.random.default_rng(8), 6, 3, 3)
-        report = solve_compact(spec)
+        game = build_compact_game(spec)
+        report = solve_compact(spec, game=game)
         assert report.converged and report.oracle_calls > 10
-        assert calls["partition_support"] <= 1
-        assert calls["masks_up_to_size"] <= 1
+        best_response_gap(spec, report, game)
+        assert table_builds == ONE_BUILD
+
+    def test_network_solve_and_certificate_prepare_once(self, table_builds):
+        net = random_graph(np.random.default_rng(3), 7)
+        report, approx = solve_network_game(net, ValueFunction(), FailureOperator(), 2, 0.1,
+                                            defender_cap=2)
+        assert report.converged
+        best_response_gap(approx.spec, report, approx.game)
+        assert table_builds == ONE_BUILD
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "{game}"],
+        ["net", "{graph}", "--c", "2", "--k", "1", "--eps-c", "0.5"],
+    ])
+    def test_cli_prepares_once(self, table_builds, tmp_path, capsys, command):
+        game, graph = tmp_path / "game.json", tmp_path / "graph.txt"
+        game.write_text(cli.format_game_json(random_game(np.random.default_rng(8), 6, 3, 3)))
+        graph.write_text("nodes 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5\n")
+        assert cli.main([arg.format(game=game, graph=graph) for arg in command]) == 0
+        assert table_builds == ONE_BUILD
+
