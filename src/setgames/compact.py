@@ -44,7 +44,7 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import solve_matrix_game
-from .oracles import PreparedOracle, prepare
+from .oracles import PreparedOracle, partition_support, prepare
 from .setfunctions import SPARSITY_SCALE, MobiusTransform, _transform, moebius
 
 HULL_TOL = 1e-7
@@ -70,6 +70,12 @@ class SupportSet:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The nonempty members grouped by :func:`~setgames.oracles.partition_support`,
+        computed on first use and then shared by the oracle tables and callers."""
+        return tuple(map(tuple, partition_support(self.members)))
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ matrix game; it is the ground truth for everything else at desk scale.
 oracle over compact coordinates. The restricted game is two strategy lists
 with their stacked coordinates P (attacks) and Q (defenses), and its payoff
 matrix is :func:`~setgames.compact.payoff_block` of the two. Each round
-solves it, then asks each side's best-response oracle whether any pure
-strategy beats the restricted optimum by more than the gap tolerance. New
-attacks add one block of rows against Q, new defenses one block of columns
-against P; since the lists only grow inside finite spaces, termination is
-guaranteed. On convergence the restricted mixtures over the two lists are
-optimal for the full game. :func:`best_response_gap` certifies a report with
-the same best-response steps.
+solves it and asks each side's oracle for a best response at the restricted
+optimum; a side whose response beats it by more than the gap tolerance asks
+again at a smoothed point (Wentges smoothing, :data:`SMOOTHING`): at most two
+queries per side and round. New attacks add one block of rows against Q,
+new defenses one block of columns against P; as the lists only grow inside
+finite spaces, the solve terminates. The stop rule reads the gaps at the
+optimum alone, so on convergence the restricted mixtures are optimal for the
+full game. :func:`best_response_gap` certifies a report with the same steps.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .lp import solve_matrix_game
 from .oracles import attacker_oracle, defender_oracle
 
 SUPPORT_GUARD = 10_000
-# At most this many oracle calls per side and round: one against the
-# opponent's mixture and, when that leaves a gap, one against each of its
-# BR_BATCH - 1 heaviest pure strategies.
-BR_BATCH = 4
+# Weight of the last round's smoothed point (round 1: none) against the round's
+# restricted optimum in its smoothed query point; 0 queries the optimum only.
+SMOOTHING = 0.5
 
 
 @dataclass(frozen=True)
@@ -82,33 +82,32 @@ def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumRepor
     )
 
 
-def _attacker_response(game, qd):
-    """Best attack against defense coordinates ``qd`` and its zero-sum payoff."""
+def _attacker_response(game, qd, current):
+    """Best attack against defense coordinates ``qd`` and its gain over payoff ``current``."""
     w = game.benefit_vec * qd - game.attacker_cost_vec
     attack, value = attacker_oracle(game.oracle, w)
-    return attack, value + float(game.defender_cost_vec @ qd)
+    return attack, value + float(game.defender_cost_vec @ qd) - current
 
 
-def _defender_response(game, pa):
-    """Best defense against attack coordinates ``pa`` and its zero-sum payoff."""
+def _defender_response(game, pa, current):
+    """Best defense against attack coordinates ``pa`` and its gain under payoff ``current``."""
     w = -(game.benefit_vec * pa + game.defender_cost_vec)
     defense, value = defender_oracle(game.oracle, w)
-    return defense, -value - float(game.attacker_cost_vec @ pa)
+    return defense, current + (value + float(game.attacker_cost_vec @ pa))
 
 
-def _responses(respond, gap_of, eps_gap, game, mix, coords, known):
-    """One side's round: respond to the opponent's mixture ``mix`` over the rows
-    of ``coords``; ``gap_of(payoff)`` is the side's gap. Only when the gap
-    exceeds ``eps_gap`` also respond to the ``BR_BATCH - 1`` heaviest rows.
-    Returns the gap, the strategies the round adds (those not in ``known``, in
-    discovery order; none for a side within tolerance), and the number of
-    oracle calls."""
-    best, payoff = respond(game, mix @ coords)
-    gap = gap_of(payoff)
+def _responses(respond, value, eps_gap, game, point, smoothed, known):
+    """One side's round: ``respond`` at ``point``, the opponent's restricted
+    optimum in compact coordinates, gives the side's gap over ``value``, which
+    alone decides the stop rule. Only when the gap exceeds ``eps_gap`` also
+    respond at the ``smoothed`` point, unless it equals ``point``. Returns the
+    gap, the strategies the round adds (those not in ``known``, in discovery
+    order; none for a side within tolerance), and the number of oracle calls."""
+    best, gap = respond(game, point, value)
     if gap <= eps_gap:
         return gap, [], 1
-    heavy = [coords[j] for j in np.argsort(-mix)[: BR_BATCH - 1] if mix[j] > 0]
-    found = [best] + [respond(game, row)[0] for row in heavy]
+    again = not np.array_equal(smoothed, point)
+    found = [best, respond(game, smoothed, value)[0]] if again else [best]
     return gap, [s for s in dict.fromkeys(found) if s not in known], len(found)
 
 
@@ -137,7 +136,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
     the same game reuses them. If ``trace`` is a list, one record per
     round is appended with the restricted value, both gaps, the strategy
-    counts, the LP's pivots, and the strategies the round adds.
+    counts, the LP's pivots, the oracle calls of both sides, and the
+    strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
@@ -176,12 +176,13 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
 
+        points = (col_mix @ Q, row_mix @ P)
+        smoothed = points if rounds == 1 else tuple(
+            SMOOTHING * c + (1 - SMOOTHING) * x for c, x in zip(smoothed, points))
         attacker_gap, new_attacks, calls_a = _responses(
-            _attacker_response, lambda payoff: payoff - value, config.eps_gap,
-            game, col_mix, Q, attacks)
+            _attacker_response, value, config.eps_gap, game, points[0], smoothed[0], attacks)
         defender_gap, new_defenses, calls_d = _responses(
-            _defender_response, lambda payoff: value - payoff, config.eps_gap,
-            game, row_mix, P, defenses)
+            _defender_response, value, config.eps_gap, game, points[1], smoothed[1], defenses)
         oracle_calls += calls_a + calls_d
 
         if trace is not None:
@@ -193,6 +194,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "attacker_vertices": len(attacks),
                 "defender_vertices": len(defenses),
                 "lp_pivots": solution.pivots,
+                "oracle_calls": calls_a + calls_d,
                 "added_attacks": sorted(new_attacks),
                 "added_defenses": sorted(new_defenses),
             })
@@ -244,6 +246,4 @@ def best_response_gap(spec: GameSpec, report: EquilibriumReport,
     pa = marginal_attacker(game.support, report.attacker.atoms)
     qd = marginal_defender(game.support, report.defender.atoms)
     current = compact_value(game, pa, qd)
-    _, attacker_best = _attacker_response(game, qd)
-    _, defender_best = _defender_response(game, pa)
-    return attacker_best - current, current - defender_best
+    return _attacker_response(game, qd, current)[1], _defender_response(game, pa, current)[1]

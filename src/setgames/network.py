@@ -32,7 +32,6 @@ from .compact import CompactGame, interaction_coefficients
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
-from .oracles import partition_support
 from .setfunctions import GroundSet, MobiusTransform, SetFunction, zeta
 
 INDUCE_GUARD = 1_000_000
@@ -243,11 +242,10 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
                            {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
     game = CompactGame.from_coefficients((kept, cost_a, cost_d), attacker_cap, spec.defender_cap)
     spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
-    components = tuple(tuple(c) for c in partition_support(game.support.members))
     return ApproxResult(
         spec=spec,
         game=game,
-        components=components,
+        components=game.support.components,
         eps_c=float(eps_c),
         error_bound=error_bound,
         dropped_terms=len(coeffs.entries) - len(kept.entries),

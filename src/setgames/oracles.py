@@ -43,7 +43,7 @@ import numpy as np
 from .bits import iter_bits, masks_up_to_size
 from .errors import CapacityError, InvalidInputError
 
-if TYPE_CHECKING:  # compact imports prepare from here
+if TYPE_CHECKING:  # compact imports prepare and partition_support from here
     from .compact import SupportSet
 
 ENUMERATION_GUARD = 50_000_000
@@ -123,14 +123,15 @@ class _Table:
         return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
 
 
-def _tables(members, attacker_cap: int | None, defender_cap: int | None,
+def _tables(members, components, attacker_cap: int | None, defender_cap: int | None,
             ) -> tuple[_Table | None, _Table | None]:
-    """Attack and defense tables over the members' components and one strategy listing.
+    """Attack and defense tables over the members' ``components`` (their
+    :func:`partition_support`) and one strategy listing.
 
     A ``None`` cap skips its side. Raises :class:`CapacityError` when a table
     would exceed :data:`ENUMERATION_GUARD` cells.
     """
-    components = partition_support(members) or [()]
+    components = components or [()]
     unions = [reduce(or_, c, 0) for c in components]
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
     caps = [cap for cap in (attacker_cap, defender_cap) if cap is not None]
@@ -190,10 +191,13 @@ def prepare(support: SupportSet, attacker_cap: int | None,
             defender_cap: int | None) -> PreparedOracle:
     """Build the oracle tables that depend only on the support and the caps.
 
-    Passing ``None`` for a cap skips that side. Raises :class:`CapacityError`
-    when a side's table would exceed :data:`ENUMERATION_GUARD` cells.
+    The tables split over the support's own partition,
+    :attr:`~setgames.compact.SupportSet.components`. Passing ``None`` for a
+    cap skips that side. Raises :class:`CapacityError` when a side's table
+    would exceed :data:`ENUMERATION_GUARD` cells.
     """
-    return PreparedOracle(*_tables(support.members, attacker_cap, defender_cap))
+    return PreparedOracle(*_tables(support.members, support.components, attacker_cap,
+                                   defender_cap))
 
 
 def _checked(weights, size: int) -> np.ndarray:
@@ -280,6 +284,7 @@ def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
     defended-count budget ``n - min_ones``. Returns the ones mask and the
     optimal value.
     """
-    _, defenses = _tables([m for m, _ in problem.terms], None, problem.n - problem.min_ones)
+    members = [m for m, _ in problem.terms]
+    _, defenses = _tables(members, partition_support(members), None, problem.n - problem.min_ones)
     defended, value = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
     return ((1 << problem.n) - 1) ^ defended, value

@@ -12,6 +12,7 @@ from setgames import (
     solve_compact,
     verify_ne_equivalence,
 )
+from setgames import equilibrium
 from setgames.equilibrium import _check_atom_bound
 from setgames.errors import SolverFailureError
 from conftest import additive_game, random_game
@@ -172,3 +173,42 @@ class TestCompactSolver:
                 defenses += rec["added_defenses"]
             assert len(set(attacks)) == len(attacks)
             assert len(set(defenses)) == len(defenses)
+
+    def test_trace_counts_oracle_calls(self):
+        # One query per side at the restricted optimum; a side with a gap adds
+        # at most one smoothed query, and round 1 has no smoothed point yet.
+        rng = np.random.default_rng(9)
+        eps = SolverConfig().eps_gap
+        for c, k in [(5, 5), (3, 2), (2, 3), (3, 3)]:
+            trace = []
+            report = solve_compact(random_game(rng, 6, c, k), trace=trace)
+            assert report.converged and len(trace) > 2
+            calls = [rec["oracle_calls"] for rec in trace]
+            assert sum(calls) == report.oracle_calls
+            assert calls[0] == 2
+            for rec in trace[1:]:
+                gaps = (rec["attacker_gap"] > eps) + (rec["defender_gap"] > eps)
+                assert 2 <= rec["oracle_calls"] <= 2 + gaps <= 4
+            assert trace[-1]["attacker_gap"] <= eps and trace[-1]["defender_gap"] <= eps
+            assert calls[-1] == 2
+
+    def test_smoothing_cuts_rounds(self, monkeypatch):
+        # SMOOTHING = 0 queries the restricted optimum only: the solves still
+        # converge and certify, but take more rounds than at the default.
+        eps = SolverConfig().eps_gap
+
+        def total_rounds():
+            rng = np.random.default_rng(0)
+            rounds = 0
+            for _ in range(8):
+                spec = random_game(rng, 7, 3, 3)
+                game = build_compact_game(spec)
+                report = solve_compact(spec, game=game)
+                assert report.converged
+                assert max(best_response_gap(spec, report, game)) <= eps
+                rounds += report.iterations
+            return rounds
+
+        smoothed = total_rounds()
+        monkeypatch.setattr(equilibrium, "SMOOTHING", 0.0)
+        assert total_rounds() > smoothed

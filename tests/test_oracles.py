@@ -1,5 +1,7 @@
 """Oracles: hand examples, exhaustive references, pseudo-boolean equivalence, preparation."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,20 +282,29 @@ ONE_BUILD = {"partition_support": 1, "masks_up_to_size": 1}
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Calls into the two steps of an oracle-table build, counted by name."""
+    """Calls into the two steps of an oracle-table build, counted by name.
+
+    The partition is counted in every setgames module that binds it, so a
+    caller that partitions the same support again (as ``setgames net`` once
+    did for the components it prints) counts too; the listing only in the
+    oracles, since the transforms list masks for other work."""
     calls = dict.fromkeys(ONE_BUILD, 0)
 
-    def counted(name):
-        fn = getattr(oracles, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(oracles, name, counted(name))
+    partition = oracles.partition_support
+    wrapper = counted("partition_support", partition)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "setgames" and \
+                getattr(module, "partition_support", None) is partition:
+            monkeypatch.setattr(module, "partition_support", wrapper)
+    monkeypatch.setattr(oracles, "masks_up_to_size",
+                        counted("masks_up_to_size", oracles.masks_up_to_size))
     return calls
 
 
