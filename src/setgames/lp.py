@@ -19,15 +19,20 @@ row and its rhs in the last column, row m holds the reduced costs and minus
 the current objective value. Entering variable by Dantzig's rule (most
 negative reduced cost, first index on ties); after a run of degenerate pivots
 the rule switches to Bland's, which cannot cycle. Leaving row by the
-minimum-ratio test, ties broken toward the smallest basis index.
+minimum-ratio test, ties broken toward the smallest basis index. A pivot
+costs one rank-1 update of T; on the small restricted games of a double
+oracle its price is a handful of numpy calls, not arithmetic.
 
 A float solve may start from the :class:`Basis` of an earlier solve of a
 leading block of M, as constraint generation does each round. It keeps that
 shift if every entry stays at least 1 (else it starts cold), rebuilds the
 tableau from the basis plus the new rows' slacks with one linear solve, and
 lets a dual simplex repair the rows left infeasible before the primal simplex
-prices the new columns. Should the dual simplex get stuck on round-off, the
-solve starts over from the slack basis.
+prices the new columns. Should that basis be singular, or the dual simplex
+get stuck on round-off, the solve starts over from the slack basis. Every
+warm start refactors M: extending the last round's final tableau instead let
+a 2.7e-9 pivot in a degenerate 3x4 round leave errors of 2e-3 in it, and 6
+of 12 net-small operations then failed certification.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -106,13 +111,10 @@ def _result(a):
 
 
 def _pivot(T, row, col):
-    num = Fraction if T.dtype == object else float
-    T[row] = T[row] / T[row, col]
-    colv = T[:, col].copy()
-    colv[row] = num(0)
-    T -= np.outer(colv, T[row])
-    T[:, col] = num(0)
-    T[row, col] = num(1)
+    """One rank-1 update; ``x - x*1`` is exactly 0, so column col comes out a unit vector."""
+    pr = T[row] / T[row, col]
+    T -= np.multiply.outer(T[:, col], pr)
+    T[row] = pr
 
 
 def _simplex(T, basis):
@@ -123,32 +125,33 @@ def _simplex(T, basis):
     """
     m, ncols = T.shape[0] - 1, T.shape[1] - 1
     feasibility, optimality = (0, 0) if T.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
-    bland = False
-    degenerate_run = 0
+    rc, rhs = T[m, :ncols], T[:m, -1]  # views: every pivot writes T in place
+    bland, degenerate_run = False, 0
     max_iter = 50 * (m + ncols) + 1000
     for pivots in range(max_iter):
-        rc = T[m, :ncols]
         if bland:
-            neg = np.nonzero(rc < -optimality)[0]
+            neg = (rc < -optimality).nonzero()[0]
             if neg.size == 0:
                 return pivots
-            col = int(neg[0])
+            col = neg[0]
         else:
-            col = int(np.argmin(rc))
+            col = rc.argmin()
             if rc[col] >= -optimality:
                 return pivots
         colvals = T[:m, col]
-        rows = np.nonzero(colvals > feasibility)[0]
+        rows = (colvals > feasibility).nonzero()[0]
         if rows.size == 0:
             raise SolverFailureError(
                 "simplex found no leaving row in matrix game",
-                diagnostics={"column": col, "objective": float(-T[m, -1]), "bland": bland},
+                diagnostics={"column": int(col), "objective": float(-T[m, -1]), "bland": bland},
             )
-        ratios = T[rows, -1] / colvals[rows]
-        best = ratios.min()
-        near = rows[ratios <= best + feasibility * (1 + abs(best))]
-        row = int(min(near, key=lambda r: basis[r]))
-        if T[row, -1] <= feasibility:
+        row = rows[0]
+        if rows.size > 1:
+            ratios = rhs[rows] / colvals[rows]
+            best = ratios.min()
+            near = rows[ratios <= best + feasibility * (1 + abs(best))]
+            row = near[basis[near].argmin()]
+        if rhs[row] <= feasibility:
             degenerate_run += 1
             if degenerate_run > 20 + 2 * m:
                 bland = True
@@ -166,21 +169,23 @@ def _dual_simplex(T, basis):
     """Pivot a float T to a feasible rhs; returns the pivot count. Only columns
     of feasible reduced cost enter, the largest pivot among near ties."""
     m = T.shape[0] - 1
+    rc, rhs = T[m, :-1], T[:m, -1]
     for pivots in range(50 * T.shape[1] + 1000):
-        row = int(np.argmin(T[:m, -1]))
-        if T[row, -1] >= -FEASIBILITY_TOL:
+        row = rhs.argmin()
+        if rhs[row] >= -FEASIBILITY_TOL:
             return pivots
-        rc, a = T[m, :-1], T[row, :-1]
-        cols = np.nonzero((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL))[0]
+        a = T[row, :-1]
+        cols = ((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL)).nonzero()[0]
         if cols.size == 0:
             break
         ratios = np.maximum(rc[cols], 0) / -a[cols]
         best = ratios.min()
         near = cols[ratios <= best + FEASIBILITY_TOL * (1 + abs(best))]
-        col = int(near[np.argmin(a[near])])
+        col = near[a[near].argmin()]
         _pivot(T, row, col)
         basis[row] = col
-    raise SolverFailureError("dual simplex stalled", diagnostics={"pivots": pivots, "row": row})
+    raise SolverFailureError("dual simplex stalled",
+                             diagnostics={"pivots": pivots, "row": int(row)})
 
 
 def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
@@ -198,9 +203,11 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
     num = Fraction if exact else float
     matrix = _array(matrix, num)
     m, n = matrix.shape
-    if start is not None and (exact or len(start.members) > m
-                              or any(j >= n or ~j >= m for j in start.members)):
-        raise InvalidInputError("a start basis is float-only and must index inside the matrix")
+    if start is not None:
+        members = np.array(start.members, dtype=np.intp)
+        if (exact or members.size > m or len(set(start.members)) < members.size
+                or ((members < -m) | (members >= n)).any()):
+            raise InvalidInputError("start basis: float only, no repeats, inside the matrix")
     warm = start is not None and start.shift >= 1 - float(matrix.min())
     shift = start.shift if warm else 1 - num(matrix.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
@@ -209,25 +216,25 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
     T[:m, n:-1] = _array(np.eye(m), num)
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     pivots = 0
     if warm:  # rebuild T from the start basis; its new rows keep their slacks
-        basis[:len(start.members)] = [j if j >= 0 else n + ~j for j in start.members]
-        T[:m] = np.linalg.solve(T[:m, basis], T[:m])
-        T[m] -= T[m, basis] @ T[:m]
+        basis[:members.size] = np.where(members >= 0, members, n + ~members)
         try:
+            T[:m] = np.linalg.solve(T[:m, basis], T[:m])
+            T[m] -= T[m, basis] @ T[:m]
             pivots = _dual_simplex(T, basis)
-        except SolverFailureError:  # stuck on round-off: start over cold
+        except (np.linalg.LinAlgError, SolverFailureError):  # singular or stuck: start cold
             return solve_matrix_game(game)
     pivots += _simplex(T, basis)
     z = _array(np.zeros(n), num)
-    for i, b in enumerate(basis):
-        if b < n:
-            z[b] = T[i, -1]
+    structural = basis < n
+    z[basis[structural]] = T[:m, -1][structural]
     total = num(z.sum())
     if total <= 0:  # pragma: no cover - impossible for a positive matrix
         raise SolverFailureError("matrix-game LP returned a zero mixture")
     # Slack reduced costs are the dual; a float one may sit just below 0.
     w = T[m, n:-1] if exact else np.maximum(T[m, n:-1], 0.0)
     return GameSolution(1 / total - shift, _result(w / num(w.sum())), _result(z / total),
-                        Basis(tuple(b if b < n else ~(b - n) for b in basis), shift), pivots)
+                        Basis(tuple(np.where(structural, basis, n + ~basis).tolist()), shift),
+                        pivots)

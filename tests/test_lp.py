@@ -161,6 +161,22 @@ class TestMatrixGames:
         with pytest.raises(CapacityError):
             MatrixGame(np.zeros((4000, 3000)))
 
+    def test_pivot_path_is_pinned(self):
+        # The cold path runs no BLAS, so these counts and the final basis
+        # hold on every platform.
+        data = json.loads(NET_WIDE_GAME.read_text())
+        m = np.array(data["matrix"], dtype=float)
+        sol = solve_matrix_game(m)
+        assert sol.pivots == 66
+        assert sol.basis.members == (
+            -1, 18, 27, 22, -21, 51, -7, -8, 44, 47, 42, 20, 45, -27, -15, 32, -25, 46, -19,
+            16, 39, -13, 53, 29, 54, 14, 50, -3, 37, -6, 57, -32, -11, -17, 52, 28, 24, -39, 40)
+        assert sol.value == pytest.approx(data["value"], rel=1e-12)
+        exact = solve_matrix_game([[int(v) for v in row] for row in m[:12, :16]], exact=True)
+        assert exact.pivots == 19
+        assert exact.value == Fraction(391847654165169451, 2574149836328142)
+        assert exact.basis.members == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_raises_when_no_row_can_leave(self, exact):
         # maximize z subject to -z + s = 1: z enters and nothing bounds it.
@@ -168,6 +184,55 @@ class TestMatrixGames:
         T = lp._array([[-1, 1, 1], [-1, 0, 0]], num)
         with pytest.raises(SolverFailureError):
             lp._simplex(T, [1])
+
+
+class TestTieRules:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pivot_leaves_an_exact_unit_column(self, exact):
+        num = Fraction if exact else float
+        ints = np.random.default_rng(3).integers(-9, 10, size=(5, 7))
+        ints[2, 4] = 3
+        T = lp._array(ints.tolist(), num) / 7
+        before = T.copy()
+        lp._pivot(T, 2, 4)
+        unit = lp._array(np.eye(5)[:, 2], num)
+        assert np.array_equal(T[:, 4], unit)
+        expected = before - np.outer(before[:, 4], before[2] / before[2, 4])
+        expected[2] = before[2] / before[2, 4]
+        if exact:
+            assert T.tolist() == expected.tolist()
+        else:
+            assert np.allclose(T, expected, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_simplex_ratio_tie_leaves_the_smallest_basis_index(self, exact):
+        # Column 0 enters; rows 0 and 1 tie at ratio 1, and row 1 holds the
+        # smaller basis index, so it leaves although row 0 comes first.
+        num = Fraction if exact else float
+        T = lp._array([[1, 0, 1, 1], [1, 1, 0, 1], [-1, 0, 0, 0]], num)
+        basis = np.array([2, 1])
+        assert lp._simplex(T, basis) == 1
+        assert basis.tolist() == [2, 0]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_simplex_near_tie_is_a_tie_only_in_floats(self, exact):
+        # Row 1's ratio exceeds row 0's by 1e-12: a near tie under the float
+        # tolerance, so the smaller basis index (row 1) leaves; a Fraction
+        # tableau ties only on equality, so row 0 leaves.
+        num = Fraction if exact else float
+        T = lp._array([[1, 0, 1, 1], [1, 1, 0, 1 + 1e-12], [-1, 0, 0, 0]], num)
+        basis = np.array([2, 1])
+        lp._simplex(T, basis)
+        assert basis.tolist() == ([0, 1] if exact else [2, 0])
+
+    def test_dual_simplex_near_tie_enters_the_most_negative_pivot(self):
+        # Row 0 is infeasible; columns 0 and 1 tie at ratio 1, and column 1
+        # has the more negative entry, so it enters although column 0 comes first.
+        T = lp._array([[-1, -2, 1, -1], [1, 2, 0, 0]], float)
+        basis = np.array([2])
+        assert lp._dual_simplex(T, basis) == 1
+        assert basis.tolist() == [1]
+        assert T[0, -1] == 0.5
 
 
 def _growth(kind):
@@ -232,6 +297,25 @@ class TestWarmStart:
         for members in [(2,), (~2,), (0, 1, ~0)]:
             with pytest.raises(InvalidInputError):
                 solve_matrix_game(np.array(m, dtype=float), start=lp.Basis(members, 1.0))
+
+    def test_rejects_repeated_members(self):
+        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for members in [(0, 0), (~1, ~1)]:
+            with pytest.raises(InvalidInputError):
+                solve_matrix_game(m, start=lp.Basis(members, 2.0))
+
+    @pytest.mark.parametrize("matrix, members", [
+        ([[1.0, 1.0], [1.0, 1.0]], (0, 1)),  # equal columns
+        ([[1.0, 1.0], [1.0, 2.0]], (~1,)),  # row 1 keeps its slack, which also takes row 0's place
+    ])
+    def test_singular_start_starts_over_from_the_slack_basis(self, matrix, members):
+        m = np.array(matrix)
+        warm = solve_matrix_game(m, start=lp.Basis(members, 0.0))
+        cold = solve_matrix_game(m)
+        assert warm.value == cold.value and warm.pivots == cold.pivots
+        assert np.array_equal(warm.row_strategy, cold.row_strategy)
+        assert np.array_equal(warm.col_strategy, cold.col_strategy)
+        assert warm.basis == cold.basis
 
     def test_dual_simplex_raises_when_no_column_can_enter(self):
         # x + s = -1 has no solution with x, s >= 0, so no column can enter.
