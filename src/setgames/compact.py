@@ -105,9 +105,10 @@ class CompactGame:
         """Assemble the game from the maps of :func:`interaction_coefficients`."""
         masks = set().union(*(c.entries for c in coefficients))
         support = SupportSet.from_members(coefficients[0].ground.n, masks)
-        b, ca, cd = (np.array([float(c.value(m)) for m in support.members])
-                     for c in coefficients)
-        return cls(support, b, ca, cd, attacker_cap, defender_cap)
+        vectors = [np.zeros(support.size) for _ in coefficients]
+        for vec, c in zip(vectors, coefficients):  # one binary search per map
+            vec[np.searchsorted(support.member_array, list(c.entries))] = list(c.entries.values())
+        return cls(support, *vectors, attacker_cap, defender_cap)
 
     @cached_property
     def oracle(self) -> PreparedOracle:
@@ -121,10 +122,13 @@ def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[Mo
     :class:`MobiusTransform` maps. Sums below the transform cutoff are dropped."""
     b = moebius(spec.benefit, max_size=spec.attacker_cap, exact=exact)
     ca = moebius(spec.attacker_cost, max_size=spec.attacker_cap, exact=exact)
-    m = moebius(spec.defender_cost, max_size=spec.defender_cap, exact=exact)
-    tol = None if exact else SPARSITY_SCALE * spec.defender_cost.max_abs()
-    sums = _transform(spec.ground, m.entries, 0, cap=spec.defender_cap, signed=False,
-                      exact=exact, drop_tol=tol, superset=True)
+    cost, k = spec.defender_cost, spec.defender_cap
+    tol = None if exact else SPARSITY_SCALE * cost.max_abs()
+    # moebius(cost, max_size=k).entries, without checking the sums as a MobiusTransform
+    m = _transform(spec.ground, cost.entries, cost.default, cap=k, signed=True, exact=exact,
+                   drop_tol=tol)
+    sums = _transform(spec.ground, m, 0, cap=k, signed=False, exact=exact, drop_tol=tol,
+                      superset=True)
     cd = {u: -s if u.bit_count() % 2 else s for u, s in sums.items()}
     return b, ca, MobiusTransform(spec.ground, cd)
 

@@ -14,12 +14,12 @@ components, the groups of members whose target unions are disjoint
 targets inside that component score there. Only the weights change between
 calls, so ``prepare(support, attacker_cap, defender_cap)`` builds one
 read-only table per side; a game's ``CompactGame.oracle`` builds them once,
-on first use, for a solve and the certificate of its report. The table
-lists every strategy of at most ``min(cap, width)`` targets inside each
-component, grouped by (component, count) and ascending within a group, with
-its incidence against the support members; the empty member counts in the
-first component's rows.
-On a one-component support the table is plain enumeration of the capped
+on first use, for a solve and the certificate of its report. A table lists
+every strategy of at most ``min(cap, width)`` targets inside each component,
+grouped by (component, count) and ascending within a group, with its
+incidence against the support members (the empty member counts in the first
+component's rows). It is built by array operations from a listing cached per
+(width, cap). A one-component table is plain enumeration of the capped
 strategies; on an all-singleton support it picks the best single targets.
 
 A call, ``attacker_oracle(prepared, weights)`` or
@@ -33,7 +33,7 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import or_
 from typing import TYPE_CHECKING
@@ -123,10 +123,21 @@ class _Table:
         return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
 
 
+@lru_cache(maxsize=32)
+def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of at most ``cap`` of ``width`` bits, by count and ascending
+    within a count, and their counts; built once per (width, cap), read-only."""
+    listing = sorted(masks_up_to_size(width, cap), key=int.bit_count)
+    arrays = np.array([listing, list(map(int.bit_count, listing))], dtype=np.int64)
+    arrays.flags.writeable = False
+    return arrays[0], arrays[1]
+
+
 def _tables(members, components, attacker_cap: int | None, defender_cap: int | None,
             ) -> tuple[_Table | None, _Table | None]:
     """Attack and defense tables over the members' ``components`` (their
-    :func:`partition_support`) and one strategy listing.
+    :func:`partition_support`) from the cached strategy listing of each cap.
+    Sides whose caps list the same rows share them and their meet with the members.
 
     A ``None`` cap skips its side. Raises :class:`CapacityError` when a table
     would exceed :data:`ENUMERATION_GUARD` cells.
@@ -141,37 +152,37 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
             raise CapacityError(f"oracle table of {rows}x{len(members)} exceeds the guard")
     if not caps:
         return None, None
-    # One listing over the widest component's bits, by count and ascending
-    # within a count. Each component takes the listed masks within its width,
-    # in listing order, and maps local bit i onto its i-th target.
     widest = int(widths.max())
-    listing = masks_up_to_size(widest, max(caps))
-    listing.sort(key=int.bit_count)
-    local = np.array(listing, dtype=np.int64)
-    comp, pos = np.nonzero(local[None, :] < (1 << widths)[:, None])
-    count = np.array([m.bit_count() for m in listing], dtype=np.int64)[pos]
     targets = np.zeros((len(unions), widest), dtype=np.int64)
     for c, union in enumerate(unions):
         targets[c, :widths[c]] = list(iter_bits(union))
-    strategies = (((local[pos, None] >> np.arange(widest)) & 1) << targets[comp]).sum(axis=1)
-    owner = {m: c for c, group in enumerate(components) for m in group}
-    owner[0] = 0
-    column = np.array([owner[m] for m in members])
     masks = np.asarray(members, dtype=np.int64)
+    # A member's component is the one whose union it meets (0 for the empty member).
+    column = np.argmax(masks & np.array(unions)[:, None] != 0, axis=0) if len(unions) > 1 else None
+
+    def listed(cap):
+        # Each component takes the masks of the listing over the widest component's
+        # bits that fit its width, in order, and maps local bit i onto its i-th target.
+        local, count = _listing(widest, cap)
+        comp, pos = np.nonzero(local < (1 << widths)[:, None])
+        strategies = (((local[pos, None] >> np.arange(widest)) & 1) << targets[comp]).sum(axis=1)
+        sizes = np.minimum(widths, cap) + 1
+        segment = (np.cumsum(sizes) - sizes)[comp] + count[pos]
+        fields = dict(strategies=strategies, segment=segment, sizes=tuple(sizes.tolist()),
+                      starts=np.flatnonzero(np.diff(segment, prepend=-1)))
+        own = None if column is None else column == comp[:, None]
+        return fields, strategies[:, None] & masks, own
+
+    shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}
 
     def table(cap, defender):
         if cap is None:
             return None
-        keep = count <= cap
-        rows, row_comp = strategies[keep], comp[keep]
-        meet = rows[:, None] & masks[None, :]
-        hits = (meet == 0) if defender else (meet == masks[None, :])
-        hits &= column[None, :] == row_comp[:, None]
-        sizes = np.minimum(widths, cap) + 1
-        segment = (np.cumsum(sizes) - sizes)[row_comp] + count[keep]
-        return _Table(cap=cap, strategies=rows, hits=hits.astype(float), segment=segment,
-                      starts=np.flatnonzero(np.diff(segment, prepend=-1)),
-                      sizes=tuple(sizes.tolist()))
+        fields, meet, own = shared[min(cap, widest)]
+        hits = (meet == 0) if defender else (meet == masks)
+        if own is not None:
+            hits &= own
+        return _Table(cap=cap, hits=hits.astype(float), **fields)
 
     return table(attacker_cap, False), table(defender_cap, True)
 

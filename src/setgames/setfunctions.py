@@ -19,12 +19,17 @@ exact when trimmed to them (Bjorklund, Husfeldt, Kaski and Koivisto,
 "Trimmed Moebius inversion and graphs of bounded degree", STACS 2008). With
 cap >= n the pass runs in place over an array of all 2^n values in
 O(n 2^n); otherwise over the ascending masks up to the cap, pairing each
-mask with the same mask minus one target.
+mask with the same mask minus one target. The rest is array code too:
+entries are validated by key type, smallest and largest key and one float
+array, the table is filled by a binary search of the keys into the masks,
+and sums are read out with ``tolist()``. Exact mode runs the same steps on
+an object array, so its Fraction arithmetic still goes mask by mask.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +51,28 @@ SPARSITY_SCALE = 1e-12
 def _check_finite(value) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise InvalidInputError(f"non-finite value {value!r} in set function")
+
+
+def _checked_entries(ground: GroundSet, entries: dict) -> dict:
+    """``entries`` as they are if one array check passes (int keys, smallest and
+    largest in range, finite as floats). Else keys are normalized with
+    :func:`operator.index` and the first bad key or non-finite float raises."""
+    try:
+        values = np.fromiter(entries.values(), float, len(entries))
+        if not entries or set(map(type, entries)) == {int} and 0 <= min(entries) and \
+                max(entries) < ground.size and np.isfinite(values).all():
+            return entries
+    except (TypeError, ValueError, OverflowError):  # values that do not read as floats
+        pass
+    checked = {}
+    for key, value in entries.items():
+        if isinstance(key, bool) or not hasattr(type(key), "__index__"):
+            raise InvalidInputError(f"mask {key!r} is not an integer")
+        mask = operator.index(key)
+        ground.check_mask(mask)
+        _check_finite(value)
+        checked[mask] = value
+    return checked
 
 
 @dataclass(frozen=True)
@@ -88,9 +115,7 @@ class SetFunction:
 
     def __post_init__(self):
         _check_finite(self.default)
-        for mask, value in self.entries.items():
-            self.ground.check_mask(mask)
-            _check_finite(value)
+        object.__setattr__(self, "entries", _checked_entries(self.ground, self.entries))
 
     def value(self, mask: int):
         return self.entries.get(mask, self.default)
@@ -99,10 +124,7 @@ class SetFunction:
 
     def max_abs(self) -> float:
         """Largest absolute value among stored entries and the default."""
-        scale = abs(self.default)
-        for v in self.entries.values():
-            scale = max(scale, abs(v))
-        return scale
+        return max(map(abs, [self.default, *self.entries.values()]))
 
     def to_dense(self) -> np.ndarray:
         """Values on all 2^n subsets as a float array indexed by mask."""
@@ -117,9 +139,7 @@ class MobiusTransform:
     entries: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for mask, value in self.entries.items():
-            self.ground.check_mask(mask)
-            _check_finite(value)
+        object.__setattr__(self, "entries", _checked_entries(self.ground, self.entries))
 
     def value(self, mask: int):
         return self.entries.get(mask, 0)
@@ -127,15 +147,23 @@ class MobiusTransform:
     __call__ = value
 
 
-def _dense(ground: GroundSet, values: dict, default, exact: bool) -> np.ndarray:
-    """All 2^n values as a float64 array, or an object array of Fractions."""
-    if ground.n > MAX_DENSE:
+def _dense(ground: GroundSet, values: dict, default, exact: bool,
+           masks: np.ndarray | None = None) -> np.ndarray:
+    """The function at the ascending ``masks``, or at all 2^n masks when None,
+    with unstored masks reading ``default``, as float64 or (exact) Fractions.
+    A binary search places the stored keys; keys above the cap drop out."""
+    if masks is None and ground.n > MAX_DENSE:
         raise CapacityError(f"dense table for n={ground.n} exceeds the limit of {MAX_DENSE}")
-    cast = Fraction if exact else float
-    dense = np.full(ground.size, cast(default), dtype=object if exact else float)
-    for mask, v in values.items():
-        dense[mask] = cast(v)
-    return dense
+    cast, dtype = (Fraction, object) if exact else (float, float)
+    table = np.full(ground.size if masks is None else len(masks), cast(default), dtype=dtype)
+    at = np.fromiter(values, np.int64, len(values))
+    fill = np.fromiter(map(cast, values.values()), dtype, len(values))
+    if masks is not None:
+        slot = np.searchsorted(masks, at)
+        found = masks.take(slot, mode="clip") == at
+        at, fill = slot[found], fill[found]
+    table[at] = fill
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -180,9 +208,7 @@ def _transform(ground: GroundSet, values: dict, default, *, cap: int | None, sig
             combine(hi, lo, out=hi)
     else:
         masks, pairs = _capped_layout(n, cap)
-        cast = Fraction if exact else float
-        table = np.array([cast(values.get(m, default)) for m in masks.tolist()],
-                         dtype=object if exact else float)
+        table = _dense(ground, values, default, exact, masks)
         for hi, lo in pairs:
             if superset:
                 hi, lo = lo, hi
@@ -190,8 +216,7 @@ def _transform(ground: GroundSet, values: dict, default, *, cap: int | None, sig
     if not exact and not np.all(np.isfinite(table)):
         raise InvalidInputError("non-finite value in set function")
     kept = np.flatnonzero(np.abs(table) >= drop_tol if drop_tol else table != 0)
-    return {int(m): v if exact else float(v)
-            for m, v in zip(kept if masks is None else masks[kept], table[kept])}
+    return dict(zip((kept if masks is None else masks[kept]).tolist(), table[kept].tolist()))
 
 
 def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | None = None,

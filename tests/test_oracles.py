@@ -275,9 +275,10 @@ def random_supports(rng):
         yield SupportSet.from_members(n, extra)
 
 
-# One oracle-table build partitions the support once and lists the capped
-# strategies once.
-ONE_BUILD = {"partition_support": 1, "masks_up_to_size": 1}
+# One oracle-table build partitions the support once and builds both sides'
+# tables in one call. (The strategy listing is cached per width and cap, so
+# calls into it do not count builds.)
+ONE_BUILD = {"partition_support": 1, "_tables": 1}
 
 
 @pytest.fixture
@@ -286,8 +287,8 @@ def table_builds(monkeypatch):
 
     The partition is counted in every setgames module that binds it, so a
     caller that partitions the same support again (as ``setgames net`` once
-    did for the components it prints) counts too; the listing only in the
-    oracles, since the transforms list masks for other work."""
+    did for the components it prints) counts too; the table build in the
+    oracles, its only caller."""
     calls = dict.fromkeys(ONE_BUILD, 0)
 
     def counted(name, fn):
@@ -303,8 +304,7 @@ def table_builds(monkeypatch):
         if name.partition(".")[0] == "setgames" and \
                 getattr(module, "partition_support", None) is partition:
             monkeypatch.setattr(module, "partition_support", wrapper)
-    monkeypatch.setattr(oracles, "masks_up_to_size",
-                        counted("masks_up_to_size", oracles.masks_up_to_size))
+    monkeypatch.setattr(oracles, "_tables", counted("_tables", oracles._tables))
     return calls
 
 
@@ -386,6 +386,26 @@ class TestPrepared:
             for array in (table.strategies, table.hits, table.segment, table.starts):
                 with pytest.raises(ValueError):
                     array[0] = 1
+
+    def test_cold_and_warm_listing_give_equal_tables_and_reports(self):
+        # The strategy listing is cached per (width, cap): a build that fills
+        # the cache and one that reads it must agree in every table and report.
+        spec = random_game(np.random.default_rng(8), 6, 3, 2)
+        oracles._listing.cache_clear()
+        cold, warm = build_compact_game(spec), build_compact_game(spec)
+        cold_tables = (cold.oracle.attacks, cold.oracle.defenses)
+        assert oracles._listing.cache_info().misses == 2
+        for got, want in zip((warm.oracle.attacks, warm.oracle.defenses), cold_tables):
+            assert (got.cap, got.sizes) == (want.cap, want.sizes)
+            for name in ("strategies", "hits", "segment", "starts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert oracles._listing.cache_info().hits == 2
+        assert solve_compact(spec, game=warm) == solve_compact(spec, game=cold)
+        local, count = oracles._listing(6, 3)
+        with pytest.raises(ValueError):
+            local[0] = 1
+        with pytest.raises(ValueError):
+            count[0] = 1
 
     def test_solve_prepares_once(self, table_builds):
         # The solve and the certificate of its report share the game's tables.

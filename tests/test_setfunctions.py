@@ -62,6 +62,48 @@ class TestMoebius:
             moebius(f)
 
 
+class TestMaskKeys:
+    """Entry keys must be integral masks of the ground set, for a stored
+    function and for stored coefficients alike."""
+
+    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    def test_bool_key_is_rejected(self, cls):
+        # numpy reads table[True] = v as a write to the whole table.
+        with pytest.raises(InvalidInputError, match="True"):
+            cls(GroundSet(3), {True: 2.0})
+        with pytest.raises(InvalidInputError):
+            cls(GroundSet(3), {np.True_: 2.0})
+
+    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    def test_fractional_key_is_rejected(self, cls):
+        # Once dropped by the capped transform and an IndexError on the full one.
+        with pytest.raises(InvalidInputError, match="1.5"):
+            cls(GroundSet(3), {1: 1.0, 1.5: 2.0})
+
+    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    def test_string_key_is_rejected(self, cls):
+        with pytest.raises(InvalidInputError, match="'1'"):
+            cls(GroundSet(3), {"1": 2.0})
+
+    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    def test_out_of_range_key_is_named(self, cls):
+        with pytest.raises(InvalidInputError, match="mask 8 out of range"):
+            cls(GroundSet(3), {1: 1.0, np.int64(8): 2.0})
+        with pytest.raises(InvalidInputError, match="mask -1"):
+            cls(GroundSet(3), {-1: 2.0})
+
+    def test_numpy_int_keys_are_stored_as_int(self):
+        g = GroundSet(3)
+        f = SetFunction(g, {np.int64(1): 2.0, np.uint8(3): 5.0, 4: 1.0})
+        assert list(f.entries) == [1, 3, 4]
+        assert all(type(m) is int for m in f.entries)
+        plain = SetFunction(g, {1: 2.0, 3: 5.0, 4: 1.0})
+        for cap in (1, 3):
+            assert moebius(f, max_size=cap) == moebius(plain, max_size=cap)
+        coeffs = MobiusTransform(g, {np.int32(2): 1.0})
+        assert list(coeffs.entries) == [2] and type(next(iter(coeffs.entries))) is int
+
+
 class TestZeta:
     def test_inverse_of_hand_example(self):
         g = GroundSet(2)
