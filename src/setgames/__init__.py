@@ -19,21 +19,17 @@ from .setfunctions import (
 from .games import (
     GameSpec,
     MixedStrategy,
-    NormalForm,
-    PurePayoff,
     expand_normal_form,
     pure_payoff,
     verify_ne_equivalence,
 )
 from .compact import (
     CompactGame,
-    CompactVertex,
     SupportSet,
     build_compact_game,
     caratheodory_decompose,
     compact_value,
-    embed_attacker,
-    embed_defender,
+    coordinates,
     marginal_attacker,
     marginal_defender,
     vertex_to_strategy,
@@ -69,7 +65,6 @@ from . import errors
 __all__ = [
     "ApproxResult",
     "CompactGame",
-    "CompactVertex",
     "EquilibriumReport",
     "FailureOperator",
     "GameSolution",
@@ -79,9 +74,7 @@ __all__ = [
     "MixedStrategy",
     "MobiusTransform",
     "Network",
-    "NormalForm",
     "PseudoBooleanProblem",
-    "PurePayoff",
     "SetFunction",
     "SolverConfig",
     "SupportSet",
@@ -91,9 +84,8 @@ __all__ = [
     "build_compact_game",
     "caratheodory_decompose",
     "compact_value",
+    "coordinates",
     "defender_oracle",
-    "embed_attacker",
-    "embed_defender",
     "errors",
     "expand_normal_form",
     "induce_benefit",

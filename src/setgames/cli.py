@@ -35,8 +35,8 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import (CompactGame, build_compact_game, embed_attacker, embed_defender,
-                      interaction_coefficients, payoff_block)
+from .compact import (CompactGame, build_compact_game, coordinates, interaction_coefficients,
+                      payoff_block)
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
@@ -302,8 +302,8 @@ def _cmd_verify(args) -> int:
     value_gap = abs(reference.value - compact_report.value)
 
     nf = expand_normal_form(spec)
-    P = np.stack([embed_attacker(a, game.support).coords for a in nf.attacker_strategies])
-    Q = np.stack([embed_defender(d, game.support).coords for d in nf.defender_strategies])
+    P = coordinates(nf.attacker_strategies, game.support, "attacker")
+    Q = coordinates(nf.defender_strategies, game.support, "defender")
     identity_gap = float(np.max(np.abs(payoff_block(game, P, Q) - nf.matrix)))
 
     print(f"value: brute force {reference.value:.9g}, constraint generation {compact_report.value:.9g}")

@@ -1,4 +1,4 @@
-"""Compact coordinates: support set, embeddings, bilinear payoff, vertices.
+"""Compact coordinates: support set, coordinate map, bilinear payoff, vertices.
 
 The dense normal form has one row/column per subset, but its payoff matrix
 factors through far fewer coordinates. Index a coordinate by each subset U in
@@ -7,7 +7,10 @@ the support set S and map strategies to 0/1 vectors:
     attacker A  ->  coords[U] = 1 iff U is contained in A
     defender D  ->  coords[U] = 1 iff U and D are disjoint
 
-Under a mixed strategy these coordinates become the marginals
+:func:`coordinates` maps a batch of pure strategies of one side in a single
+broadcast. The two maps differ only by a complement: attack A and defense
+``full ^ A`` have the same coordinates. Under a mixed strategy these
+coordinates become the marginals
 ``Pr[attack covers U]`` and ``Pr[no defense touches U]``, and the expected
 zero-sum payoff is the bilinear form
 
@@ -24,7 +27,7 @@ butterfly swapped, over the masks up to k. :func:`payoff_block` evaluates
 the form between stacked coordinate rows, a whole payoff block at once.
 
 S always contains the empty set and all singletons. The singleton floor keeps
-the defender embedding injective, so a defender vertex maps back to its pure
+the defender map injective, so a defender vertex maps back to its pure
 strategy by reading the n singleton coordinates (zero coordinate = defended).
 """
 
@@ -79,16 +82,6 @@ class SupportSet:
 
 
 @dataclass(frozen=True)
-class CompactVertex:
-    """Embedded pure strategy: 0/1 coordinates over a support set."""
-
-    support: SupportSet
-    coords: np.ndarray
-    origin: int
-    role: str  # "attacker" or "defender"
-
-
-@dataclass(frozen=True)
 class CompactGame:
     """The three coefficient vectors of the bilinear payoff over a support."""
 
@@ -139,40 +132,48 @@ def build_compact_game(spec: GameSpec) -> CompactGame:
                                          spec.defender_cap)
 
 
-def embed_attacker(attack: int, support: SupportSet, cap: int | None = None) -> CompactVertex:
-    """0/1 coordinates ``1{U subset of attack}`` for every support member."""
-    if cap is not None and attack.bit_count() > cap:
-        raise InvalidStrategyError(f"attack {attack:#x} exceeds the cap {cap}")
-    masks = support.member_array
-    coords = ((masks & attack) == masks).astype(float)
-    return CompactVertex(support=support, coords=coords, origin=attack, role="attacker")
+def coordinates(masks, support: SupportSet, side: str, cap: int | None = None) -> np.ndarray:
+    """0/1 coordinates of pure strategies, one row per mask: ``1{U subset of A}``
+    for each attack A when ``side`` is ``"attacker"``, ``1{U disjoint from D}``
+    for each defense D when it is ``"defender"``.
+
+    Raises :class:`InvalidStrategyError` for a mask that is not an integer
+    (``bool`` included) in ``[0, 2^n)``, or that has more than ``cap`` targets.
+    """
+    if side not in ("attacker", "defender"):
+        raise InvalidInputError(f"side must be 'attacker' or 'defender', not {side!r}")
+    masks = list(masks)
+    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, masks))):
+        raise InvalidStrategyError("pure strategies must be integer masks")
+    for bad in (min(masks, default=0), max(masks, default=0)):
+        if bad < 0 or bad >> support.n:
+            raise InvalidStrategyError(f"{side} {bad:#x} is outside a ground set of {support.n}")
+    array = np.array(masks, dtype=np.int64)
+    if cap is not None:
+        widest = max(array.tolist(), key=int.bit_count, default=0)
+        if widest.bit_count() > cap:
+            raise InvalidStrategyError(f"{side} {widest:#x} exceeds the cap {cap}")
+    members = support.member_array
+    meet = array[:, None] & members
+    return (meet == members if side == "attacker" else meet == 0).astype(float)
 
 
-def embed_defender(defense: int, support: SupportSet, cap: int | None = None) -> CompactVertex:
-    """0/1 coordinates ``1{U disjoint from defense}`` for every support member."""
-    if cap is not None and defense.bit_count() > cap:
-        raise InvalidStrategyError(f"defense {defense:#x} exceeds the cap {cap}")
-    masks = support.member_array
-    coords = ((masks & defense) == 0).astype(float)
-    return CompactVertex(support=support, coords=coords, origin=defense, role="defender")
+def _marginal(support: SupportSet, atoms, side: str) -> np.ndarray:
+    """``sum_i p_i coordinates(mask_i)`` over ``(mask, p)`` atoms, summed atom
+    by atom in order (a matrix product would round in another order)."""
+    atoms = list(atoms)
+    probs = np.array([p for _, p in atoms], dtype=float).reshape(-1, 1)
+    return (probs * coordinates([m for m, _ in atoms], support, side)).sum(axis=0)
 
 
 def marginal_attacker(support: SupportSet, atoms) -> np.ndarray:
     """Compact coordinates of a mixed attack: ``pa[U] = Pr[attack covers U]``."""
-    masks = support.member_array
-    out = np.zeros(support.size)
-    for mask, prob in atoms:
-        out += prob * ((masks & mask) == masks)
-    return out
+    return _marginal(support, atoms, "attacker")
 
 
 def marginal_defender(support: SupportSet, atoms) -> np.ndarray:
     """Compact coordinates of a mixed defense: ``qd[U] = Pr[defense misses U]``."""
-    masks = support.member_array
-    out = np.zeros(support.size)
-    for mask, prob in atoms:
-        out += prob * ((masks & mask) == 0)
-    return out
+    return _marginal(support, atoms, "defender")
 
 
 def payoff_block(game: CompactGame, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -204,17 +205,18 @@ def compact_value(game: CompactGame, pa: np.ndarray, qd: np.ndarray) -> float:
     return float(payoff_block(game, pa[None, :], qd[None, :])[0, 0])
 
 
-def vertex_to_strategy(vertex: CompactVertex) -> int:
-    """Recover the defended set from a defender vertex in O(n).
+def vertex_to_strategy(coords, support: SupportSet) -> int:
+    """Recover the defended set from a defender's coordinates in O(n).
 
     Reads only the n singleton coordinates: target i is defended exactly when
-    coordinate {i} is 0. Inverse of :func:`embed_defender` for every defense.
+    coordinate {i} is 0. Inverse of the defender :func:`coordinates` for every
+    defense. ``coords`` is indexed as given, not converted to an array.
     """
-    if vertex.role != "defender":
-        raise InvalidVertexError("vertex mapping applies to defender vertices only")
-    coords = vertex.coords
+    if np.shape(coords) != (support.size,):
+        raise InvalidVertexError(
+            f"coordinates of shape {np.shape(coords)}, expected ({support.size},)")
     defense = 0
-    for i, pos in enumerate(vertex.support.singleton_positions):
+    for i, pos in enumerate(support.singleton_positions):
         c = coords[pos]
         if abs(c) > 1e-9 and abs(c - 1.0) > 1e-9:
             raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c}, not 0/1")
@@ -223,9 +225,9 @@ def vertex_to_strategy(vertex: CompactVertex) -> int:
     return defense
 
 
-def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex],
-                           ) -> list[tuple[float, CompactVertex]]:
-    """Express ``point`` as a convex combination of at most dim+1 vertices.
+def caratheodory_decompose(point: np.ndarray, vertices: np.ndarray) -> list[tuple[float, int]]:
+    """Express ``point`` as a convex combination of at most dim+1 rows of
+    ``vertices``, an (m, dim) array; returns ``(weight, row index)`` pairs.
 
     Solves one matrix game. Its columns are the vertices v_j and its rows the
     2 dim signed coordinates +-e_i, with payoff ``+-(v_j - point)_i``, so its
@@ -243,10 +245,12 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex],
     distance``, so ``(-u, u @ point + distance / 2)`` separates.
     """
     point = np.asarray(point, dtype=float)
+    vertices = np.asarray(vertices, dtype=float)
     dim = point.size
-    if not vertices:
-        raise InvalidInputError("need at least one vertex")
-    offsets = np.stack([v.coords for v in vertices], axis=1) - point[:, None]  # dim x m
+    if point.ndim != 1 or vertices.shape[1:] != point.shape or not len(vertices):
+        raise InvalidInputError(f"vertices of shape {vertices.shape} do not stack m >= 1 "
+                                f"points of shape {point.shape}")
+    offsets = vertices.T - point[:, None]  # dim x m
     solution = solve_matrix_game(np.vstack([offsets, -offsets]))
     distance = solution.value
     if dim * distance > HULL_TOL:
@@ -255,4 +259,4 @@ def caratheodory_decompose(point: np.ndarray, vertices: list[CompactVertex],
             f"point is not within {HULL_TOL} of the convex hull of {len(vertices)} vertices",
             certificate=(-u, float(u @ point + distance / 2)),
         )
-    return [(float(w), v) for w, v in zip(solution.col_strategy, vertices) if w > 1e-12]
+    return [(float(w), j) for j, w in enumerate(solution.col_strategy) if w > 1e-12]

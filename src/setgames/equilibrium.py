@@ -27,8 +27,7 @@ from .compact import (
     CompactGame,
     build_compact_game,
     compact_value,
-    embed_attacker,
-    embed_defender,
+    coordinates,
     marginal_attacker,
     marginal_defender,
     payoff_block,
@@ -156,8 +155,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         max_rounds = 10 * support.size + 100
 
     attacks, defenses = [0], [0]
-    P = embed_attacker(0, support).coords[None, :]
-    Q = embed_defender(0, support).coords[None, :]
+    P = coordinates(attacks, support, "attacker")
+    Q = coordinates(defenses, support, "defender")
     payoff = payoff_block(game, P, Q)
 
     oracle_calls = 0
@@ -208,12 +207,12 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
             converged = attacker_gap <= 10 * config.eps_gap and defender_gap <= 10 * config.eps_gap
             break
         if new_attacks:
-            rows = np.array([embed_attacker(a, support).coords for a in new_attacks])
+            rows = coordinates(new_attacks, support, "attacker")
             payoff = np.vstack([payoff, payoff_block(game, rows, Q)])
             P = np.vstack([P, rows])
             attacks += new_attacks
         if new_defenses:
-            cols = np.array([embed_defender(d, support).coords for d in new_defenses])
+            cols = coordinates(new_defenses, support, "defender")
             payoff = np.hstack([payoff, payoff_block(game, P, cols)])
             Q = np.vstack([Q, cols])
             defenses += new_defenses

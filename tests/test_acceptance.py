@@ -5,7 +5,6 @@ per-criterion lines as they happen). Every tolerance is pinned here; nothing
 is calibrated at runtime.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -20,9 +19,8 @@ from setgames import (
     attacker_oracle,
     build_compact_game,
     compact_value,
+    coordinates,
     defender_oracle,
-    embed_attacker,
-    embed_defender,
     expand_normal_form,
     induce_benefit,
     moebius,
@@ -78,11 +76,11 @@ class TestCriterion2DecompositionIdentity:
             spec = random_game(rng, n, n, n, sparse=bool(rng.integers(0, 2)))
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
-            attack_vertices = [embed_attacker(a, game.support) for a in nf.attacker_strategies]
-            defense_vertices = [embed_defender(d, game.support) for d in nf.defender_strategies]
+            attack_vertices = coordinates(nf.attacker_strategies, game.support, "attacker")
+            defense_vertices = coordinates(nf.defender_strategies, game.support, "defender")
             for i, va in enumerate(attack_vertices):
                 for j, vd in enumerate(defense_vertices):
-                    got = compact_value(game, va.coords, vd.coords)
+                    got = compact_value(game, va, vd)
                     worst = max(worst, abs(got - nf.matrix[i, j]))
             assert worst <= 1e-9, f"decomposition error {worst}"
         elapsed = time.perf_counter() - start
@@ -137,8 +135,9 @@ class TestCriterion5VertexMapping:
         for n in range(1, 13):
             support = SupportSet.from_members(n, [])
             seen = set()
+            vertices = coordinates(range(1 << n), support, "defender")
             for defense in range(1 << n):
-                got = vertex_to_strategy(embed_defender(defense, support))
+                got = vertex_to_strategy(vertices[defense], support)
                 assert got == defense
                 seen.add(got)
             assert len(seen) == 1 << n
@@ -148,10 +147,9 @@ class TestCriterion5VertexMapping:
         # reads more than n of them for some n below.
         for n in (6, 12, 24):
             support = SupportSet.from_members(n, [])
-            vertex = embed_defender((1 << n) // 3, support)
-            coords = vertex.coords.view(_CountingCoords)
-            counted = dataclasses.replace(vertex, coords=coords)
-            assert vertex_to_strategy(counted) == (1 << n) // 3
+            vertex = coordinates([(1 << n) // 3], support, "defender")[0]
+            coords = vertex.view(_CountingCoords)
+            assert vertex_to_strategy(coords, support) == (1 << n) // 3
             assert coords.reads == n, f"n={n}: read {coords.reads} coordinates, expected {n}"
         report(5, "exhaustive inverse up to n=12; reads exactly n coordinates for n in 6, 12, 24")
 
@@ -183,10 +181,9 @@ class TestCriterion6PseudoBooleanEquivalence:
             pb_defense = ((1 << n) - 1) ^ ones
 
             vertex_best, vertex_defense = -np.inf, None
-            for defense in range(1 << n):
-                if defense.bit_count() > cap:
-                    continue
-                value = float(weights @ embed_defender(defense, support).coords)
+            defenses = [d for d in range(1 << n) if d.bit_count() <= cap]
+            for defense, vertex in zip(defenses, coordinates(defenses, support, "defender")):
+                value = float(weights @ vertex)
                 if value > vertex_best:
                     vertex_best, vertex_defense = value, defense
 

@@ -1,4 +1,4 @@
-"""Compact coordinates: support, embeddings, bilinear identity, vertices."""
+"""Compact coordinates: support, coordinate map, bilinear identity, vertices."""
 
 import os
 import sys
@@ -13,15 +13,19 @@ from setgames import (
     build_compact_game,
     caratheodory_decompose,
     compact_value,
-    embed_attacker,
-    embed_defender,
+    coordinates,
     expand_normal_form,
     marginal_attacker,
     marginal_defender,
     vertex_to_strategy,
 )
 from setgames import compact
-from setgames.errors import InvalidStrategyError, InvalidVertexError, NotInHullError
+from setgames.errors import (
+    InvalidInputError,
+    InvalidStrategyError,
+    InvalidVertexError,
+    NotInHullError,
+)
 from conftest import random_game, random_set_function
 from test_games import make_spec
 
@@ -80,38 +84,123 @@ class TestBuildSupport:
         assert lines < 40 * 2 ** n
 
 
+def attack_row(mask, support, cap=None):
+    return coordinates([mask], support, "attacker", cap)[0]
+
+
+def defense_row(mask, support, cap=None):
+    return coordinates([mask], support, "defender", cap)[0]
+
+
 class TestEmbeddings:
     def test_attacker_empty(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        v = embed_attacker(0, support)
-        assert v.coords.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert attack_row(0, support).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_attacker_full(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        v = embed_attacker(0b11, support)
-        assert v.coords.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert attack_row(0b11, support).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_attacker_single(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        v = embed_attacker(0b01, support)
-        assert v.coords.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert attack_row(0b01, support).tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_defender_empty_is_all_ones(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        assert embed_defender(0, support).coords.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert defense_row(0, support).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_defender_single(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        assert embed_defender(0b01, support).coords.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert defense_row(0b01, support).tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_defender_full_keeps_only_empty_coord(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
-        assert embed_defender(0b11, support).coords.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert defense_row(0b11, support).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_cap_enforced(self):
         support = build_compact_game(make_spec(3, {0b1: 1.0})).support
         with pytest.raises(InvalidStrategyError):
-            embed_attacker(0b111, support, cap=2)
+            attack_row(0b111, support, cap=2)
+        with pytest.raises(InvalidStrategyError):
+            coordinates([0b1, 0b110, 0b111], support, "defender", cap=2)
+        assert coordinates([0b1, 0b110], support, "defender", cap=2).shape == (2, support.size)
+
+
+class TestCoordinates:
+    def test_matches_per_mask_formula_on_random_supports(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            support = compact.SupportSet.from_members(
+                n, [int(m) for m in rng.integers(0, 1 << n, size=int(rng.integers(0, 6)))])
+            masks = [int(m) for m in rng.integers(0, 1 << n, size=int(rng.integers(0, 12)))]
+            P = coordinates(masks, support, "attacker")
+            Q = coordinates(np.array(masks, dtype=np.int64), support, "defender")
+            assert P.shape == Q.shape == (len(masks), support.size)
+            assert P.dtype == Q.dtype == np.float64
+            for i, mask in enumerate(masks):
+                for t, u in enumerate(support.members):
+                    assert P[i, t] == float(u & mask == u)
+                    assert Q[i, t] == float(u & mask == 0)
+
+    def test_attack_and_complement_defense_share_coordinates(self):
+        # U is inside A exactly when U misses full ^ A, so the two maps agree
+        # up to a complement and coordinates alone cannot tell the sides apart.
+        for n in (1, 3, 5):
+            support = compact.SupportSet.from_members(n, [(1 << n) - 1, 0b11 & ((1 << n) - 1)])
+            masks = list(range(1 << n))
+            full = (1 << n) - 1
+            assert np.array_equal(coordinates(masks, support, "attacker"),
+                                  coordinates([full ^ m for m in masks], support, "defender"))
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 3, 1 << 40, 1 << 70, True, False,
+                                      np.bool_(True), 1.0, "1"])
+    @pytest.mark.parametrize("side", ["attacker", "defender"])
+    def test_rejects_masks_outside_the_ground_set(self, mask, side):
+        support = compact.SupportSet.from_members(3, [])
+        with pytest.raises(InvalidStrategyError):
+            coordinates([mask], support, side, cap=1)
+        with pytest.raises(InvalidStrategyError):
+            coordinates([0b1, mask], support, side)
+
+    def test_accepts_numpy_integers(self):
+        support = compact.SupportSet.from_members(3, [])
+        expected = coordinates([5, 2], support, "attacker")
+        for kind in (np.int64, np.int32, np.uint8, np.uint64):
+            assert np.array_equal(coordinates([kind(5), kind(2)], support, "attacker"), expected)
+            assert np.array_equal(
+                coordinates(np.array([5, 2], dtype=kind), support, "attacker"), expected)
+
+    def test_rejects_unknown_side(self):
+        support = compact.SupportSet.from_members(2, [])
+        with pytest.raises(InvalidInputError):
+            coordinates([1], support, "both")
+
+    def test_marginals_reject_masks_outside_the_ground_set(self):
+        support = compact.SupportSet.from_members(3, [])
+        with pytest.raises(InvalidStrategyError):
+            marginal_attacker(support, [(-1, 1.0)])
+        with pytest.raises(InvalidStrategyError):
+            marginal_defender(support, [(0b1, 0.5), (1 << 5, 0.5)])
+
+    def test_marginals_match_one_atom_at_a_time_bit_for_bit(self):
+        # The reference adds each atom's weighted 0/1 row in atom order; a
+        # matrix product would round the same sums in another order.
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            support = compact.SupportSet.from_members(
+                n, [int(m) for m in rng.integers(0, 1 << n, size=3)])
+            masks = [int(m) for m in rng.integers(0, 1 << n, size=int(rng.integers(0, 40)))]
+            probs = rng.dirichlet(np.ones(len(masks))).tolist() if masks else []
+            atoms = list(zip(masks, probs))
+            for side, marginal in (("attacker", marginal_attacker),
+                                   ("defender", marginal_defender)):
+                reference = np.zeros(support.size)
+                for mask, prob in atoms:
+                    reference += prob * coordinates([mask], support, side)[0]
+                got = marginal(support, atoms)
+                assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
 class TestCompactValue:
@@ -129,8 +218,8 @@ class TestCompactValue:
                 spec = random_game(rng, n, n, n)
             game = build_compact_game(spec)
             nf = expand_normal_form(spec)
-            P = np.array([embed_attacker(a, game.support).coords for a in nf.attacker_strategies])
-            Q = np.array([embed_defender(d, game.support).coords for d in nf.defender_strategies])
+            P = coordinates(nf.attacker_strategies, game.support, "attacker")
+            Q = coordinates(nf.defender_strategies, game.support, "defender")
             assert np.allclose(compact.payoff_block(game, P, Q), nf.matrix, rtol=0, atol=1e-9)
             for i, pa in enumerate(P):
                 for j, qd in enumerate(Q):
@@ -185,94 +274,108 @@ class TestVertexMapping:
     def test_roundtrip_exhaustive(self):
         spec = make_spec(4, {0b1010: 2.0, 0b0110: -1.0})
         support = build_compact_game(spec).support
+        Q = coordinates(range(16), support, "defender")
         for defense in range(16):
-            v = embed_defender(defense, support)
-            assert vertex_to_strategy(v) == defense
+            assert vertex_to_strategy(Q[defense], support) == defense
 
     def test_all_ones_is_empty_defense(self):
         support = build_compact_game(make_spec(3, {})).support
-        v = embed_defender(0, support)
-        assert vertex_to_strategy(v) == 0
+        assert vertex_to_strategy(defense_row(0, support), support) == 0
 
     def test_zero_singletons_is_full_defense(self):
         support = build_compact_game(make_spec(3, {})).support
-        v = embed_defender(0b111, support)
-        assert vertex_to_strategy(v) == 0b111
+        assert vertex_to_strategy(defense_row(0b111, support), support) == 0b111
 
     def test_distinct_defenses_distinct_vertices(self):
         support = build_compact_game(make_spec(3, {0b111: 1.0})).support
-        seen = {tuple(embed_defender(d, support).coords) for d in range(8)}
+        seen = {tuple(row) for row in coordinates(range(8), support, "defender")}
         assert len(seen) == 8
 
-    def test_rejects_attacker_vertex(self):
+    def test_attacker_rows_read_as_complement_defenses(self):
+        # An attack's coordinates are those of the complementary defense, so
+        # the mapping reads an attack row A back as full ^ A.
         support = build_compact_game(make_spec(2, {})).support
-        with pytest.raises(InvalidVertexError):
-            vertex_to_strategy(embed_attacker(1, support))
+        for attack in range(4):
+            assert vertex_to_strategy(attack_row(attack, support), support) == 0b11 ^ attack
 
     def test_rejects_fractional_coords(self):
         support = build_compact_game(make_spec(2, {})).support
-        v = embed_defender(1, support)
-        bad = type(v)(support=support, coords=v.coords * 0.5, origin=1, role="defender")
         with pytest.raises(InvalidVertexError):
-            vertex_to_strategy(bad)
+            vertex_to_strategy(defense_row(1, support) * 0.5, support)
+
+    def test_rejects_coords_of_the_wrong_length(self):
+        support = build_compact_game(make_spec(2, {})).support
+        row = defense_row(1, support)
+        for bad in (row[:-1], np.append(row, 1.0), row[None, :], []):
+            with pytest.raises(InvalidVertexError):
+                vertex_to_strategy(bad, support)
 
 
 class TestCaratheodory:
     def test_vertex_decomposes_to_itself(self):
         support = build_compact_game(make_spec(3, {})).support
-        vertices = [embed_defender(d, support) for d in range(8)]
-        target = vertices[3].coords.astype(float)
-        out = caratheodory_decompose(target, vertices)
+        vertices = coordinates(range(8), support, "defender")
+        out = caratheodory_decompose(vertices[3], vertices)
         assert len(out) == 1
-        weight, vertex = out[0]
+        weight, index = out[0]
         assert weight == pytest.approx(1.0)
-        assert vertex.origin == 3
+        assert index == 3
 
     def test_midpoint(self):
         support = build_compact_game(make_spec(2, {})).support
-        v1 = embed_defender(0b01, support)
-        v2 = embed_defender(0b10, support)
-        mid = 0.5 * (v1.coords + v2.coords)
-        out = caratheodory_decompose(mid, [v1, v2])
+        vertices = coordinates([0b01, 0b10], support, "defender")
+        mid = 0.5 * (vertices[0] + vertices[1])
+        out = caratheodory_decompose(mid, vertices)
         weights = sorted(w for w, _ in out)
         assert weights == [pytest.approx(0.5), pytest.approx(0.5)]
 
     def test_atom_bound(self):
         rng = np.random.default_rng(5)
         support = build_compact_game(make_spec(4, {})).support
-        vertices = [embed_defender(d, support) for d in range(16)]
+        vertices = coordinates(range(16), support, "defender")
         weights = rng.dirichlet(np.ones(16))
-        point = sum(w * v.coords for w, v in zip(weights, vertices))
+        point = weights @ vertices
         out = caratheodory_decompose(point, vertices)
         assert len(out) <= support.size + 1
-        rebuilt = sum(w * v.coords for w, v in out)
+        rebuilt = sum(w * vertices[j] for w, j in out)
         assert np.allclose(rebuilt, point, atol=1e-7)
 
     def test_not_in_hull_raises_with_certificate(self):
         support = build_compact_game(make_spec(2, {})).support
-        vertices = [embed_defender(d, support) for d in [0b01, 0b10]]
-        outside = embed_defender(0, support).coords  # the no-defense vertex
+        vertices = coordinates([0b01, 0b10], support, "defender")
+        outside = defense_row(0, support)  # the no-defense vertex
         with pytest.raises(NotInHullError) as err:
             caratheodory_decompose(outside, vertices)
         normal, offset = err.value.certificate
         for v in vertices:
-            assert normal @ v.coords + offset <= 1e-9
+            assert normal @ v + offset <= 1e-9
         assert normal @ outside + offset > 1e-9
 
     def test_tolerance_bounds_the_l1_residual(self):
         # Off by 3e-8 in each of 5 coordinates: L-infinity 3e-8 but L1 1.5e-7,
         # over HULL_TOL, so the point is rejected; off by 1e-9 it is accepted.
         support = build_compact_game(make_spec(4, {})).support
-        vertex = embed_defender(0b0101, support)
+        vertices = coordinates([0b0101], support, "defender")
         assert support.size == 5
         with pytest.raises(NotInHullError):
-            caratheodory_decompose(vertex.coords + 3e-8, [vertex])
-        out = caratheodory_decompose(vertex.coords + 1e-9, [vertex])
-        assert [(w, v.origin) for w, v in out] == [(pytest.approx(1.0), 0b0101)]
+            caratheodory_decompose(vertices[0] + 3e-8, vertices)
+        out = caratheodory_decompose(vertices[0] + 1e-9, vertices)
+        assert out == [(pytest.approx(1.0), 0)]
+
+    def test_rejects_mismatched_shapes(self):
+        support = build_compact_game(make_spec(2, {})).support
+        vertices = coordinates(range(4), support, "defender")
+        point = vertices.mean(axis=0)
+        for bad_point, bad_vertices in ((point[:-1], vertices), (point, vertices[:, :-1]),
+                                        (point, vertices[0]), (point, vertices[None]),
+                                        (point[None], vertices), (point, vertices[:0]),
+                                        (point, [])):
+            with pytest.raises(InvalidInputError):
+                caratheodory_decompose(bad_point, bad_vertices)
 
     def test_solver_output_decomposes_end_to_end(self):
-        # Optimal defender marginals decompose back over embedded defenses
-        # and map to a legal mixed strategy.
+        # Optimal defender marginals decompose back over the defenses'
+        # coordinates and map to a legal mixed strategy.
         from setgames import solve_compact
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -281,24 +384,24 @@ class TestCaratheodory:
             report = solve_compact(spec)
             game = build_compact_game(spec)
             qd = marginal_defender(game.support, report.defender.atoms)
-            vertices = [embed_defender(d, game.support) for d in range(1 << n)]
+            vertices = coordinates(range(1 << n), game.support, "defender")
             out = caratheodory_decompose(qd, vertices)
-            rebuilt = sum(w * v.coords for w, v in out)
+            rebuilt = sum(w * vertices[j] for w, j in out)
             assert np.allclose(rebuilt, qd, atol=1e-7)
             total = 0.0
-            for w, v in out:
-                d = vertex_to_strategy(v)
+            for w, j in out:
+                d = vertex_to_strategy(vertices[j], game.support)
+                assert d == j
                 assert d.bit_count() <= spec.defender_cap
                 total += w
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_no_vertex_in_hull_of_others(self):
-        # Every embedded defense is a true vertex: not decomposable over the rest.
+        # Every defense's coordinates form a true vertex: not decomposable over the rest.
         for n in (2, 3):
             spec = make_spec(n, {(1 << n) - 1: 1.5})
             support = build_compact_game(spec).support
-            vertices = [embed_defender(d, support) for d in range(1 << n)]
+            vertices = coordinates(range(1 << n), support, "defender")
             for i, v in enumerate(vertices):
-                others = vertices[:i] + vertices[i + 1:]
                 with pytest.raises(NotInHullError):
-                    caratheodory_decompose(v.coords.astype(float), others)
+                    caratheodory_decompose(v, np.delete(vertices, i, axis=0))

@@ -14,8 +14,8 @@ from setgames import (
     attacker_oracle,
     best_response_gap,
     build_compact_game,
+    coordinates,
     defender_oracle,
-    embed_defender,
     partition_support,
     solve_compact,
     solve_network_game,
@@ -81,9 +81,8 @@ class TestDefenderOracle:
             w = rng.normal(size=support.size)
             cap = int(rng.integers(0, n + 1))
             _, value = defend(support, w, cap)
-            best = max(
-                float(w @ embed_defender(d, support).coords)
-                for d in range(1 << n) if d.bit_count() <= cap)
+            defenses = [d for d in range(1 << n) if d.bit_count() <= cap]
+            best = max(float(w @ q) for q in coordinates(defenses, support, "defender"))
             assert value == pytest.approx(best, abs=1e-12)
 
     @given(st.integers(0, 10_000))
