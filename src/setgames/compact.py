@@ -47,7 +47,7 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import solve_matrix_game
-from .oracles import PreparedOracle, partition_support, prepare
+from .oracles import PreparedOracle, _coordinates, partition_support, prepare
 from .setfunctions import SPARSITY_SCALE, MobiusTransform, _transform, moebius
 
 HULL_TOL = 1e-7
@@ -153,9 +153,7 @@ def coordinates(masks, support: SupportSet, side: str, cap: int | None = None) -
         widest = max(array.tolist(), key=int.bit_count, default=0)
         if widest.bit_count() > cap:
             raise InvalidStrategyError(f"{side} {widest:#x} exceeds the cap {cap}")
-    members = support.member_array
-    meet = array[:, None] & members
-    return (meet == members if side == "attacker" else meet == 0).astype(float)
+    return _coordinates(array, support.member_array, side == "defender").astype(float)
 
 
 def _marginal(support: SupportSet, atoms, side: str) -> np.ndarray:

@@ -9,6 +9,10 @@ where T scores the surviving graph and F is a failure operator that may
 propagate the damage before scoring. Benefits induced this way are genuinely
 non-additive (disconnecting a path at one node changes what a second removal
 is worth), which makes them the motivating input for the compact solver.
+Value functions and failures take one alive mask or an int64 array of them,
+so the benefit of every attack of at most c targets comes from two batched
+calls: components peel bit-parallel over all masks at once, and sizes come
+from ``np.bitwise_count`` (numpy >= 2.0).
 
 The approximation path computes the interaction coefficients of the induced
 benefit, zeroes every coefficient with magnitude at most ``eps_c``, and
@@ -25,9 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain
 from math import comb, isfinite
+from numbers import Real
 from operator import index
 
-from .bits import iter_bits, masks_up_to_size
+import numpy as np
+
+from .bits import masks_up_to_size
 from .compact import CompactGame, interaction_coefficients
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
@@ -58,58 +65,57 @@ class Network:
         object.__setattr__(self, "node_count", node_count)
         if self.node_count < 1:
             raise InvalidInputError("network needs at least one node")
-        seen = set()
-        cleaned = []
         for u, v in edges:
             if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
                 raise InvalidInputError(f"edge ({u}, {v}) outside node range")
             if u == v:
                 raise InvalidInputError(f"self-loop at node {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(cleaned)))
+        object.__setattr__(self, "edges", tuple(sorted({(min(e), max(e)) for e in edges})))
         if self.node_values is not None:
             if len(self.node_values) != self.node_count:
                 raise InvalidInputError("node_values length must equal node_count")
+            if not all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
+                       for v in self.node_values):
+                raise InvalidInputError("node values must be finite real numbers, not booleans")
             object.__setattr__(self, "node_values", tuple(float(v) for v in self.node_values))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.node_count) - 1
 
-    def adjacency_masks(self) -> list[int]:
-        adj = [0] * (self.node_count + 1)
+    def adjacency(self) -> np.ndarray:
+        """Neighbor masks as int64: entry j holds the neighbors of node j + 1."""
+        adjacency = [0] * self.node_count
         for u, v in self.edges:
-            adj[u] |= 1 << (v - 1)
-            adj[v] |= 1 << (u - 1)
-        return adj
-
-    def values_or_unit(self) -> list[float]:
-        if self.node_values is None:
-            return [1.0] * self.node_count
-        return list(self.node_values)
+            adjacency[u - 1] |= 1 << (v - 1)
+            adjacency[v - 1] |= 1 << (u - 1)
+        return np.array(adjacency, dtype=np.int64)
 
 
-def components_of(adjacency: list[int], alive: int) -> list[int]:
-    """Connected components of the surviving subgraph, as node masks."""
-    comps = []
-    remaining = alive
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            for b in iter_bits(frontier):
-                reach |= adjacency[b + 1] & alive
-            frontier = reach & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+def _alive(net: Network, alive) -> np.ndarray:
+    """One alive mask or an integer array of them, as a 1-D int64 array."""
+    if net.node_count > 63:
+        raise CapacityError(f"{net.node_count} nodes exceed the 63 bits of a mask array")
+    masks = np.atleast_1d(np.asarray(alive))
+    if masks.dtype.kind not in "iu" or ((masks < 0) | (masks > net.full_mask)).any():
+        raise InvalidInputError(f"alive masks must be integers in [0, 2^{net.node_count})")
+    return masks.astype(np.int64)
+
+
+def _components(adjacency: np.ndarray, alive: np.ndarray):
+    """Round r yields each alive mask's r-th component by lowest node (0 when none is
+    left), peeled bit-parallel: seed the lowest node, grow by one masked OR per node."""
+    remaining, nodes = alive, np.arange(len(adjacency))
+    while remaining.any():
+        comp = frontier = remaining & -remaining
+        while frontier.any():
+            reach = np.zeros_like(frontier)
+            for j in np.flatnonzero(np.bitwise_or.reduce(frontier) >> nodes & 1):
+                reach |= -((frontier >> j) & 1) & adjacency[j]
+            frontier = reach & remaining & ~comp
+            comp = comp | frontier
+        yield comp
+        remaining = remaining & ~comp
 
 
 @dataclass(frozen=True)
@@ -132,20 +138,30 @@ class ValueFunction:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown value function {self.kind!r}")
+        if not (isinstance(self.exponent, Real) and isfinite(self.exponent)):
+            raise InvalidInputError(f"exponent {self.exponent!r} is not a finite real number")
 
-    def evaluate(self, net: Network, alive: int) -> float:
-        adjacency = net.adjacency_masks()
-        comps = components_of(adjacency, alive)
-        if self.kind == "connected_pairs":
-            return float(sum(comb(c.bit_count(), 2) for c in comps))
-        if self.kind == "largest_component":
-            return float(max((c.bit_count() for c in comps), default=0))
-        values = net.values_or_unit()
-        total = 0.0
-        for comp in comps:
-            mass = sum(values[b] for b in iter_bits(comp))
-            total += mass ** self.exponent
-        return total
+    def evaluate(self, net: Network, alive):
+        """Score of the surviving graph: a ``float`` for one alive mask, an array for many."""
+        masks = _alive(net, alive)
+        score = np.zeros(masks.shape)
+        values = net.node_values or (1.0,) * net.node_count
+        for comp in _components(net.adjacency(), masks):
+            size = np.bitwise_count(comp).astype(np.int64)
+            if self.kind == "connected_pairs":
+                score += size * (size - 1) // 2
+            elif self.kind == "largest_component":
+                np.maximum(score, size, out=score)
+            else:
+                # Masses add node by node in ascending order; each distinct mass
+                # takes Python's ** (numpy's power rounds some last bits apart).
+                live = comp != 0
+                mass = sum(((comp[live] >> j) & 1) * v for j, v in enumerate(values))
+                if np.any(mass < 0) and not float(self.exponent).is_integer():
+                    raise InvalidInputError(f"negative component mass ** {self.exponent}")
+                distinct, inverse = np.unique(mass, return_inverse=True)
+                score[live] += np.array([m ** self.exponent for m in distinct.tolist()])[inverse]
+        return float(score[0]) if np.ndim(alive) == 0 else score
 
 
 @dataclass(frozen=True)
@@ -167,27 +183,23 @@ class FailureOperator:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown failure operator {self.kind!r}")
-        if self.kind == "threshold_cascade":
-            if self.threshold is None or not 0 < self.threshold <= 1:
-                raise InvalidInputError("threshold_cascade needs a threshold in (0, 1]")
+        if self.kind == "threshold_cascade" and not 0 < (self.threshold or 0) <= 1:
+            raise InvalidInputError("threshold_cascade needs a threshold in (0, 1]")
 
-    def apply(self, net: Network, alive: int) -> int:
-        if self.kind == "node_removal":
-            return alive
-        adjacency = net.adjacency_masks()
-        current = alive
-        while True:
-            doomed = 0
-            for b in iter_bits(current):
-                base = adjacency[b + 1].bit_count()
-                if base == 0:
-                    continue
-                surviving = (adjacency[b + 1] & current).bit_count()
-                if surviving / base < self.threshold:
-                    doomed |= 1 << b
-            if not doomed:
-                return current
+    def apply(self, net: Network, alive):
+        """Surviving nodes: an ``int`` for one alive mask, an int64 array for many."""
+        current = _alive(net, alive)
+        adjacency = net.adjacency()
+        degree = np.bitwise_count(adjacency)
+        while self.kind == "threshold_cascade":
+            doomed = np.zeros_like(current)
+            for j in np.flatnonzero(degree):
+                starved = np.bitwise_count(adjacency[j] & current) / degree[j] < self.threshold
+                doomed |= starved.astype(np.int64) << j
+            if not (current & doomed).any():
+                break
             current &= ~doomed
+        return int(current[0]) if np.ndim(alive) == 0 else current
 
 
 def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperator,
@@ -198,14 +210,11 @@ def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperat
     if count > INDUCE_GUARD:
         raise CapacityError(f"benefit induction over {count} subsets exceeds the guard")
     ground = GroundSet(n)
-    baseline = value_fn.evaluate(net, net.full_mask)
-    entries = {}
-    for mask in masks_up_to_size(n, attacker_cap):
-        alive = failure.apply(net, net.full_mask & ~mask)
-        drop = baseline - value_fn.evaluate(net, alive)
-        if drop != 0:
-            entries[mask] = drop
-    return SetFunction(ground, entries)
+    attacks = np.array(masks_up_to_size(n, attacker_cap), dtype=np.int64)
+    surviving = failure.apply(net, net.full_mask & ~attacks)
+    drop = value_fn.evaluate(net, net.full_mask) - value_fn.evaluate(net, surviving)
+    kept = np.flatnonzero(drop != 0)
+    return SetFunction(ground, dict(zip(attacks[kept].tolist(), drop[kept].tolist())))
 
 
 @dataclass(frozen=True)
@@ -231,9 +240,8 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
                             defender_cost: SetFunction, eps_c: float, attacker_cap: int,
                             *, defender_cap: int | None = None) -> ApproxResult:
     """Zero out small benefit interactions and package the approximate game."""
-    n = benefit.ground.n
     spec = GameSpec(benefit.ground, benefit, attacker_cost, defender_cost, attacker_cap,
-                    n if defender_cap is None else defender_cap)
+                    benefit.ground.n if defender_cap is None else defender_cap)
     error_bound = float(2 ** (attacker_cap + 1) * eps_c)
     if not (eps_c >= 0 and isfinite(error_bound)):
         raise InvalidInputError("eps_c must be nonnegative, with a finite bound 2^(c+1) * eps_c")
@@ -242,49 +250,34 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
                            {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
     game = CompactGame.from_coefficients((kept, cost_a, cost_d), attacker_cap, spec.defender_cap)
     spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
-    return ApproxResult(
-        spec=spec,
-        game=game,
-        components=game.support.components,
-        eps_c=float(eps_c),
-        error_bound=error_bound,
-        dropped_terms=len(coeffs.entries) - len(kept.entries),
-    )
+    return ApproxResult(spec=spec, game=game, components=game.support.components,
+                        eps_c=float(eps_c), error_bound=error_bound,
+                        dropped_terms=len(coeffs.entries) - len(kept.entries))
 
 
 def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOperator,
-                       attacker_cap: int, eps_c: float,
-                       config: SolverConfig | None = None,
+                       attacker_cap: int, eps_c: float, config: SolverConfig | None = None,
                        attacker_cost: SetFunction | None = None,
-                       defender_cost: SetFunction | None = None,
-                       trace: list | None = None,
-                       defender_cap: int | None = None,
-                       ) -> tuple[EquilibriumReport, ApproxResult]:
+                       defender_cost: SetFunction | None = None, trace: list | None = None,
+                       defender_cap: int | None = None) -> tuple[EquilibriumReport, ApproxResult]:
     """Induce the benefit, approximate, and solve.
 
     Costs default to zero, and ``defender_cap`` to every node. The returned
     report is the equilibrium of the approximated game; the true value lies
     within ``error_bound`` of it.
     """
-    ground = GroundSet(net.node_count)
-    benefit = induce_benefit(net, value_fn, failure, attacker_cap)
-    zero = SetFunction(ground)
+    zero = SetFunction(GroundSet(net.node_count))
     approx = separable_approximation(
-        benefit,
-        attacker_cost if attacker_cost is not None else zero,
-        defender_cost if defender_cost is not None else zero,
-        eps_c,
-        attacker_cap,
-        defender_cap=defender_cap,
-    )
-    report = solve_compact(approx.spec, config, trace=trace, game=approx.game)
-    return report, approx
+        induce_benefit(net, value_fn, failure, attacker_cap),
+        zero if attacker_cost is None else attacker_cost,
+        zero if defender_cost is None else defender_cost,
+        eps_c, attacker_cap, defender_cap=defender_cap)
+    return solve_compact(approx.spec, config, trace=trace, game=approx.game), approx
 
 
 def network_from_text(text: str) -> Network:
     """Parse the plain edge-list format: first line ``nodes N``, then ``u v`` lines."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].lower().startswith("nodes"):
         raise FormatError("edge list must start with a 'nodes N' line")
     head = lines[0].split()

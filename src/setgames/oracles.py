@@ -123,6 +123,12 @@ class _Table:
         return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
 
 
+def _coordinates(masks: np.ndarray, members: np.ndarray, defender: bool) -> np.ndarray:
+    """Unchecked 0/1 map, a bool row per mask: ``U_t ⊆ A``, or ``U_t ∩ D = ∅`` (defender)."""
+    meet = masks[:, None] & members
+    return meet == 0 if defender else meet == members
+
+
 @lru_cache(maxsize=32)
 def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The masks of at most ``cap`` of ``width`` bits, by count and ascending
@@ -137,7 +143,7 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
             ) -> tuple[_Table | None, _Table | None]:
     """Attack and defense tables over the members' ``components`` (their
     :func:`partition_support`) from the cached strategy listing of each cap.
-    Sides whose caps list the same rows share them and their meet with the members.
+    Sides whose caps list the same rows share them; ``hits`` masks their :func:`_coordinates`.
 
     A ``None`` cap skips its side. Raises :class:`CapacityError` when a table
     would exceed :data:`ENUMERATION_GUARD` cells.
@@ -170,16 +176,15 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
         segment = (np.cumsum(sizes) - sizes)[comp] + count[pos]
         fields = dict(strategies=strategies, segment=segment, sizes=tuple(sizes.tolist()),
                       starts=np.flatnonzero(np.diff(segment, prepend=-1)))
-        own = None if column is None else column == comp[:, None]
-        return fields, strategies[:, None] & masks, own
+        return fields, None if column is None else column == comp[:, None]
 
     shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}
 
     def table(cap, defender):
         if cap is None:
             return None
-        fields, meet, own = shared[min(cap, widest)]
-        hits = (meet == 0) if defender else (meet == masks)
+        fields, own = shared[min(cap, widest)]
+        hits = _coordinates(fields["strategies"], masks, defender)
         if own is not None:
             hits &= own
         return _Table(cap=cap, hits=hits.astype(float), **fields)

@@ -33,6 +33,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -48,21 +49,23 @@ MAX_DENSE = 24
 SPARSITY_SCALE = 1e-12
 
 
-def _check_finite(value) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InvalidInputError(f"non-finite value {value!r} in set function")
+def _check_value(value, where: str) -> None:
+    if not isinstance(value, Real) or not isinstance(value, Rational) and not math.isfinite(value):
+        raise InvalidInputError(f"set function value {value!r} {where} is not a finite real")
 
 
 def _checked_entries(ground: GroundSet, entries: dict) -> dict:
     """``entries`` as they are if one array check passes (int keys, smallest and
-    largest in range, finite as floats). Else keys are normalized with
-    :func:`operator.index` and the first bad key or non-finite float raises."""
+    largest in range, plain finite float or int values). Else keys are normalized
+    with :func:`operator.index` and the first bad key or value raises."""
     try:
+        keys = np.fromiter(entries, np.int64, len(entries))
         values = np.fromiter(entries.values(), float, len(entries))
-        if not entries or set(map(type, entries)) == {int} and 0 <= min(entries) and \
-                max(entries) < ground.size and np.isfinite(values).all():
+        if not entries or set(map(type, entries)) == {int} and 0 <= keys.min() and \
+                keys.max() < ground.size and set(map(type, entries.values())) <= \
+                {float, int, np.float64} and np.isfinite(values).all():
             return entries
-    except (TypeError, ValueError, OverflowError):  # values that do not read as floats
+    except (TypeError, ValueError, OverflowError):  # keys or values that do not read as numbers
         pass
     checked = {}
     for key, value in entries.items():
@@ -70,7 +73,7 @@ def _checked_entries(ground: GroundSet, entries: dict) -> dict:
             raise InvalidInputError(f"mask {key!r} is not an integer")
         mask = operator.index(key)
         ground.check_mask(mask)
-        _check_finite(value)
+        _check_value(value, f"at mask {mask}")
         checked[mask] = value
     return checked
 
@@ -114,7 +117,7 @@ class SetFunction:
     default: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self.default)
+        _check_value(self.default, "as default")
         object.__setattr__(self, "entries", _checked_entries(self.ground, self.entries))
 
     def value(self, mask: int):

@@ -1,5 +1,7 @@
 """Network games: value functions, failures, induced benefits, approximation."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,75 @@ from setgames import (
     solve_bruteforce,
     solve_network_game,
 )
+from setgames.bits import masks_up_to_size
 from setgames.errors import FormatError, InvalidInputError
-from setgames.network import components_of
+from setgames.network import _components
 
 
 def path3():
     return Network(3, ((1, 2), (2, 3)))
+
+
+def components(net, alive):
+    """Components of one alive mask from the batched peel, as Python ints."""
+    return [int(comp[0]) for comp in _components(net.adjacency(), np.array([alive]))]
+
+
+def grid(rows, cols):
+    node = lambda r, c: r * cols + c + 1  # noqa: E731
+    edges = [(node(r, c), node(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(node(r, c), node(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Network(rows * cols, tuple(edges))
+
+
+def reference_benefit(net, value_fn, failure, cap):
+    """Induced benefit by a per-mask Python search: cascade rounds on node sets,
+    then components by depth-first search from each lowest unvisited node, with
+    component values summed in ascending node order."""
+    nodes = range(1, net.node_count + 1)
+    neighbors = {v: set() for v in nodes}
+    for u, v in net.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    values = net.node_values or (1.0,) * net.node_count
+
+    def fail(alive):
+        while failure.kind == "threshold_cascade":
+            doomed = {v for v in alive if neighbors[v]
+                      and len(neighbors[v] & alive) / len(neighbors[v]) < failure.threshold}
+            if not doomed:
+                break
+            alive = alive - doomed
+        return alive
+
+    def score(alive):
+        comps, seen = [], set()
+        for start in sorted(alive):
+            if start in seen:
+                continue
+            comp, stack = {start}, [start]
+            while stack:
+                for w in neighbors[stack.pop()] & alive - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            comps.append(sorted(comp))
+        if value_fn.kind == "connected_pairs":
+            return float(sum(comb(len(c), 2) for c in comps))
+        if value_fn.kind == "largest_component":
+            return float(max((len(c) for c in comps), default=0))
+        total = 0.0
+        for comp in comps:
+            total += sum(values[v - 1] for v in comp) ** value_fn.exponent
+        return total
+
+    baseline = score(set(nodes))
+    entries = {}
+    for mask in masks_up_to_size(net.node_count, cap):
+        drop = baseline - score(fail({v for v in nodes if not mask >> (v - 1) & 1}))
+        if drop != 0:
+            entries[mask] = drop
+    return entries
 
 
 class TestNetwork:
@@ -47,8 +112,17 @@ class TestNetwork:
 
     def test_components(self):
         net = Network(5, ((1, 2), (4, 5)))
-        comps = components_of(net.adjacency_masks(), net.full_mask)
+        comps = components(net, net.full_mask)
         assert sorted(c.bit_count() for c in comps) == [1, 2, 2]
+        # A batch peels one component per mask and round, by lowest node.
+        rounds = list(_components(net.adjacency(), np.array([0b11011, 0b10100, 0])))
+        assert [r.tolist() for r in rounds] == [[0b00011, 0b00100, 0], [0b11000, 0b10000, 0]]
+
+    def test_rejects_bad_node_values(self):
+        for bad in ((1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0), (1.0, True, 1.0),
+                    (1.0, "2", 1.0), (1.0, 2.0)):
+            with pytest.raises(InvalidInputError):
+                Network(3, ((1, 2),), node_values=bad)
 
     def test_edge_list_parsing(self):
         net = network_from_text("nodes 3\n1 2\n2 3\n")
@@ -88,6 +162,40 @@ class TestValueFunctions:
         a = Network(4, ((1, 2), (2, 3)))
         b = Network(4, ((4, 3), (3, 2)))  # same path, relabeled
         assert vf.evaluate(a, 0b1111) == vf.evaluate(b, 0b1111)
+
+    def test_scalar_call_is_a_batch_of_one(self):
+        net = Network(5, ((1, 2), (2, 3), (4, 5)), node_values=(0.5, 1.0, 2.0, 3.0, 0.25))
+        masks = np.arange(1 << 5)
+        fops = (FailureOperator(), FailureOperator("threshold_cascade", threshold=0.5))
+        for vf in (ValueFunction(kind) for kind in ValueFunction.KINDS):
+            scores = vf.evaluate(net, masks)
+            assert all(type(vf.evaluate(net, m)) is float for m in (0, 0b10110, np.int64(7)))
+            assert scores.tolist() == [vf.evaluate(net, m) for m in range(1 << 5)]
+            assert vf.evaluate(net, 0) == 0.0 and scores[0] == 0.0
+        for fop in fops:
+            assert type(fop.apply(net, 0b10110)) is int
+            assert fop.apply(net, masks).tolist() == [fop.apply(net, m) for m in range(1 << 5)]
+
+    def test_rejects_bad_alive_masks(self):
+        vf, net = ValueFunction(), path3()
+        for bad in (-1, 0b1000, np.array([1.0]), True):
+            with pytest.raises(InvalidInputError):
+                vf.evaluate(net, bad)
+
+    def test_rejects_non_finite_exponent(self):
+        for bad in (float("nan"), float("inf"), "2"):
+            with pytest.raises(InvalidInputError):
+                ValueFunction("weighted_component_sum", exponent=bad)
+
+    def test_negative_mass_under_fractional_exponent_raises(self):
+        # A negative component mass has no real power 1.5 (Python gives a complex).
+        net = Network(3, ((1, 2), (2, 3)), node_values=(-1.0, 2.0, 0.5))
+        vf = ValueFunction("weighted_component_sum", exponent=1.5)
+        with pytest.raises(InvalidInputError):
+            induce_benefit(net, vf, FailureOperator(), 2)
+        # An integer exponent keeps negative masses real.
+        squared = ValueFunction("weighted_component_sum", exponent=2.0)
+        assert squared.evaluate(net, 0b001) == 1.0
 
 
 class TestFailureOperators:
@@ -141,6 +249,24 @@ class TestInduceBenefit:
         benefit = induce_benefit(Network(3, ()), ValueFunction("connected_pairs"),
                                  FailureOperator("node_removal"), 3)
         assert all(v == 0 for v in benefit.entries.values())
+
+    @pytest.mark.parametrize("kind", ValueFunction.KINDS)
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_matches_per_mask_reference(self, kind, threshold):
+        from conftest import random_graph
+        rng = np.random.default_rng(4)
+        fop = FailureOperator("threshold_cascade" if threshold else "node_removal", threshold)
+        nets = [random_graph(rng, int(rng.integers(3, 10)), p=0.35) for _ in range(6)]
+        nets.append(grid(4, 5))  # a component wider than 16 nodes
+        nets += [Network(n.node_count, n.edges,
+                         tuple(rng.uniform(0.1, 3.0, n.node_count).tolist())) for n in nets[:3]]
+        for exponent in (2.0, 1.5) if kind == "weighted_component_sum" else (2.0,):
+            vf = ValueFunction(kind, exponent=exponent)
+            for net in nets:
+                cap = 2 if net.node_count > 10 else 3
+                benefit = induce_benefit(net, vf, fop, cap)
+                assert list(benefit.entries.items()) == \
+                    list(reference_benefit(net, vf, fop, cap).items())
 
     def test_triangle_symmetry(self):
         benefit = induce_benefit(Network(3, ((1, 2), (1, 3), (2, 3))),
@@ -213,8 +339,7 @@ class TestSeparableApproximation:
             benefit = induce_benefit(net, ValueFunction("connected_pairs"),
                                      FailureOperator("node_removal"), 2)
             coeffs = moebius(benefit, max_size=2)
-            adjacency = net.adjacency_masks()
-            comps = components_of(adjacency, net.full_mask)
+            comps = components(net, net.full_mask)
             for mask, value in coeffs.entries.items():
                 if mask.bit_count() == 2:
                     same = any(mask & c == mask for c in comps)

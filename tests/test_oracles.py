@@ -332,6 +332,22 @@ class TestPrepared:
                 assert got == one_shot
                 assert got == (((1 << n) - 1) ^ ones, value)
 
+    def test_table_rows_are_coordinates_masked_to_their_component(self):
+        rng = np.random.default_rng(10)
+        for support in random_supports(rng):
+            n = support.n
+            member_comp = np.zeros(support.size, dtype=int)  # the empty member is in 0
+            for c, group in enumerate(support.components):
+                member_comp[[support.members.index(m) for m in group]] = c
+            a_cap, d_cap = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
+            prepared = oracles.prepare(support, a_cap, d_cap)
+            for table, side in ((prepared.attacks, "attacker"), (prepared.defenses, "defender")):
+                row_comp = np.repeat(np.arange(len(table.sizes)), table.sizes)[table.segment]
+                own = row_comp[:, None] == member_comp[None, :]
+                expected = coordinates(table.strategies.tolist(), support, side) * own
+                assert table.hits.dtype == expected.dtype
+                assert np.array_equal(table.hits, expected)
+
     def test_calls_reject_bad_weights_and_unprepared_sides(self):
         support = SupportSet.from_members(3, [0b011])
         table = oracles.prepare(support, 2, 2)

@@ -92,6 +92,17 @@ class TestMaskKeys:
         with pytest.raises(InvalidInputError, match="mask -1"):
             cls(GroundSet(3), {-1: 2.0})
 
+    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    def test_non_real_values_are_rejected(self, cls):
+        # Strings read as floats and complex values broke a later transform.
+        for bad in ("a", "1.5", 1 + 2j, None, [1.0], np.float32("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="at mask 1"):
+                cls(GroundSet(2), {0: 1.0, 1: bad})
+        for good in (2, 2.5, Fraction(1, 3), np.float32(0.5), np.int64(3), np.float64(2.0)):
+            assert cls(GroundSet(2), {1: good}).entries == {1: good}
+        with pytest.raises(InvalidInputError, match="default"):
+            SetFunction(GroundSet(2), default=1j)
+
     def test_numpy_int_keys_are_stored_as_int(self):
         g = GroundSet(3)
         f = SetFunction(g, {np.int64(1): 2.0, np.uint8(3): 5.0, 4: 1.0})
