@@ -232,8 +232,7 @@ def _parse_network_file(path: str) -> Network:
                 isinstance(e, list) and len(e) == 2 for e in edges):
             raise FormatError("graph 'edges' must be a list of [u, v] pairs")
         values = doc.get("values")
-        if values is not None and not (isinstance(values, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        if values is not None and not isinstance(values, list):
             raise FormatError("graph 'values' must be a list of numbers")
         try:
             return Network(

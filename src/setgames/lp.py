@@ -14,11 +14,16 @@ tableau: the reduced costs w of the slack columns satisfy ``w M >= 1`` with
 no general LP solver; Carathéodory decompositions and hull checks are posed
 as matrix games (:func:`setgames.compact.caratheodory_decompose`).
 
-The tableau T has shape (m+1, n+m+1): row i < m holds the current constraint
-row and its rhs in the last column, row m holds the reduced costs and minus
-the current objective value. Entering variable by Dantzig's rule (most
-negative reduced cost, first index on ties); after a run of degenerate pivots
-the rule switches to Bland's, which cannot cycle. Leaving row by the
+Row i < m of the tableau T holds a constraint row with its rhs last, row m
+the reduced costs and minus the objective value. A cold T holds only the n
+nonbasic columns, slot j holding variable ``labels[j]``, as in the
+dictionary form of the simplex (Chvátal, 1983): ``x - x*1`` is exactly 0, so
+the full (m+1, n+m+1) tableau's basic columns are exact unit vectors with
+zero reduced cost, and a pivot writes the leaving variable's unit column
+into the entering one's slot before the update; every held entry keeps the
+full tableau's bits. Entering variable by Dantzig's rule (most negative
+reduced cost, smallest variable index on ties); after a run of degenerate
+pivots the rule switches to Bland's, which cannot cycle. Leaving row by the
 minimum-ratio test, ties broken toward the smallest basis index. A pivot
 costs one rank-1 update of T; on the small restricted games of a double
 oracle its price is a handful of numpy calls, not arithmetic.
@@ -32,7 +37,10 @@ prices the new columns. Should that basis be singular, or the dual simplex
 get stuck on round-off, the solve starts over from the slack basis. Every
 warm start refactors M: extending the last round's final tableau instead let
 a 2.7e-9 pivot in a degenerate 3x4 round leave errors of 2e-3 in it, and 6
-of 12 net-small operations then failed certification.
+of 12 net-small operations then failed certification. A warm T keeps every
+column, slot j holding variable j: the refactor leaves round-off in the basic
+columns (``solve(B, B) != I`` in all 418 warm solves of a net-small pass,
+nonzero basic reduced costs in 342), which the pivots that follow see.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -110,40 +118,50 @@ def _result(a):
     return a.tolist() if a.dtype == object else a
 
 
-def _pivot(T, row, col):
-    """One rank-1 update; ``x - x*1`` is exactly 0, so column col comes out a unit vector."""
-    pr = T[row] / T[row, col]
-    T -= np.multiply.outer(T[:, col], pr)
+def _pivot(T, basis, labels, row, col):
+    """Slot col enters, ``basis[row]`` leaves: one rank-1 update. Column col of a full T
+    (``labels`` None) comes out a unit vector; a cold T holds the leaver's column there."""
+    c = T[:, col]
+    if labels is None:
+        basis[row] = col
+    else:  # the leaving variable's unit column takes the slot
+        c, T[:, col], T[row, col] = c.copy(), 0, 1
+        basis[row], labels[col] = labels[col], basis[row]
+    pr = T[row] / c[row]
+    T -= np.multiply.outer(c, pr)
     T[row] = pr
 
 
-def _simplex(T, basis):
-    """Pivot T, of shape (m+1, ncols+1), to optimality; returns the pivot count.
-
-    The matrix-game LP is bounded, so an entering column with no row to
-    leave is a numerical failure and raises :class:`SolverFailureError`.
-    """
+def _simplex(T, basis, labels=None):
+    """Pivot T to optimality; returns the pivot count. ``labels`` names each slot's
+    variable in a cold T (None: slot j holds variable j). The LP is bounded, so a column
+    with no row to leave is a numerical failure and raises :class:`SolverFailureError`."""
     m, ncols = T.shape[0] - 1, T.shape[1] - 1
     feasibility, optimality = (0, 0) if T.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
     rc, rhs = T[m, :ncols], T[:m, -1]  # views: every pivot writes T in place
     bland, degenerate_run = False, 0
-    max_iter = 50 * (m + ncols) + 1000
+    max_iter = 50 * (m + ncols + (0 if labels is None else m)) + 1000  # rows plus variables
     for pivots in range(max_iter):
         if bland:
             neg = (rc < -optimality).nonzero()[0]
             if neg.size == 0:
                 return pivots
-            col = neg[0]
+            col = neg[0] if labels is None else neg[labels[neg].argmin()]
         else:
             col = rc.argmin()
             if rc[col] >= -optimality:
                 return pivots
+            # Ties enter by variable index; argmin from either end differs only on a tie.
+            if labels is not None and rc[::-1].argmin() != ncols - 1 - col:
+                ties = (rc == rc[col]).nonzero()[0]
+                col = ties[labels[ties].argmin()]
         colvals = T[:m, col]
         rows = (colvals > feasibility).nonzero()[0]
         if rows.size == 0:
             raise SolverFailureError(
                 "simplex found no leaving row in matrix game",
-                diagnostics={"column": int(col), "objective": float(-T[m, -1]), "bland": bland},
+                diagnostics={"column": int(col if labels is None else labels[col]),
+                             "objective": float(-T[m, -1]), "bland": bland},
             )
         row = rows[0]
         if rows.size > 1:
@@ -157,8 +175,7 @@ def _simplex(T, basis):
                 bland = True
         else:
             degenerate_run = 0
-        _pivot(T, row, col)
-        basis[row] = col
+        _pivot(T, basis, labels, row, col)
     raise SolverFailureError(
         "simplex did not terminate in matrix game",
         diagnostics={"iterations": max_iter, "objective": float(-T[m, -1]), "bland": bland},
@@ -166,8 +183,9 @@ def _simplex(T, basis):
 
 
 def _dual_simplex(T, basis):
-    """Pivot a float T to a feasible rhs; returns the pivot count. Only columns
-    of feasible reduced cost enter, the largest pivot among near ties."""
+    """Pivot a full float T to a feasible rhs; returns the pivot count. Only
+    columns of feasible reduced cost enter, the largest pivot among near ties,
+    then the smallest variable index (slot = variable in a full tableau)."""
     m = T.shape[0] - 1
     rc, rhs = T[m, :-1], T[:m, -1]
     for pivots in range(50 * T.shape[1] + 1000):
@@ -181,9 +199,7 @@ def _dual_simplex(T, basis):
         ratios = np.maximum(rc[cols], 0) / -a[cols]
         best = ratios.min()
         near = cols[ratios <= best + FEASIBILITY_TOL * (1 + abs(best))]
-        col = near[a[near].argmin()]
-        _pivot(T, row, col)
-        basis[row] = col
+        _pivot(T, basis, None, row, near[a[near].argmin()])
     raise SolverFailureError("dual simplex stalled",
                              diagnostics={"pivots": pivots, "row": int(row)})
 
@@ -197,28 +213,28 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
     as rationals and the result is exact: a Fraction value and lists of
     Fractions for the strategies.
     """
-    matrix = game.matrix if isinstance(game, MatrixGame) else game
-    if not isinstance(game, MatrixGame):
-        MatrixGame(np.asarray(matrix, dtype=float))  # run the guards
+    raw = game.matrix if isinstance(game, MatrixGame) else game
+    matrix = MatrixGame(np.asarray(raw, dtype=float)).matrix  # run the guards
     num = Fraction if exact else float
-    matrix = _array(matrix, num)
+    matrix = _array(raw, num) if exact else matrix
     m, n = matrix.shape
     if start is not None:
         members = np.array(start.members, dtype=np.intp)
         if (exact or members.size > m or len(set(start.members)) < members.size
                 or ((members < -m) | (members >= n)).any()):
             raise InvalidInputError("start basis: float only, no repeats, inside the matrix")
-    warm = start is not None and start.shift >= 1 - float(matrix.min())
-    shift = start.shift if warm else 1 - num(matrix.min())
+    lowest = num(matrix.min())
+    warm = start is not None and start.shift >= 1 - lowest
+    shift = start.shift if warm else 1 - lowest
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
-    T = _array(np.zeros((m + 1, n + m + 1)), num)
+    T = _array(np.zeros((m + 1, n + 1 + (m if warm else 0))), num)
     T[:m, :n] = matrix + shift
-    T[:m, n:-1] = _array(np.eye(m), num)
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
     basis = np.arange(n, n + m)
-    pivots = 0
+    labels, pivots = (None if warm else np.arange(n)), 0
     if warm:  # rebuild T from the start basis; its new rows keep their slacks
+        T[:m, n:-1] = np.eye(m)
         basis[:members.size] = np.where(members >= 0, members, n + ~members)
         try:
             T[:m] = np.linalg.solve(T[:m, basis], T[:m])
@@ -226,15 +242,18 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
             pivots = _dual_simplex(T, basis)
         except (np.linalg.LinAlgError, SolverFailureError):  # singular or stuck: start cold
             return solve_matrix_game(game)
-    pivots += _simplex(T, basis)
+    pivots += _simplex(T, basis, labels)
     z = _array(np.zeros(n), num)
     structural = basis < n
     z[basis[structural]] = T[:m, -1][structural]
     total = num(z.sum())
     if total <= 0:  # pragma: no cover - impossible for a positive matrix
         raise SolverFailureError("matrix-game LP returned a zero mixture")
+    rc = T[m, :-1] if labels is None else _array(np.zeros(n + m), num)
+    if labels is not None:  # a variable without a column is basic, at reduced cost 0
+        rc[labels] = T[m, :n]
     # Slack reduced costs are the dual; a float one may sit just below 0.
-    w = T[m, n:-1] if exact else np.maximum(T[m, n:-1], 0.0)
+    w = rc[n:] if exact else np.maximum(rc[n:], 0.0)
     return GameSolution(1 / total - shift, _result(w / num(w.sum())), _result(z / total),
                         Basis(tuple(np.where(structural, basis, n + ~basis).tolist()), shift),
                         pivots)

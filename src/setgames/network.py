@@ -160,7 +160,12 @@ class ValueFunction:
                 if np.any(mass < 0) and not float(self.exponent).is_integer():
                     raise InvalidInputError(f"negative component mass ** {self.exponent}")
                 distinct, inverse = np.unique(mass, return_inverse=True)
-                score[live] += np.array([m ** self.exponent for m in distinct.tolist()])[inverse]
+                try:
+                    powers = [m ** self.exponent for m in distinct.tolist()]
+                except (OverflowError, ZeroDivisionError):
+                    raise InvalidInputError(f"a component mass ** {self.exponent} "
+                                            "is not a finite float") from None
+                score[live] += np.array(powers)[inverse]
         return float(score[0]) if np.ndim(alive) == 0 else score
 
 

@@ -247,23 +247,28 @@ def partition_support(members) -> list[list[int]]:
     """Split support members into groups whose target unions are disjoint.
 
     Two members land in the same group when their masks intersect, directly
-    or through a chain: each member merges every group whose target union it
-    meets. The empty mask joins no group (it is a constant term). Groups come
-    out sorted, ordered by their smallest member.
+    or through a chain. The empty mask joins no group (it is a constant term).
+    Groups come out sorted, ordered by their smallest member. Bit-parallel:
+    ``reach[j]``, the union of the members holding target j, takes in its
+    targets' reaches until it stops growing, at j's component; a member's
+    group is its lowest target's component.
     """
-    groups: list[tuple[int, list[int]]] = []
-    for m in members:
-        if not m:
-            continue
-        union, merged, kept = m, [m], []
-        for u, group in groups:
-            if u & m:
-                union |= u
-                merged += group
-            else:
-                kept.append((u, group))
-        groups = kept + [(union, merged)]
-    return sorted((sorted(group) for _, group in groups), key=lambda group: group[0])
+    masks = np.sort(np.asarray(members, dtype=np.int64))
+    masks = masks[masks.searchsorted(1):]
+    if masks.size == 0:
+        return []
+    bits = np.arange(int(masks[-1]).bit_length())
+    reach = np.bitwise_or.reduce(masks[:, None] & -(masks[:, None] >> bits & 1))
+    while True:
+        grown = np.bitwise_or.reduce(reach & -(reach[:, None] >> bits & 1), axis=1)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    groups: dict[int, list[int]] = {}
+    for component, m in zip(reach[np.bitwise_count((masks & -masks) - 1)].tolist(),
+                            masks.tolist()):
+        groups.setdefault(component, []).append(m)
+    return list(groups.values())
 
 
 def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:

@@ -253,6 +253,21 @@ class TestExitCodes:
         assert main(["net", str(path), "--c", "1", "--eps-c", "0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("values", [[True, 1], ["a"], [float("nan")]])
+    def test_bad_node_values_give_the_network_message(self, tmp_path, capsys, values):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": len(values), "edges": [], "values": values}))
+        assert main(["net", str(path), "--c", "1", "--eps-c", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: node values must be finite real numbers, not booleans\n"
+
+    def test_net_score_overflow_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [[1, 2]], "values": [1e200, 1e200]}))
+        argv = ["net", str(path), "--c", "1", "--eps-c", "0", "--value-fn", "weighted_component_sum"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: a component mass ** 2.0")
+
     @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "-1", "0"])
     def test_solve_rejects_bad_tolerance(self, pennies_file, capsys, tol):
         assert main(["solve", pennies_file, f"--tol={tol}"]) == 1

@@ -2,6 +2,7 @@
 mixtures read from one tableau; duality and equivariance checks, and warm
 starts from an earlier basis."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,13 +10,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setgames import MatrixGame, lp, solve_matrix_game
+from setgames import MatrixGame, expand_normal_form, lp, solve_matrix_game
 from setgames.errors import CapacityError, InvalidInputError, SolverFailureError
+from conftest import random_game
 
 # The last restricted game of a network solve (5x6 grid, c=4, k=3): integer
 # payoffs with range 236, on which two independent float solves returned
 # strategies with a duality gap of 0.0105 at the right value.
 NET_WIDE_GAME = Path(__file__).with_name("net_wide_restricted_39x59.json")
+
+
+def digest(values):
+    """Short hash of the exact bits of a float sequence."""
+    return hashlib.sha256(" ".join(map(float.hex, map(float, values))).encode()).hexdigest()[:16]
+
+
+def full_tableau(condensed, num):
+    """The (m+1, n+m+1) tableau of a cold condensed one: slack unit columns inserted before the rhs."""
+    m = condensed.shape[0] - 1
+    slacks = lp._array(np.eye(m + 1, m, dtype=int).tolist(), num)
+    return np.hstack([condensed[:, :-1], slacks, condensed[:, -1:]])
 
 
 def assert_solution_certifies(matrix, sol, tol=1e-8):
@@ -177,6 +191,59 @@ class TestMatrixGames:
         assert exact.value == Fraction(391847654165169451, 2574149836328142)
         assert exact.basis.members == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
 
+    def test_cold_bits_are_pinned(self):
+        # The bits of the full (m+1, n+m+1) tableau, which the condensed one keeps.
+        m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+        sol = solve_matrix_game(m)
+        assert float.hex(sol.value) == "0x1.1c5df88808312p+7"
+        assert digest(sol.row_strategy) == "b92bd5b273697fa7"
+        assert digest(sol.col_strategy) == "f1b01a57b75dd75f"
+        nf = expand_normal_form(random_game(np.random.default_rng(0), 6, 3, 3))
+        assert nf.matrix.shape == (42, 42)
+        sol = solve_matrix_game(nf.matrix)
+        assert sol.pivots == 23
+        assert float.hex(sol.value) == "-0x1.cb06ec951b9c0p-5"
+        assert digest(sol.row_strategy) == "65b1f5080cc54f00"
+        assert digest(sol.col_strategy) == "f6b21d8f00ee6d03"
+
+    def test_cold_tableau_holds_no_slack_columns(self, monkeypatch):
+        m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+        start = solve_matrix_game(m[:20, :30]).basis
+        shapes = []
+        simplex = lp._simplex
+
+        def recorded(T, basis, labels=None):
+            shapes.append(T.shape)
+            return simplex(T, basis, labels)
+
+        monkeypatch.setattr(lp, "_simplex", recorded)
+        solve_matrix_game(m)
+        solve_matrix_game(m, start=start)  # a warm tableau keeps every column
+        assert shapes == [(40, 60), (40, 99)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_cold_solve_matches_the_full_tableau(self, seed, exact):
+        # Small integer games tie often; the condensed solve must pivot and
+        # end exactly as the full tableau's simplex does.
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(-3, 4, size=(rng.integers(2, 9), rng.integers(2, 9)))
+        sol = solve_matrix_game(ints.tolist() if exact else ints.astype(float), exact=exact)
+        num = Fraction if exact else float
+        m, n = ints.shape
+        cold = lp._array(np.zeros((m + 1, n + 1)), num)
+        cold[:m, :n] = lp._array((ints + 1 - ints.min()).tolist(), num)
+        cold[:m, -1], cold[m, :n] = num(1), num(-1)
+        full, basis = full_tableau(cold, num), np.arange(n, n + m)
+        assert lp._simplex(full, basis) == sol.pivots
+        assert sol.basis.members == tuple(np.where(basis < n, basis, n + ~basis).tolist())
+        w = full[m, n:-1] if exact else np.maximum(full[m, n:-1], 0.0)
+        expected = w / num(w.sum())
+        if exact:
+            assert sol.row_strategy == expected.tolist()
+        else:
+            assert sol.row_strategy.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_raises_when_no_row_can_leave(self, exact):
         # maximize z subject to -z + s = 1: z enters and nothing bounds it.
@@ -184,6 +251,11 @@ class TestMatrixGames:
         T = lp._array([[-1, 1, 1], [-1, 0, 0]], num)
         with pytest.raises(SolverFailureError):
             lp._simplex(T, [1])
+        # Condensed: only z's column is held, and the failure names variable 0.
+        T = lp._array([[-1, 1], [-1, 0]], num)
+        with pytest.raises(SolverFailureError) as failure:
+            lp._simplex(T, np.array([1]), np.array([0]))
+        assert failure.value.diagnostics["column"] == 0
 
 
 class TestTieRules:
@@ -194,7 +266,9 @@ class TestTieRules:
         ints[2, 4] = 3
         T = lp._array(ints.tolist(), num) / 7
         before = T.copy()
-        lp._pivot(T, 2, 4)
+        basis = np.zeros(4, dtype=np.intp)
+        lp._pivot(T, basis, None, 2, 4)
+        assert basis.tolist() == [0, 0, 4, 0]
         unit = lp._array(np.eye(5)[:, 2], num)
         assert np.array_equal(T[:, 4], unit)
         expected = before - np.outer(before[:, 4], before[2] / before[2, 4])
@@ -205,6 +279,26 @@ class TestTieRules:
             assert np.allclose(T, expected, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("exact", [False, True])
+    def test_condensed_pivot_gives_the_full_tableau_bits(self, exact):
+        # Variable 1 enters at row 2 and slack 5 leaves: its unit column takes
+        # slot 1, and every held column gets the full tableau's bits.
+        num = Fraction if exact else float
+        ints = np.random.default_rng(4).integers(-9, 10, size=(5, 4))
+        ints[2, 1] = 6
+        condensed = lp._array(ints.tolist(), num) / 7
+        full = full_tableau(condensed, num)
+        full_basis, basis, labels = np.arange(3, 7), np.arange(3, 7), np.arange(3)
+        lp._pivot(full, full_basis, None, 2, 1)
+        lp._pivot(condensed, basis, labels, 2, 1)
+        assert basis.tolist() == full_basis.tolist() == [3, 4, 1, 6]
+        assert labels.tolist() == [0, 5, 2]
+        held = full[:, [*labels, -1]]
+        if exact:
+            assert condensed.tolist() == held.tolist()
+        else:
+            assert condensed.tobytes() == np.ascontiguousarray(held).tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_ratio_tie_leaves_the_smallest_basis_index(self, exact):
         # Column 0 enters; rows 0 and 1 tie at ratio 1, and row 1 holds the
         # smaller basis index, so it leaves although row 0 comes first.
@@ -213,6 +307,11 @@ class TestTieRules:
         basis = np.array([2, 1])
         assert lp._simplex(T, basis) == 1
         assert basis.tolist() == [2, 0]
+        # Condensed, the same LP holds column 0 only; variable 1 takes its slot.
+        T = lp._array([[1, 1], [1, 1], [-1, 0]], num)
+        basis, labels = np.array([2, 1]), np.array([0])
+        assert lp._simplex(T, basis, labels) == 1
+        assert basis.tolist() == [2, 0] and labels.tolist() == [1]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_near_tie_is_a_tie_only_in_floats(self, exact):
@@ -224,6 +323,39 @@ class TestTieRules:
         basis = np.array([2, 1])
         lp._simplex(T, basis)
         assert basis.tolist() == ([0, 1] if exact else [2, 0])
+        T = lp._array([[1, 1], [1, 1 + 1e-12], [-1, 0]], num)
+        basis, labels = np.array([2, 1]), np.array([0])
+        lp._simplex(T, basis, labels)
+        assert basis.tolist() == ([0, 1] if exact else [2, 0])
+        assert labels.tolist() == ([2] if exact else [1])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_condensed_dantzig_tie_enters_the_smallest_variable(self, exact):
+        # Slot 0 holds slack 2 and slot 1 variable 0, both at reduced cost -1:
+        # variable 0 enters, as it would from the full tableau.
+        num = Fraction if exact else float
+        T = lp._array([[1, 1, 1], [-1, -1, 0]], num)
+        basis, labels = np.array([1]), np.array([2, 0])
+        assert lp._simplex(T, basis, labels) == 1
+        assert basis.tolist() == [0] and labels.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_condensed_bland_run_matches_the_full_tableau(self, exact):
+        # Beale's example cycles under Dantzig's rule; after the degenerate
+        # run the Bland pivots must pick variables by index, not by slot.
+        num = Fraction if exact else float
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        condensed = lp._array([[quarter, -8, -1, 9, 0], [half, -12, -half, 3, 0],
+                               [0, 0, 1, 0, 1], [-3 * quarter, 20, -half, 6, 0]], num)
+        full = full_tableau(condensed, num)
+        full_basis, basis, labels = np.arange(4, 7), np.arange(4, 7), np.arange(4)
+        assert lp._simplex(full, full_basis) == lp._simplex(condensed, basis, labels) == 30
+        assert basis.tolist() == full_basis.tolist() == [2, 4, 0]
+        held = full[:, [*labels, -1]]
+        if exact:
+            assert condensed.tolist() == held.tolist()
+        else:
+            assert condensed.tobytes() == np.ascontiguousarray(held).tobytes()
 
     def test_dual_simplex_near_tie_enters_the_most_negative_pivot(self):
         # Row 0 is infeasible; columns 0 and 1 tie at ratio 1, and column 1

@@ -197,6 +197,19 @@ class TestValueFunctions:
         squared = ValueFunction("weighted_component_sum", exponent=2.0)
         assert squared.evaluate(net, 0b001) == 1.0
 
+    @pytest.mark.parametrize("values, exponent", [
+        ((1e200, 1e200), 2.0),  # Python's ** overflows
+        ((0.0, 0.0), -1.0),  # 0.0 ** -1 divides by zero
+    ])
+    def test_out_of_range_powers_raise_invalid_input(self, values, exponent):
+        net = Network(2, ((1, 2),), node_values=values)
+        vf = ValueFunction("weighted_component_sum", exponent=exponent)
+        for alive in (0b11, np.array([0b11, 0b01])):
+            with pytest.raises(InvalidInputError, match="not a finite float"):
+                vf.evaluate(net, alive)
+        with pytest.raises(InvalidInputError):
+            induce_benefit(net, vf, FailureOperator(), 1)
+
 
 class TestFailureOperators:
     def test_node_removal_is_identity(self):

@@ -202,6 +202,42 @@ class TestSeparable:
         assert {0b00100} in as_sets
         assert {0b01000, 0b10000, 0b11000} in as_sets
 
+    def test_partition_matches_a_union_find_reference(self):
+        def reference(members):
+            parent = {}
+
+            def find(t):
+                while parent.setdefault(t, t) != t:
+                    t = parent[t]
+                return t
+
+            for m in members:  # union every target of a member with its lowest one
+                for t in range(m.bit_length()):
+                    if m >> t & 1:
+                        parent[find(t)] = find((m & -m).bit_length() - 1)
+            groups = {}
+            for m in sorted(members):
+                if m:
+                    groups.setdefault(find((m & -m).bit_length() - 1), []).append(m)
+            return sorted(groups.values(), key=lambda group: group[0])
+
+        rng = np.random.default_rng(17)
+        sizes = []
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            members = {0} if rng.random() < 0.3 else set()
+            for _ in range(int(rng.integers(0, 30))):
+                size = min(n, int(rng.integers(1, 4)))
+                members.add(sum(1 << int(t) for t in rng.choice(n, size, replace=False)))
+            members = list(members)
+            rng.shuffle(members)
+            parts = partition_support(members)
+            assert parts == reference(members)
+            assert all(type(m) is int for part in parts for m in part)
+            sizes.append(len(parts))
+        assert partition_support([]) == partition_support([0]) == []
+        assert min(sizes) == 0 and max(sizes) >= 8
+
     def test_two_pair_components(self):
         # +4 pair stays whole; the -4 pair gets one variable zeroed.
         support = SupportSet.from_members(4, [0b0011, 0b1100])
