@@ -34,7 +34,7 @@ from .compact import (
     marginal_defender,
     vertex_to_strategy,
 )
-from .lp import GameSolution, MatrixGame, solve_matrix_game
+from .lp import GameSolution, solve_matrix_game
 from .oracles import (
     PseudoBooleanProblem,
     attacker_oracle,
@@ -70,7 +70,6 @@ __all__ = [
     "GameSolution",
     "GameSpec",
     "GroundSet",
-    "MatrixGame",
     "MixedStrategy",
     "MobiusTransform",
     "Network",

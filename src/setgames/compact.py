@@ -216,7 +216,7 @@ def vertex_to_strategy(coords, support: SupportSet) -> int:
     defense = 0
     for i, pos in enumerate(support.singleton_positions):
         c = coords[pos]
-        if abs(c) > 1e-9 and abs(c - 1.0) > 1e-9:
+        if not (abs(c) <= 1e-9 or abs(c - 1.0) <= 1e-9):  # NaN is neither
             raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c}, not 0/1")
         if c < 0.5:
             defense |= 1 << i

@@ -28,19 +28,21 @@ minimum-ratio test, ties broken toward the smallest basis index. A pivot
 costs one rank-1 update of T; on the small restricted games of a double
 oracle its price is a handful of numpy calls, not arithmetic.
 
-A float solve may start from the :class:`Basis` of an earlier solve of a
-leading block of M, as constraint generation does each round. It keeps that
-shift if every entry stays at least 1 (else it starts cold), rebuilds the
-tableau from the basis plus the new rows' slacks with one linear solve, and
-lets a dual simplex repair the rows left infeasible before the primal simplex
-prices the new columns. Should that basis be singular, or the dual simplex
-get stuck on round-off, the solve starts over from the slack basis. Every
-warm start refactors M: extending the last round's final tableau instead let
-a 2.7e-9 pivot in a degenerate 3x4 round leave errors of 2e-3 in it, and 6
-of 12 net-small operations then failed certification. A warm T keeps every
-column, slot j holding variable j: the refactor leaves round-off in the basic
-columns (``solve(B, B) != I`` in all 418 warm solves of a net-small pass,
-nonzero basic reduced costs in 342), which the pivots that follow see.
+A float solve may start from the final basis of an earlier solve of a
+leading block of M, as constraint generation does each round. A start is its
+members alone: every solve shifts by its own matrix's ``1 - min(M)``, since
+the optimal basis (the support columns and the slacks of the rows that lose)
+is the same under every shift. The solve rebuilds the tableau from the start
+plus the new rows' slacks with one linear solve, and lets a dual simplex
+repair the rows left infeasible before the primal simplex prices the new
+columns. Should that basis be singular, or the dual simplex get stuck on
+round-off, the solve starts over from the slack basis. Every warm start
+refactors M: extending the last round's final tableau instead let a 2.7e-9
+pivot in a degenerate 3x4 round leave errors of 2e-3 in it, and 6 of 12
+net-small operations then failed certification. A warm T keeps every column,
+slot j holding variable j: the refactor leaves round-off in the basic columns
+(``solve(B, B) != I`` in all 418 warm solves of a net-small pass, nonzero
+basic reduced costs in 342), which the pivots that follow see.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -65,37 +67,14 @@ OPTIMALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class MatrixGame:
-    """Finite zero-sum game; the row player maximizes ``matrix``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.size == 0:
-            raise InvalidInputError("payoff matrix must be two-dimensional and non-empty")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("payoff matrix contains non-finite entries")
-        if m.size > MAX_GAME_CELLS:
-            raise CapacityError(f"payoff matrix with {m.size} cells exceeds the guard")
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Final basis, ``j >= 0`` column j and ``~i`` row i's slack, and its shift."""
-
-    members: tuple
-    shift: float
-
-
-@dataclass(frozen=True)
 class GameSolution:
-    """Minimax solution (probability vectors over rows/columns), final basis, pivots."""
+    """Minimax solution (probability vectors over rows/columns), final basis, pivots.
+    The basis is a tuple of members, ``j >= 0`` column j and ``~i`` row i's slack."""
 
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
-    basis: Basis
+    basis: tuple
     pivots: int
 
 
@@ -204,31 +183,34 @@ def _dual_simplex(T, basis):
                              diagnostics={"pivots": pivots, "row": int(row)})
 
 
-def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
-                      start: Basis | None = None) -> GameSolution:
-    """Optimal mixed strategies of a finite zero-sum game (rows maximize).
+def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None) -> GameSolution:
+    """Optimal mixed strategies of a finite zero-sum game (rows maximize ``matrix``).
 
     Deterministic for a given matrix and ``start``, the ``basis`` of an earlier
     float solve of a leading block. In exact mode the matrix entries are taken
     as rationals and the result is exact: a Fraction value and lists of
     Fractions for the strategies.
     """
-    raw = game.matrix if isinstance(game, MatrixGame) else game
-    matrix = MatrixGame(np.asarray(raw, dtype=float)).matrix  # run the guards
+    values = np.asarray(matrix, dtype=float)
+    if values.ndim != 2 or values.size == 0:
+        raise InvalidInputError("payoff matrix must be two-dimensional and non-empty")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("payoff matrix contains non-finite entries")
+    if values.size > MAX_GAME_CELLS:
+        raise CapacityError(f"payoff matrix with {values.size} cells exceeds the guard")
     num = Fraction if exact else float
-    matrix = _array(raw, num) if exact else matrix
-    m, n = matrix.shape
-    if start is not None:
-        members = np.array(start.members, dtype=np.intp)
-        if (exact or members.size > m or len(set(start.members)) < members.size
+    values = _array(matrix, num) if exact else values
+    m, n = values.shape
+    warm = start is not None
+    if warm:
+        members = np.array(start, dtype=np.intp)
+        if (exact or members.size > m or len(set(start)) < members.size
                 or ((members < -m) | (members >= n)).any()):
             raise InvalidInputError("start basis: float only, no repeats, inside the matrix")
-    lowest = num(matrix.min())
-    warm = start is not None and start.shift >= 1 - lowest
-    shift = start.shift if warm else 1 - lowest
+    shift = 1 - num(values.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
     T = _array(np.zeros((m + 1, n + 1 + (m if warm else 0))), num)
-    T[:m, :n] = matrix + shift
+    T[:m, :n] = values + shift
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
     basis = np.arange(n, n + m)
@@ -241,7 +223,7 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
             T[m] -= T[m, basis] @ T[:m]
             pivots = _dual_simplex(T, basis)
         except (np.linalg.LinAlgError, SolverFailureError):  # singular or stuck: start cold
-            return solve_matrix_game(game)
+            return solve_matrix_game(matrix)
     pivots += _simplex(T, basis, labels)
     z = _array(np.zeros(n), num)
     structural = basis < n
@@ -255,5 +237,4 @@ def solve_matrix_game(game: MatrixGame | np.ndarray, *, exact: bool = False,
     # Slack reduced costs are the dual; a float one may sit just below 0.
     w = rc[n:] if exact else np.maximum(rc[n:], 0.0)
     return GameSolution(1 / total - shift, _result(w / num(w.sum())), _result(z / total),
-                        Basis(tuple(np.where(structural, basis, n + ~basis).tolist()), shift),
-                        pivots)
+                        tuple(np.where(structural, basis, n + ~basis).tolist()), pivots)

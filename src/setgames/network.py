@@ -146,6 +146,7 @@ class ValueFunction:
         masks = _alive(net, alive)
         score = np.zeros(masks.shape)
         values = net.node_values or (1.0,) * net.node_count
+        past_range = f"value function {self.kind!r} scores past the float range"
         for comp in _components(net.adjacency(), masks):
             size = np.bitwise_count(comp).astype(np.int64)
             if self.kind == "connected_pairs":
@@ -156,7 +157,10 @@ class ValueFunction:
                 # Masses add node by node in ascending order; each distinct mass
                 # takes Python's ** (numpy's power rounds some last bits apart).
                 live = comp != 0
-                mass = sum(((comp[live] >> j) & 1) * v for j, v in enumerate(values))
+                with np.errstate(over="ignore"):  # an overflow shows as inf, caught below
+                    mass = sum(((comp[live] >> j) & 1) * v for j, v in enumerate(values))
+                if not np.isfinite(mass).all():
+                    raise InvalidInputError(past_range)
                 if np.any(mass < 0) and not float(self.exponent).is_integer():
                     raise InvalidInputError(f"negative component mass ** {self.exponent}")
                 distinct, inverse = np.unique(mass, return_inverse=True)
@@ -165,7 +169,10 @@ class ValueFunction:
                 except (OverflowError, ZeroDivisionError):
                     raise InvalidInputError(f"a component mass ** {self.exponent} "
                                             "is not a finite float") from None
-                score[live] += np.array(powers)[inverse]
+                with np.errstate(over="ignore"):
+                    score[live] += np.array(powers)[inverse]
+        if not np.isfinite(score).all():
+            raise InvalidInputError(past_range)
         return float(score[0]) if np.ndim(alive) == 0 else score
 
 

@@ -268,6 +268,13 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: a component mass ** 2.0")
 
+    def test_net_component_mass_overflow_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [[1, 2]], "values": [1e308, 1e308]}))
+        argv = ["net", str(path), "--c", "1", "--eps-c", "0", "--value-fn", "weighted_component_sum"]
+        assert main(argv) == 1
+        assert "weighted_component_sum" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "-1", "0"])
     def test_solve_rejects_bad_tolerance(self, pennies_file, capsys, tol):
         assert main(["solve", pennies_file, f"--tol={tol}"]) == 1

@@ -303,6 +303,14 @@ class TestVertexMapping:
         with pytest.raises(InvalidVertexError):
             vertex_to_strategy(defense_row(1, support) * 0.5, support)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coords(self, bad):
+        support = build_compact_game(make_spec(2, {})).support
+        row = defense_row(1, support)
+        row[support.singleton_positions[1]] = bad
+        with pytest.raises(InvalidVertexError):
+            vertex_to_strategy(row, support)
+
     def test_rejects_coords_of_the_wrong_length(self):
         support = build_compact_game(make_spec(2, {})).support
         row = defense_row(1, support)

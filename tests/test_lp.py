@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setgames import MatrixGame, expand_normal_form, lp, solve_matrix_game
+from setgames import expand_normal_form, lp, solve_compact, solve_matrix_game
 from setgames.errors import CapacityError, InvalidInputError, SolverFailureError
 from conftest import random_game
 
@@ -169,11 +169,11 @@ class TestMatrixGames:
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
-            MatrixGame(np.array([[np.nan, 0.0]]))
+            solve_matrix_game(np.array([[np.nan, 0.0]]))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            MatrixGame(np.zeros((4000, 3000)))
+            solve_matrix_game(np.zeros((4000, 3000)))
 
     def test_pivot_path_is_pinned(self):
         # The cold path runs no BLAS, so these counts and the final basis
@@ -182,14 +182,14 @@ class TestMatrixGames:
         m = np.array(data["matrix"], dtype=float)
         sol = solve_matrix_game(m)
         assert sol.pivots == 66
-        assert sol.basis.members == (
+        assert sol.basis == (
             -1, 18, 27, 22, -21, 51, -7, -8, 44, 47, 42, 20, 45, -27, -15, 32, -25, 46, -19,
             16, 39, -13, 53, 29, 54, 14, 50, -3, 37, -6, 57, -32, -11, -17, 52, 28, 24, -39, 40)
         assert sol.value == pytest.approx(data["value"], rel=1e-12)
         exact = solve_matrix_game([[int(v) for v in row] for row in m[:12, :16]], exact=True)
         assert exact.pivots == 19
         assert exact.value == Fraction(391847654165169451, 2574149836328142)
-        assert exact.basis.members == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
+        assert exact.basis == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
 
     def test_cold_bits_are_pinned(self):
         # The bits of the full (m+1, n+m+1) tableau, which the condensed one keeps.
@@ -236,7 +236,7 @@ class TestMatrixGames:
         cold[:m, -1], cold[m, :n] = num(1), num(-1)
         full, basis = full_tableau(cold, num), np.arange(n, n + m)
         assert lp._simplex(full, basis) == sol.pivots
-        assert sol.basis.members == tuple(np.where(basis < n, basis, n + ~basis).tolist())
+        assert sol.basis == tuple(np.where(basis < n, basis, n + ~basis).tolist())
         w = full[m, n:-1] if exact else np.maximum(full[m, n:-1], 0.0)
         expected = w / num(w.sum())
         if exact:
@@ -392,17 +392,52 @@ class TestWarmStart:
             cold_pivots += cold.pivots
         assert warm_pivots < cold_pivots
 
-    def test_row_below_the_old_minimum_starts_from_the_slack_basis(self):
+    def test_row_below_the_old_minimum_still_starts_warm(self):
+        # The grown matrix takes its own shift; the optimal basis does not
+        # depend on it, so the start still saves pivots.
         rng = np.random.default_rng(21)
         m = rng.normal(size=(6, 5))
-        m[5, 2] = m[:5].min() - 1.5  # the stored shift no longer suffices
+        m[5, 2] = m[:5].min() - 1.5
         start = solve_matrix_game(m[:5]).basis
         warm = solve_matrix_game(m, start=start)
         cold = solve_matrix_game(m)
-        assert warm.value == cold.value and warm.pivots == cold.pivots
-        assert np.array_equal(warm.row_strategy, cold.row_strategy)
-        assert np.array_equal(warm.col_strategy, cold.col_strategy)
+        assert warm.pivots < cold.pivots
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
         assert_solution_certifies(m, warm)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_growth_below_the_old_minimum_matches_cold(self, seed):
+        # Rows and columns added each step hold entries below every earlier one.
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        m = rng.normal(size=(rows, cols))
+        start = None
+        for _ in range(6):
+            new_rows, new_cols = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            grown = m.min() - rng.exponential(size=(rows + new_rows, cols + new_cols))
+            grown[:rows, :cols] = m
+            m, rows, cols = grown, *grown.shape
+            warm = solve_matrix_game(m, start=start)
+            cold = solve_matrix_game(m)
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+            assert_solution_certifies(m, warm)
+            start = warm.basis
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_only_the_first_restricted_round_starts_cold(self, monkeypatch, seed):
+        # A cold tableau carries slot labels; a warm one does not.
+        cold = []
+        simplex = lp._simplex
+
+        def recorded(T, basis, labels=None):
+            cold.append(labels is not None)
+            return simplex(T, basis, labels)
+
+        monkeypatch.setattr(lp, "_simplex", recorded)
+        trace = []
+        solve_compact(random_game(np.random.default_rng(seed), 7, 3, 3), trace=trace)
+        assert len(cold) == len(trace) > 1
+        assert cold == [True] + [False] * (len(trace) - 1)
 
     def test_stuck_dual_simplex_starts_over_from_the_slack_basis(self, monkeypatch):
         m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
@@ -428,13 +463,13 @@ class TestWarmStart:
             solve_matrix_game(m, exact=True, start=start)
         for members in [(2,), (~2,), (0, 1, ~0)]:
             with pytest.raises(InvalidInputError):
-                solve_matrix_game(np.array(m, dtype=float), start=lp.Basis(members, 1.0))
+                solve_matrix_game(np.array(m, dtype=float), start=members)
 
     def test_rejects_repeated_members(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         for members in [(0, 0), (~1, ~1)]:
             with pytest.raises(InvalidInputError):
-                solve_matrix_game(m, start=lp.Basis(members, 2.0))
+                solve_matrix_game(m, start=members)
 
     @pytest.mark.parametrize("matrix, members", [
         ([[1.0, 1.0], [1.0, 1.0]], (0, 1)),  # equal columns
@@ -442,7 +477,7 @@ class TestWarmStart:
     ])
     def test_singular_start_starts_over_from_the_slack_basis(self, matrix, members):
         m = np.array(matrix)
-        warm = solve_matrix_game(m, start=lp.Basis(members, 0.0))
+        warm = solve_matrix_game(m, start=members)
         cold = solve_matrix_game(m)
         assert warm.value == cold.value and warm.pivots == cold.pivots
         assert np.array_equal(warm.row_strategy, cold.row_strategy)

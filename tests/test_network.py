@@ -1,5 +1,6 @@
 """Network games: value functions, failures, induced benefits, approximation."""
 
+import warnings
 from math import comb
 
 import numpy as np
@@ -209,6 +210,21 @@ class TestValueFunctions:
                 vf.evaluate(net, alive)
         with pytest.raises(InvalidInputError):
             induce_benefit(net, vf, FailureOperator(), 1)
+
+    @pytest.mark.parametrize("edges, exponent", [
+        (((1, 2),), 1.0),  # the component mass overflows
+        (((1, 2),), -1.0),  # and would score inf ** -1 = 0
+        ((), 1.0),  # each component in range, their sum not
+    ])
+    def test_score_past_the_float_range_raises_without_warnings(self, edges, exponent):
+        net = Network(2, edges, node_values=(1e308, 1e308))
+        vf = ValueFunction("weighted_component_sum", exponent=exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="weighted_component_sum"):
+                vf.evaluate(net, net.full_mask)
+            with pytest.raises(InvalidInputError, match="weighted_component_sum"):
+                induce_benefit(net, vf, FailureOperator(), 1)
 
 
 class TestFailureOperators:
