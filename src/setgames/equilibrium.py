@@ -7,10 +7,10 @@ matrix game; it is the ground truth for everything else at desk scale.
 oracle over compact coordinates. The restricted game is two strategy lists
 with their stacked coordinates P (attacks) and Q (defenses), and its payoff
 matrix is :func:`~setgames.compact.payoff_block` of the two. Each round
-solves it and asks each side's oracle for a best response at the restricted
-optimum; a side whose response beats it by more than the gap tolerance asks
-again at a smoothed point (Wentges smoothing, :data:`SMOOTHING`): at most two
-queries per side and round. New attacks add one block of rows against Q,
+solves it and asks each side's oracle once, at the restricted optimum, for a
+best response and :data:`POOL` runner-ups (a column pool): a side whose best
+response beats the restricted value by more than the gap tolerance adds it
+and every runner-up that does too. New attacks add one block of rows against Q,
 new defenses one block of columns against P; as the lists only grow inside
 finite spaces, the solve terminates. The stop rule reads the gaps at the
 optimum alone, so on convergence the restricted mixtures are optimal for the
@@ -20,6 +20,7 @@ full game. :func:`best_response_gap` certifies a report with the same steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,23 +33,31 @@ from .compact import (
     marginal_defender,
     payoff_block,
 )
-from .errors import CapacityError, SolverFailureError
+from .errors import CapacityError, InvalidInputError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import solve_matrix_game
 from .oracles import attacker_oracle, defender_oracle
 
 SUPPORT_GUARD = 10_000
-# Weight of the last round's smoothed point (round 1: none) against the round's
-# restricted optimum in its smoothed query point; 0 queries the optimum only.
-SMOOTHING = 0.5
+# Runner-ups per oracle query; those that also beat the restricted value by
+# more than the gap tolerance join the best response. 0 adds the best only.
+POOL = 8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the constraint-generation solve."""
+    """Knobs of the constraint-generation solve; bad values raise :class:`InvalidInputError`."""
 
-    eps_gap: float = 1e-7
-    max_iterations: int | None = None  # default 10 * support size + 100
+    eps_gap: float = 1e-7  # finite and positive
+    max_iterations: int | None = None  # at least 1; default 10 * support size + 100
+
+    def __post_init__(self):
+        eps, rounds = self.eps_gap, self.max_iterations
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf:
+            raise InvalidInputError(f"eps_gap must be finite and positive, got {eps!r}")
+        if rounds is not None and (isinstance(rounds, bool) or not isinstance(rounds, Integral)
+                                   or rounds < 1):
+            raise InvalidInputError(f"max_iterations must be None or at least 1, got {rounds!r}")
 
 
 @dataclass(frozen=True)
@@ -81,33 +90,35 @@ def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumRepor
     )
 
 
-def _attacker_response(game, qd, current):
-    """Best attack against defense coordinates ``qd`` and its gain over payoff ``current``."""
+def _attacker_response(game, qd, current, pool=0):
+    """Best attack against defense coordinates ``qd`` and its gain over payoff
+    ``current``, then up to ``pool`` runner-ups and theirs."""
     w = game.benefit_vec * qd - game.attacker_cost_vec
-    attack, value = attacker_oracle(game.oracle, w)
-    return attack, value + float(game.defender_cost_vec @ qd) - current
+    cost = float(game.defender_cost_vec @ qd)
+    attack, value, runner_ups = attacker_oracle(game.oracle, w, pool)
+    return attack, value + cost - current, [(a, v + cost - current) for a, v in runner_ups]
 
 
-def _defender_response(game, pa, current):
-    """Best defense against attack coordinates ``pa`` and its gain under payoff ``current``."""
+def _defender_response(game, pa, current, pool=0):
+    """Best defense against attack coordinates ``pa`` and its gain under payoff
+    ``current``, then up to ``pool`` runner-ups and theirs."""
     w = -(game.benefit_vec * pa + game.defender_cost_vec)
-    defense, value = defender_oracle(game.oracle, w)
-    return defense, current + (value + float(game.attacker_cost_vec @ pa))
+    cost = float(game.attacker_cost_vec @ pa)
+    defense, value, runner_ups = defender_oracle(game.oracle, w, pool)
+    return defense, current + (value + cost), [(d, current + (v + cost)) for d, v in runner_ups]
 
 
-def _responses(respond, value, eps_gap, game, point, smoothed, known):
-    """One side's round: ``respond`` at ``point``, the opponent's restricted
+def _responses(respond, value, eps_gap, game, point, known):
+    """One side's round: one ``respond`` at ``point``, the opponent's restricted
     optimum in compact coordinates, gives the side's gap over ``value``, which
-    alone decides the stop rule. Only when the gap exceeds ``eps_gap`` also
-    respond at the ``smoothed`` point, unless it equals ``point``. Returns the
-    gap, the strategies the round adds (those not in ``known``, in discovery
-    order; none for a side within tolerance), and the number of oracle calls."""
-    best, gap = respond(game, point, value)
+    alone decides the stop rule. Returns the gap and the strategies the round
+    adds, best first: the best response and each of its :data:`POOL` runner-ups
+    that gains more than ``eps_gap`` too, unless in ``known``; none within tolerance."""
+    best, gap, runner_ups = respond(game, point, value, POOL)
     if gap <= eps_gap:
-        return gap, [], 1
-    again = not np.array_equal(smoothed, point)
-    found = [best, respond(game, smoothed, value)[0]] if again else [best]
-    return gap, [s for s in dict.fromkeys(found) if s not in known], len(found)
+        return gap, []
+    found = [best] + [s for s, gain in runner_ups if gain > eps_gap]
+    return gap, [s for s in found if s not in known]
 
 
 def _check_atom_bound(side, weights, support):
@@ -125,8 +136,9 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     """Double-oracle solve over compact coordinates.
 
     Starts from the empty attack and the empty defense, alternates restricted
-    matrix-game solves with best-response oracle calls, and stops when
-    neither player can improve by more than ``config.eps_gap``. Each round's
+    matrix-game solves with one oracle query per side (best response and
+    :data:`POOL` runner-ups), and stops when neither player can improve by
+    more than ``config.eps_gap``. Each round's
     restricted game is the last one with rows added at the bottom and
     columns at the right, so its solve starts from the last round's optimal
     basis: a dual simplex repairs the rows of the new attacks, then the
@@ -135,8 +147,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
     the same game reuses them. If ``trace`` is a list, one record per
     round is appended with the restricted value, both gaps, the strategy
-    counts, the LP's pivots, the oracle calls of both sides, and the
-    strategies the round adds.
+    counts, the LP's pivots, the oracle calls of both sides (always 2), and
+    the strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
@@ -150,39 +162,26 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
-    max_rounds = config.max_iterations
-    if max_rounds is None:
-        max_rounds = 10 * support.size + 100
+    max_rounds = config.max_iterations or 10 * support.size + 100
 
     attacks, defenses = [0], [0]
     P = coordinates(attacks, support, "attacker")
     Q = coordinates(defenses, support, "defender")
     payoff = payoff_block(game, P, Q)
 
-    oracle_calls = 0
-    rounds = 0
     converged = False
-    row_mix = np.array([1.0])
-    col_mix = np.array([1.0])
-    value = float(payoff[0, 0])
     basis = None
-
-    while rounds < max_rounds:
-        rounds += 1
+    for rounds in range(1, max_rounds + 1):  # max_rounds >= 1 binds the mixtures below
         solution = solve_matrix_game(payoff, start=basis)
         basis = solution.basis
         row_mix = np.asarray(solution.row_strategy, dtype=float)
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
 
-        points = (col_mix @ Q, row_mix @ P)
-        smoothed = points if rounds == 1 else tuple(
-            SMOOTHING * c + (1 - SMOOTHING) * x for c, x in zip(smoothed, points))
-        attacker_gap, new_attacks, calls_a = _responses(
-            _attacker_response, value, config.eps_gap, game, points[0], smoothed[0], attacks)
-        defender_gap, new_defenses, calls_d = _responses(
-            _defender_response, value, config.eps_gap, game, points[1], smoothed[1], defenses)
-        oracle_calls += calls_a + calls_d
+        attacker_gap, new_attacks = _responses(
+            _attacker_response, value, config.eps_gap, game, col_mix @ Q, attacks)
+        defender_gap, new_defenses = _responses(
+            _defender_response, value, config.eps_gap, game, row_mix @ P, defenses)
 
         if trace is not None:
             trace.append({
@@ -193,7 +192,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "attacker_vertices": len(attacks),
                 "defender_vertices": len(defenses),
                 "lp_pivots": solution.pivots,
-                "oracle_calls": calls_a + calls_d,
+                "oracle_calls": 2,
                 "added_attacks": sorted(new_attacks),
                 "added_defenses": sorted(new_defenses),
             })
@@ -226,7 +225,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         attacker=MixedStrategy.from_pairs(zip(attacks, row_mix)),
         iterations=rounds,
         support_size=support.size,
-        oracle_calls=oracle_calls,
+        oracle_calls=2 * rounds,
         converged=converged,
     )
 

@@ -27,7 +27,11 @@ A call, ``attacker_oracle(prepared, weights)`` or
 the support: one matrix-vector product, the best row of each (component,
 count) group, and a knapsack over components that spends the cap. It
 returns ``(mask, value)``, the best strategy, ties to the smallest, and its
-value.
+value. Given ``pool``, it returns ``(mask, value, runner_ups)``: also up to
+``pool`` other strategies of one table row each (the other components
+empty), with their values, ranked by the row's gain over its component's
+empty row, ties to the smaller mask. The double oracle adds those that
+improve alongside the best response, a column pool.
 """
 
 from __future__ import annotations
@@ -100,6 +104,8 @@ class _Table:
     j (the empty member in the first component) and ``U_t ⊆ strategies[j]``
     for attacks, ``U_t ∩ strategies[j] = ∅`` for defenses. Component c has
     ``sizes[c]`` segments, one per count from 0 to ``min(cap, width)``.
+    ``component[j]`` is row j's component and ``empty[c]`` component c's
+    empty (count-0) row.
     """
 
     cap: int
@@ -108,19 +114,40 @@ class _Table:
     segment: np.ndarray
     starts: np.ndarray
     sizes: tuple[int, ...]
+    component: np.ndarray
+    empty: np.ndarray
 
     def __post_init__(self):
-        for array in (self.strategies, self.hits, self.segment, self.starts):
+        for array in (self.strategies, self.hits, self.segment, self.starts, self.component,
+                      self.empty):
             array.setflags(write=False)
 
-    def best(self, weights: np.ndarray) -> tuple[int, float]:
-        """Highest-scoring strategy of at most ``cap`` targets and its score."""
+    def best(self, weights: np.ndarray, pool: int = 0) -> tuple[int, float, list]:
+        """Highest-scoring strategy of at most ``cap`` targets, its score, and
+        up to ``pool`` runner-ups as ``(mask, score)`` pairs.
+
+        A runner-up is one row, the other components kept empty, ranked by
+        its gain over its component's empty row: highest first, ties to the
+        smaller mask, the best strategy and repeats of the empty one left out.
+        """
         values = self.hits @ weights
         top = np.maximum.reduceat(values, self.starts)
         # The smallest strategy of each segment that reaches its maximum.
         tied = np.where(values == top[self.segment], self.strategies, _NO_MASK)
         masks = np.minimum.reduceat(tied, self.starts)
-        return _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
+        mask, value = _separable_best(top.tolist(), masks.tolist(), self.sizes, self.cap)
+        if pool <= 0:
+            return mask, value, []
+        base = values[self.empty]
+        gain = values - base[self.component]
+        gain[self.empty[1:]] = -np.inf  # the empty strategy is ranked once
+        # Every row whose gain reaches the (pool + 1)-th largest, then exact ranking.
+        at = max(gain.size - pool - 1, 0)
+        rows = np.flatnonzero((gain >= np.partition(gain, at)[at]) & (gain > -np.inf))
+        rows = rows[np.lexsort((self.strategies[rows], -gain[rows]))]
+        rows = rows[self.strategies[rows] != mask][:pool]
+        total = float(base.sum())
+        return mask, value, list(zip(self.strategies[rows].tolist(), (total + gain[rows]).tolist()))
 
 
 def _coordinates(masks: np.ndarray, members: np.ndarray, defender: bool) -> np.ndarray:
@@ -174,8 +201,9 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
         strategies = (((local[pos, None] >> np.arange(widest)) & 1) << targets[comp]).sum(axis=1)
         sizes = np.minimum(widths, cap) + 1
         segment = (np.cumsum(sizes) - sizes)[comp] + count[pos]
+        starts = np.flatnonzero(np.diff(segment, prepend=-1))
         fields = dict(strategies=strategies, segment=segment, sizes=tuple(sizes.tolist()),
-                      starts=np.flatnonzero(np.diff(segment, prepend=-1)))
+                      starts=starts, component=comp, empty=starts[np.cumsum(sizes) - sizes])
         return fields, None if column is None else column == comp[:, None]
 
     shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}
@@ -226,21 +254,24 @@ def _checked(weights, size: int) -> np.ndarray:
     return weights
 
 
-def _best(table: _Table | None, weights, side: str) -> tuple[int, float]:
+def _best(table: _Table | None, weights, side: str, pool: int | None) -> tuple:
     """Check a call's weights against a prepared side, then run its kernel."""
     if table is None:
         raise InvalidInputError(f"the {side} side was not prepared")
-    return table.best(_checked(weights, table.hits.shape[1]))
+    mask, value, runner_ups = table.best(_checked(weights, table.hits.shape[1]), pool or 0)
+    return (mask, value) if pool is None else (mask, value, runner_ups)
 
 
-def attacker_oracle(prepared: PreparedOracle, weights) -> tuple[int, float]:
-    """Best attack within the prepared cap against coordinate weights: ``(mask, value)``."""
-    return _best(prepared.attacks, weights, "attacker")
+def attacker_oracle(prepared: PreparedOracle, weights, pool: int | None = None) -> tuple:
+    """Best attack within the prepared cap against coordinate weights: ``(mask, value)``;
+    given ``pool``, ``(mask, value, runner_ups)`` with up to ``pool`` ``(mask, value)`` pairs."""
+    return _best(prepared.attacks, weights, "attacker", pool)
 
 
-def defender_oracle(prepared: PreparedOracle, weights) -> tuple[int, float]:
-    """Best defense within the prepared cap against coordinate weights: ``(mask, value)``."""
-    return _best(prepared.defenses, weights, "defender")
+def defender_oracle(prepared: PreparedOracle, weights, pool: int | None = None) -> tuple:
+    """Best defense within the prepared cap against coordinate weights: ``(mask, value)``;
+    given ``pool``, ``(mask, value, runner_ups)`` with up to ``pool`` ``(mask, value)`` pairs."""
+    return _best(prepared.defenses, weights, "defender", pool)
 
 
 def partition_support(members) -> list[list[int]]:
@@ -307,5 +338,5 @@ def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
     """
     members = [m for m, _ in problem.terms]
     _, defenses = _tables(members, partition_support(members), None, problem.n - problem.min_ones)
-    defended, value = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
+    defended, value, _ = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
     return ((1 << problem.n) - 1) ^ defended, value

@@ -14,7 +14,7 @@ from setgames import (
 )
 from setgames import equilibrium
 from setgames.equilibrium import _check_atom_bound
-from setgames.errors import SolverFailureError
+from setgames.errors import InvalidInputError, SolverFailureError
 from conftest import additive_game, random_game
 from test_games import make_spec
 
@@ -47,6 +47,24 @@ class TestBruteforce:
             report = solve_bruteforce(spec)
             a_gap, d_gap = best_response_gap(spec, report)
             assert a_gap <= 1e-8 and d_gap <= 1e-8
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("eps_gap", [float("inf"), float("nan"), -1e-7, 0.0, True, "1e-7"])
+    def test_rejects_bad_gap_tolerance(self, eps_gap):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(eps_gap=eps_gap)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1, 2.5, True])
+    def test_rejects_bad_round_limit(self, max_iterations):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(max_iterations=max_iterations)
+
+    def test_accepts_good_values(self):
+        spec = random_game(np.random.default_rng(1), 5, 2, 2)
+        for config in (SolverConfig(eps_gap=1e-3, max_iterations=np.int64(50)),
+                       SolverConfig(eps_gap=np.float64(1e-9), max_iterations=None)):
+            assert solve_compact(spec, config).converged
 
 
 class TestCompactSolver:
@@ -154,15 +172,19 @@ class TestCompactSolver:
     def test_trace_growth_matches_added_strategies(self):
         # Each round's strategy counts grow by exactly the previous round's
         # added strategies, and a side within tolerance adds none.
+        # n = 8 keeps every game past 2 rounds with the column pool.
         rng = np.random.default_rng(7)
         eps = SolverConfig().eps_gap
-        specs = [random_game(rng, 5, c, k) for c, k in [(5, 5), (3, 2), (2, 3)]]
+        specs = [random_game(rng, 8, c, k) for c, k in [(5, 5), (3, 2), (2, 3)]]
         # A game whose sides fall within tolerance one at a time.
-        specs.append(random_game(np.random.default_rng(0), 5, 5, 5))
+        specs.append(random_game(np.random.default_rng(0), 8, 5, 5))
+        one_sided = 0
         for spec in specs:
             trace = []
             report = solve_compact(spec, trace=trace)
             assert report.converged and len(trace) > 2
+            one_sided += sum((rec["attacker_gap"] > eps) != (rec["defender_gap"] > eps)
+                             for rec in trace)
             attacks, defenses = [0], [0]
             for rec in trace:
                 assert rec["attacker_vertices"] == len(attacks)
@@ -173,10 +195,11 @@ class TestCompactSolver:
                 defenses += rec["added_defenses"]
             assert len(set(attacks)) == len(attacks)
             assert len(set(defenses)) == len(defenses)
+        assert one_sided > 0
 
     def test_trace_counts_oracle_calls(self):
-        # One query per side at the restricted optimum; a side with a gap adds
-        # at most one smoothed query, and round 1 has no smoothed point yet.
+        # Exactly one query per side and round, at the restricted optimum,
+        # whether or not the side has a gap.
         rng = np.random.default_rng(9)
         eps = SolverConfig().eps_gap
         for c, k in [(5, 5), (3, 2), (2, 3), (3, 3)]:
@@ -186,15 +209,13 @@ class TestCompactSolver:
             calls = [rec["oracle_calls"] for rec in trace]
             assert sum(calls) == report.oracle_calls
             assert calls[0] == 2
-            for rec in trace[1:]:
-                gaps = (rec["attacker_gap"] > eps) + (rec["defender_gap"] > eps)
-                assert 2 <= rec["oracle_calls"] <= 2 + gaps <= 4
+            assert all(calls_in_round == 2 for calls_in_round in calls)
             assert trace[-1]["attacker_gap"] <= eps and trace[-1]["defender_gap"] <= eps
             assert calls[-1] == 2
 
-    def test_smoothing_cuts_rounds(self, monkeypatch):
-        # SMOOTHING = 0 queries the restricted optimum only: the solves still
-        # converge and certify, but take more rounds than at the default.
+    def test_pool_cuts_rounds(self, monkeypatch):
+        # POOL = 0 adds the best responses only: the solves still converge
+        # and certify, but take more rounds than with the runner-ups.
         eps = SolverConfig().eps_gap
 
         def total_rounds():
@@ -209,6 +230,6 @@ class TestCompactSolver:
                 rounds += report.iterations
             return rounds
 
-        smoothed = total_rounds()
-        monkeypatch.setattr(equilibrium, "SMOOTHING", 0.0)
-        assert total_rounds() > smoothed
+        pooled = total_rounds()
+        monkeypatch.setattr(equilibrium, "POOL", 0)
+        assert total_rounds() > pooled

@@ -1,6 +1,8 @@
 """Oracles: hand examples, exhaustive references, pseudo-boolean equivalence, preparation."""
 
 import sys
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from setgames import (
     to_pseudo_boolean,
 )
 from setgames import cli, oracles
+from setgames.equilibrium import POOL
 from setgames.errors import CapacityError, InvalidInputError
 
 from conftest import random_game, random_graph
@@ -434,7 +437,8 @@ class TestPrepared:
         game = build_compact_game(random_game(np.random.default_rng(8), 4, 2, 2))
         assert game.oracle is game.oracle
         for table in (game.oracle.attacks, game.oracle.defenses):
-            for array in (table.strategies, table.hits, table.segment, table.starts):
+            for array in (table.strategies, table.hits, table.segment, table.starts,
+                          table.component, table.empty):
                 with pytest.raises(ValueError):
                     array[0] = 1
 
@@ -448,7 +452,7 @@ class TestPrepared:
         assert oracles._listing.cache_info().misses == 2
         for got, want in zip((warm.oracle.attacks, warm.oracle.defenses), cold_tables):
             assert (got.cap, got.sizes) == (want.cap, want.sizes)
-            for name in ("strategies", "hits", "segment", "starts"):
+            for name in ("strategies", "hits", "segment", "starts", "component", "empty"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
         assert oracles._listing.cache_info().hits == 2
         assert solve_compact(spec, game=warm) == solve_compact(spec, game=cold)
@@ -460,7 +464,8 @@ class TestPrepared:
 
     def test_solve_prepares_once(self, table_builds):
         # The solve and the certificate of its report share the game's tables.
-        spec = random_game(np.random.default_rng(8), 6, 3, 3)
+        # n = 8 keeps the solve past 10 queries with the column pool.
+        spec = random_game(np.random.default_rng(8), 8, 3, 3)
         game = build_compact_game(spec)
         report = solve_compact(spec, game=game)
         assert report.converged and report.oracle_calls > 10
@@ -486,3 +491,64 @@ class TestPrepared:
         assert cli.main([arg.format(game=game, graph=graph) for arg in command]) == 0
         assert table_builds == ONE_BUILD
 
+
+
+def objective(support, w, mask, side):
+    """Brute-force oracle objective of one strategy."""
+    return float(w @ coordinates([mask], support, side)[0])
+
+
+class TestRunnerUps:
+    @staticmethod
+    def supports(rng):
+        """One-component supports (a member spans every target) and the mixed
+        supports of :func:`random_supports`, each flagged."""
+        for support in random_supports(rng):
+            yield support, len(support.components) <= 1
+            n = support.n
+            extra = [(1 << n) - 1] + [int(rng.integers(1, 1 << n)) for _ in range(2)]
+            yield SupportSet.from_members(n, extra), True
+
+    def test_runner_ups_are_ranked_legal_strategies(self):
+        rng = np.random.default_rng(11)
+        several = single = 0
+        for support, one_component in self.supports(rng):
+            several += not one_component
+            single += one_component
+            unions = [reduce(or_, group, 0) for group in support.components]
+            for cap in range(1, 5):
+                prepared = oracles.prepare(support, cap, cap)
+                for trial in range(4):
+                    if trial % 2:
+                        w = rng.normal(size=support.size)
+                    else:  # narrow integers: exact sums and many ties
+                        w = rng.integers(-2, 3, size=support.size).astype(float)
+                    for oracle, side in ((attacker_oracle, "attacker"),
+                                         (defender_oracle, "defender")):
+                        best = oracle(prepared, w)
+                        mask, value, runner_ups = oracle(prepared, w, POOL)
+                        assert (mask, value) == best
+                        assert len(runner_ups) <= POOL
+                        keys = [(-score, m) for m, score in runner_ups]
+                        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+                        for m, score in runner_ups:
+                            assert m != mask and m.bit_count() <= cap and m < 1 << support.n
+                            assert m == 0 or any(m & ~u == 0 for u in unions)
+                            assert score == pytest.approx(objective(support, w, m, side),
+                                                          rel=1e-12, abs=1e-12)
+                        if one_component and trial % 2 == 0:
+                            union = reduce(or_, unions, 0)
+                            ranked = sorted((-objective(support, w, m, side), m)
+                                            for m in range(1 << support.n)
+                                            if m.bit_count() <= cap and m & ~union == 0)
+                            assert ranked[0] == (-value, mask)
+                            assert [(m, -v) for v, m in ranked[1:POOL + 1]] == runner_ups
+        assert several > 0 and single > 0
+
+    def test_default_call_returns_the_pair_and_pool_zero_no_runner_ups(self):
+        support = SupportSet.from_members(4, [0b0011, 0b1100])
+        prepared = oracles.prepare(support, 2, 2)
+        w = np.arange(support.size, dtype=float)
+        for oracle in (attacker_oracle, defender_oracle):
+            mask, value = oracle(prepared, w)
+            assert oracle(prepared, w, 0) == (mask, value, [])
