@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import (CompactGame, build_compact_game, coordinates, interaction_coefficients,
+from .compact import (SupportSet, build_compact_game, coordinates, interaction_coefficients,
                       payoff_block)
 from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
@@ -182,7 +182,7 @@ def _format_number(value) -> str:
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
     coeffs = interaction_coefficients(spec, exact=args.exact)
-    support = CompactGame.from_coefficients(coeffs, spec.attacker_cap, spec.defender_cap).support
+    support = SupportSet.from_members(spec.n, [m for t in coeffs for m in t.entries])
     print(f"support size {support.size} over n={spec.n}")
     print("set : benefit / attacker-cost / defender-cost-coordinates")
     for mask in support.members:

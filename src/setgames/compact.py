@@ -21,10 +21,10 @@ cost, truncated at c, and cd makes ``sum_U cd[U] 1{U disjoint from D}`` equal
 the defender cost of every defense D of at most k targets. The conjugate
 identity (Grabisch, Marichal and Roubens, Math. OR 2000) gives
 ``cd[U] = (-1)^|U| sum over V above U of m[V]`` from the cost's coefficients
-m truncated at k, so cd too vanishes above k. The superset sums are one call
-of the transform engine that computes m, with each mask's role in the
-butterfly swapped, over the masks up to k. :func:`payoff_block` evaluates
-the form between stacked coordinate rows, a whole payoff block at once.
+m truncated at k, so cd too vanishes above k. :func:`build_compact_game`
+runs b and ca (capped at c) as two rows of one transform, then m and its
+superset sums; the support is a boolean mask and the vectors one take.
+:func:`payoff_block` evaluates the form between stacked coordinate rows.
 
 S always contains the empty set and all singletons. The singleton floor keeps
 the defender map injective, so a defender vertex maps back to its pure
@@ -48,7 +48,7 @@ from .errors import (
 from .games import GameSpec
 from .lp import solve_matrix_game
 from .oracles import PreparedOracle, _coordinates, partition_support, prepare
-from .setfunctions import SPARSITY_SCALE, MobiusTransform, _transform, moebius
+from .setfunctions import SPARSITY_SCALE, MobiusTransform, _butterfly, _entries, _layout, _transform
 
 HULL_TOL = 1e-7
 
@@ -93,15 +93,12 @@ class CompactGame:
     defender_cap: int
 
     @classmethod
-    def from_coefficients(cls, coefficients, attacker_cap: int,
-                          defender_cap: int) -> "CompactGame":
-        """Assemble the game from the maps of :func:`interaction_coefficients`."""
-        masks = set().union(*(c.entries for c in coefficients))
-        support = SupportSet.from_members(coefficients[0].ground.n, masks)
-        vectors = [np.zeros(support.size) for _ in coefficients]
-        for vec, c in zip(vectors, coefficients):  # one binary search per map
-            vec[np.searchsorted(support.member_array, list(c.entries))] = list(c.entries.values())
-        return cls(support, *vectors, attacker_cap, defender_cap)
+    def from_coefficients(cls, spec: GameSpec, masks: np.ndarray, vectors) -> "CompactGame":
+        """The game of a :func:`_coefficient_table`: the masks where a vector is nonzero, the
+        empty set and the singletons; a vector per array, as BLAS rounds by alignment."""
+        keep = (vectors != 0).any(axis=0) | (np.bitwise_count(masks) <= 1)
+        return cls(SupportSet.from_members(spec.n, masks[keep].tolist()),
+                   *map(np.copy, vectors[:, keep]), spec.attacker_cap, spec.defender_cap)
 
     @cached_property
     def oracle(self) -> PreparedOracle:
@@ -109,27 +106,43 @@ class CompactGame:
         return prepare(self.support, self.attacker_cap, self.defender_cap)
 
 
+def _coefficient_table(spec: GameSpec, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows b, ca and cd (float64, or exact Fractions) over the ascending masks up to
+    the widest cap of a nonzero row, at least 1; each row cut at its own cutoff."""
+    n, parts = spec.n, []
+    for functions, cap, rows in (((spec.benefit, spec.attacker_cost), spec.attacker_cap, slice(2)),
+                                 ((spec.defender_cost,), spec.defender_cap, slice(2, 3))):
+        sums = _transform(spec.ground, [(f.entries, f.default) for f in functions], cap,
+                          signed=True, exact=exact)
+        if sums is None:
+            continue
+        masks, table = sums
+        tol = np.array([[0 if exact else SPARSITY_SCALE * f.max_abs()] for f in functions])
+        table[abs(table) < tol] = 0
+        if rows.start:  # cd: the superset sums of m, signed by the parity of the mask
+            _butterfly(table, _layout(n, cap)[1], signed=False, superset=True)
+            table[abs(table) < tol] = 0
+            odd = np.bitwise_count(np.arange(1 << n) if masks is None else masks) & 1 == 1
+            np.negative(table, out=table, where=odd & (table != 0))  # zeros stay +0.0
+        parts.append((cap, rows, masks, table))
+    host = _layout(n, max([1] + [cap for cap, *_ in parts]))[0]
+    host = np.arange(1 << n) if host is None else host
+    table = np.zeros((3, host.size), dtype=object if exact else float)
+    for _, rows, masks, sums in parts:
+        table[rows, slice(None) if sums.shape[1] == host.size else host.searchsorted(masks)] = sums
+    return host, table
+
+
 def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[MobiusTransform, ...]:
-    """Benefit and attacker-cost coefficients up to c, and defender-cost
-    coefficients up to k by the conjugate identity, as three
-    :class:`MobiusTransform` maps. Sums below the transform cutoff are dropped."""
-    b = moebius(spec.benefit, max_size=spec.attacker_cap, exact=exact)
-    ca = moebius(spec.attacker_cost, max_size=spec.attacker_cap, exact=exact)
-    cost, k = spec.defender_cost, spec.defender_cap
-    tol = None if exact else SPARSITY_SCALE * cost.max_abs()
-    # moebius(cost, max_size=k).entries, without checking the sums as a MobiusTransform
-    m = _transform(spec.ground, cost.entries, cost.default, cap=k, signed=True, exact=exact,
-                   drop_tol=tol)
-    sums = _transform(spec.ground, m, 0, cap=k, signed=False, exact=exact, drop_tol=tol,
-                      superset=True)
-    cd = {u: -s if u.bit_count() % 2 else s for u, s in sums.items()}
-    return b, ca, MobiusTransform(spec.ground, cd)
+    """Benefit and attacker-cost coefficients up to c, and defender-cost coefficients up to
+    k by the conjugate identity, as three :class:`MobiusTransform` maps, cut as in the build."""
+    masks, table = _coefficient_table(spec, exact)
+    return tuple(MobiusTransform(spec.ground, _entries(masks, row)) for row in table)
 
 
 def build_compact_game(spec: GameSpec) -> CompactGame:
     """Compute the support set and coefficient vectors of ``spec``."""
-    return CompactGame.from_coefficients(interaction_coefficients(spec), spec.attacker_cap,
-                                         spec.defender_cap)
+    return CompactGame.from_coefficients(spec, *_coefficient_table(spec))
 
 
 def coordinates(masks, support: SupportSet, side: str, cap: int | None = None) -> np.ndarray:

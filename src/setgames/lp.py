@@ -36,13 +36,14 @@ is the same under every shift. The solve rebuilds the tableau from the start
 plus the new rows' slacks with one linear solve, and lets a dual simplex
 repair the rows left infeasible before the primal simplex prices the new
 columns. Should that basis be singular, or the dual simplex get stuck on
-round-off, the solve starts over from the slack basis. Every warm start
-refactors M: extending the last round's final tableau instead let a 2.7e-9
-pivot in a degenerate 3x4 round leave errors of 2e-3 in it, and 6 of 12
-net-small operations then failed certification. A warm T keeps every column,
-slot j holding variable j: the refactor leaves round-off in the basic columns
-(``solve(B, B) != I`` in all 418 warm solves of a net-small pass, nonzero
-basic reduced costs in 342), which the pivots that follow see.
+round-off, the solve starts over from the slack basis, and its ``pivots``
+add the stuck attempt's. Every warm start refactors M: extending the last
+round's final tableau instead let a 2.7e-9 pivot in a degenerate 3x4 round
+leave errors of 2e-3 in it, and 6 of 12 net-small operations then failed
+certification. A warm T keeps every column, slot j holding variable j: the
+refactor leaves round-off in the basic columns (``solve(B, B) != I`` in all
+418 warm solves of a net-small pass, nonzero basic reduced costs in 342),
+which the pivots that follow see.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -53,7 +54,7 @@ results are Fractions (vectors as lists of Fractions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -165,15 +166,15 @@ def _dual_simplex(T, basis):
     """Pivot a full float T to a feasible rhs; returns the pivot count. Only
     columns of feasible reduced cost enter, the largest pivot among near ties,
     then the smallest variable index (slot = variable in a full tableau)."""
-    m = T.shape[0] - 1
+    m, limit = T.shape[0] - 1, 50 * T.shape[1] + 1000
     rc, rhs = T[m, :-1], T[:m, -1]
-    for pivots in range(50 * T.shape[1] + 1000):
+    for pivots in range(limit + 1):
         row = rhs.argmin()
         if rhs[row] >= -FEASIBILITY_TOL:
             return pivots
         a = T[row, :-1]
         cols = ((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL)).nonzero()[0]
-        if cols.size == 0:
+        if cols.size == 0 or pivots == limit:
             break
         ratios = np.maximum(rc[cols], 0) / -a[cols]
         best = ratios.min()
@@ -222,8 +223,9 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
             T[:m] = np.linalg.solve(T[:m, basis], T[:m])
             T[m] -= T[m, basis] @ T[:m]
             pivots = _dual_simplex(T, basis)
-        except (np.linalg.LinAlgError, SolverFailureError):  # singular or stuck: start cold
-            return solve_matrix_game(matrix)
+        except (np.linalg.LinAlgError, SolverFailureError) as error:  # singular or stuck: go cold
+            cold, stuck = solve_matrix_game(matrix), getattr(error, "diagnostics", {})
+            return replace(cold, pivots=cold.pivots + stuck.get("pivots", 0))
     pivots += _simplex(T, basis, labels)
     z = _array(np.zeros(n), num)
     structural = basis < n

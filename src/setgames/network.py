@@ -35,11 +35,11 @@ from operator import index
 import numpy as np
 
 from .bits import masks_up_to_size
-from .compact import CompactGame, interaction_coefficients
+from .compact import CompactGame, _coefficient_table
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
-from .setfunctions import GroundSet, MobiusTransform, SetFunction, zeta
+from .setfunctions import GroundSet, MobiusTransform, SetFunction, _entries, zeta
 
 INDUCE_GUARD = 1_000_000
 
@@ -257,14 +257,15 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     error_bound = float(2 ** (attacker_cap + 1) * eps_c)
     if not (eps_c >= 0 and isfinite(error_bound)):
         raise InvalidInputError("eps_c must be nonnegative, with a finite bound 2^(c+1) * eps_c")
-    coeffs, cost_a, cost_d = interaction_coefficients(spec)
-    kept = MobiusTransform(benefit.ground,
-                           {m: v for m, v in coeffs.entries.items() if abs(v) > eps_c})
-    game = CompactGame.from_coefficients((kept, cost_a, cost_d), attacker_cap, spec.defender_cap)
+    masks, table = _coefficient_table(spec)
+    dropped = (table[0] != 0) & (np.abs(table[0]) <= eps_c)
+    table[0, dropped] = 0.0
+    game = CompactGame.from_coefficients(spec, masks, table)
+    kept = MobiusTransform(benefit.ground, _entries(masks, table[0]))
     spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
     return ApproxResult(spec=spec, game=game, components=game.support.components,
                         eps_c=float(eps_c), error_bound=error_bound,
-                        dropped_terms=len(coeffs.entries) - len(kept.entries))
+                        dropped_terms=int(dropped.sum()))
 
 
 def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOperator,

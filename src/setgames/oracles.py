@@ -19,8 +19,10 @@ every strategy of at most ``min(cap, width)`` targets inside each component,
 grouped by (component, count) and ascending within a group, with its
 incidence against the support members (the empty member counts in the first
 component's rows). It is built by array operations from a listing cached per
-(width, cap). A one-component table is plain enumeration of the capped
-strategies; on an all-singleton support it picks the best single targets.
+(width, cap), its incidences by one ``&`` on int32 (masks of at most 30
+targets fit), and the components by one stable sort. A one-component table
+is plain enumeration of the capped strategies; on an all-singleton support it
+picks the best single targets.
 
 A call, ``attacker_oracle(prepared, weights)`` or
 ``defender_oracle(prepared, weights)``, takes only the weights aligned with
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -151,7 +153,8 @@ class _Table:
 
 
 def _coordinates(masks: np.ndarray, members: np.ndarray, defender: bool) -> np.ndarray:
-    """Unchecked 0/1 map, a bool row per mask: ``U_t ⊆ A``, or ``U_t ∩ D = ∅`` (defender)."""
+    """Unchecked 0/1 map on int32, a bool row per mask: ``U_t ⊆ A``, or ``U_t ∩ D = ∅``."""
+    masks, members = masks.astype(np.int32), members.astype(np.int32)
     meet = masks[:, None] & members
     return meet == 0 if defender else meet == members
 
@@ -282,7 +285,7 @@ def partition_support(members) -> list[list[int]]:
     Groups come out sorted, ordered by their smallest member. Bit-parallel:
     ``reach[j]``, the union of the members holding target j, takes in its
     targets' reaches until it stops growing, at j's component; a member's
-    group is its lowest target's component.
+    group is its lowest target's component, and one stable sort groups them.
     """
     masks = np.sort(np.asarray(members, dtype=np.int64))
     masks = masks[masks.searchsorted(1):]
@@ -295,11 +298,11 @@ def partition_support(members) -> list[list[int]]:
         if np.array_equal(grown, reach):
             break
         reach = grown
-    groups: dict[int, list[int]] = {}
-    for component, m in zip(reach[np.bitwise_count((masks & -masks) - 1)].tolist(),
-                            masks.tolist()):
-        groups.setdefault(component, []).append(m)
-    return list(groups.values())
+    component = reach[np.bitwise_count((masks & -masks) - 1)]
+    order = np.argsort(component, kind="stable")
+    grouped, ordered = masks[order].tolist(), component[order]
+    cuts = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), len(grouped)]
+    return sorted((grouped[a:b] for a, b in zip(cuts, cuts[1:])), key=itemgetter(0))
 
 
 def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:

@@ -12,18 +12,18 @@ inverse
 
 rebuilds the set function. The two differ only in the sign, so one engine
 computes both, over float64 or, in exact mode, over ``Fraction`` values. It
-is Yates's butterfly: one pass per target adds (or subtracts) the value of
-each mask without the target into the same mask with it. The masks of at
-most ``cap`` targets are closed under removing a target, so the pass stays
-exact when trimmed to them (Bjorklund, Husfeldt, Kaski and Koivisto,
-"Trimmed Moebius inversion and graphs of bounded degree", STACS 2008). With
-cap >= n the pass runs in place over an array of all 2^n values in
-O(n 2^n); otherwise over the ascending masks up to the cap, pairing each
-mask with the same mask minus one target. The rest is array code too:
-entries are validated by key type, smallest and largest key and one float
-array, the table is filled by a binary search of the keys into the masks,
-and sums are read out with ``tolist()``. Exact mode runs the same steps on
-an object array, so its Fraction arithmetic still goes mask by mask.
+is Yates's butterfly on a table with a row per function: one pass per target
+adds (or subtracts) the value of each mask without the target into the same
+mask with it. The masks of at most ``cap`` targets are closed under removing
+a target, so the pass stays exact when trimmed to them (Bjorklund, Husfeldt,
+Kaski and Koivisto, "Trimmed Moebius inversion and graphs of bounded degree",
+STACS 2008). With cap >= n it runs in place over all 2^n values in O(n 2^n);
+otherwise over the ascending masks up to the cap, pairing each mask with the
+same mask minus one target. An all-zero function is not transformed. Entries
+are validated by key type, smallest and largest key and one float array, a
+table is filled by a binary search of the keys into the masks, and maps are
+read out with ``tolist()``. Exact mode runs the same steps on an object
+array, so its Fraction arithmetic still goes mask by mask.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _dense(ground: GroundSet, values: dict, default, exact: bool,
     cast, dtype = (Fraction, object) if exact else (float, float)
     table = np.full(ground.size if masks is None else len(masks), cast(default), dtype=dtype)
     at = np.fromiter(values, np.int64, len(values))
-    fill = np.fromiter(map(cast, values.values()), dtype, len(values))
+    fill = np.fromiter(map(cast, values.values()) if exact else values.values(), dtype, len(values))
     if masks is not None:
         slot = np.searchsorted(masks, at)
         found = masks.take(slot, mode="clip") == at
@@ -170,56 +170,57 @@ def _dense(ground: GroundSet, values: dict, default, exact: bool,
 
 
 @lru_cache(maxsize=32)
-def _capped_layout(n: int, cap: int) -> tuple[np.ndarray, tuple]:
-    """The masks of at most ``cap`` of n targets, ascending, and for each bit
-    the positions of the masks that hold it paired with the positions of the
-    same masks without it. Built once per (n, cap) and shared read-only."""
+def _layout(n: int, cap: int | None, rows: int = 1) -> tuple[np.ndarray | None, tuple | None]:
+    """The masks of at most ``cap`` < n of n targets, ascending, and per bit the flat positions,
+    in a table of ``rows`` rows over them, of the masks that hold the bit and of the same masks
+    without it; read-only. ``(None, None)``: all 2^n masks in order, for a cap of None or >= n."""
+    if cap is None or cap >= n:
+        return None, None
     masks = np.array(masks_up_to_size(n, cap), dtype=np.int64)
-    pairs = []
+    offsets, pairs = np.arange(rows)[:, None] * masks.size, []
     for bit in range(n):
         hi = np.flatnonzero(masks >> bit & 1)
         lo = np.searchsorted(masks, masks[hi] ^ (1 << bit))
-        hi.flags.writeable = lo.flags.writeable = False
-        pairs.append((hi, lo))
-    masks.flags.writeable = False
+        pairs.append(((hi + offsets).ravel(), (lo + offsets).ravel()))
+    for array in (masks, *(a for pair in pairs for a in pair)):
+        array.flags.writeable = False
     return masks, tuple(pairs)
 
 
-def _transform(ground: GroundSet, values: dict, default, *, cap: int | None, signed: bool,
-               exact: bool, drop_tol: float | None, superset: bool = False) -> dict:
-    """Lattice sums of the function ``values`` (unstored masks read ``default``).
-
-    Each subset U of at most ``cap`` targets (of any size when ``cap`` is
-    None) gets the sum over V below U of f(V), with the sign (-1)^|U minus V|
-    when ``signed`` (the Moebius transform) and without it otherwise (the
-    zeta transform). ``superset`` sums over the V above U of at most ``cap``
-    targets instead. Sums are kept when nonzero and, if ``drop_tol`` is
-    given, at least ``drop_tol`` in magnitude. ``exact`` converts every value
-    to a Fraction first. A function with no nonzero value gives ``{}`` at once.
-    """
-    if not default and not any(values.values()):
-        return {}
-    n = ground.n
+def _butterfly(table: np.ndarray, pairs: tuple | None, *, signed: bool,
+               superset: bool = False) -> None:
+    """In place in each row of a contiguous :func:`_layout` table, U gets the sum of f(V) over
+    V below U (above, if ``superset``), times (-1)^|U - V| if ``signed``; non-finite raises."""
     combine = np.subtract if signed else np.add
-    if cap is None or cap >= n:
-        masks, table = None, _dense(ground, values, default, exact)
-        for bit in range(n):
-            half = table.reshape(-1, 2, 1 << bit)
-            hi, lo = half[:, 1, :], half[:, 0, :]
-            if superset:
-                hi, lo = lo, hi
+    if pairs is None:
+        for bit in range(table.shape[1].bit_length() - 1):
+            half = table.reshape(len(table), -1, 2, 1 << bit)
+            hi, lo = (half[:, :, 0], half[:, :, 1]) if superset else (half[:, :, 1], half[:, :, 0])
             combine(hi, lo, out=hi)
     else:
-        masks, pairs = _capped_layout(n, cap)
-        table = _dense(ground, values, default, exact, masks)
+        flat = table.reshape(-1)
         for hi, lo in pairs:
-            if superset:
-                hi, lo = lo, hi
-            table[hi] = combine(table[hi], table[lo])
-    if not exact and not np.all(np.isfinite(table)):
+            hi, lo = (lo, hi) if superset else (hi, lo)
+            flat[hi] = combine(flat[hi], flat[lo])
+    if table.dtype != object and not np.all(np.isfinite(table)):
         raise InvalidInputError("non-finite value in set function")
-    kept = np.flatnonzero(np.abs(table) >= drop_tol if drop_tol else table != 0)
-    return dict(zip((kept if masks is None else masks[kept]).tolist(), table[kept].tolist()))
+
+
+def _transform(ground: GroundSet, functions, cap: int | None, *, signed: bool, exact: bool):
+    """:func:`_layout` masks and :func:`_butterfly` sums of ``(values, default)``
+    functions, a row each, in float64 or Fractions; None at once if all are zero."""
+    if not any(default or any(values.values()) for values, default in functions):
+        return None
+    masks, pairs = _layout(ground.n, cap, len(functions))
+    table = np.array([_dense(ground, *function, exact, masks) for function in functions])
+    _butterfly(table, pairs, signed=signed)
+    return masks, table
+
+
+def _entries(masks: np.ndarray | None, row: np.ndarray, drop_tol: float | None = None) -> dict:
+    """A row over ``masks`` (None: all) as a map of its nonzero values, at least ``drop_tol``."""
+    kept = np.flatnonzero(np.abs(row) >= drop_tol if drop_tol else row != 0)
+    return dict(zip((kept if masks is None else masks[kept]).tolist(), row[kept].tolist()))
 
 
 def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | None = None,
@@ -243,9 +244,9 @@ def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | No
         drop_tol = None
     elif drop_tol is None:
         drop_tol = SPARSITY_SCALE * f.max_abs()
-    entries = _transform(f.ground, f.entries, f.default, cap=max_size, signed=True,
-                         exact=exact, drop_tol=drop_tol)
-    return MobiusTransform(f.ground, entries)
+    sums = _transform(f.ground, [(f.entries, f.default)], max_size, signed=True, exact=exact)
+    return MobiusTransform(f.ground,
+                           {} if sums is None else _entries(sums[0], sums[1][0], drop_tol))
 
 
 def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
@@ -256,9 +257,8 @@ def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
     all submasks of U. With ``max_size`` below n only subsets up to that size
     are materialized, by the same trimmed butterfly as :func:`moebius`.
     """
-    entries = _transform(coeffs.ground, coeffs.entries, 0, cap=max_size, signed=False,
-                         exact=exact, drop_tol=None)
-    return SetFunction(coeffs.ground, entries)
+    sums = _transform(coeffs.ground, [(coeffs.entries, 0)], max_size, signed=False, exact=exact)
+    return SetFunction(coeffs.ground, {} if sums is None else _entries(sums[0], sums[1][0]))
 
 
 def restrict_cardinality(f: SetFunction, cap: int) -> SetFunction:

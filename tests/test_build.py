@@ -5,10 +5,12 @@ what the transforms, the compact game and the oracle tables are defined to
 hold, in the same order of float operations: the butterfly adds (or
 subtracts) the mask without a target into the mask with it, one target after
 another. Equal floats are compared by their bits, dictionaries by their key
-order too.
+order too. Exact mode is checked against the definitions themselves, summed
+in Fractions.
 """
 
 import warnings
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -91,10 +93,13 @@ def same_array(got: np.ndarray, want: np.ndarray) -> bool:
 
 @st.composite
 def set_functions(draw, n):
-    """Sparse or dense entries (masks above any cap included) with a default
-    that is zero or not."""
+    """Zero, or sparse or dense entries (masks above any cap included) with a
+    default that is zero or not."""
     number = st.floats(-4, 4, allow_subnormal=False) | st.integers(-3, 3).map(float)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if kind == "zero":
+        return SetFunction(GroundSet(n))
+    if kind == "sparse":
         entries = draw(st.dictionaries(st.integers(0, (1 << n) - 1), number, max_size=6))
     else:
         size = draw(st.integers(0, n))
@@ -104,12 +109,41 @@ def set_functions(draw, n):
 
 @st.composite
 def game_specs(draw):
-    n = draw(st.integers(1, 8))
+    """Caps c < k, c = k and c > k, and k = n over c < n (the network games' default)."""
+    n = draw(st.integers(1, 10))
     functions = [draw(set_functions(n)) for _ in range(3)]
-    caps = draw(st.integers(0, n)), draw(st.integers(0, n))
+    c = draw(st.integers(0, n))
+    k = draw(st.just(n) | st.integers(0, n))
     with warnings.catch_warnings():  # a nonzero value on the empty set warns
         warnings.simplefilter("ignore")
-        return GameSpec(GroundSet(n), *functions, *caps)
+        return GameSpec(GroundSet(n), *functions, c, k)
+
+
+def exact_coefficients(spec):
+    """The maps by their definitions, mask by mask, in Fractions: b and ca sum
+    f(V) (-1)^|U minus V| over V below U, up to c; cd(U) is (-1)^|U| times the
+    sum of the cost's coefficients m(W) over the W above U of at most k
+    targets, with m summed like b up to k. Only nonzero values are kept."""
+    n, c, k = spec.n, spec.attacker_cap, spec.defender_cap
+    full = (1 << n) - 1
+
+    def below(u):
+        v = u
+        while True:
+            yield v
+            if v == 0:
+                return
+            v = (v - 1) & u
+
+    def moebius(f, cap):
+        value = [Fraction(f(v)) for v in range(1 << n)]
+        return {u: sum(-value[v] if (u ^ v).bit_count() % 2 else value[v] for v in below(u))
+                for u in range(1 << n) if u.bit_count() <= cap}
+
+    m = moebius(spec.defender_cost, k)
+    cd = {u: (-1) ** u.bit_count() * sum(m.get(u | w, 0) for w in below(full ^ u)) for u in m}
+    maps = moebius(spec.benefit, c), moebius(spec.attacker_cost, c), cd
+    return [{u: v for u, v in sorted(map_.items()) if v} for map_ in maps]
 
 
 @given(game_specs())
@@ -133,3 +167,12 @@ def test_build_matches_per_mask_reference(spec):
         assert table.cap == cap and table.sizes == ref.pop("sizes")
         for name, array in ref.items():
             assert same_array(getattr(table, name), array), name
+
+
+@given(game_specs())
+@settings(max_examples=60, deadline=None)
+def test_exact_coefficients_match_their_definitions(spec):
+    coefficients = interaction_coefficients(spec, exact=True)
+    for got, want in zip(coefficients, exact_coefficients(spec)):
+        assert list(got.entries.items()) == list(want.items())
+        assert all(type(m) is int and type(v) is Fraction for m, v in got.entries.items())

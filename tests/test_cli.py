@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,12 @@ INTERACTION_GAME = json.dumps({
     "cost_attacker": [],
     "cost_defender": [],
 })
+
+
+# Games whose `transform` listings are pinned in files next to them: the CI
+# fixture with costs (n=3, c=2, k=1) and a 5-target game with c=2 < k=3 and
+# all three utilities nonzero, some on masks above their cap.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -119,6 +126,13 @@ class TestCommands:
         assert "support size 3" in out  # empty set + both singletons, all zero
         assert "{1} : 0 / 0 / 0" in out
 
+    @pytest.mark.parametrize("game", ["costly", "five_targets"])
+    @pytest.mark.parametrize("flags", [[], ["--exact"]])
+    def test_transform_output_is_pinned(self, game, flags, capsys):
+        assert main(["transform", str(GOLDEN / f"{game}.json"), *flags]) == 0
+        suffix = "-exact" if flags else ""
+        assert capsys.readouterr().out == (GOLDEN / f"{game}.transform{suffix}.txt").read_text()
+
     def test_solve_writes_report(self, pennies_file, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         assert main(["solve", pennies_file, "--out", str(out_file)]) == 0
@@ -154,18 +168,20 @@ class TestCommands:
         assert report["error_bound"] == pytest.approx(12.0)  # 2^3 * 1.5
 
     def test_net_transforms_benefit_once(self, tmp_path, monkeypatch):
-        moebius = setfunctions.moebius
+        # Counted at the transform engine's entry, which both `moebius` and
+        # the compact game build call.
+        transform = setfunctions._transform
         calls = []
 
-        def counted(f, **kwargs):
-            if f.max_abs() > 0:  # the zero costs cost nothing to transform
-                calls.append(f)
-            return moebius(f, **kwargs)
+        def counted(ground, functions, cap, *, signed, exact):
+            if signed and any(default or any(values.values()) for values, default in functions):
+                calls.append(functions)  # the zero costs cost nothing to transform
+            return transform(ground, functions, cap, signed=signed, exact=exact)
 
         for name, module in list(sys.modules.items()):
             if name == "setgames" or name.startswith("setgames."):
                 for attr, value in list(vars(module).items()):
-                    if value is moebius:
+                    if value is transform:
                         monkeypatch.setattr(module, attr, counted)
         graph = tmp_path / "g.txt"
         graph.write_text("nodes 8\n1 2\n2 3\n3 4\n5 6\n6 7\n7 8\n1 5\n2 6\n3 7\n4 8\n")

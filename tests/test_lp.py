@@ -456,6 +456,37 @@ class TestWarmStart:
         assert np.array_equal(warm.row_strategy, cold.row_strategy)
         assert np.array_equal(warm.col_strategy, cold.col_strategy)
 
+    def test_fallback_counts_the_stuck_attempts_pivots(self, monkeypatch):
+        # From this start the dual simplex pivots twice and then finds no
+        # column to enter; the cold solve's pivots come on top of those two.
+        matrix = [[-3, -3, 1, 2], [1, 0, -1, 2], [-3, -3, 2, 2], [-1, -1, 3, 3]]
+        dual, stuck = lp._dual_simplex, []
+
+        def recorded(T, basis):
+            try:
+                return dual(T, basis)
+            except SolverFailureError as error:
+                stuck.append(error.diagnostics["pivots"])
+                raise
+
+        monkeypatch.setattr(lp, "_dual_simplex", recorded)
+        warm = solve_matrix_game(matrix, start=(1, ~0, 3))
+        cold = solve_matrix_game(matrix)
+        assert stuck == [2]
+        assert warm.pivots == cold.pivots + 2
+        assert warm.value == cold.value and warm.basis == cold.basis
+        assert np.array_equal(warm.row_strategy, cold.row_strategy)
+        assert np.array_equal(warm.col_strategy, cold.col_strategy)
+
+    def test_singular_start_falls_back_with_no_extra_pivots(self, monkeypatch):
+        # Columns 0 and 1 are equal, so a start holding both is singular and
+        # the dual simplex never runs.
+        matrix = [[2, 2, -1], [-1, -1, 3], [0, 0, 1]]
+        monkeypatch.setattr(lp, "_dual_simplex", lambda T, basis: pytest.fail("warm start ran"))
+        warm = solve_matrix_game(matrix, start=(0, 1))
+        cold = solve_matrix_game(matrix)
+        assert warm.pivots == cold.pivots and warm.value == cold.value
+
     def test_rejects_exact_or_out_of_range_starts(self):
         m = [[1, -1], [-1, 1]]
         start = solve_matrix_game(np.array(m, dtype=float)).basis

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from setgames import GroundSet, MobiusTransform, SetFunction, moebius, restrict_cardinality, zeta
 from setgames.errors import CapacityError, InvalidInputError
-from setgames.setfunctions import _transform
+from setgames.setfunctions import _butterfly, _dense, _entries, _layout
 
 
 def dense_values(f):
@@ -197,8 +197,10 @@ class TestEngine:
         values = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1),
                                            st.just(0) | number, max_size=1 << n))
         default = data.draw(st.just(0) | number)
-        got = _transform(GroundSet(n), values, default, cap=cap, signed=signed, exact=exact,
-                         drop_tol=None, superset=superset)
+        masks, pairs = _layout(n, cap)
+        table = _dense(GroundSet(n), values, default, exact, masks)[None]
+        _butterfly(table, pairs, signed=signed, superset=superset)
+        got = _entries(masks, table[0])
         family = [m for m in range(1 << n) if m.bit_count() <= cap]
         scale = sum(abs(Fraction(v)) for v in [default, *values.values()])
         assert set(got) <= set(family)
