@@ -6,7 +6,9 @@ matrix game; it is the ground truth for everything else at desk scale.
 :func:`solve_compact` never materializes the normal form. It runs a double
 oracle over compact coordinates. The restricted game is two strategy lists
 with their stacked coordinates P (attacks) and Q (defenses), and its payoff
-matrix is :func:`~setgames.compact.payoff_block` of the two. Each round
+matrix is :func:`~setgames.compact.payoff_block` of the two. It starts from
+the distinct strategies of the oracle tables when that game is small
+(:data:`SEED_CELLS`), else from the empty attack and defense. Each round
 solves it and asks each side's oracle once, at the restricted optimum, for a
 best response and :data:`POOL` runner-ups (a column pool): a side whose best
 response beats the restricted value by more than the gap tolerance adds it
@@ -42,6 +44,9 @@ SUPPORT_GUARD = 10_000
 # Runner-ups per oracle query; those that also beat the restricted value by
 # more than the gap tolerance join the best response. 0 adds the best only.
 POOL = 8
+# The restricted game starts as the oracle tables' whole game, one cold LP,
+# when its distinct attacks times distinct defenses are at most this many.
+SEED_CELLS = 20_000
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,14 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                   trace: list | None = None, game: CompactGame | None = None) -> EquilibriumReport:
     """Double-oracle solve over compact coordinates.
 
-    Starts from the empty attack and the empty defense, alternates restricted
-    matrix-game solves with one oracle query per side (best response and
-    :data:`POOL` runner-ups), and stops when neither player can improve by
-    more than ``config.eps_gap``. Each round's
+    Starts from the oracle tables' game, every distinct strategy the tables
+    list on each side, when it has at most :data:`SEED_CELLS` cells, and
+    from the empty attack and the empty defense otherwise. It alternates
+    restricted matrix-game solves with one oracle query per side (best
+    response and :data:`POOL` runner-ups), and stops when neither player can
+    improve by more than ``config.eps_gap``. A one-component table lists
+    every capped strategy, so its seeded solve stops after the first round.
+    Each round's
     restricted game is the last one with rows added at the bottom and
     columns at the right, so its solve starts from the last round's optimal
     basis: a dual simplex repairs the rows of the new attacks, then the
@@ -147,8 +156,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
     the same game reuses them. If ``trace`` is a list, one record per
     round is appended with the restricted value, both gaps, the strategy
-    counts, the LP's pivots, the oracle calls of both sides (always 2), and
-    the strategies the round adds.
+    counts, the LP's pivots and whether its warm start fell back cold, the
+    oracle calls of both sides (always 2), and the strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
@@ -165,6 +174,11 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     max_rounds = config.max_iterations or 10 * support.size + 100
 
     attacks, defenses = [0], [0]
+    # A table repeats only the empty strategy, once per component after the first.
+    seed = [np.delete(table.strategies, table.empty[1:])
+            for table in (game.oracle.attacks, game.oracle.defenses)]
+    if seed[0].size * seed[1].size <= SEED_CELLS:
+        attacks, defenses = (np.sort(strategies).tolist() for strategies in seed)
     P = coordinates(attacks, support, "attacker")
     Q = coordinates(defenses, support, "defender")
     payoff = payoff_block(game, P, Q)
@@ -192,6 +206,7 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "attacker_vertices": len(attacks),
                 "defender_vertices": len(defenses),
                 "lp_pivots": solution.pivots,
+                "lp_cold_restart": solution.cold_restart,
                 "oracle_calls": 2,
                 "added_attacks": sorted(new_attacks),
                 "added_defenses": sorted(new_defenses),

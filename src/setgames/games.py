@@ -26,7 +26,7 @@ import numpy as np
 
 from .bits import masks_up_to_size
 from .errors import CapacityError, InvalidInputError, InvalidStrategyError
-from .setfunctions import GroundSet, SetFunction
+from .setfunctions import GroundSet, SetFunction, _dense
 
 NORMAL_FORM_GUARD = 10_000_000
 
@@ -123,16 +123,27 @@ def pure_payoff(spec: GameSpec, attack: int, defense: int) -> PurePayoff:
 
 
 def _dense_tables(spec: GameSpec):
-    """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors."""
+    """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors. Each
+    utility is read from its 2^n table while that has no more entries than the
+    normal form, past that by binary search among its strategies' masks."""
     na, nd = spec.strategy_counts()
     if na * nd > NORMAL_FORM_GUARD:
         raise CapacityError(f"normal form with {na}x{nd} cells exceeds the guard")
     rows = spec.attacker_strategies()
     cols = spec.defender_strategies()
-    a = np.array(rows)
-    d = np.array(cols)
-    hit = spec.benefit.to_dense()[a[:, None] & ~d[None, :]]
-    return rows, cols, hit, spec.attacker_cost.to_dense()[a], spec.defender_cost.to_dense()[d]
+    a = np.array(rows, dtype=np.int64)
+    d = np.array(cols, dtype=np.int64)
+    lookup = spec.ground.size > na * nd
+
+    def at(f: SetFunction, strategies: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """``f`` at ``masks``, each one of the ascending ``strategies``."""
+        if not lookup:
+            return f.to_dense()[masks]
+        values = _dense(f.ground, f.entries, f.default, False, strategies)
+        return values[strategies.searchsorted(masks)]
+
+    hit = at(spec.benefit, a, a[:, None] & ~d[None, :])  # A \ D is itself an attack
+    return rows, cols, hit, at(spec.attacker_cost, a, a), at(spec.defender_cost, d, d)
 
 
 def expand_normal_form(spec: GameSpec) -> NormalForm:

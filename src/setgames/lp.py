@@ -35,12 +35,13 @@ the optimal basis (the support columns and the slacks of the rows that lose)
 is the same under every shift. The solve rebuilds the tableau from the start
 plus the new rows' slacks with one linear solve, and lets a dual simplex
 repair the rows left infeasible before the primal simplex prices the new
-columns. Should that basis be singular, or the dual simplex get stuck on
-round-off, the solve starts over from the slack basis, and its ``pivots``
-add the stuck attempt's. Every warm start refactors M: extending the last
-round's final tableau instead let a 2.7e-9 pivot in a degenerate 3x4 round
-leave errors of 2e-3 in it, and 6 of 12 net-small operations then failed
-certification. A warm T keeps every column, slot j holding variable j: the
+columns; it too switches to Bland's rule after a run of degenerate pivots.
+Should that basis be singular, or the dual simplex get stuck on round-off,
+the solve starts over from the slack basis, its ``pivots`` add the stuck
+attempt's, and it sets ``cold_restart``. Every warm start refactors M:
+extending the last round's final tableau instead let a 2.7e-9 pivot in a
+degenerate 3x4 round leave errors of 2e-3 in it, and 6 of 12 net-small
+operations then failed certification. A warm T keeps every column, slot j holding variable j: the
 refactor leaves round-off in the basic columns (``solve(B, B) != I`` in all
 418 warm solves of a net-small pass, nonzero basic reduced costs in 342),
 which the pivots that follow see.
@@ -69,7 +70,8 @@ OPTIMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Minimax solution (probability vectors over rows/columns), final basis, pivots.
+    """Minimax solution (probability vectors over rows/columns), final basis, pivots,
+    and whether a warm start fell back to the slack basis (``cold_restart``).
     The basis is a tuple of members, ``j >= 0`` column j and ``~i`` row i's slack."""
 
     value: float
@@ -77,6 +79,7 @@ class GameSolution:
     col_strategy: np.ndarray
     basis: tuple
     pivots: int
+    cold_restart: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +166,22 @@ def _simplex(T, basis, labels=None):
 
 
 def _dual_simplex(T, basis):
-    """Pivot a full float T to a feasible rhs; returns the pivot count. Only
-    columns of feasible reduced cost enter, the largest pivot among near ties,
-    then the smallest variable index (slot = variable in a full tableau)."""
+    """Pivot a full float T to a feasible rhs; returns the pivot count. The most
+    infeasible row leaves; only columns of feasible reduced cost enter, the largest
+    pivot among near ties, then the smallest variable index (slot = variable in a
+    full tableau). After a run of degenerate pivots (ratio 0) the rule switches to
+    Bland's, which cannot cycle: the infeasible row of the smallest basic variable
+    leaves and the smallest variable among the ratio ties enters."""
     m, limit = T.shape[0] - 1, 50 * T.shape[1] + 1000
     rc, rhs = T[m, :-1], T[:m, -1]
+    bland, degenerate_run = False, 0
     for pivots in range(limit + 1):
         row = rhs.argmin()
         if rhs[row] >= -FEASIBILITY_TOL:
             return pivots
+        if bland:
+            rows = (rhs < -FEASIBILITY_TOL).nonzero()[0]
+            row = rows[basis[rows].argmin()]
         a = T[row, :-1]
         cols = ((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL)).nonzero()[0]
         if cols.size == 0 or pivots == limit:
@@ -179,7 +189,10 @@ def _dual_simplex(T, basis):
         ratios = np.maximum(rc[cols], 0) / -a[cols]
         best = ratios.min()
         near = cols[ratios <= best + FEASIBILITY_TOL * (1 + abs(best))]
-        _pivot(T, basis, None, row, near[a[near].argmin()])
+        col = near[0] if bland else near[a[near].argmin()]
+        degenerate_run = degenerate_run + 1 if best <= OPTIMALITY_TOL else 0
+        bland = bland or degenerate_run > 20 + 2 * m
+        _pivot(T, basis, None, row, col)
     raise SolverFailureError("dual simplex stalled",
                              diagnostics={"pivots": pivots, "row": int(row)})
 
@@ -225,7 +238,7 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
             pivots = _dual_simplex(T, basis)
         except (np.linalg.LinAlgError, SolverFailureError) as error:  # singular or stuck: go cold
             cold, stuck = solve_matrix_game(matrix), getattr(error, "diagnostics", {})
-            return replace(cold, pivots=cold.pivots + stuck.get("pivots", 0))
+            return replace(cold, pivots=cold.pivots + stuck.get("pivots", 0), cold_restart=True)
     pivots += _simplex(T, basis, labels)
     z = _array(np.zeros(n), num)
     structural = basis < n

@@ -1,8 +1,16 @@
 """Shared generators for randomized tests. Everything is seeded per test."""
 
 import numpy as np
+import pytest
 
-from setgames import GameSpec, GroundSet, MobiusTransform, Network, SetFunction, zeta
+from setgames import GameSpec, GroundSet, MobiusTransform, Network, SetFunction, equilibrium, zeta
+
+
+@pytest.fixture
+def unseeded(monkeypatch):
+    """Every solve starts from the 1x1 game of the empty attack and defense,
+    so small games take several rounds of the double oracle."""
+    monkeypatch.setattr(equilibrium, "SEED_CELLS", 0)
 
 
 def random_set_function(rng, n, *, cap=None, scale=1.0):

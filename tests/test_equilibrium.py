@@ -1,5 +1,7 @@
 """Solvers: brute force reference, constraint generation, gap certificates."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,21 @@ from setgames import (
     SupportSet,
     best_response_gap,
     build_compact_game,
+    expand_normal_form,
     solve_bruteforce,
     solve_compact,
     verify_ne_equivalence,
 )
 from setgames import equilibrium
+from setgames.cli import parse_game_json
 from setgames.equilibrium import _check_atom_bound
 from setgames.errors import InvalidInputError, SolverFailureError
 from conftest import additive_game, random_game
 from test_games import make_spec
+
+
+# A dense n = 10, c = k = 3 game: its 176x176 table game is above SEED_CELLS.
+DENSE_N10 = Path(__file__).resolve().parent / "golden" / "dense_n10.json"
 
 
 def matching_pennies():
@@ -47,6 +55,27 @@ class TestBruteforce:
             report = solve_bruteforce(spec)
             a_gap, d_gap = best_response_gap(spec, report)
             assert a_gap <= 1e-8 and d_gap <= 1e-8
+
+    def test_normal_form_past_the_dense_table_limit(self):
+        # n = 25 is past MAX_DENSE, so no 2^n table of a utility can be built;
+        # the 26x26 normal form reads each one at its strategies' masks.
+        rng = np.random.default_rng(5)
+        n = 25
+        benefit = {1 << i: float(rng.uniform(1, 3)) for i in range(n)}
+        benefit[0b11] = 9.0  # above the attacker cap: never read
+        cost_a = {1 << i: float(rng.uniform(0, 0.5)) for i in range(n)}
+        cost_d = {1 << i: float(rng.uniform(0, 0.5)) for i in range(n)}
+        spec = make_spec(n, benefit, cost_a=cost_a, cost_d=cost_d, c=1, k=1)
+        nf = expand_normal_form(spec)
+        assert nf.matrix.shape == (26, 26)
+        assert nf.matrix[1, 2] == benefit[1] - cost_a[1] + cost_d[2]
+        assert nf.matrix[1, 1] == -cost_a[1] + cost_d[1]
+        reference = solve_bruteforce(spec)
+        report = solve_compact(spec)
+        assert report.converged
+        assert report.value == pytest.approx(reference.value, rel=1e-9)
+        assert verify_ne_equivalence(spec, report.attacker, report.defender, 1e-7)
+        assert verify_ne_equivalence(spec, reference.attacker, reference.defender, 1e-7)
 
 
 class TestSolverConfig:
@@ -143,6 +172,51 @@ class TestCompactSolver:
         a_gap, d_gap = best_response_gap(spec, report)
         assert a_gap <= 1e-7 and d_gap <= 1e-7
 
+    def test_small_one_component_game_solves_in_one_round(self):
+        # A one-component table lists every capped strategy, so the seeded
+        # first round is the whole game and both oracles certify it.
+        spec = random_game(np.random.default_rng(3), 6, 2, 2)
+        game = build_compact_game(spec)
+        assert len(game.support.components) == 1
+        tables = (game.oracle.attacks, game.oracle.defenses)
+        rows, cols = (np.unique(table.strategies).size for table in tables)
+        assert (rows, cols) == spec.strategy_counts()
+        assert rows * cols <= equilibrium.SEED_CELLS
+        trace = []
+        report = solve_compact(spec, trace=trace, game=game)
+        assert report.converged and report.iterations == len(trace) == 1
+        assert (trace[0]["attacker_vertices"], trace[0]["defender_vertices"]) == (rows, cols)
+        assert report.value == pytest.approx(solve_bruteforce(spec).value, rel=1e-9, abs=1e-9)
+        assert max(best_response_gap(spec, report, game)) <= SolverConfig().eps_gap
+
+    def test_seed_lists_each_table_strategy_once(self):
+        # A multi-component table repeats the empty strategy per component;
+        # the seed holds it once, and the strategies that span components
+        # are left to the oracles.
+        spec = additive_game(np.random.default_rng(4), 6, 2, 2)
+        game = build_compact_game(spec)
+        assert len(game.support.components) == 6
+        trace = []
+        report = solve_compact(spec, trace=trace, game=game)
+        assert report.converged
+        for table, key in ((game.oracle.attacks, "attacker_vertices"),
+                           (game.oracle.defenses, "defender_vertices")):
+            assert trace[0][key] == np.unique(table.strategies).size == 7 < table.strategies.size
+
+    def test_game_over_the_seed_limit_starts_from_the_empty_pair(self):
+        spec = parse_game_json(DENSE_N10.read_text())
+        game = build_compact_game(spec)
+        rows, cols = (np.unique(table.strategies).size
+                      for table in (game.oracle.attacks, game.oracle.defenses))
+        assert rows * cols > equilibrium.SEED_CELLS
+        trace = []
+        report = solve_compact(spec, trace=trace, game=game)
+        assert report.converged and report.iterations == len(trace) > 1
+        assert (trace[0]["attacker_vertices"], trace[0]["defender_vertices"]) == (1, 1)
+        assert trace[0]["lp_pivots"] == 1
+        assert max(best_response_gap(spec, report, game)) <= SolverConfig().eps_gap
+
+    @pytest.mark.usefixtures("unseeded")
     def test_truncated_run_leaves_large_gap(self):
         spec = matching_pennies()
         report = solve_compact(spec, SolverConfig(max_iterations=1))
@@ -150,6 +224,7 @@ class TestCompactSolver:
         a_gap, d_gap = best_response_gap(spec, report)
         assert max(a_gap, d_gap) >= 0.49
 
+    @pytest.mark.usefixtures("unseeded")
     def test_trace_records_monotone_bounds(self):
         rng = np.random.default_rng(6)
         spec = random_game(rng, 5, 5, 5)
@@ -169,6 +244,7 @@ class TestCompactSolver:
         pivots = [rec["lp_pivots"] for rec in trace]
         assert all(isinstance(p, int) and p >= 0 for p in pivots) and pivots[0] == 1
 
+    @pytest.mark.usefixtures("unseeded")
     def test_trace_growth_matches_added_strategies(self):
         # Each round's strategy counts grow by exactly the previous round's
         # added strategies, and a side within tolerance adds none.
@@ -197,6 +273,7 @@ class TestCompactSolver:
             assert len(set(defenses)) == len(defenses)
         assert one_sided > 0
 
+    @pytest.mark.usefixtures("unseeded")
     def test_trace_counts_oracle_calls(self):
         # Exactly one query per side and round, at the restricted optimum,
         # whether or not the side has a gap.
@@ -213,6 +290,7 @@ class TestCompactSolver:
             assert trace[-1]["attacker_gap"] <= eps and trace[-1]["defender_gap"] <= eps
             assert calls[-1] == 2
 
+    @pytest.mark.usefixtures("unseeded")
     def test_pool_cuts_rounds(self, monkeypatch):
         # POOL = 0 adds the best responses only: the solves still converge
         # and certify, but take more rounds than with the runner-ups.

@@ -89,6 +89,17 @@ class TestNormalForm:
                     spec.benefit.value(a & ~d) - spec.attacker_cost.value(a)
                     + spec.defender_cost.value(d), abs=1e-12)
 
+    def test_strategy_mask_lookup_matches_pure_payoff_everywhere(self):
+        # The 13x79 normal form of n = 12, c = 1, k = 2 is smaller than a
+        # 2^n table, so each utility is read at its strategies' masks.
+        spec = random_game(np.random.default_rng(2), 12, 1, 2)
+        nf = expand_normal_form(spec)
+        assert nf.matrix.size < spec.ground.size
+        for i, a in enumerate(nf.attacker_strategies):
+            for j, d in enumerate(nf.defender_strategies):
+                assert nf.matrix[i, j] == (spec.benefit.value(a & ~d) - spec.attacker_cost.value(a)
+                                           + spec.defender_cost.value(d))
+
     def test_size_guard(self):
         spec = make_spec(24, {})
         with pytest.raises(CapacityError):

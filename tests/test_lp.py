@@ -18,6 +18,10 @@ from conftest import random_game
 # payoffs with range 236, on which two independent float solves returned
 # strategies with a duality gap of 0.0105 at the right value.
 NET_WIDE_GAME = Path(__file__).with_name("net_wide_restricted_39x59.json")
+# A restricted game of a network solve (5x6 grid, c=4, k=3) and the start
+# basis its round took from the round before, from which a dual simplex with
+# no anti-cycling rule cycled until its iteration cap.
+NET_WIDE_STALL = Path(__file__).with_name("net_wide_stall_46x55.json")
 
 
 def digest(values):
@@ -423,6 +427,7 @@ class TestWarmStart:
             assert_solution_certifies(m, warm)
             start = warm.basis
 
+    @pytest.mark.usefixtures("unseeded")
     @pytest.mark.parametrize("seed", range(6))
     def test_only_the_first_restricted_round_starts_cold(self, monkeypatch, seed):
         # A cold tableau carries slot labels; a warm one does not.
@@ -438,6 +443,38 @@ class TestWarmStart:
         solve_compact(random_game(np.random.default_rng(seed), 7, 3, 3), trace=trace)
         assert len(cold) == len(trace) > 1
         assert cold == [True] + [False] * (len(trace) - 1)
+
+    def test_recorded_stall_solves_warm_under_blands_rule(self, monkeypatch):
+        # Without Bland's rule the dual simplex cycled here for its whole
+        # iteration cap (6,100 pivots) and the solve then started over cold.
+        data = json.loads(NET_WIDE_STALL.read_text())
+        m = np.array(data["matrix"], dtype=float)
+        dual, runs = lp._dual_simplex, []
+
+        def recorded(T, basis):
+            runs.append(dual(T, basis))
+            return runs[-1]
+
+        monkeypatch.setattr(lp, "_dual_simplex", recorded)
+        warm = solve_matrix_game(m, start=tuple(data["start"]))
+        assert len(runs) == 1 and not warm.cold_restart
+        assert warm.value == pytest.approx(data["value"], rel=1e-12)
+        assert_solution_certifies(m, warm)
+
+    @pytest.mark.usefixtures("unseeded")
+    def test_trace_flags_the_rounds_that_restart_cold(self, monkeypatch):
+        spec = random_game(np.random.default_rng(0), 7, 3, 3)
+        trace = []
+        solve_compact(spec, trace=trace)
+        assert len(trace) > 1 and not any(rec["lp_cold_restart"] for rec in trace)
+
+        def stuck(T, basis):
+            raise SolverFailureError("dual simplex stalled", diagnostics={"pivots": 3})
+
+        monkeypatch.setattr(lp, "_dual_simplex", stuck)
+        trace = []
+        solve_compact(spec, trace=trace)
+        assert [rec["lp_cold_restart"] for rec in trace] == [False] + [True] * (len(trace) - 1)
 
     def test_stuck_dual_simplex_starts_over_from_the_slack_basis(self, monkeypatch):
         m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
@@ -474,6 +511,7 @@ class TestWarmStart:
         cold = solve_matrix_game(matrix)
         assert stuck == [2]
         assert warm.pivots == cold.pivots + 2
+        assert warm.cold_restart and not cold.cold_restart
         assert warm.value == cold.value and warm.basis == cold.basis
         assert np.array_equal(warm.row_strategy, cold.row_strategy)
         assert np.array_equal(warm.col_strategy, cold.col_strategy)

@@ -462,6 +462,7 @@ class TestPrepared:
         with pytest.raises(ValueError):
             count[0] = 1
 
+    @pytest.mark.usefixtures("unseeded")
     def test_solve_prepares_once(self, table_builds):
         # The solve and the certificate of its report share the game's tables.
         # n = 8 keeps the solve past 10 queries with the column pool.
