@@ -102,7 +102,8 @@ class CompactGame:
 
     @cached_property
     def oracle(self) -> PreparedOracle:
-        """Both players' read-only oracle tables, built on first use and then shared."""
+        """Both players' read-only oracle tables, from :func:`~setgames.oracles.prepare` on
+        first use: shared with the last game prepared on an equal support and caps."""
         return prepare(self.support, self.attacker_cap, self.defender_cap)
 
 

@@ -154,10 +154,11 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     primal simplex prices the new defenses. ``game`` is the compact game of
     ``spec``, built here if not given; the oracles run on its tables
     (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
-    the same game reuses them. If ``trace`` is a list, one record per
-    round is appended with the restricted value, both gaps, the strategy
-    counts, the LP's pivots and whether its warm start fell back cold, the
-    oracle calls of both sides (always 2), and the strategies the round adds.
+    the same game, or one of an equal support and caps, reuses them. If
+    ``trace`` is a list, one record per round is appended with the
+    restricted value, both gaps, the strategy counts, the LP's pivots and
+    whether its warm start fell back cold, the oracle calls of both sides
+    (always 2), and the strategies the round adds.
 
     Each mixture has at most ``|S|`` atoms (``S`` the support): the
     restricted payoff matrix factors through the ``|S|`` compact coordinates,
@@ -250,10 +251,11 @@ def best_response_gap(spec: GameSpec, report: EquilibriumReport,
     """Exact improvement available to each player against the report's mixtures.
 
     Fresh oracle calls against the report's mixtures, on the game's read-only
-    tables: the solve's own when it was given the same game (rebuilding them
-    by the same code checks nothing more; an independent check needs exact
-    arithmetic). Both gaps within tolerance means the pair is an equilibrium
-    of the zero-sum-equivalent game (and so of the original game).
+    tables: the solve's own when it was given the same game, or a game of an
+    equal support and caps prepared last (rebuilding them by the same code
+    checks nothing more; an independent check needs exact arithmetic). Both
+    gaps within tolerance means the pair is an equilibrium of the
+    zero-sum-equivalent game (and so of the original game).
     """
     game = game or build_compact_game(spec)
     pa = marginal_attacker(game.support, report.attacker.atoms)

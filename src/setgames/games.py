@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -37,8 +38,9 @@ class GameSpec:
 
     ``attacker_cap`` (c) and ``defender_cap`` (k) bound the size of each
     side's pure strategies; caps equal to n give the complete power-set
-    strategy spaces. Utilities must be defined (entries plus default) on all
-    subsets up to the relevant cap.
+    strategy spaces; a cap that is not an integer (``bool`` included) raises
+    :class:`InvalidInputError`. Utilities must be defined (entries plus
+    default) on all subsets up to the relevant cap.
     """
 
     ground: GroundSet
@@ -60,8 +62,11 @@ class GameSpec:
                     stacklevel=2,
                 )
         for name, cap in (("attacker_cap", self.attacker_cap), ("defender_cap", self.defender_cap)):
+            if isinstance(cap, bool) or not isinstance(cap, Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {cap!r}")
             if not 0 <= cap <= self.ground.n:
                 raise InvalidInputError(f"{name}={cap} is outside [0, {self.ground.n}]")
+            object.__setattr__(self, name, int(cap))  # numpy integers stored as int
 
     @property
     def n(self) -> int:

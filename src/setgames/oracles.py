@@ -13,8 +13,10 @@ components, the groups of members whose target unions are disjoint
 (:func:`partition_support`): a strategy scores, in each component, what its
 targets inside that component score there. Only the weights change between
 calls, so ``prepare(support, attacker_cap, defender_cap)`` builds one
-read-only table per side; a game's ``CompactGame.oracle`` builds them once,
-on first use, for a solve and the certificate of its report. A table lists
+read-only table per side, once per (support, caps): it keeps the last tables
+it built, so the next game with an equal support and caps (a report's
+certificate, or another game on the same support) shares them, and
+``prepare.cache_clear()`` frees them. A table lists
 every strategy of at most ``min(cap, width)`` targets inside each component,
 grouped by (component, count) and ascending within a group, with its
 incidence against the support members (the empty member counts in the first
@@ -234,6 +236,7 @@ class PreparedOracle:
     defenses: _Table | None
 
 
+@lru_cache(maxsize=1)
 def prepare(support: SupportSet, attacker_cap: int | None,
             defender_cap: int | None) -> PreparedOracle:
     """Build the oracle tables that depend only on the support and the caps.
@@ -242,6 +245,11 @@ def prepare(support: SupportSet, attacker_cap: int | None,
     :attr:`~setgames.compact.SupportSet.components`. Passing ``None`` for a
     cap skips that side. Raises :class:`CapacityError` when a side's table
     would exceed :data:`ENUMERATION_GUARD` cells.
+
+    The last result is kept and returned, the same read-only object, for an
+    equal ``(support, attacker_cap, defender_cap)``: supports compare by
+    ``(n, members)``. One entry bounds memory to the tables a solve holds
+    anyway; ``prepare.cache_clear()`` frees them.
     """
     return PreparedOracle(*_tables(support.members, support.components, attacker_cap,
                                    defender_cap))

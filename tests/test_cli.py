@@ -222,7 +222,9 @@ class TestCommands:
         assert main(["verify", str(path)]) == 0
 
     def test_oracle_tables_are_built_on_first_use(self, pennies_file, monkeypatch, capsys):
-        # transform builds the compact game but calls no oracle.
+        # transform builds the compact game but calls no oracle. Tables an
+        # earlier test left would be shared without meeting the guard.
+        oracles.prepare.cache_clear()
         monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 1)
         assert main(["transform", pennies_file]) == 0
         assert main(["solve", pennies_file]) == 2

@@ -111,6 +111,19 @@ class TestNormalForm:
             GameSpec(g, SetFunction(g, {0: 1.0}), SetFunction(g), SetFunction(g), 2, 2)
 
 
+class TestGameSpec:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    @pytest.mark.parametrize("side", ["c", "k"])
+    def test_rejects_caps_that_are_not_integers(self, bad, side):
+        with pytest.raises(InvalidInputError):
+            make_spec(3, {0b001: 1.0}, **{side: bad})
+
+    def test_numpy_integer_caps_are_stored_as_int(self):
+        spec = make_spec(3, {0b001: 1.0}, c=np.int64(2), k=np.uint8(1))
+        assert (spec.attacker_cap, spec.defender_cap) == (2, 1)
+        assert type(spec.attacker_cap) is int and type(spec.defender_cap) is int
+
+
 class TestMixedStrategy:
     def test_from_pairs_merges_and_normalizes(self):
         mix = MixedStrategy.from_pairs([(1, 0.25), (2, 0.5), (1, 0.25)])

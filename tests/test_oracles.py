@@ -326,7 +326,9 @@ def table_builds(monkeypatch):
     The partition is counted in every setgames module that binds it, so a
     caller that partitions the same support again (as ``setgames net`` once
     did for the components it prints) counts too; the table build in the
-    oracles, its only caller."""
+    oracles, its only caller. The last prepared tables are dropped first, so
+    the count does not depend on what an earlier test prepared."""
+    oracles.prepare.cache_clear()
     calls = dict.fromkeys(ONE_BUILD, 0)
 
     def counted(name, fn):
@@ -408,6 +410,7 @@ class TestPrepared:
 
     def test_guard_raises_at_preparation(self, monkeypatch):
         support = SupportSet.from_members(4, [0b0011])
+        oracles.prepare.cache_clear()  # the guard is met where tables are built
         monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 10)
         with pytest.raises(CapacityError):
             oracles.prepare(support, 2, None)
@@ -445,11 +448,14 @@ class TestPrepared:
     def test_cold_and_warm_listing_give_equal_tables_and_reports(self):
         # The strategy listing is cached per (width, cap): a build that fills
         # the cache and one that reads it must agree in every table and report.
+        # Clearing the prepared tables makes the warm game build its own.
         spec = random_game(np.random.default_rng(8), 6, 3, 2)
+        oracles.prepare.cache_clear()
         oracles._listing.cache_clear()
         cold, warm = build_compact_game(spec), build_compact_game(spec)
         cold_tables = (cold.oracle.attacks, cold.oracle.defenses)
         assert oracles._listing.cache_info().misses == 2
+        oracles.prepare.cache_clear()
         for got, want in zip((warm.oracle.attacks, warm.oracle.defenses), cold_tables):
             assert (got.cap, got.sizes) == (want.cap, want.sizes)
             for name in ("strategies", "hits", "segment", "starts", "component", "empty"):
@@ -480,6 +486,48 @@ class TestPrepared:
         assert report.converged
         best_response_gap(approx.spec, report, approx.game)
         assert table_builds == ONE_BUILD
+
+    def test_games_of_one_support_and_caps_share_the_last_tables(self):
+        # Two dense games with different utilities have the same full support.
+        rng = np.random.default_rng(12)
+        first, second = (build_compact_game(random_game(rng, 6, 3, 3)) for _ in range(2))
+        assert first.support == second.support and first.support is not second.support
+        assert not np.array_equal(first.benefit_vec, second.benefit_vec)
+        assert second.oracle is first.oracle
+        assert oracles.prepare.cache_info().currsize == 1
+
+    def test_other_caps_or_support_build_new_tables(self):
+        support = SupportSet.from_members(6, [0b000111, 0b011100])
+        prepared = oracles.prepare(support, 3, 3)
+        for caps in ((3, 2), (2, 3), (3, None)):
+            other = oracles.prepare(support, *caps)
+            assert other is not prepared
+            assert (other.attacks.cap, getattr(other.defenses, "cap", None)) == caps
+        assert oracles.prepare(support, 3, 3) is not prepared
+        wider = SupportSet.from_members(6, [0b000111, 0b111000])
+        assert oracles.prepare(wider, 3, 3) is not oracles.prepare(support, 3, 3)
+        assert oracles.prepare.cache_info().currsize <= 1
+
+    @pytest.mark.usefixtures("unseeded")
+    def test_cold_and_shared_tables_give_equal_reports(self):
+        rng = np.random.default_rng(13)
+        specs = [random_game(rng, 7, 3, 3) for _ in range(2)]
+        oracles.prepare.cache_clear()
+        cold = [solve_compact(spec) for spec in specs]  # the second shares the first's tables
+        assert oracles.prepare.cache_info().hits >= 1
+        for spec, report in zip(specs, cold):
+            oracles.prepare.cache_clear()
+            assert solve_compact(spec) == report
+            assert solve_compact(spec) == report  # warm
+
+    @pytest.mark.usefixtures("unseeded")
+    def test_solve_and_certificate_of_their_own_games_prepare_once(self, table_builds):
+        # Each call builds its own game; the certificate's has an equal support.
+        spec = random_game(np.random.default_rng(8), 7, 3, 3)
+        report = solve_compact(spec)
+        best_response_gap(spec, report)
+        assert table_builds == ONE_BUILD
+        assert oracles.prepare.cache_info().currsize <= 1
 
     @pytest.mark.parametrize("command", [
         ["solve", "{game}"],
