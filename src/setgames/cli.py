@@ -37,9 +37,10 @@ import numpy as np
 from .bits import mask_of, targets_of
 from .compact import (SupportSet, build_compact_game, coordinates, interaction_coefficients,
                       payoff_block)
-from .equilibrium import SolverConfig, best_response_gap, solve_bruteforce, solve_compact
+from .equilibrium import SolverConfig, best_response_gap, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
 from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
+from .lp import solve_matrix_game
 from .network import FailureOperator, Network, ValueFunction, network_from_text, solve_network_game
 from .setfunctions import GroundSet, SetFunction
 
@@ -295,17 +296,17 @@ def _cmd_verify(args) -> int:
     if na * nd > NORMAL_FORM_GUARD:
         print(f"unverifiable at this size: {na}x{nd} normal form exceeds the guard")
         return 2
-    reference = solve_bruteforce(spec)
+    nf = expand_normal_form(spec)
+    reference = float(solve_matrix_game(nf.matrix).value)  # solve_bruteforce's value, same nf
     game = build_compact_game(spec)
     compact_report = solve_compact(spec, game=game)
-    value_gap = abs(reference.value - compact_report.value)
+    value_gap = abs(reference - compact_report.value)
 
-    nf = expand_normal_form(spec)
     P = coordinates(nf.attacker_strategies, game.support, "attacker")
     Q = coordinates(nf.defender_strategies, game.support, "defender")
     identity_gap = float(np.max(np.abs(payoff_block(game, P, Q) - nf.matrix)))
 
-    print(f"value: brute force {reference.value:.9g}, constraint generation {compact_report.value:.9g}")
+    print(f"value: brute force {reference:.9g}, constraint generation {compact_report.value:.9g}")
     print(f"max value discrepancy: {value_gap:.3g}")
     print(f"max payoff decomposition discrepancy: {identity_gap:.3g}")
     if max(value_gap, identity_gap) > VERIFY_TOLERANCE:

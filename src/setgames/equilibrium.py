@@ -9,14 +9,16 @@ with their stacked coordinates P (attacks) and Q (defenses), and its payoff
 matrix is :func:`~setgames.compact.payoff_block` of the two. It starts from
 the distinct strategies of the oracle tables when that game is small
 (:data:`SEED_CELLS`), else from the empty attack and defense. Each round
-solves it and asks each side's oracle once, at the restricted optimum, for a
-best response and :data:`POOL` runner-ups (a column pool): a side whose best
-response beats the restricted value by more than the gap tolerance adds it
-and every runner-up that does too. New attacks add one block of rows against Q,
+solves it and takes one best-response step (:func:`_gains`): one oracle
+query per side at the restricted optimum ranks the side's best response and,
+unseeded, :data:`POOL` runner-ups (a column pool) by their gain over the
+restricted value. A side whose gap beats the gap tolerance adds each listed
+strategy that does too and is new. New attacks add one block of rows against Q,
 new defenses one block of columns against P; as the lists only grow inside
-finite spaces, the solve terminates. The stop rule reads the gaps at the
-optimum alone, so on convergence the restricted mixtures are optimal for the
-full game. :func:`best_response_gap` certifies a report with the same steps.
+finite spaces, the solve terminates. A round that adds nothing ends it, and
+the gaps at the optimum alone decide convergence, so then the restricted
+mixtures are optimal for the full game. :func:`best_response_gap` certifies
+a report by the same step without runner-ups.
 """
 
 from __future__ import annotations
@@ -95,35 +97,15 @@ def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumRepor
     )
 
 
-def _attacker_response(game, qd, current, pool=0):
-    """Best attack against defense coordinates ``qd`` and its gain over payoff
-    ``current``, then up to ``pool`` runner-ups and theirs."""
-    w = game.benefit_vec * qd - game.attacker_cost_vec
-    cost = float(game.defender_cost_vec @ qd)
-    attack, value, runner_ups = attacker_oracle(game.oracle, w, pool)
-    return attack, value + cost - current, [(a, v + cost - current) for a, v in runner_ups]
-
-
-def _defender_response(game, pa, current, pool=0):
-    """Best defense against attack coordinates ``pa`` and its gain under payoff
-    ``current``, then up to ``pool`` runner-ups and theirs."""
-    w = -(game.benefit_vec * pa + game.defender_cost_vec)
-    cost = float(game.attacker_cost_vec @ pa)
-    defense, value, runner_ups = defender_oracle(game.oracle, w, pool)
-    return defense, current + (value + cost), [(d, current + (v + cost)) for d, v in runner_ups]
-
-
-def _responses(respond, value, eps_gap, game, point, known):
-    """One side's round: one ``respond`` at ``point``, the opponent's restricted
-    optimum in compact coordinates, gives the side's gap over ``value``, which
-    alone decides the stop rule. Returns the gap and the strategies the round
-    adds, best first: the best response and each of its :data:`POOL` runner-ups
-    that gains more than ``eps_gap`` too, unless in ``known``; none within tolerance."""
-    best, gap, runner_ups = respond(game, point, value, POOL)
-    if gap <= eps_gap:
-        return gap, []
-    found = [best] + [s for s, gain in runner_ups if gain > eps_gap]
-    return gap, [s for s in found if s not in known]
+def _gains(game, pa, qd, current, pool=0):
+    """One oracle query per side at the marginals ``pa`` (attacks) and ``qd``
+    (defenses): the attacker's and the defender's ``(strategy, gain)`` lists
+    over payoff ``current``, best response first, then up to ``pool`` runner-ups."""
+    attack = attacker_oracle(game.oracle, game.benefit_vec * qd - game.attacker_cost_vec, pool)
+    defense = defender_oracle(game.oracle, -(game.benefit_vec * pa + game.defender_cost_vec), pool)
+    cost_d, cost_a = float(game.defender_cost_vec @ qd), float(game.attacker_cost_vec @ pa)
+    return ([(a, v + cost_d - current) for a, v in [attack[:2], *attack[2]]],
+            [(d, current + (v + cost_a)) for d, v in [defense[:2], *defense[2]]])
 
 
 def _check_atom_bound(side, weights, support):
@@ -142,16 +124,18 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     Starts from the oracle tables' game, every distinct strategy the tables
     list on each side, when it has at most :data:`SEED_CELLS` cells, and
-    from the empty attack and the empty defense otherwise. It alternates
-    restricted matrix-game solves with one oracle query per side (best
-    response and :data:`POOL` runner-ups), and stops when neither player can
-    improve by more than ``config.eps_gap``. A one-component table lists
-    every capped strategy, so its seeded solve stops after the first round.
-    Each round's
-    restricted game is the last one with rows added at the bottom and
-    columns at the right, so its solve starts from the last round's optimal
-    basis: a dual simplex repairs the rows of the new attacks, then the
-    primal simplex prices the new defenses. ``game`` is the compact game of
+    from the empty attack and the empty defense otherwise. Each round solves
+    the restricted matrix game and queries each side's oracle once, for
+    :data:`POOL` runner-ups too when unseeded (a runner-up is one table row,
+    and the seeded game holds every row). The first round that adds nothing
+    ends the solve, converged if both gaps are within ``10 * eps_gap``: a
+    side adds nothing when its gap is within ``config.eps_gap`` or its best
+    response is already in the game. A one-component table lists every
+    capped strategy, so its seeded solve stops after the first round. Each
+    round's restricted game is the last one with rows added at the bottom
+    and columns at the right, so its solve starts from the last round's
+    optimal basis: a dual simplex repairs the rows of the new attacks, then
+    the primal simplex prices the new defenses. ``game`` is the compact game of
     ``spec``, built here if not given; the oracles run on its tables
     (:attr:`~setgames.compact.CompactGame.oracle`), so a certificate given
     the same game, or one of an equal support and caps, reuses them. If
@@ -174,18 +158,16 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         raise CapacityError(f"support of size {support.size} exceeds the guard")
     max_rounds = config.max_iterations or 10 * support.size + 100
 
-    attacks, defenses = [0], [0]
-    # A table repeats only the empty strategy, once per component after the first.
-    seed = [np.delete(table.strategies, table.empty[1:])
-            for table in (game.oracle.attacks, game.oracle.defenses)]
-    if seed[0].size * seed[1].size <= SEED_CELLS:
-        attacks, defenses = (np.sort(strategies).tolist() for strategies in seed)
+    attacks, defenses, pool = [0], [0], POOL
+    tables = (game.oracle.attacks, game.oracle.defenses)
+    if tables[0].distinct.size * tables[1].distinct.size <= SEED_CELLS:
+        attacks, defenses = (table.distinct.tolist() for table in tables)
+        pool = 0  # every runner-up is one table row, already in the seeded game
     P = coordinates(attacks, support, "attacker")
     Q = coordinates(defenses, support, "defender")
     payoff = payoff_block(game, P, Q)
 
-    converged = False
-    basis = None
+    converged, basis = False, None
     for rounds in range(1, max_rounds + 1):  # max_rounds >= 1 binds the mixtures below
         solution = solve_matrix_game(payoff, start=basis)
         basis = solution.basis
@@ -193,17 +175,19 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
         col_mix = np.asarray(solution.col_strategy, dtype=float)
         value = float(solution.value)
 
-        attacker_gap, new_attacks = _responses(
-            _attacker_response, value, config.eps_gap, game, col_mix @ Q, attacks)
-        defender_gap, new_defenses = _responses(
-            _defender_response, value, config.eps_gap, game, row_mix @ P, defenses)
+        gains = _gains(game, row_mix @ P, col_mix @ Q, value, pool)
+        gaps = [side[0][1] for side in gains]
+        new_attacks, new_defenses = (
+            [s for s, gain in side if gain > config.eps_gap and s not in known]
+            if gap > config.eps_gap else []
+            for side, gap, known in zip(gains, gaps, (attacks, defenses)))
 
         if trace is not None:
             trace.append({
                 "iteration": rounds,
                 "restricted_value": value,
-                "attacker_gap": float(attacker_gap),
-                "defender_gap": float(defender_gap),
+                "attacker_gap": gaps[0],
+                "defender_gap": gaps[1],
                 "attacker_vertices": len(attacks),
                 "defender_vertices": len(defenses),
                 "lp_pivots": solution.pivots,
@@ -213,13 +197,10 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
                 "added_defenses": sorted(new_defenses),
             })
 
-        if attacker_gap <= config.eps_gap and defender_gap <= config.eps_gap:
-            converged = True
-            break
         if not new_attacks and not new_defenses:
-            # No strategy left to add: the restricted game already contains
-            # both best responses, so the gaps are numerical residue.
-            converged = attacker_gap <= 10 * config.eps_gap and defender_gap <= 10 * config.eps_gap
+            # Each side is within tolerance, or its best response is already
+            # in the game and its gap numerical residue.
+            converged = max(gaps) <= 10 * config.eps_gap
             break
         if new_attacks:
             rows = coordinates(new_attacks, support, "attacker")
@@ -250,15 +231,22 @@ def best_response_gap(spec: GameSpec, report: EquilibriumReport,
                       game: CompactGame | None = None) -> tuple[float, float]:
     """Exact improvement available to each player against the report's mixtures.
 
-    Fresh oracle calls against the report's mixtures, on the game's read-only
-    tables: the solve's own when it was given the same game, or a game of an
-    equal support and caps prepared last (rebuilding them by the same code
-    checks nothing more; an independent check needs exact arithmetic). Both
-    gaps within tolerance means the pair is an equilibrium of the
-    zero-sum-equivalent game (and so of the original game).
+    The solve's best-response step, without runner-ups, against the report's
+    mixtures on the game's read-only tables: the solve's own when it was
+    given the same game, or a game of an equal support and caps prepared last
+    (rebuilding them by the same code checks nothing more; an independent
+    check needs exact arithmetic). Both gaps within tolerance means the pair
+    is an equilibrium of the zero-sum-equivalent game (and so of the original
+    game). Compact coordinates can read a zero gap past a cap, so every atom
+    is checked first: a mask outside the ground set raises
+    :class:`InvalidInputError`, one past its side's cap :class:`InvalidStrategyError`.
     """
+    for mask, _ in report.attacker.atoms:
+        spec.check_attack(mask)
+    for mask, _ in report.defender.atoms:
+        spec.check_defense(mask)
     game = game or build_compact_game(spec)
     pa = marginal_attacker(game.support, report.attacker.atoms)
     qd = marginal_defender(game.support, report.defender.atoms)
-    current = compact_value(game, pa, qd)
-    return _attacker_response(game, qd, current)[1], _defender_response(game, pa, current)[1]
+    attacks, defenses = _gains(game, pa, qd, compact_value(game, pa, qd))
+    return attacks[0][1], defenses[0][1]

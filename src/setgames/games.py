@@ -160,15 +160,20 @@ def expand_normal_form(spec: GameSpec) -> NormalForm:
 
 @dataclass(frozen=True)
 class MixedStrategy:
-    """A distribution over pure strategies as (mask, probability) atoms."""
+    """A distribution over pure strategies as (mask, probability) atoms.
+
+    A probability that is not finite and positive, or a total off 1 by more
+    than 1e-9, raises :class:`InvalidInputError`.
+    """
 
     atoms: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         total = 0.0
         for mask, prob in self.atoms:
-            if prob <= 0:
-                raise InvalidInputError(f"atom {mask:#x} has non-positive probability {prob}")
+            if not 0 < prob < np.inf:  # NaN fails both bounds
+                raise InvalidInputError(f"atom {mask:#x} has probability {prob}, "
+                                        "not finite and positive")
             total += prob
         if self.atoms and abs(total - 1.0) > 1e-9:
             raise InvalidInputError(f"probabilities sum to {total}, expected 1")

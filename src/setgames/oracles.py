@@ -109,7 +109,7 @@ class _Table:
     for attacks, ``U_t ∩ strategies[j] = ∅`` for defenses. Component c has
     ``sizes[c]`` segments, one per count from 0 to ``min(cap, width)``.
     ``component[j]`` is row j's component and ``empty[c]`` component c's
-    empty (count-0) row.
+    empty (count-0) row. ``distinct`` lists each strategy once, ascending.
     """
 
     cap: int
@@ -120,10 +120,11 @@ class _Table:
     sizes: tuple[int, ...]
     component: np.ndarray
     empty: np.ndarray
+    distinct: np.ndarray
 
     def __post_init__(self):
         for array in (self.strategies, self.hits, self.segment, self.starts, self.component,
-                      self.empty):
+                      self.empty, self.distinct):
             array.setflags(write=False)
 
     def best(self, weights: np.ndarray, pool: int = 0) -> tuple[int, float, list]:
@@ -207,8 +208,11 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
         sizes = np.minimum(widths, cap) + 1
         segment = (np.cumsum(sizes) - sizes)[comp] + count[pos]
         starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        empty = starts[np.cumsum(sizes) - sizes]
+        # Only the empty strategy repeats, once per component after the first.
         fields = dict(strategies=strategies, segment=segment, sizes=tuple(sizes.tolist()),
-                      starts=starts, component=comp, empty=starts[np.cumsum(sizes) - sizes])
+                      starts=starts, component=comp, empty=empty,
+                      distinct=np.sort(np.delete(strategies, empty[1:])))
         return fields, None if column is None else column == comp[:, None]
 
     shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from setgames import oracles, setfunctions
+from setgames import games, oracles, setfunctions
 from setgames.cli import format_game_json, main, parse_game_json
 from setgames.errors import FormatError
 
@@ -215,6 +215,21 @@ class TestCommands:
     def test_verify_ok(self, pennies_file, capsys):
         assert main(["verify", pennies_file]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_verify_builds_the_normal_form_once(self, monkeypatch, capsys):
+        # The brute-force value and the decomposition check share one matrix.
+        builds = []
+        dense_tables = games._dense_tables
+        monkeypatch.setattr(games, "_dense_tables", lambda spec: builds.append(spec)
+                            or dense_tables(spec))
+        assert main(["verify", str(GOLDEN / "costly.json")]) == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "value: brute force 1.140625, constraint generation 1.140625",
+            "max value discrepancy: 0",
+            "max payoff decomposition discrepancy: 0",
+            "OK",
+        ]
 
     def test_verify_zero_game(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from setgames import (
+    EquilibriumReport,
+    MixedStrategy,
     SolverConfig,
     SupportSet,
     best_response_gap,
@@ -18,7 +20,7 @@ from setgames import (
 from setgames import equilibrium
 from setgames.cli import parse_game_json
 from setgames.equilibrium import _check_atom_bound
-from setgames.errors import InvalidInputError, SolverFailureError
+from setgames.errors import InvalidInputError, InvalidStrategyError, SolverFailureError
 from conftest import additive_game, random_game
 from test_games import make_spec
 
@@ -154,6 +156,22 @@ class TestCompactSolver:
             a_gap, d_gap = best_response_gap(spec, report)
             assert a_gap <= 1e-6 and d_gap <= 1e-6
 
+    @pytest.mark.parametrize("attacker, defender", [
+        (((0b11, 1.0),), ((0b01, 1.0),)),  # an attack on two targets, c = 1
+        (((0b01, 0.5), (0b10, 0.5)), ((0b11, 1.0),)),  # a defense of two targets, k = 1
+    ])
+    def test_certificate_rejects_atoms_over_the_caps(self, attacker, defender):
+        # Both pairs read gaps (0, 0) or better on the compact coordinates, yet
+        # neither is a pair of legal mixtures.
+        spec = make_spec(2, {0b01: 1.0, 0b10: 1.0, 0b11: 10.0}, c=1, k=1)
+        report = EquilibriumReport(value=0.0, defender=MixedStrategy(defender),
+                                   attacker=MixedStrategy(attacker), iterations=1,
+                                   support_size=0, oracle_calls=0, converged=True)
+        with pytest.raises(InvalidStrategyError):
+            best_response_gap(spec, report)
+        with pytest.raises(InvalidStrategyError):
+            verify_ne_equivalence(spec, report.attacker, report.defender, 1e-9)
+
     def test_defender_cost_past_the_dense_limit(self):
         # n=26 is past the dense-table limit; with k=2 the defender cost is
         # transformed only up to pairs, and its value on a triple is never read.
@@ -202,6 +220,27 @@ class TestCompactSolver:
         for table, key in ((game.oracle.attacks, "attacker_vertices"),
                            (game.oracle.defenses, "defender_vertices")):
             assert trace[0][key] == np.unique(table.strategies).size == 7 < table.strategies.size
+            assert np.array_equal(table.distinct, np.unique(table.strategies))
+
+    def test_seeded_solves_ask_for_no_runner_ups(self, monkeypatch):
+        # Every runner-up is one table row, and the seeded game holds every
+        # row; an unseeded solve of the same game asks for the pool.
+        pools = []
+
+        def recording(oracle):
+            return lambda prepared, weights, pool=None: pools.append(pool) or oracle(
+                prepared, weights, pool)
+
+        for name in ("attacker_oracle", "defender_oracle"):
+            monkeypatch.setattr(equilibrium, name, recording(getattr(equilibrium, name)))
+        spec = additive_game(np.random.default_rng(4), 6, 2, 2)  # 6 components
+        seeded = solve_compact(spec)
+        assert seeded.converged and seeded.iterations > 1
+        assert pools == [0] * seeded.oracle_calls
+        pools.clear()
+        monkeypatch.setattr(equilibrium, "SEED_CELLS", 0)
+        assert solve_compact(spec).converged
+        assert set(pools) == {equilibrium.POOL}
 
     def test_game_over_the_seed_limit_starts_from_the_empty_pair(self):
         spec = parse_game_json(DENSE_N10.read_text())

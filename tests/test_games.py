@@ -133,6 +133,12 @@ class TestMixedStrategy:
         with pytest.raises(InvalidInputError):
             MixedStrategy(((1, 0.5), (2, 0.2)))
 
+    @pytest.mark.parametrize("prob", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_rejects_probabilities_that_are_not_finite_and_positive(self, prob):
+        # NaN fails both `prob <= 0` and the sum test, so it needs its own check.
+        with pytest.raises(InvalidInputError, match="not finite and positive"):
+            MixedStrategy(((1, prob), (2, 1.0)))
+
     def test_as_vector(self):
         mix = MixedStrategy(((0, 0.25), (2, 0.75)))
         assert mix.as_vector([0, 1, 2]).tolist() == [0.25, 0.0, 0.75]

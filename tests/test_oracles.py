@@ -441,7 +441,7 @@ class TestPrepared:
         assert game.oracle is game.oracle
         for table in (game.oracle.attacks, game.oracle.defenses):
             for array in (table.strategies, table.hits, table.segment, table.starts,
-                          table.component, table.empty):
+                          table.component, table.empty, table.distinct):
                 with pytest.raises(ValueError):
                     array[0] = 1
 
@@ -458,7 +458,8 @@ class TestPrepared:
         oracles.prepare.cache_clear()
         for got, want in zip((warm.oracle.attacks, warm.oracle.defenses), cold_tables):
             assert (got.cap, got.sizes) == (want.cap, want.sizes)
-            for name in ("strategies", "hits", "segment", "starts", "component", "empty"):
+            for name in ("strategies", "hits", "segment", "starts", "component", "empty",
+                         "distinct"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
         assert oracles._listing.cache_info().hits == 2
         assert solve_compact(spec, game=warm) == solve_compact(spec, game=cold)
@@ -593,6 +594,32 @@ class TestRunnerUps:
                             assert ranked[0] == (-value, mask)
                             assert [(m, -v) for v, m in ranked[1:POOL + 1]] == runner_ups
         assert several > 0 and single > 0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_runner_ups_are_listed_strategies(self, seed):
+        # A seeded solve starts from every listed strategy and asks for no
+        # runner-ups: on a multi-component support, every runner-up is one
+        # of the table's distinct strategies, while the best may span components.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        members, used = [], 0
+        while used < n:  # two or more disjoint blocks, each with members inside
+            width = int(rng.integers(1, min(4, n - 1, n - used) + 1))
+            block = ((1 << width) - 1) << used
+            members += [block & int(rng.integers(1, 1 << n)) or block for _ in range(2)]
+            used += width
+        support = SupportSet.from_members(n, members)
+        assert len(support.components) > 1
+        cap = int(rng.integers(1, n + 1))
+        prepared = oracles.prepare(support, cap, cap)
+        for table, oracle in ((prepared.attacks, attacker_oracle),
+                              (prepared.defenses, defender_oracle)):
+            assert np.array_equal(table.distinct, np.unique(table.strategies))
+            for w in (rng.normal(size=support.size),
+                      rng.integers(-2, 3, size=support.size).astype(float)):
+                _, _, runner_ups = oracle(prepared, w, table.strategies.size)
+                assert runner_ups and set(m for m, _ in runner_ups) <= set(table.distinct.tolist())
 
     def test_default_call_returns_the_pair_and_pool_zero_no_runner_ups(self):
         support = SupportSet.from_members(4, [0b0011, 0b1100])
