@@ -13,7 +13,6 @@ from .setfunctions import (
     MobiusTransform,
     SetFunction,
     moebius,
-    restrict_cardinality,
     zeta,
 )
 from .games import (
@@ -94,7 +93,6 @@ __all__ = [
     "network_from_text",
     "partition_support",
     "pure_payoff",
-    "restrict_cardinality",
     "separable_approximation",
     "solve_bruteforce",
     "solve_compact",

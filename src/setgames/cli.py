@@ -21,8 +21,9 @@ Reports are JSON documents::
 ``error_bound`` appears only for network solves. Identical inputs and flags
 produce byte-identical reports.
 
-Exit codes: 0 success, 1 usage or parse error, 2 capacity or unverifiable,
-3 solver failure.
+Exit codes: 0 success, 1 usage or parse error or a file that cannot be read
+or written (``error: ...`` on stderr), 2 capacity or unverifiable, 3 solver
+failure.
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ def report_to_dict(report, gaps, error_bound=None) -> dict:
 def _write_report(doc: dict, out_path: str | None) -> None:
     payload = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+        _write(out_path, payload)
     else:
         sys.stdout.write(payload)
 
@@ -168,6 +168,14 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +219,7 @@ def _cmd_solve(args) -> int:
         raise SolverFailureError("constraint generation did not converge")
     gaps = best_response_gap(spec, report, game)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            for record in trace:
-                fh.write(json.dumps(record) + "\n")
+        _write(args.trace, "".join(json.dumps(record) + "\n" for record in trace))
     _write_report(report_to_dict(report, gaps), args.out)
     return 0
 

@@ -146,13 +146,13 @@ def build_compact_game(spec: GameSpec) -> CompactGame:
     return CompactGame.from_coefficients(spec, *_coefficient_table(spec))
 
 
-def coordinates(masks, support: SupportSet, side: str, cap: int | None = None) -> np.ndarray:
+def coordinates(masks, support: SupportSet, side: str) -> np.ndarray:
     """0/1 coordinates of pure strategies, one row per mask: ``1{U subset of A}``
     for each attack A when ``side`` is ``"attacker"``, ``1{U disjoint from D}``
     for each defense D when it is ``"defender"``.
 
     Raises :class:`InvalidStrategyError` for a mask that is not an integer
-    (``bool`` included) in ``[0, 2^n)``, or that has more than ``cap`` targets.
+    (``bool`` included) in ``[0, 2^n)``; the caps are not checked here.
     """
     if side not in ("attacker", "defender"):
         raise InvalidInputError(f"side must be 'attacker' or 'defender', not {side!r}")
@@ -163,10 +163,6 @@ def coordinates(masks, support: SupportSet, side: str, cap: int | None = None) -
         if bad < 0 or bad >> support.n:
             raise InvalidStrategyError(f"{side} {bad:#x} is outside a ground set of {support.n}")
     array = np.array(masks, dtype=np.int64)
-    if cap is not None:
-        widest = max(array.tolist(), key=int.bit_count, default=0)
-        if widest.bit_count() > cap:
-            raise InvalidStrategyError(f"{side} {widest:#x} exceeds the cap {cap}")
     return _coordinates(array, support.member_array, side == "defender").astype(float)
 
 

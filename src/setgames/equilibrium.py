@@ -80,10 +80,10 @@ class EquilibriumReport:
     converged: bool
 
 
-def solve_bruteforce(spec: GameSpec, *, exact: bool = False) -> EquilibriumReport:
-    """Exact equilibrium via the dense normal form; the reference solver."""
+def solve_bruteforce(spec: GameSpec) -> EquilibriumReport:
+    """Equilibrium of the dense normal form as one matrix game; the reference solver."""
     nf = expand_normal_form(spec)
-    solution = solve_matrix_game(nf.matrix, exact=exact)
+    solution = solve_matrix_game(nf.matrix)
     attacker = MixedStrategy.from_pairs(zip(nf.attacker_strategies, map(float, solution.row_strategy)))
     defender = MixedStrategy.from_pairs(zip(nf.defender_strategies, map(float, solution.col_strategy)))
     return EquilibriumReport(

@@ -162,7 +162,8 @@ def expand_normal_form(spec: GameSpec) -> NormalForm:
 class MixedStrategy:
     """A distribution over pure strategies as (mask, probability) atoms.
 
-    A probability that is not finite and positive, or a total off 1 by more
+    A mask that is not a non-negative integer (``bool`` included), a
+    probability that is not finite and positive, or a total off 1 by more
     than 1e-9, raises :class:`InvalidInputError`.
     """
 
@@ -171,6 +172,8 @@ class MixedStrategy:
     def __post_init__(self):
         total = 0.0
         for mask, prob in self.atoms:
+            if isinstance(mask, bool) or not isinstance(mask, Integral) or mask < 0:
+                raise InvalidInputError(f"atom mask {mask!r} is not a non-negative integer")
             if not 0 < prob < np.inf:  # NaN fails both bounds
                 raise InvalidInputError(f"atom {mask:#x} has probability {prob}, "
                                         "not finite and positive")

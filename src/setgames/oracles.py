@@ -172,25 +172,22 @@ def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
-def _tables(members, components, attacker_cap: int | None, defender_cap: int | None,
-            ) -> tuple[_Table | None, _Table | None]:
+def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[_Table, _Table]:
     """Attack and defense tables over the members' ``components`` (their
     :func:`partition_support`) from the cached strategy listing of each cap.
     Sides whose caps list the same rows share them; ``hits`` masks their :func:`_coordinates`.
 
-    A ``None`` cap skips its side. Raises :class:`CapacityError` when a table
-    would exceed :data:`ENUMERATION_GUARD` cells.
+    Raises :class:`CapacityError` when a table would exceed
+    :data:`ENUMERATION_GUARD` cells.
     """
     components = components or [()]
     unions = [reduce(or_, c, 0) for c in components]
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
-    caps = [cap for cap in (attacker_cap, defender_cap) if cap is not None]
+    caps = (attacker_cap, defender_cap)
     for cap in caps:
         rows = sum(comb(int(w), t) for w in widths for t in range(min(cap, w) + 1))
         if rows * len(members) > ENUMERATION_GUARD:
             raise CapacityError(f"oracle table of {rows}x{len(members)} exceeds the guard")
-    if not caps:
-        return None, None
     widest = int(widths.max())
     targets = np.zeros((len(unions), widest), dtype=np.int64)
     for c, union in enumerate(unions):
@@ -218,8 +215,6 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
     shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}
 
     def table(cap, defender):
-        if cap is None:
-            return None
         fields, own = shared[min(cap, widest)]
         hits = _coordinates(fields["strategies"], masks, defender)
         if own is not None:
@@ -231,24 +226,20 @@ def _tables(members, components, attacker_cap: int | None, defender_cap: int | N
 
 @dataclass(frozen=True)
 class PreparedOracle:
-    """Both sides' oracle tables for one support and fixed caps; built by :func:`prepare`.
+    """Both sides' oracle tables for one support and fixed caps; built by :func:`prepare`."""
 
-    A side whose cap was ``None`` has no table.
-    """
-
-    attacks: _Table | None
-    defenses: _Table | None
+    attacks: _Table
+    defenses: _Table
 
 
 @lru_cache(maxsize=1)
-def prepare(support: SupportSet, attacker_cap: int | None,
-            defender_cap: int | None) -> PreparedOracle:
-    """Build the oracle tables that depend only on the support and the caps.
+def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> PreparedOracle:
+    """Build both sides' oracle tables, which depend only on the support and the caps.
 
     The tables split over the support's own partition,
-    :attr:`~setgames.compact.SupportSet.components`. Passing ``None`` for a
-    cap skips that side. Raises :class:`CapacityError` when a side's table
-    would exceed :data:`ENUMERATION_GUARD` cells.
+    :attr:`~setgames.compact.SupportSet.components`. Raises
+    :class:`CapacityError` when a side's table would exceed
+    :data:`ENUMERATION_GUARD` cells.
 
     The last result is kept and returned, the same read-only object, for an
     equal ``(support, attacker_cap, defender_cap)``: supports compare by
@@ -269,10 +260,8 @@ def _checked(weights, size: int) -> np.ndarray:
     return weights
 
 
-def _best(table: _Table | None, weights, side: str, pool: int | None) -> tuple:
+def _best(table: _Table, weights, pool: int | None) -> tuple:
     """Check a call's weights against a prepared side, then run its kernel."""
-    if table is None:
-        raise InvalidInputError(f"the {side} side was not prepared")
     mask, value, runner_ups = table.best(_checked(weights, table.hits.shape[1]), pool or 0)
     return (mask, value) if pool is None else (mask, value, runner_ups)
 
@@ -280,13 +269,13 @@ def _best(table: _Table | None, weights, side: str, pool: int | None) -> tuple:
 def attacker_oracle(prepared: PreparedOracle, weights, pool: int | None = None) -> tuple:
     """Best attack within the prepared cap against coordinate weights: ``(mask, value)``;
     given ``pool``, ``(mask, value, runner_ups)`` with up to ``pool`` ``(mask, value)`` pairs."""
-    return _best(prepared.attacks, weights, "attacker", pool)
+    return _best(prepared.attacks, weights, pool)
 
 
 def defender_oracle(prepared: PreparedOracle, weights, pool: int | None = None) -> tuple:
     """Best defense within the prepared cap against coordinate weights: ``(mask, value)``;
     given ``pool``, ``(mask, value, runner_ups)`` with up to ``pool`` ``(mask, value)`` pairs."""
-    return _best(prepared.defenses, weights, "defender", pool)
+    return _best(prepared.defenses, weights, pool)
 
 
 def partition_support(members) -> list[list[int]]:
@@ -351,7 +340,7 @@ def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
     defended-count budget ``n - min_ones``. Returns the ones mask and the
     optimal value.
     """
-    members = [m for m, _ in problem.terms]
-    _, defenses = _tables(members, partition_support(members), None, problem.n - problem.min_ones)
+    members, cap = [m for m, _ in problem.terms], problem.n - problem.min_ones
+    _, defenses = _tables(members, partition_support(members), cap, cap)
     defended, value, _ = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
     return ((1 << problem.n) - 1) ^ defended, value

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -94,11 +94,11 @@ class GroundSet:
     def size(self) -> int:
         return 1 << self.n
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def check_mask(self, mask: int) -> None:
+        """Raise :class:`InvalidInputError` unless ``mask`` is an integer (not a
+        ``bool``) in ``[0, 2^n)``."""
+        if isinstance(mask, bool) or not isinstance(mask, Integral):
+            raise InvalidInputError(f"mask {mask!r} is not an integer")
         if not 0 <= mask < self.size:
             raise InvalidInputError(f"mask {mask} out of range for n={self.n}")
 
@@ -217,14 +217,13 @@ def _transform(ground: GroundSet, functions, cap: int | None, *, signed: bool, e
     return masks, table
 
 
-def _entries(masks: np.ndarray | None, row: np.ndarray, drop_tol: float | None = None) -> dict:
-    """A row over ``masks`` (None: all) as a map of its nonzero values, at least ``drop_tol``."""
-    kept = np.flatnonzero(np.abs(row) >= drop_tol if drop_tol else row != 0)
+def _entries(masks: np.ndarray | None, row: np.ndarray) -> dict:
+    """A row over ``masks`` (None: all) as a map of its nonzero values."""
+    kept = np.flatnonzero(row != 0)
     return dict(zip((kept if masks is None else masks[kept]).tolist(), row[kept].tolist()))
 
 
-def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | None = None,
-            exact: bool = False) -> MobiusTransform:
+def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False) -> MobiusTransform:
     """Interaction coefficients of ``f``.
 
     Args:
@@ -234,19 +233,20 @@ def moebius(f: SetFunction, *, max_size: int | None = None, drop_tol: float | No
             subsets of at most this many targets, by the butterfly trimmed
             to them. Otherwise the butterfly runs over all 2^n subsets in
             O(n 2^n), which requires n <= 24.
-        drop_tol: absolute cutoff below which coefficients are discarded as
-            zeros. Defaults to 1e-12 times the largest absolute value of
-            ``f``. Ignored in exact mode, where only exact zeros are dropped.
         exact: compute with rational arithmetic; values are converted to
             Fractions and results are exact.
+
+    Float coefficients below :data:`SPARSITY_SCALE` times the largest
+    absolute value of ``f`` are dropped as zeros; exact mode drops only
+    exact zeros.
     """
-    if exact:
-        drop_tol = None
-    elif drop_tol is None:
-        drop_tol = SPARSITY_SCALE * f.max_abs()
     sums = _transform(f.ground, [(f.entries, f.default)], max_size, signed=True, exact=exact)
-    return MobiusTransform(f.ground,
-                           {} if sums is None else _entries(sums[0], sums[1][0], drop_tol))
+    if sums is None:
+        return MobiusTransform(f.ground)
+    masks, table = sums
+    if not exact:
+        table[abs(table) < SPARSITY_SCALE * f.max_abs()] = 0
+    return MobiusTransform(f.ground, _entries(masks, table[0]))
 
 
 def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
@@ -259,11 +259,3 @@ def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
     """
     sums = _transform(coeffs.ground, [(coeffs.entries, 0)], max_size, signed=False, exact=exact)
     return SetFunction(coeffs.ground, {} if sums is None else _entries(sums[0], sums[1][0]))
-
-
-def restrict_cardinality(f: SetFunction, cap: int) -> SetFunction:
-    """Drop entries on subsets larger than ``cap``."""
-    if not 0 <= cap <= f.ground.n:
-        raise InvalidInputError(f"cap {cap} is outside [0, {f.ground.n}]")
-    kept = {m: v for m, v in f.entries.items() if m.bit_count() <= cap}
-    return SetFunction(f.ground, kept, default=f.default)

@@ -187,7 +187,7 @@ class TestCriterion6PseudoBooleanEquivalence:
                 if value > vertex_best:
                     vertex_best, vertex_defense = value, defense
 
-            oracle_defense, oracle_value = defender_oracle(prepare(support, None, cap), weights)
+            oracle_defense, oracle_value = defender_oracle(prepare(support, cap, cap), weights)
 
             assert pb_value == vertex_best == oracle_value, f"trial {trial}"
             assert pb_defense == vertex_defense == oracle_defense, f"trial {trial}"
@@ -205,7 +205,7 @@ class TestCriterion7AdditiveDegeneration:
             assert support.members == expected, f"trial {trial}: support {support.members}"
             weights = rng.integers(-9, 10, size=support.size).astype(float)
             cap = int(rng.integers(0, n + 1))
-            fast_defense, fast_value = defender_oracle(prepare(support, None, cap), weights)
+            fast_defense, fast_value = defender_oracle(prepare(support, cap, cap), weights)
             ones, value = to_pseudo_boolean(weights, cap, support).solve_bruteforce()
             assert fast_value == value and fast_defense == ((1 << n) - 1) ^ ones
         # The singleton support drives the full solve to the same value.

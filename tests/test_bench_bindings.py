@@ -1,12 +1,14 @@
 """The benchmark under perfbench/ calls the library by name; every name it uses must exist.
 
-A removed or renamed export would otherwise fail only a benchmark run. The
-files are read, and the tracer loaded, by path; nothing under perfbench/ is
-imported as a package or changed.
+A removed or renamed export, or a removed keyword parameter, would otherwise
+fail only a benchmark run. The files are read, and the tracer loaded, by
+path; nothing under perfbench/ is imported as a package or changed.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -36,6 +38,20 @@ def test_every_sg_name_exists(path):
         imported = importlib.import_module(module)
         for name in names.replace(" ", "").split(","):
             assert hasattr(imported, name), f"{path.name} imports {name} from {module}"
+
+
+@pytest.mark.parametrize("path", bench_sources(), ids=lambda path: path.name)
+def test_every_sg_keyword_is_a_parameter(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "sg"):
+            continue
+        params = inspect.signature(getattr(setgames, node.func.attr)).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        for keyword in node.keywords:
+            assert keyword.arg is None or keyword.arg in params, (
+                f"{path.name}:{node.lineno} passes {keyword.arg}= to sg.{node.func.attr}")
 
 
 def test_every_traced_layer_resolves():

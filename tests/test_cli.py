@@ -267,6 +267,19 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["solve", "/does/not/exist.json"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [("solve", "--out"), ("solve", "--trace"),
+                                               ("net", "--out")])
+    def test_unwritable_output_is_an_error(self, pennies_file, tmp_path, capsys, command, flag):
+        target = str(tmp_path / "missing" / "out.json")
+        if command == "solve":
+            argv = ["solve", pennies_file, flag, target]
+        else:
+            graph = tmp_path / "g.txt"
+            graph.write_text("nodes 3\n1 2\n2 3\n")
+            argv = ["net", str(graph), "--c", "1", "--eps-c", "0", flag, target]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
     def test_malformed_set_index(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "benefit": [{"set": [0], "value": 1.0}]}))

@@ -84,12 +84,12 @@ class TestBuildSupport:
         assert lines < 40 * 2 ** n
 
 
-def attack_row(mask, support, cap=None):
-    return coordinates([mask], support, "attacker", cap)[0]
+def attack_row(mask, support):
+    return coordinates([mask], support, "attacker")[0]
 
 
-def defense_row(mask, support, cap=None):
-    return coordinates([mask], support, "defender", cap)[0]
+def defense_row(mask, support):
+    return coordinates([mask], support, "defender")[0]
 
 
 class TestEmbeddings:
@@ -116,14 +116,6 @@ class TestEmbeddings:
     def test_defender_full_keeps_only_empty_coord(self):
         support = build_compact_game(make_spec(2, {0b11: 1.0})).support
         assert defense_row(0b11, support).tolist() == [1.0, 0.0, 0.0, 0.0]
-
-    def test_cap_enforced(self):
-        support = build_compact_game(make_spec(3, {0b1: 1.0})).support
-        with pytest.raises(InvalidStrategyError):
-            attack_row(0b111, support, cap=2)
-        with pytest.raises(InvalidStrategyError):
-            coordinates([0b1, 0b110, 0b111], support, "defender", cap=2)
-        assert coordinates([0b1, 0b110], support, "defender", cap=2).shape == (2, support.size)
 
 
 class TestCoordinates:
@@ -159,7 +151,7 @@ class TestCoordinates:
     def test_rejects_masks_outside_the_ground_set(self, mask, side):
         support = compact.SupportSet.from_members(3, [])
         with pytest.raises(InvalidStrategyError):
-            coordinates([mask], support, side, cap=1)
+            coordinates([mask], support, side)
         with pytest.raises(InvalidStrategyError):
             coordinates([0b1, mask], support, side)
 

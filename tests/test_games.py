@@ -57,6 +57,15 @@ class TestPurePayoff:
         with pytest.raises(InvalidStrategyError):
             pure_payoff(spec, 0, 0b011)
 
+    @pytest.mark.parametrize("mask", [1.5, 1.0, True, np.bool_(True), "1", None])
+    def test_rejects_masks_that_are_not_integers(self, mask):
+        # bool is an int subclass, so True must be rejected by type, not read as mask 1.
+        spec = make_spec(2, {0b01: 1.0})
+        for attack, defense in ((mask, 0), (0, mask)):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                pure_payoff(spec, attack, defense)
+        assert pure_payoff(spec, np.int64(1), np.uint8(0)) == pure_payoff(spec, 1, 0)
+
 
 class TestNormalForm:
     def test_single_target(self):
@@ -138,6 +147,17 @@ class TestMixedStrategy:
         # NaN fails both `prob <= 0` and the sum test, so it needs its own check.
         with pytest.raises(InvalidInputError, match="not finite and positive"):
             MixedStrategy(((1, prob), (2, 1.0)))
+
+    @pytest.mark.parametrize("mask", [1.5, 1.0, True, np.bool_(True), -1, np.int64(-1)])
+    def test_rejects_masks_that_are_not_non_negative_integers(self, mask):
+        with pytest.raises(InvalidInputError, match="not a non-negative integer"):
+            MixedStrategy(((mask, 1.0),))
+        with pytest.raises(InvalidInputError, match="not a non-negative integer"):
+            MixedStrategy.from_pairs([(0, 0.5), (mask, 0.5)])
+
+    def test_accepts_numpy_integer_masks(self):
+        for kind in (np.int64, np.int32, np.uint8):
+            assert MixedStrategy(((kind(2), 1.0),)).atoms == ((2, 1.0),)
 
     def test_as_vector(self):
         mix = MixedStrategy(((0, 0.25), (2, 0.75)))

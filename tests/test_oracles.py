@@ -39,11 +39,11 @@ def weights_for(support, mapping):
 
 
 def defend(support, w, cap):
-    return defender_oracle(oracles.prepare(support, None, cap), w)
+    return defender_oracle(oracles.prepare(support, cap, cap), w)
 
 
 def attack(support, w, cap):
-    return attacker_oracle(oracles.prepare(support, cap, None), w)
+    return attacker_oracle(oracles.prepare(support, cap, cap), w)
 
 
 class TestDefenderOracle:
@@ -403,19 +403,17 @@ class TestPrepared:
                 w[2] = bad
                 with pytest.raises(InvalidInputError):
                     oracle(table, w)
-        with pytest.raises(InvalidInputError):
-            defender_oracle(oracles.prepare(support, 2, None), np.zeros(support.size))
-        with pytest.raises(InvalidInputError):
-            attacker_oracle(oracles.prepare(support, None, 2), np.zeros(support.size))
 
     def test_guard_raises_at_preparation(self, monkeypatch):
         support = SupportSet.from_members(4, [0b0011])
         oracles.prepare.cache_clear()  # the guard is met where tables are built
-        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 10)
+        # Each side at cap 0 has 3 rows of 6 members, at cap 2 it has 8 rows.
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 20)
+        oracles.prepare(support, 0, 0)
         with pytest.raises(CapacityError):
-            oracles.prepare(support, 2, None)
+            oracles.prepare(support, 2, 0)
         with pytest.raises(CapacityError):
-            oracles.prepare(support, None, 2)
+            oracles.prepare(support, 0, 2)
 
     def test_guard_bounds_the_per_component_table(self, monkeypatch):
         # Four disjoint 3-target blocks: the capped lattice over all 12
@@ -500,10 +498,10 @@ class TestPrepared:
     def test_other_caps_or_support_build_new_tables(self):
         support = SupportSet.from_members(6, [0b000111, 0b011100])
         prepared = oracles.prepare(support, 3, 3)
-        for caps in ((3, 2), (2, 3), (3, None)):
+        for caps in ((3, 2), (2, 3)):
             other = oracles.prepare(support, *caps)
             assert other is not prepared
-            assert (other.attacks.cap, getattr(other.defenses, "cap", None)) == caps
+            assert (other.attacks.cap, other.defenses.cap) == caps
         assert oracles.prepare(support, 3, 3) is not prepared
         wider = SupportSet.from_members(6, [0b000111, 0b111000])
         assert oracles.prepare(wider, 3, 3) is not oracles.prepare(support, 3, 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgames import GroundSet, MobiusTransform, SetFunction, moebius, restrict_cardinality, zeta
+from setgames import GroundSet, MobiusTransform, SetFunction, moebius, zeta
 from setgames.errors import CapacityError, InvalidInputError
 from setgames.setfunctions import _butterfly, _dense, _entries, _layout
 
@@ -137,7 +137,7 @@ class TestZeta:
     def test_roundtrip_dense(self, values):
         g = GroundSet(4)
         f = SetFunction(g, {m: values[m] for m in range(16)})
-        back = zeta(moebius(f, drop_tol=0.0))
+        back = zeta(moebius(f))
         scale = max(1.0, f.max_abs())
         for m in range(16):
             assert abs(back.value(m) - f.value(m)) < 1e-9 * scale
@@ -226,7 +226,7 @@ class TestLinearityAndSparsity:
         h = SetFunction(g, {m: float(rng.normal()) for m in range(16)})
         alpha, beta = float(rng.normal()), float(rng.normal())
         combo = SetFunction(g, {m: alpha * f.value(m) + beta * h.value(m) for m in range(16)})
-        mc, mf, mh = moebius(combo, drop_tol=0.0), moebius(f, drop_tol=0.0), moebius(h, drop_tol=0.0)
+        mc, mf, mh = moebius(combo), moebius(f), moebius(h)
         for m in range(16):
             expect = alpha * mf.value(m) + beta * mh.value(m)
             assert mc.value(m) == pytest.approx(expect, abs=1e-9)
@@ -239,20 +239,3 @@ class TestLinearityAndSparsity:
         entries = {m: sum(v for i, v in enumerate(w) if m >> i & 1) for m in range(8)}
         mc = moebius(SetFunction(g, entries))
         assert set(mc.entries) == {0b001, 0b010, 0b100}
-
-
-class TestRestrictCardinality:
-    def test_noop_cap(self):
-        g = GroundSet(3)
-        f = SetFunction(g, {m: float(m) for m in range(8)})
-        assert restrict_cardinality(f, 3).entries == f.entries
-
-    def test_cap_one(self):
-        g = GroundSet(2)
-        f = SetFunction(g, {0b01: 1.0, 0b10: 2.0, 0b11: 5.0})
-        assert set(restrict_cardinality(f, 1).entries) == {0b01, 0b10}
-
-    def test_cap_zero(self):
-        g = GroundSet(2)
-        f = SetFunction(g, {0: 3.0, 0b01: 1.0})
-        assert set(restrict_cardinality(f, 0).entries) == {0}
