@@ -10,7 +10,8 @@ Game files are JSON documents::
      "cost_defender": [...]}
 
 Sets are strictly ascending 1-based target lists; unspecified subsets default
-to 0; duplicate sets are rejected. ``c`` and ``k`` default to ``n``.
+to 0; duplicate sets are rejected. ``c`` and ``k`` default to ``n``. Graph files
+(``net``) are read by :func:`setgames.network.network_from_text`: JSON or an edge list.
 
 Reports are JSON documents::
 
@@ -30,19 +31,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .bits import mask_of, targets_of
-from .compact import (SupportSet, build_compact_game, coordinates, interaction_coefficients,
-                      payoff_block)
+from .compact import build_compact_game, coordinates, payoff_block
 from .equilibrium import SolverConfig, best_response_gap, solve_compact
 from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
-from .games import GameSpec, NORMAL_FORM_GUARD, expand_normal_form
+from .games import GameSpec, expand_normal_form
 from .lp import solve_matrix_game
-from .network import FailureOperator, Network, ValueFunction, network_from_text, solve_network_game
+from .network import FailureOperator, ValueFunction, network_from_text, solve_network_game
 from .setfunctions import GroundSet, SetFunction
 
 VERIFY_TOLERANCE = 1e-6
@@ -190,24 +189,14 @@ def _format_number(value) -> str:
 
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
-    coeffs = interaction_coefficients(spec, exact=args.exact)
-    support = SupportSet.from_members(spec.n, [m for t in coeffs for m in t.entries])
-    print(f"support size {support.size} over n={spec.n}")
+    game = build_compact_game(spec, exact=args.exact)
+    print(f"support size {game.support.size} over n={spec.n}")
     print("set : benefit / attacker-cost / defender-cost-coordinates")
-    for mask in support.members:
+    for mask, *values in zip(game.support.members, game.benefit_vec, game.attacker_cost_vec,
+                             game.defender_cost_vec):
         name = "{" + ",".join(map(str, targets_of(mask))) + "}"
-        print(f"{name} : " + " / ".join(_format_number(t.value(mask)) for t in coeffs))
+        print(f"{name} : " + " / ".join(map(_format_number, values)))
     return 0
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return value
 
 
 def _cmd_solve(args) -> int:
@@ -222,34 +211,6 @@ def _cmd_solve(args) -> int:
         _write(args.trace, "".join(json.dumps(record) + "\n" for record in trace))
     _write_report(report_to_dict(report, gaps), args.out)
     return 0
-
-
-def _parse_network_file(path: str) -> Network:
-    text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        if not isinstance(doc, dict) or "nodes" not in doc:
-            raise FormatError("graph JSON needs a 'nodes' field")
-        edges = doc.get("edges", [])
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2 for e in edges):
-            raise FormatError("graph 'edges' must be a list of [u, v] pairs")
-        values = doc.get("values")
-        if values is not None and not isinstance(values, list):
-            raise FormatError("graph 'values' must be a list of numbers")
-        try:
-            return Network(
-                node_count=doc["nodes"],
-                edges=tuple((u, v) for u, v in edges),
-                node_values=tuple(values) if values is not None else None,
-            )
-        except SetGameError as exc:
-            raise FormatError(str(exc)) from None
-    return network_from_text(text)
 
 
 def _histogram(magnitudes: list[float], bins: int = 10) -> list[str]:
@@ -270,12 +231,9 @@ def _histogram(magnitudes: list[float], bins: int = 10) -> list[str]:
 
 
 def _cmd_net(args) -> int:
-    net = _parse_network_file(args.graph)
+    net = network_from_text(_read(args.graph))
     value_fn = ValueFunction(kind=args.value_fn)
-    failure = FailureOperator(
-        kind=args.failure,
-        threshold=args.cascade_threshold if args.failure == "threshold_cascade" else None,
-    )
+    failure = FailureOperator(args.failure, args.cascade_threshold)
     report, approx = solve_network_game(net, value_fn, failure, args.c, args.eps_c,
                                         config=SolverConfig(eps_gap=args.tol), defender_cap=args.k)
     if not report.converged:
@@ -298,11 +256,11 @@ def _cmd_net(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = parse_game_json(_read(args.game))
-    na, nd = spec.strategy_counts()
-    if na * nd > NORMAL_FORM_GUARD:
-        print(f"unverifiable at this size: {na}x{nd} normal form exceeds the guard")
+    try:
+        nf = expand_normal_form(spec)
+    except CapacityError as exc:
+        print(f"unverifiable at this size: {exc}")
         return 2
-    nf = expand_normal_form(spec)
     reference = float(solve_matrix_game(nf.matrix).value)  # solve_bruteforce's value, same nf
     game = build_compact_game(spec)
     compact_report = solve_compact(spec, game=game)
@@ -333,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a game by constraint generation")
     p.add_argument("game", help="game JSON file")
-    p.add_argument("--tol", type=_positive_float, default="1e-7",
-                   help="best-response gap tolerance")
+    p.add_argument("--tol", type=float, default=1e-7, help="best-response gap tolerance")
     p.add_argument("--trace", metavar="FILE", help="write one JSON record per round")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_solve)
@@ -350,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="defender cardinality cap (default: every node)")
     p.add_argument("--eps-c", type=float, required=True, dest="eps_c",
                    help="coefficient magnitude threshold")
-    p.add_argument("--tol", type=_positive_float, default="1e-7")
+    p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_net)
 

@@ -48,7 +48,7 @@ from .errors import (
 from .games import GameSpec
 from .lp import solve_matrix_game
 from .oracles import PreparedOracle, _coordinates, partition_support, prepare
-from .setfunctions import SPARSITY_SCALE, MobiusTransform, _butterfly, _entries, _layout, _transform
+from .setfunctions import SPARSITY_SCALE, GroundSet, _butterfly, _layout, _transform
 
 HULL_TOL = 1e-7
 
@@ -65,6 +65,8 @@ class SupportSet:
     @classmethod
     def from_members(cls, n: int, masks) -> "SupportSet":
         members = sorted(set(masks) | {0} | {1 << i for i in range(n)})
+        for end in (members[0], members[-1]):  # sorted: the ends bound every member
+            GroundSet(n).check_mask(end)
         singles = tuple(bisect_left(members, 1 << i) for i in range(n))
         array = np.array(members, dtype=np.int64)
         array.flags.writeable = False
@@ -134,16 +136,10 @@ def _coefficient_table(spec: GameSpec, exact: bool = False) -> tuple[np.ndarray,
     return host, table
 
 
-def interaction_coefficients(spec: GameSpec, *, exact: bool = False) -> tuple[MobiusTransform, ...]:
-    """Benefit and attacker-cost coefficients up to c, and defender-cost coefficients up to
-    k by the conjugate identity, as three :class:`MobiusTransform` maps, cut as in the build."""
-    masks, table = _coefficient_table(spec, exact)
-    return tuple(MobiusTransform(spec.ground, _entries(masks, row)) for row in table)
-
-
-def build_compact_game(spec: GameSpec) -> CompactGame:
-    """Compute the support set and coefficient vectors of ``spec``."""
-    return CompactGame.from_coefficients(spec, *_coefficient_table(spec))
+def build_compact_game(spec: GameSpec, *, exact: bool = False) -> CompactGame:
+    """Compute the support set and coefficient vectors of ``spec``, with ``exact`` in
+    Fractions: an exact game is for listing coefficients, the solver takes float games."""
+    return CompactGame.from_coefficients(spec, *_coefficient_table(spec, exact))
 
 
 def coordinates(masks, support: SupportSet, side: str) -> np.ndarray:

@@ -26,6 +26,7 @@ inside each component only, and each call spends the cap across components.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from itertools import chain
 from math import comb, isfinite
@@ -39,7 +40,7 @@ from .compact import CompactGame, _coefficient_table
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
-from .setfunctions import GroundSet, MobiusTransform, SetFunction, _entries, zeta
+from .setfunctions import GroundSet, MobiusTransform, SetFunction, _check_cap, _entries, zeta
 
 INDUCE_GUARD = 1_000_000
 
@@ -216,7 +217,8 @@ class FailureOperator:
 
 def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperator,
                    attacker_cap: int) -> SetFunction:
-    """Benefit of every attack of size at most the cap: value lost after failure."""
+    """Benefit of each attack of at most ``attacker_cap`` >= 0 targets: value lost after failure."""
+    _check_cap(attacker_cap)
     n = net.node_count
     count = sum(comb(n, i) for i in range(min(attacker_cap, n) + 1))
     if count > INDUCE_GUARD:
@@ -289,25 +291,39 @@ def solve_network_game(net: Network, value_fn: ValueFunction, failure: FailureOp
 
 
 def network_from_text(text: str) -> Network:
-    """Parse the plain edge-list format: first line ``nodes N``, then ``u v`` lines."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines or not lines[0].lower().startswith("nodes"):
-        raise FormatError("edge list must start with a 'nodes N' line")
-    head = lines[0].split()
-    if len(head) != 2 or not head[1].isdigit():
-        raise FormatError(f"bad header line {lines[0]!r}, expected 'nodes N'")
-    n = int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}, expected 'u v'")
+    """Parse a graph file: JSON ``{"nodes": N, "edges": [[u, v], ...], "values": [...]}``
+    (edges and values optional) if it starts with ``{``, else an edge list of a ``nodes N``
+    line and ``u v`` lines, ``#`` comments skipped. Raises :class:`FormatError`."""
+    if text.lstrip().startswith("{"):
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}: {exc}") from None
-        edges.append((u, v))
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        if not isinstance(doc, dict) or "nodes" not in doc:
+            raise FormatError("graph JSON needs a 'nodes' field")
+        n, edges, values = doc["nodes"], doc.get("edges", []), doc.get("values")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 for e in edges):
+            raise FormatError("graph 'edges' must be a list of [u, v] pairs")
+        if values is not None and not isinstance(values, list):
+            raise FormatError("graph 'values' must be a list of numbers")
+    else:
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+        if not lines or not lines[0].lower().startswith("nodes"):
+            raise FormatError("edge list must start with a 'nodes N' line")
+        head = lines[0].split()
+        if len(head) != 2 or not head[1].isdigit():
+            raise FormatError(f"bad header line {lines[0]!r}, expected 'nodes N'")
+        n, edges, values = int(head[1]), [], None
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise FormatError(f"bad edge line {ln!r}, expected 'u v'")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise FormatError(f"bad edge line {ln!r}: {exc}") from None
     try:
-        return Network(node_count=n, edges=tuple(edges))
+        return Network(node_count=n, edges=edges, node_values=values)
     except InvalidInputError as exc:
         raise FormatError(str(exc)) from None

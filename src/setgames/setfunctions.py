@@ -49,6 +49,11 @@ MAX_DENSE = 24
 SPARSITY_SCALE = 1e-12
 
 
+def _check_cap(cap) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 0:
+        raise InvalidInputError(f"size cap {cap!r} is not a nonnegative integer")
+
+
 def _check_value(value, where: str) -> None:
     if not isinstance(value, Real) or not isinstance(value, Rational) and not math.isfinite(value):
         raise InvalidInputError(f"set function value {value!r} {where} is not a finite real")
@@ -85,6 +90,9 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise InvalidInputError(f"ground set size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # numpy integers stored as int
         if self.n < 1:
             raise InvalidInputError(f"ground set needs at least one target, got n={self.n}")
         if self.n > MAX_GROUND:
@@ -209,6 +217,8 @@ def _butterfly(table: np.ndarray, pairs: tuple | None, *, signed: bool,
 def _transform(ground: GroundSet, functions, cap: int | None, *, signed: bool, exact: bool):
     """:func:`_layout` masks and :func:`_butterfly` sums of ``(values, default)``
     functions, a row each, in float64 or Fractions; None at once if all are zero."""
+    if cap is not None:
+        _check_cap(cap)
     if not any(default or any(values.values()) for values, default in functions):
         return None
     masks, pairs = _layout(ground.n, cap, len(functions))
@@ -229,10 +239,11 @@ def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False)
     Args:
         f: set function defined (entries plus default) on the whole lattice,
             or at least on all subsets of size <= ``max_size``.
-        max_size: if given and below n, compute coefficients only for
-            subsets of at most this many targets, by the butterfly trimmed
-            to them. Otherwise the butterfly runs over all 2^n subsets in
-            O(n 2^n), which requires n <= 24.
+        max_size: if given (an integer >= 0, else :class:`InvalidInputError`)
+            and below n, compute coefficients only for subsets of at most
+            this many targets, by the butterfly trimmed to them. Otherwise
+            the butterfly runs over all 2^n subsets in O(n 2^n), which
+            requires n <= 24.
         exact: compute with rational arithmetic; values are converted to
             Fractions and results are exact.
 

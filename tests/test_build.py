@@ -18,7 +18,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from setgames import GameSpec, GroundSet, SetFunction, build_compact_game
-from setgames.compact import interaction_coefficients
 from setgames.oracles import partition_support
 from setgames.setfunctions import SPARSITY_SCALE
 
@@ -78,12 +77,6 @@ def reference_table(n, members, cap, defender):
             "hits": np.array(hits, dtype=float).reshape(len(strategies), len(members)),
             "segment": np.array(segment, dtype=np.int64),
             "starts": np.array(starts, dtype=np.int64), "sizes": tuple(sizes)}
-
-
-def same_bits(got: dict, want: dict) -> bool:
-    return [(type(m), m, float(v).hex()) for m, v in got.items()] == \
-        [(int, m, v.hex()) for m, v in want.items()] and \
-        all(type(v) is float for v in got.values())
 
 
 def same_array(got: np.ndarray, want: np.ndarray) -> bool:
@@ -149,11 +142,7 @@ def exact_coefficients(spec):
 @given(game_specs())
 @settings(max_examples=150, deadline=None)
 def test_build_matches_per_mask_reference(spec):
-    coefficients = interaction_coefficients(spec)
     want = reference_coefficients(spec)
-    for got, ref in zip(coefficients, want):
-        assert same_bits(got.entries, ref)
-
     game = build_compact_game(spec)
     members = sorted(set().union(*want) | {0} | {1 << i for i in range(spec.n)})
     assert game.support.members == tuple(members)
@@ -172,7 +161,11 @@ def test_build_matches_per_mask_reference(spec):
 @given(game_specs())
 @settings(max_examples=60, deadline=None)
 def test_exact_coefficients_match_their_definitions(spec):
-    coefficients = interaction_coefficients(spec, exact=True)
-    for got, want in zip(coefficients, exact_coefficients(spec)):
-        assert list(got.entries.items()) == list(want.items())
-        assert all(type(m) is int and type(v) is Fraction for m, v in got.entries.items())
+    game = build_compact_game(spec, exact=True)
+    want = exact_coefficients(spec)
+    assert game.support.members == \
+        tuple(sorted(set().union(*want) | {0} | {1 << i for i in range(spec.n)}))
+    for vec, ref in zip((game.benefit_vec, game.attacker_cost_vec, game.defender_cost_vec), want):
+        got = {m: v for m, v in zip(game.support.members, vec) if v}
+        assert list(got.items()) == list(ref.items())
+        assert all(type(m) is int and type(v) is Fraction for m, v in got.items())

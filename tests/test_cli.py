@@ -31,6 +31,8 @@ INTERACTION_GAME = json.dumps({
 # all three utilities nonzero, some on masks above their cap.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+BAD_TOLERANCES = ["abc", "nan", "inf", "-1", "0"]
+
 
 @pytest.fixture
 def pennies_file(tmp_path):
@@ -321,9 +323,16 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "weighted_component_sum" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_solve_rejects_bad_tolerance(self, pennies_file, capsys, tol):
         assert main(["solve", pennies_file, f"--tol={tol}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_net_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes 3\n1 2\n2 3\n")
+        assert main(["net", str(graph), "--c", "2", "--eps-c", "0", f"--tol={tol}"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5", "1e308"])

@@ -77,10 +77,10 @@ class TestBuildSupport:
         previous = sys.gettrace()
         sys.settrace(count)
         try:
-            cd = compact.interaction_coefficients(spec)[2]
+            game = compact.build_compact_game(spec)
         finally:
             sys.settrace(previous)
-        assert max(cd.entries) == (1 << n) - 1
+        assert game.support.members[-1] == (1 << n) - 1 and game.defender_cost_vec[-1] != 0
         assert lines < 40 * 2 ** n
 
 
@@ -162,6 +162,11 @@ class TestCoordinates:
             assert np.array_equal(coordinates([kind(5), kind(2)], support, "attacker"), expected)
             assert np.array_equal(
                 coordinates(np.array([5, 2], dtype=kind), support, "attacker"), expected)
+
+    @pytest.mark.parametrize("members", [[-1], [8], [-1, 64]])
+    def test_support_rejects_members_outside_the_ground_set(self, members):
+        with pytest.raises(InvalidInputError, match="out of range for n=3"):
+            compact.SupportSet.from_members(3, members)
 
     def test_rejects_unknown_side(self):
         support = compact.SupportSet.from_members(2, [])

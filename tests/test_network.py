@@ -133,6 +133,27 @@ class TestNetwork:
         with pytest.raises(FormatError):
             network_from_text("nodes 3\n1 2 3\n")
 
+    def test_json_and_edge_list_give_equal_networks(self):
+        edges = "[[1, 2], [2, 3], [3, 1], [3, 4], [4, 5]]"
+        as_json = network_from_text(f' {{"nodes": 5, "edges": {edges}}}')
+        as_edges = network_from_text("# triangle and tail\nnodes 5\n1 2\n2 3\n3 1\n3 4\n4 5\n")
+        assert as_json == as_edges == Network(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+        weighted = network_from_text('{"nodes": 2, "edges": [[2, 1]], "values": [1, 2.5]}')
+        assert weighted == Network(2, ((1, 2),), (1.0, 2.5))
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": 3,\n bad}', "invalid JSON at line 2"),
+        ('{"edges": []}', "needs a 'nodes' field"),
+        ('{"nodes": 3, "edges": 5}', "'edges' must be a list"),
+        ('{"nodes": 3, "edges": [[1, 2, 3]]}', "'edges' must be a list"),
+        ('{"nodes": 3, "edges": [[1, 2]], "values": 5}', "'values' must be a list"),
+        ('{"nodes": 3, "edges": [[1.5, 2]]}', "must be integers"),
+        ('{"nodes": 2, "values": [1]}', "node_values length"),
+    ])
+    def test_bad_graph_json_is_a_format_error(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            network_from_text(text)
+
 
 class TestValueFunctions:
     def test_connected_pairs_path(self):
@@ -296,6 +317,11 @@ class TestInduceBenefit:
                 benefit = induce_benefit(net, vf, fop, cap)
                 assert list(benefit.entries.items()) == \
                     list(reference_benefit(net, vf, fop, cap).items())
+
+    @pytest.mark.parametrize("cap", [-1, 1.5, True])
+    def test_rejects_caps_that_are_not_nonnegative_integers(self, cap):
+        with pytest.raises(InvalidInputError, match="size cap"):
+            induce_benefit(path3(), ValueFunction(), FailureOperator(), cap)
 
     def test_triangle_symmetry(self):
         benefit = induce_benefit(Network(3, ((1, 2), (1, 3), (2, 3))),

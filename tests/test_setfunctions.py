@@ -54,6 +54,22 @@ class TestMoebius:
         with pytest.raises(InvalidInputError):
             SetFunction(g, {1: float("nan")})
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_ground_set_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            GroundSet(n)
+
+    def test_numpy_integer_ground_set_size_is_stored_as_int(self):
+        assert type(GroundSet(np.int64(3)).n) is int and GroundSet(np.uint8(3)) == GroundSet(3)
+
+    @pytest.mark.parametrize("transform", [moebius, zeta])
+    @pytest.mark.parametrize("cap", [-1, 1.5, True])
+    def test_rejects_caps_that_are_not_nonnegative_integers(self, transform, cap):
+        for f in (SetFunction(GroundSet(3), {0b11: 1.0}), SetFunction(GroundSet(3))):
+            arg = MobiusTransform(f.ground, f.entries) if transform is zeta else f
+            with pytest.raises(InvalidInputError, match="size cap"):
+                transform(arg, max_size=cap)
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             GroundSet(31)
