@@ -38,11 +38,11 @@ import numpy as np
 from .bits import mask_of, targets_of
 from .compact import build_compact_game, coordinates, payoff_block
 from .equilibrium import SolverConfig, best_response_gap, solve_compact
-from .errors import CapacityError, FormatError, SetGameError, SolverFailureError
+from .errors import CapacityError, FormatError, InvalidInputError, SetGameError, SolverFailureError
 from .games import GameSpec, expand_normal_form
 from .lp import solve_matrix_game
 from .network import FailureOperator, ValueFunction, network_from_text, solve_network_game
-from .setfunctions import GroundSet, SetFunction
+from .setfunctions import GroundSet, SetFunction, _check_ints
 
 VERIFY_TOLERANCE = 1e-6
 
@@ -60,11 +60,6 @@ class _Parser(argparse.ArgumentParser):
 # game files
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_entries(raw, n: int, label: str) -> dict[int, float]:
     if not isinstance(raw, list):
         raise FormatError(f"{label} must be a list of set/value records")
@@ -74,19 +69,15 @@ def _parse_entries(raw, n: int, label: str) -> dict[int, float]:
         if not isinstance(record, dict) or set(record) != {"set", "value"}:
             raise FormatError(f"{where} must be an object with 'set' and 'value'")
         targets = record["set"]
-        if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+        if not isinstance(targets, list):
             raise FormatError(f"{where}.set must be a list of integers")
-        if any(not 1 <= t <= n for t in targets):
-            raise FormatError(f"{where}.set has targets outside [1, {n}]")
+        _check_ints(targets, f"{where}.set targets", 1, n)  # mask_of shifts by t - 1
         if targets != sorted(set(targets)):
             raise FormatError(f"{where}.set must be strictly ascending")
-        value = record["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"{where}.value must be a number")
         mask = mask_of(targets)
         if mask in entries:
             raise FormatError(f"{where}.set duplicates an earlier set")
-        entries[mask] = float(value)
+        entries[mask] = record["value"]
     return entries
 
 
@@ -101,21 +92,15 @@ def parse_game_json(text: str) -> GameSpec:
     unknown = set(doc) - {"n", "c", "k", "benefit", "cost_attacker", "cost_defender"}
     if unknown:
         raise FormatError(f"unknown keys {sorted(unknown)} in game file")
-    if "n" not in doc or not _is_int(doc["n"]) or doc["n"] < 1:
+    if "n" not in doc:
         raise FormatError("game file needs a positive integer 'n'")
-    n = doc["n"]
-    caps = {}
-    for key in ("c", "k"):
-        value = doc.get(key, n)
-        if not _is_int(value) or not 0 <= value <= n:
-            raise FormatError(f"'{key}' must be an integer in [0, {n}]")
-        caps[key] = value
-    ground = GroundSet(n)
-    benefit = SetFunction(ground, _parse_entries(doc.get("benefit", []), n, "benefit"))
-    cost_a = SetFunction(ground, _parse_entries(doc.get("cost_attacker", []), n, "cost_attacker"))
-    cost_d = SetFunction(ground, _parse_entries(doc.get("cost_defender", []), n, "cost_defender"))
-    return GameSpec(ground=ground, benefit=benefit, attacker_cost=cost_a,
-                    defender_cost=cost_d, attacker_cap=caps["c"], defender_cap=caps["k"])
+    try:  # the library checks n, c, k and the values
+        ground = GroundSet(doc["n"])
+        utilities = [SetFunction(ground, _parse_entries(doc.get(key, []), ground.n, key))
+                     for key in ("benefit", "cost_attacker", "cost_defender")]
+        return GameSpec(ground, *utilities, doc.get("c", ground.n), doc.get("k", ground.n))
+    except InvalidInputError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _entries_to_json(fn: SetFunction) -> list[dict]:

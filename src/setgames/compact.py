@@ -48,7 +48,7 @@ from .errors import (
 from .games import GameSpec
 from .lp import solve_matrix_game
 from .oracles import PreparedOracle, _coordinates, partition_support, prepare
-from .setfunctions import SPARSITY_SCALE, GroundSet, _butterfly, _layout, _transform
+from .setfunctions import SPARSITY_SCALE, GroundSet, _butterfly, _check_ints, _layout, _transform
 
 HULL_TOL = 1e-7
 
@@ -64,13 +64,15 @@ class SupportSet:
 
     @classmethod
     def from_members(cls, n: int, masks) -> "SupportSet":
-        members = sorted(set(masks) | {0} | {1 << i for i in range(n)})
-        for end in (members[0], members[-1]):  # sorted: the ends bound every member
-            GroundSet(n).check_mask(end)
-        singles = tuple(bisect_left(members, 1 << i) for i in range(n))
+        """The support of ``masks``, the empty set and the singletons; a mask that is not
+        an integer (``bool`` included) in ``[0, 2^n)`` raises :class:`InvalidInputError`."""
+        ground = GroundSet(n)
+        masks = _check_ints(masks, "support members", 0, ground.size - 1).tolist()
+        members = tuple(sorted({*masks, 0, *(1 << i for i in range(ground.n))}))
+        singles = tuple(bisect_left(members, 1 << i) for i in range(ground.n))
         array = np.array(members, dtype=np.int64)
         array.flags.writeable = False
-        return cls(n=n, members=tuple(members), singleton_positions=singles, member_array=array)
+        return cls(n=ground.n, members=members, singleton_positions=singles, member_array=array)
 
     @property
     def size(self) -> int:
@@ -99,7 +101,7 @@ class CompactGame:
         """The game of a :func:`_coefficient_table`: the masks where a vector is nonzero, the
         empty set and the singletons; a vector per array, as BLAS rounds by alignment."""
         keep = (vectors != 0).any(axis=0) | (np.bitwise_count(masks) <= 1)
-        return cls(SupportSet.from_members(spec.n, masks[keep].tolist()),
+        return cls(SupportSet.from_members(spec.n, masks[keep]),
                    *map(np.copy, vectors[:, keep]), spec.attacker_cap, spec.defender_cap)
 
     @cached_property
@@ -152,13 +154,7 @@ def coordinates(masks, support: SupportSet, side: str) -> np.ndarray:
     """
     if side not in ("attacker", "defender"):
         raise InvalidInputError(f"side must be 'attacker' or 'defender', not {side!r}")
-    masks = list(masks)
-    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, masks))):
-        raise InvalidStrategyError("pure strategies must be integer masks")
-    for bad in (min(masks, default=0), max(masks, default=0)):
-        if bad < 0 or bad >> support.n:
-            raise InvalidStrategyError(f"{side} {bad:#x} is outside a ground set of {support.n}")
-    array = np.array(masks, dtype=np.int64)
+    array = _check_ints(masks, f"{side} masks", 0, (1 << support.n) - 1, InvalidStrategyError)
     return _coordinates(array, support.member_array, side == "defender").astype(float)
 
 

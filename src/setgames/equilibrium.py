@@ -24,7 +24,6 @@ a report by the same step without runner-ups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import CapacityError, InvalidInputError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import solve_matrix_game
 from .oracles import attacker_oracle, defender_oracle
+from .setfunctions import _check_int, _finite_real
 
 SUPPORT_GUARD = 10_000
 # Runner-ups per oracle query; those that also beat the restricted value by
@@ -59,12 +59,11 @@ class SolverConfig:
     max_iterations: int | None = None  # at least 1; default 10 * support size + 100
 
     def __post_init__(self):
-        eps, rounds = self.eps_gap, self.max_iterations
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf:
-            raise InvalidInputError(f"eps_gap must be finite and positive, got {eps!r}")
-        if rounds is not None and (isinstance(rounds, bool) or not isinstance(rounds, Integral)
-                                   or rounds < 1):
-            raise InvalidInputError(f"max_iterations must be None or at least 1, got {rounds!r}")
+        if not (_finite_real(self.eps_gap) and self.eps_gap > 0):
+            raise InvalidInputError(f"eps_gap must be finite and positive, got {self.eps_gap!r}")
+        if self.max_iterations is not None:  # an int: np.int8(127) + 1 would wrap
+            object.__setattr__(self, "max_iterations",
+                               _check_int(self.max_iterations, "max_iterations", 1))
 
 
 @dataclass(frozen=True)

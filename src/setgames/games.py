@@ -21,13 +21,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
 from .bits import masks_up_to_size
 from .errors import CapacityError, InvalidInputError, InvalidStrategyError
-from .setfunctions import GroundSet, SetFunction, _dense
+from .setfunctions import GroundSet, SetFunction, _check_int, _dense, _finite_real
 
 NORMAL_FORM_GUARD = 10_000_000
 
@@ -38,9 +37,10 @@ class GameSpec:
 
     ``attacker_cap`` (c) and ``defender_cap`` (k) bound the size of each
     side's pure strategies; caps equal to n give the complete power-set
-    strategy spaces; a cap that is not an integer (``bool`` included) raises
-    :class:`InvalidInputError`. Utilities must be defined (entries plus
-    default) on all subsets up to the relevant cap.
+    strategy spaces; a cap outside ``[0, n]`` or not an integer (a ``bool``
+    is not one) raises :class:`InvalidInputError`, and numpy integer caps
+    are stored as ``int``. Utilities must be defined (entries plus default)
+    on all subsets up to the relevant cap.
     """
 
     ground: GroundSet
@@ -61,12 +61,8 @@ class GameSpec:
                     "it is kept but acts as a constant offset",
                     stacklevel=2,
                 )
-        for name, cap in (("attacker_cap", self.attacker_cap), ("defender_cap", self.defender_cap)):
-            if isinstance(cap, bool) or not isinstance(cap, Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {cap!r}")
-            if not 0 <= cap <= self.ground.n:
-                raise InvalidInputError(f"{name}={cap} is outside [0, {self.ground.n}]")
-            object.__setattr__(self, name, int(cap))  # numpy integers stored as int
+        for name in ("attacker_cap", "defender_cap"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 0, self.ground.n))
 
     @property
     def n(self) -> int:
@@ -85,13 +81,13 @@ class GameSpec:
         return na, nd
 
     def check_attack(self, mask: int) -> None:
-        self.ground.check_mask(mask)
+        mask = self.ground.check_mask(mask)
         if mask.bit_count() > self.attacker_cap:
             raise InvalidStrategyError(
                 f"attack {mask:#x} has {mask.bit_count()} targets, cap is {self.attacker_cap}")
 
     def check_defense(self, mask: int) -> None:
-        self.ground.check_mask(mask)
+        mask = self.ground.check_mask(mask)
         if mask.bit_count() > self.defender_cap:
             raise InvalidStrategyError(
                 f"defense {mask:#x} has {mask.bit_count()} targets, cap is {self.defender_cap}")
@@ -163,8 +159,8 @@ class MixedStrategy:
     """A distribution over pure strategies as (mask, probability) atoms.
 
     A mask that is not a non-negative integer (``bool`` included), a
-    probability that is not finite and positive, or a total off 1 by more
-    than 1e-9, raises :class:`InvalidInputError`.
+    probability that is not a finite positive real (``bool`` included), or a
+    total off 1 by more than 1e-9, raises :class:`InvalidInputError`.
     """
 
     atoms: tuple[tuple[int, float], ...]
@@ -172,9 +168,8 @@ class MixedStrategy:
     def __post_init__(self):
         total = 0.0
         for mask, prob in self.atoms:
-            if isinstance(mask, bool) or not isinstance(mask, Integral) or mask < 0:
-                raise InvalidInputError(f"atom mask {mask!r} is not a non-negative integer")
-            if not 0 < prob < np.inf:  # NaN fails both bounds
+            mask = _check_int(mask, "atom mask")
+            if not (_finite_real(prob) and prob > 0):
                 raise InvalidInputError(f"atom {mask:#x} has probability {prob}, "
                                         "not finite and positive")
             total += prob

@@ -28,10 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
 from math import comb, isfinite
-from numbers import Real
-from operator import index
 
 import numpy as np
 
@@ -40,7 +37,16 @@ from .compact import CompactGame, _coefficient_table
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
-from .setfunctions import GroundSet, MobiusTransform, SetFunction, _check_cap, _entries, zeta
+from .setfunctions import (
+    GroundSet,
+    MobiusTransform,
+    SetFunction,
+    _check_int,
+    _check_ints,
+    _entries,
+    _finite_real,
+    zeta,
+)
 
 INDUCE_GUARD = 1_000_000
 
@@ -54,29 +60,19 @@ class Network:
     node_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        # Node ids become masks through bit operations, so integer-like ids
-        # (numpy integers included) are stored as plain ints.
-        try:
-            node_count = index(self.node_count)
-            edges = [(index(u), index(v)) for u, v in self.edges]
-        except TypeError:
-            raise InvalidInputError("node count and edge endpoints must be integers") from None
-        if any(isinstance(x, bool) for x in (self.node_count, *chain(*self.edges))):
-            raise InvalidInputError("node count and edge endpoints must not be booleans")
-        object.__setattr__(self, "node_count", node_count)
-        if self.node_count < 1:
-            raise InvalidInputError("network needs at least one node")
+        # Node ids become masks through bit operations, so they are stored as plain ints.
+        n = _check_int(self.node_count, "node count", 1)
+        edges = [tuple(_check_int(end, "edge endpoint", 1, n) for end in (u, v))
+                 for u, v in self.edges]
         for u, v in edges:
-            if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
-                raise InvalidInputError(f"edge ({u}, {v}) outside node range")
             if u == v:
                 raise InvalidInputError(f"self-loop at node {u}")
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", tuple(sorted({(min(e), max(e)) for e in edges})))
         if self.node_values is not None:
             if len(self.node_values) != self.node_count:
                 raise InvalidInputError("node_values length must equal node_count")
-            if not all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
-                       for v in self.node_values):
+            if not all(map(_finite_real, self.node_values)):
                 raise InvalidInputError("node values must be finite real numbers, not booleans")
             object.__setattr__(self, "node_values", tuple(float(v) for v in self.node_values))
 
@@ -97,10 +93,7 @@ def _alive(net: Network, alive) -> np.ndarray:
     """One alive mask or an integer array of them, as a 1-D int64 array."""
     if net.node_count > 63:
         raise CapacityError(f"{net.node_count} nodes exceed the 63 bits of a mask array")
-    masks = np.atleast_1d(np.asarray(alive))
-    if masks.dtype.kind not in "iu" or ((masks < 0) | (masks > net.full_mask)).any():
-        raise InvalidInputError(f"alive masks must be integers in [0, 2^{net.node_count})")
-    return masks.astype(np.int64)
+    return _check_ints(np.atleast_1d(np.asarray(alive)), "alive masks", 0, net.full_mask)
 
 
 def _components(adjacency: np.ndarray, alive: np.ndarray):
@@ -139,7 +132,7 @@ class ValueFunction:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown value function {self.kind!r}")
-        if not (isinstance(self.exponent, Real) and isfinite(self.exponent)):
+        if not _finite_real(self.exponent):
             raise InvalidInputError(f"exponent {self.exponent!r} is not a finite real number")
 
     def evaluate(self, net: Network, alive):
@@ -196,7 +189,8 @@ class FailureOperator:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown failure operator {self.kind!r}")
-        if self.kind == "threshold_cascade" and not 0 < (self.threshold or 0) <= 1:
+        if self.kind == "threshold_cascade" and not (
+                _finite_real(self.threshold) and 0 < self.threshold <= 1):
             raise InvalidInputError("threshold_cascade needs a threshold in (0, 1]")
 
     def apply(self, net: Network, alive):
@@ -218,7 +212,7 @@ class FailureOperator:
 def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperator,
                    attacker_cap: int) -> SetFunction:
     """Benefit of each attack of at most ``attacker_cap`` >= 0 targets: value lost after failure."""
-    _check_cap(attacker_cap)
+    attacker_cap = _check_int(attacker_cap, "size cap")
     n = net.node_count
     count = sum(comb(n, i) for i in range(min(attacker_cap, n) + 1))
     if count > INDUCE_GUARD:
@@ -256,8 +250,8 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     """Zero out small benefit interactions and package the approximate game."""
     spec = GameSpec(benefit.ground, benefit, attacker_cost, defender_cost, attacker_cap,
                     benefit.ground.n if defender_cap is None else defender_cap)
-    error_bound = float(2 ** (attacker_cap + 1) * eps_c)
-    if not (eps_c >= 0 and isfinite(error_bound)):
+    if not (_finite_real(eps_c) and eps_c >= 0
+            and isfinite(error_bound := float(2 ** (spec.attacker_cap + 1) * eps_c))):
         raise InvalidInputError("eps_c must be nonnegative, with a finite bound 2^(c+1) * eps_c")
     masks, table = _coefficient_table(spec)
     dropped = (table[0] != 0) & (np.abs(table[0]) <= eps_c)

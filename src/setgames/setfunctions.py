@@ -29,7 +29,6 @@ array, so its Fraction arithmetic still goes mask by mask.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -49,20 +48,61 @@ MAX_DENSE = 24
 SPARSITY_SCALE = 1e-12
 
 
-def _check_cap(cap) -> None:
-    if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 0:
-        raise InvalidInputError(f"size cap {cap!r} is not a nonnegative integer")
+def _integer_type(kind: type) -> bool:
+    return kind is int or kind is not bool and issubclass(kind, Integral)  # int: no ABC lookup
+
+
+def _check_int(value, what: str, low: int = 0, high: int | None = None,
+               error: type[Exception] = InvalidInputError) -> int:
+    """``value`` as an ``int``, by the library's one rule for integer input: an
+    ``Integral`` (numpy integers too) that is not a ``bool``, in ``[low, high]``
+    (no upper bound when ``high`` is None). Else raises ``error`` naming ``what``."""
+    if not _integer_type(type(value)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
+def _check_ints(values, what: str, low: int = 0, high: int | None = None,
+                error: type[Exception] = InvalidInputError) -> np.ndarray:
+    """``values`` as a new int64 array, by the rule of :func:`_check_int` read once
+    per batch: from the dtype of an ndarray, else from the set of element types;
+    then the smallest and largest value are checked against the bounds."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise error(f"{what} must be integers")
+        ends = (values.min(), values.max()) if values.size else ()
+    else:
+        values = list(values)
+        if not all(map(_integer_type, set(map(type, values)))):
+            raise error(f"{what} must be integers")
+        ends = (min(values), max(values)) if values else ()
+    for end in ends:
+        _check_int(end, what, low, high, error)
+    return np.array(values, dtype=np.int64)
+
+
+def _finite_real(value) -> bool:
+    """The library's one rule for real input: a ``numbers.Real`` that is not a
+    ``bool`` and is finite. A ``Rational`` (an int, or a ``Fraction`` in exact
+    mode) is finite by type and is never converted to float, which could overflow."""
+    if type(value) is float:  # the common case, without the ABC lookups
+        return math.isfinite(value)
+    return (not isinstance(value, bool) and isinstance(value, Real)
+            and (isinstance(value, Rational) or math.isfinite(value)))
 
 
 def _check_value(value, where: str) -> None:
-    if not isinstance(value, Real) or not isinstance(value, Rational) and not math.isfinite(value):
+    if not _finite_real(value):
         raise InvalidInputError(f"set function value {value!r} {where} is not a finite real")
 
 
 def _checked_entries(ground: GroundSet, entries: dict) -> dict:
     """``entries`` as they are if one array check passes (int keys, smallest and
     largest in range, plain finite float or int values). Else keys are normalized
-    with :func:`operator.index` and the first bad key or value raises."""
+    by :meth:`GroundSet.check_mask` and the first bad key or value raises."""
     try:
         keys = np.fromiter(entries, np.int64, len(entries))
         values = np.fromiter(entries.values(), float, len(entries))
@@ -74,10 +114,7 @@ def _checked_entries(ground: GroundSet, entries: dict) -> dict:
         pass
     checked = {}
     for key, value in entries.items():
-        if isinstance(key, bool) or not hasattr(type(key), "__index__"):
-            raise InvalidInputError(f"mask {key!r} is not an integer")
-        mask = operator.index(key)
-        ground.check_mask(mask)
+        mask = ground.check_mask(key)
         _check_value(value, f"at mask {mask}")
         checked[mask] = value
     return checked
@@ -90,11 +127,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
-            raise InvalidInputError(f"ground set size must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # numpy integers stored as int
-        if self.n < 1:
-            raise InvalidInputError(f"ground set needs at least one target, got n={self.n}")
+        object.__setattr__(self, "n", _check_int(self.n, "ground set size", 1))
         if self.n > MAX_GROUND:
             raise CapacityError(f"n={self.n} exceeds the bitmask limit of {MAX_GROUND}")
 
@@ -102,13 +135,10 @@ class GroundSet:
     def size(self) -> int:
         return 1 << self.n
 
-    def check_mask(self, mask: int) -> None:
-        """Raise :class:`InvalidInputError` unless ``mask`` is an integer (not a
-        ``bool``) in ``[0, 2^n)``."""
-        if isinstance(mask, bool) or not isinstance(mask, Integral):
-            raise InvalidInputError(f"mask {mask!r} is not an integer")
-        if not 0 <= mask < self.size:
-            raise InvalidInputError(f"mask {mask} out of range for n={self.n}")
+    def check_mask(self, mask: int) -> int:
+        """``mask`` as an ``int``; raises :class:`InvalidInputError` unless it is an
+        integer (not a ``bool``) in ``[0, 2^n)``."""
+        return _check_int(mask, "mask", 0, self.size - 1)
 
 
 @dataclass(frozen=True)
@@ -218,7 +248,7 @@ def _transform(ground: GroundSet, functions, cap: int | None, *, signed: bool, e
     """:func:`_layout` masks and :func:`_butterfly` sums of ``(values, default)``
     functions, a row each, in float64 or Fractions; None at once if all are zero."""
     if cap is not None:
-        _check_cap(cap)
+        _check_int(cap, "size cap")
     if not any(default or any(values.values()) for values, default in functions):
         return None
     masks, pairs = _layout(ground.n, cap, len(functions))

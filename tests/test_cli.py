@@ -75,6 +75,7 @@ class TestGameFiles:
         {"n": 2, "c": True},
         {"n": 2, "k": False},
         {"n": 2, "benefit": [{"set": [True], "value": 1.0}]},
+        {"n": 2, "benefit": [{"set": [1], "value": True}]},
     ])
     def test_rejects_booleans_as_integers(self, doc):
         with pytest.raises(FormatError):

@@ -165,7 +165,7 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("members", [[-1], [8], [-1, 64]])
     def test_support_rejects_members_outside_the_ground_set(self, members):
-        with pytest.raises(InvalidInputError, match="out of range for n=3"):
+        with pytest.raises(InvalidInputError, match=r"support members must be in \[0, 7\]"):
             compact.SupportSet.from_members(3, members)
 
     def test_rejects_unknown_side(self):

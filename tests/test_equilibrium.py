@@ -97,6 +97,12 @@ class TestSolverConfig:
                        SolverConfig(eps_gap=np.float64(1e-9), max_iterations=None)):
             assert solve_compact(spec, config).converged
 
+    def test_numpy_round_limit_is_stored_as_int(self):
+        # The limit plus one wrapped around in int8, so no round ran.
+        config = SolverConfig(max_iterations=np.int8(127))
+        assert type(config.max_iterations) is int
+        assert solve_compact(random_game(np.random.default_rng(1), 3, 2, 2), config).converged
+
 
 class TestCompactSolver:
     def test_matching_pennies(self):

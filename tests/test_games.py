@@ -62,7 +62,7 @@ class TestPurePayoff:
         # bool is an int subclass, so True must be rejected by type, not read as mask 1.
         spec = make_spec(2, {0b01: 1.0})
         for attack, defense in ((mask, 0), (0, mask)):
-            with pytest.raises(InvalidInputError, match="not an integer"):
+            with pytest.raises(InvalidInputError, match="mask must be an integer"):
                 pure_payoff(spec, attack, defense)
         assert pure_payoff(spec, np.int64(1), np.uint8(0)) == pure_payoff(spec, 1, 0)
 
@@ -150,9 +150,9 @@ class TestMixedStrategy:
 
     @pytest.mark.parametrize("mask", [1.5, 1.0, True, np.bool_(True), -1, np.int64(-1)])
     def test_rejects_masks_that_are_not_non_negative_integers(self, mask):
-        with pytest.raises(InvalidInputError, match="not a non-negative integer"):
+        with pytest.raises(InvalidInputError, match="atom mask must be"):
             MixedStrategy(((mask, 1.0),))
-        with pytest.raises(InvalidInputError, match="not a non-negative integer"):
+        with pytest.raises(InvalidInputError, match="atom mask must be"):
             MixedStrategy.from_pairs([(0, 0.5), (mask, 0.5)])
 
     def test_accepts_numpy_integer_masks(self):

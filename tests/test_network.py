@@ -147,7 +147,7 @@ class TestNetwork:
         ('{"nodes": 3, "edges": 5}', "'edges' must be a list"),
         ('{"nodes": 3, "edges": [[1, 2, 3]]}', "'edges' must be a list"),
         ('{"nodes": 3, "edges": [[1, 2]], "values": 5}', "'values' must be a list"),
-        ('{"nodes": 3, "edges": [[1.5, 2]]}', "must be integers"),
+        ('{"nodes": 3, "edges": [[1.5, 2]]}', "edge endpoint must be an integer"),
         ('{"nodes": 2, "values": [1]}', "node_values length"),
     ])
     def test_bad_graph_json_is_a_format_error(self, text, message):

@@ -103,9 +103,9 @@ class TestMaskKeys:
 
     @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
     def test_out_of_range_key_is_named(self, cls):
-        with pytest.raises(InvalidInputError, match="mask 8 out of range"):
+        with pytest.raises(InvalidInputError, match=r"mask must be in \[0, 7\], got 8"):
             cls(GroundSet(3), {1: 1.0, np.int64(8): 2.0})
-        with pytest.raises(InvalidInputError, match="mask -1"):
+        with pytest.raises(InvalidInputError, match=r"mask must be in \[0, 7\], got -1"):
             cls(GroundSet(3), {-1: 2.0})
 
     @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
