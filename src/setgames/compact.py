@@ -81,7 +81,7 @@ class SupportSet:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The nonempty members grouped by :func:`~setgames.oracles.partition_support`,
-        computed on first use and then shared by the oracle tables and callers."""
+        computed on first use and then shared by split oracle tables and callers."""
         return tuple(map(tuple, partition_support(self.members)))
 
 

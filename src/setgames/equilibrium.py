@@ -217,8 +217,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     return EquilibriumReport(
         value=value,
-        defender=MixedStrategy.from_pairs(zip(defenses, col_mix)),
-        attacker=MixedStrategy.from_pairs(zip(attacks, row_mix)),
+        defender=MixedStrategy.from_pairs(zip(defenses, col_mix.tolist())),
+        attacker=MixedStrategy.from_pairs(zip(attacks, row_mix.tolist())),
         iterations=rounds,
         support_size=support.size,
         oracle_calls=2 * rounds,

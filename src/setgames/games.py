@@ -181,6 +181,8 @@ class MixedStrategy:
         """Merge duplicates, drop atoms of probability 1e-12 or less, and renormalize."""
         merged: dict[int, float] = {}
         for mask, prob in pairs:
+            if not _finite_real(prob):
+                raise InvalidInputError(f"atom probability {prob!r} is not a finite real")
             merged[mask] = merged.get(mask, 0.0) + float(prob)
         kept = {m: p for m, p in merged.items() if p > 1e-12}
         total = sum(kept.values())

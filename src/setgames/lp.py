@@ -61,6 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, SolverFailureError
+from .setfunctions import _check_ints
 
 MAX_GAME_CELLS = 10_000_000
 # Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
@@ -217,10 +218,11 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     m, n = values.shape
     warm = start is not None
     if warm:
-        members = np.array(start, dtype=np.intp)
-        if (exact or members.size > m or len(set(start)) < members.size
-                or ((members < -m) | (members >= n)).any()):
-            raise InvalidInputError("start basis: float only, no repeats, inside the matrix")
+        if exact:
+            raise InvalidInputError("start basis: float only")
+        members = _check_ints(start, "start basis members", -m, n - 1)
+        if members.size > m or len(set(members.tolist())) < members.size:
+            raise InvalidInputError("start basis: no repeats, at most one member per row")
     shift = 1 - num(values.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
     T = _array(np.zeros((m + 1, n + 1 + (m if warm else 0))), num)
@@ -247,7 +249,9 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     if total <= 0:  # pragma: no cover - impossible for a positive matrix
         raise SolverFailureError("matrix-game LP returned a zero mixture")
     rc = T[m, :-1] if labels is None else _array(np.zeros(n + m), num)
-    if labels is not None:  # a variable without a column is basic, at reduced cost 0
+    if labels is None:  # a refactored basic column may keep round-off in its reduced cost
+        rc[basis] = 0
+    else:  # a variable without a column is basic, at reduced cost 0
         rc[labels] = T[m, :n]
     # Slack reduced costs are the dual; a float one may sit just below 0.
     w = rc[n:] if exact else np.maximum(rc[n:], 0.0)

@@ -74,7 +74,11 @@ class Network:
                 raise InvalidInputError("node_values length must equal node_count")
             if not all(map(_finite_real, self.node_values)):
                 raise InvalidInputError("node values must be finite real numbers, not booleans")
-            object.__setattr__(self, "node_values", tuple(float(v) for v in self.node_values))
+            try:
+                values = tuple(map(float, self.node_values))
+            except OverflowError:  # an integer past the float range
+                raise InvalidInputError("node values must be within the float range") from None
+            object.__setattr__(self, "node_values", values)
 
     @property
     def full_mask(self) -> int:

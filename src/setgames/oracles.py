@@ -26,6 +26,15 @@ targets fit), and the components by one stable sort. A one-component table
 is plain enumeration of the capped strategies; on an all-singleton support it
 picks the best single targets.
 
+The split keeps a large cap tractable, but it hides from the double oracle
+every strategy that spans components: its seed and column pool see one
+component at a time. So when both sides' whole listings are small, every
+strategy of at most the cap over the support's n targets, times the support
+size, at most :data:`WHOLE_CELLS` cells and within the guard, both tables
+take the whole support as one component, with no partition and no knapsack.
+Otherwise both split. One side whole and the other split would make the
+seeded restricted game tall and refactor its whole basis every round.
+
 A call, ``attacker_oracle(prepared, weights)`` or
 ``defender_oracle(prepared, weights)``, takes only the weights aligned with
 the support: one matrix-vector product, the best row of each (component,
@@ -34,8 +43,9 @@ returns ``(mask, value)``, the best strategy, ties to the smallest, and its
 value. Given ``pool``, it returns ``(mask, value, runner_ups)``: also up to
 ``pool`` other strategies of one table row each (the other components
 empty), with their values, ranked by the row's gain over its component's
-empty row, ties to the smaller mask. The double oracle adds those that
-improve alongside the best response, a column pool.
+empty row, ties to the smaller mask; on a one-component table, the next best
+strategies. The double oracle adds those that improve alongside the best
+response, a column pool.
 """
 
 from __future__ import annotations
@@ -55,6 +65,8 @@ if TYPE_CHECKING:  # compact imports prepare and partition_support from here
     from .compact import SupportSet
 
 ENUMERATION_GUARD = 50_000_000
+# The largest whole table, in cells a side, that prepare builds in place of split ones.
+WHOLE_CELLS = 50_000
 _NO_MASK = np.iinfo(np.int64).max
 
 
@@ -174,7 +186,8 @@ def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[_Table, _Table]:
     """Attack and defense tables over the members' ``components`` (their
-    :func:`partition_support`) from the cached strategy listing of each cap.
+    :func:`partition_support`, or one group of every nonempty member) from the
+    cached strategy listing of each cap.
     Sides whose caps list the same rows share them; ``hits`` masks their :func:`_coordinates`.
 
     Raises :class:`CapacityError` when a table would exceed
@@ -236,7 +249,10 @@ class PreparedOracle:
 def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> PreparedOracle:
     """Build both sides' oracle tables, which depend only on the support and the caps.
 
-    The tables split over the support's own partition,
+    When, for each side, every strategy of at most its cap over the support's
+    n targets times the support size is at most :data:`WHOLE_CELLS` cells
+    and within :data:`ENUMERATION_GUARD`, both tables take the whole support
+    as one component. Otherwise both split over the support's own partition,
     :attr:`~setgames.compact.SupportSet.components`. Raises
     :class:`CapacityError` when a side's table would exceed
     :data:`ENUMERATION_GUARD` cells.
@@ -246,8 +262,11 @@ def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> Prepar
     ``(n, members)``. One entry bounds memory to the tables a solve holds
     anyway; ``prepare.cache_clear()`` frees them.
     """
-    return PreparedOracle(*_tables(support.members, support.components, attacker_cap,
-                                   defender_cap))
+    limit = min(WHOLE_CELLS, ENUMERATION_GUARD)
+    whole = all(sum(comb(support.n, t) for t in range(min(cap, support.n) + 1)) * support.size
+                <= limit for cap in (attacker_cap, defender_cap))
+    components = (support.members[1:],) if whole else support.components
+    return PreparedOracle(*_tables(support.members, components, attacker_cap, defender_cap))
 
 
 def _checked(weights, size: int) -> np.ndarray:

@@ -196,9 +196,13 @@ def _dense(ground: GroundSet, values: dict, default, exact: bool,
     if masks is None and ground.n > MAX_DENSE:
         raise CapacityError(f"dense table for n={ground.n} exceeds the limit of {MAX_DENSE}")
     cast, dtype = (Fraction, object) if exact else (float, float)
-    table = np.full(ground.size if masks is None else len(masks), cast(default), dtype=dtype)
+    try:
+        table = np.full(ground.size if masks is None else len(masks), cast(default), dtype=dtype)
+        fill = np.fromiter(map(cast, values.values()) if exact else values.values(), dtype,
+                           len(values))
+    except OverflowError:  # an integer past the float range; a Fraction holds it
+        raise InvalidInputError("set function value is past the float range") from None
     at = np.fromiter(values, np.int64, len(values))
-    fill = np.fromiter(map(cast, values.values()) if exact else values.values(), dtype, len(values))
     if masks is not None:
         slot = np.searchsorted(masks, at)
         found = masks.take(slot, mode="clip") == at

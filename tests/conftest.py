@@ -1,9 +1,12 @@
 """Shared generators for randomized tests. Everything is seeded per test."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from setgames import GameSpec, GroundSet, MobiusTransform, Network, SetFunction, equilibrium, zeta
+from setgames import (GameSpec, GroundSet, MobiusTransform, Network, SetFunction, equilibrium,
+                      oracles, zeta)
 
 
 @pytest.fixture
@@ -11,6 +14,27 @@ def unseeded(monkeypatch):
     """Every solve starts from the 1x1 game of the empty attack and defense,
     so small games take several rounds of the double oracle."""
     monkeypatch.setattr(equilibrium, "SEED_CELLS", 0)
+
+
+@contextmanager
+def split_tables():
+    """Every oracle table splits over its support's components, however small
+    the whole listing. The last prepared tables are dropped on entry and on
+    exit, so no table built under one rule is served under the other."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "WHOLE_CELLS", 0)
+        oracles.prepare.cache_clear()
+        try:
+            yield
+        finally:
+            oracles.prepare.cache_clear()
+
+
+@pytest.fixture
+def split():
+    """:func:`split_tables` for the whole test."""
+    with split_tables():
+        yield
 
 
 def random_set_function(rng, n, *, cap=None, scale=1.0):

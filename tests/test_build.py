@@ -21,6 +21,8 @@ from setgames import GameSpec, GroundSet, SetFunction, build_compact_game
 from setgames.oracles import partition_support
 from setgames.setfunctions import SPARSITY_SCALE
 
+from conftest import split_tables
+
 
 def reference_max_abs(f):
     scale = abs(f.default)
@@ -56,7 +58,8 @@ def reference_coefficients(spec):
 
 def reference_table(n, members, cap, defender):
     """Rows by component, then count, then ascending strategy; the empty
-    member counts in the first component."""
+    member counts in the first component. These are the split tables, which
+    every support gets under :func:`~conftest.split_tables`."""
     components = partition_support(members) or [[]]
     owner = {m: c for c, group in enumerate(components) for m in group}
     strategies, hits, segment, sizes = [], [], [], []
@@ -143,15 +146,17 @@ def exact_coefficients(spec):
 @settings(max_examples=150, deadline=None)
 def test_build_matches_per_mask_reference(spec):
     want = reference_coefficients(spec)
-    game = build_compact_game(spec)
+    with split_tables():
+        game = build_compact_game(spec)
+        tables = game.oracle
     members = sorted(set().union(*want) | {0} | {1 << i for i in range(spec.n)})
     assert game.support.members == tuple(members)
     vectors = (game.benefit_vec, game.attacker_cost_vec, game.defender_cost_vec)
     for vec, ref in zip(vectors, want):
         assert same_array(vec, np.array([float(ref.get(m, 0)) for m in members]))
 
-    for table, cap, defender in ((game.oracle.attacks, spec.attacker_cap, False),
-                                 (game.oracle.defenses, spec.defender_cap, True)):
+    for table, cap, defender in ((tables.attacks, spec.attacker_cap, False),
+                                 (tables.defenses, spec.defender_cap, True)):
         ref = reference_table(spec.n, members, cap, defender)
         assert table.cap == cap and table.sizes == ref.pop("sizes")
         for name, array in ref.items():

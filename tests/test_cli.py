@@ -91,6 +91,17 @@ class TestCommands:
         assert "{1,2} : 2" in out
         assert "support size 4" in out
 
+    def test_value_past_the_float_range_is_a_parse_error(self, tmp_path, capsys):
+        # An integer game value is exact: transform --exact keeps it, and
+        # every float path refuses it with exit 1, not an OverflowError.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "benefit": [{"set": [1], "value": 10**400}]}))
+        for command in (["solve"], ["transform"], ["verify"]):
+            assert main([*command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: set function value is past")
+        assert main(["transform", "--exact", str(path)]) == 0
+        assert f"{{1}} : {10**400}" in capsys.readouterr().out
+
     def test_transform_additive_floor(self, tmp_path, capsys):
         doc = {"n": 2, "benefit": [{"set": [1], "value": 1.5},
                                    {"set": [1, 2], "value": 1.5}]}

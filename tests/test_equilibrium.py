@@ -213,10 +213,11 @@ class TestCompactSolver:
         assert report.value == pytest.approx(solve_bruteforce(spec).value, rel=1e-9, abs=1e-9)
         assert max(best_response_gap(spec, report, game)) <= SolverConfig().eps_gap
 
+    @pytest.mark.usefixtures("split")
     def test_seed_lists_each_table_strategy_once(self):
         # A multi-component table repeats the empty strategy per component;
         # the seed holds it once, and the strategies that span components
-        # are left to the oracles.
+        # are left to the oracles. (Whole tables would list them all.)
         spec = additive_game(np.random.default_rng(4), 6, 2, 2)
         game = build_compact_game(spec)
         assert len(game.support.components) == 6
@@ -228,9 +229,11 @@ class TestCompactSolver:
             assert trace[0][key] == np.unique(table.strategies).size == 7 < table.strategies.size
             assert np.array_equal(table.distinct, np.unique(table.strategies))
 
+    @pytest.mark.usefixtures("split")
     def test_seeded_solves_ask_for_no_runner_ups(self, monkeypatch):
         # Every runner-up is one table row, and the seeded game holds every
-        # row; an unseeded solve of the same game asks for the pool.
+        # row; an unseeded solve of the same game asks for the pool. Split
+        # tables keep the seeded solve past one round.
         pools = []
 
         def recording(oracle):

@@ -44,6 +44,7 @@ REALS = {
     "cascade threshold": lambda v: FailureOperator("threshold_cascade", v),
     "eps_c": lambda v: separable_approximation(BENEFIT, ZERO, ZERO, v, 1),
     "atom probability": lambda v: MixedStrategy(((0, v),)),
+    "pair probability": lambda v: MixedStrategy.from_pairs([(0, v)]),
     "eps_gap": lambda v: SolverConfig(eps_gap=v),
     "node value": lambda v: Network(1, (), (v,)),
 }

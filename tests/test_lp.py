@@ -540,6 +540,30 @@ class TestWarmStart:
             with pytest.raises(InvalidInputError):
                 solve_matrix_game(m, start=members)
 
+    def test_rejects_members_that_are_not_integers(self):
+        # Read as integers they would be the valid start (1,).
+        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for members in [(1.5,), (True,), np.array([1.0])]:
+            with pytest.raises(InvalidInputError, match="start basis members must be integers"):
+                solve_matrix_game(m, start=members)
+        numpy_start, int_start = (solve_matrix_game(m, start=(one,)) for one in (np.int64(1), 1))
+        assert (numpy_start.value, numpy_start.basis) == (int_start.value, int_start.basis)
+
+    def test_rows_with_basic_slacks_get_no_row_weight(self):
+        # Complementary slackness, exactly: a row whose slack is basic is not
+        # tight, and the row mixture puts no weight on it. A warm tableau is
+        # refactored, so its basic reduced costs keep round-off of order 1e-17.
+        net_wide = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+        small = np.random.default_rng(0).integers(-3, 4, size=(30, 30)).astype(float)
+        for m, growth in ((net_wide, _growth("both")), (small, [(r, r) for r in range(3, 31, 3)])):
+            start = None
+            for rows, cols in growth:
+                solution = solve_matrix_game(m[:rows, :cols], start=start)
+                slack_rows = [~member for member in solution.basis if member < 0]
+                assert not solution.row_strategy[slack_rows].any()
+                assert_solution_certifies(m[:rows, :cols], solution)
+                start = solution.basis
+
     @pytest.mark.parametrize("matrix, members", [
         ([[1.0, 1.0], [1.0, 1.0]], (0, 1)),  # equal columns
         ([[1.0, 1.0], [1.0, 2.0]], (~1,)),  # row 1 keeps its slack, which also takes row 0's place

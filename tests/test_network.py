@@ -121,7 +121,7 @@ class TestNetwork:
 
     def test_rejects_bad_node_values(self):
         for bad in ((1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0), (1.0, True, 1.0),
-                    (1.0, "2", 1.0), (1.0, 2.0)):
+                    (1.0, "2", 1.0), (1.0, 2.0), (1.0, 10**400, 1.0)):
             with pytest.raises(InvalidInputError):
                 Network(3, ((1, 2),), node_values=bad)
 
@@ -149,6 +149,7 @@ class TestNetwork:
         ('{"nodes": 3, "edges": [[1, 2]], "values": 5}', "'values' must be a list"),
         ('{"nodes": 3, "edges": [[1.5, 2]]}', "edge endpoint must be an integer"),
         ('{"nodes": 2, "values": [1]}', "node_values length"),
+        ('{"nodes": 1, "values": [1%s]}' % ("0" * 400), "within the float range"),
     ])
     def test_bad_graph_json_is_a_format_error(self, text, message):
         with pytest.raises(FormatError, match=message):

@@ -373,6 +373,7 @@ class TestPrepared:
                 assert got == one_shot
                 assert got == (((1 << n) - 1) ^ ones, value)
 
+    @pytest.mark.usefixtures("split")
     def test_table_rows_are_coordinates_masked_to_their_component(self):
         rng = np.random.default_rng(10)
         for support in random_supports(rng):
@@ -417,11 +418,15 @@ class TestPrepared:
 
     def test_guard_bounds_the_per_component_table(self, monkeypatch):
         # Four disjoint 3-target blocks: the capped lattice over all 12
-        # targets has 299 strategies, the per-component table 32 rows.
+        # targets has 299 strategies, the per-component table 32 rows. The
+        # guard lies between them, so the tables split though the whole
+        # listing is below WHOLE_CELLS.
         n, cap = 12, 3
         support = SupportSet.from_members(n, [0b111 << (3 * b) for b in range(4)])
+        oracles.prepare.cache_clear()
         monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 100 * support.size)
         table = oracles.prepare(support, cap, cap)
+        assert table.attacks.strategies.size == table.defenses.strategies.size == 32
         masks = support.member_array
         strategies = [s for s in range(1 << n) if s.bit_count() <= cap]
         attacks = (np.array(strategies)[:, None] & masks) == masks
@@ -467,7 +472,7 @@ class TestPrepared:
         with pytest.raises(ValueError):
             count[0] = 1
 
-    @pytest.mark.usefixtures("unseeded")
+    @pytest.mark.usefixtures("unseeded", "split")
     def test_solve_prepares_once(self, table_builds):
         # The solve and the certificate of its report share the game's tables.
         # n = 8 keeps the solve past 10 queries with the column pool.
@@ -519,7 +524,7 @@ class TestPrepared:
             assert solve_compact(spec) == report
             assert solve_compact(spec) == report  # warm
 
-    @pytest.mark.usefixtures("unseeded")
+    @pytest.mark.usefixtures("unseeded", "split")
     def test_solve_and_certificate_of_their_own_games_prepare_once(self, table_builds):
         # Each call builds its own game; the certificate's has an equal support.
         spec = random_game(np.random.default_rng(8), 7, 3, 3)
@@ -528,6 +533,7 @@ class TestPrepared:
         assert table_builds == ONE_BUILD
         assert oracles.prepare.cache_info().currsize <= 1
 
+    @pytest.mark.usefixtures("split")
     @pytest.mark.parametrize("command", [
         ["solve", "{game}"],
         ["net", "{graph}", "--c", "2", "--k", "1", "--eps-c", "0.5"],
@@ -539,6 +545,70 @@ class TestPrepared:
         assert cli.main([arg.format(game=game, graph=graph) for arg in command]) == 0
         assert table_builds == ONE_BUILD
 
+
+class TestWholeTables:
+    """Both sides list whole strategies over all n targets, one component, when
+    each side's listing times the support size is at most ``WHOLE_CELLS`` and
+    within the guard; otherwise both split over the support's components."""
+
+    # Three 2-target blocks and the singletons: 10 members. Cap 1 lists 7
+    # strategies (70 cells), cap 3 lists 42 (420 cells); split, 3 components.
+    SUPPORT = SupportSet.from_members(6, [0b000011, 0b001100, 0b110000])
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        """Tables prepared under a patched bound or guard are not served later."""
+        oracles.prepare.cache_clear()
+        yield
+        oracles.prepare.cache_clear()
+
+    def whole(self, a_cap, d_cap):
+        oracles.prepare.cache_clear()
+        prepared = oracles.prepare(self.SUPPORT, a_cap, d_cap)
+        return tuple(len(table.sizes) == 1 for table in (prepared.attacks, prepared.defenses))
+
+    def test_small_multi_component_support_lists_whole_strategies(self, table_builds):
+        # A new support object, its partition not yet computed: none is needed.
+        support, caps = SupportSet.from_members(6, self.SUPPORT.members), (2, 3)
+        prepared = oracles.prepare(support, *caps)
+        assert table_builds == {"partition_support": 0, "_tables": 1}
+        assert len(support.components) == 3
+        spanning = 0
+        rng = np.random.default_rng(14)
+        for (table, oracle, side), cap in zip(((prepared.attacks, attacker_oracle, "attacker"),
+                                               (prepared.defenses, defender_oracle, "defender")),
+                                              caps):
+            listing = sorted((s for s in range(1 << support.n) if s.bit_count() <= cap),
+                             key=lambda s: (s.bit_count(), s))
+            assert table.sizes == (cap + 1,) and table.strategies.tolist() == listing
+            assert np.array_equal(table.hits, coordinates(listing, support, side).astype(float))
+            assert table.distinct.tolist() == sorted(listing)
+            assert not table.component.any() and table.empty.tolist() == [0]
+            for _ in range(6):
+                w = rng.integers(-2, 3, size=support.size).astype(float)
+                mask, value, runner_ups = oracle(prepared, w, POOL)
+                ranked = sorted((-objective(support, w, m, side), m) for m in listing)
+                assert ranked[0] == (-value, mask)
+                assert [(m, -v) for v, m in ranked[1:POOL + 1]] == runner_ups
+                spanning += sum(sum(m & u != 0 for u in (0b11, 0b1100, 0b110000)) > 1
+                                for m, _ in runner_ups)
+        assert spanning > 0
+
+    def test_one_side_over_the_bound_splits_both(self, monkeypatch):
+        monkeypatch.setattr(oracles, "WHOLE_CELLS", 419)
+        assert self.whole(1, 1) == (True, True)
+        # The cap-1 side alone would fit.
+        assert self.whole(1, 3) == self.whole(3, 1) == (False, False)
+        monkeypatch.setattr(oracles, "WHOLE_CELLS", 420)
+        assert self.whole(1, 3) == self.whole(3, 3) == (True, True)
+
+    def test_lowered_guard_splits_both(self, monkeypatch):
+        # The split tables, 12 rows a side at cap 3 (120 cells), fit the guard.
+        assert self.whole(3, 3) == (True, True)
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 419)
+        assert self.whole(1, 3) == self.whole(3, 3) == (False, False)
+        monkeypatch.setattr(oracles, "ENUMERATION_GUARD", 420)
+        assert self.whole(3, 3) == (True, True)
 
 
 def objective(support, w, mask, side):
@@ -557,6 +627,7 @@ class TestRunnerUps:
             extra = [(1 << n) - 1] + [int(rng.integers(1, 1 << n)) for _ in range(2)]
             yield SupportSet.from_members(n, extra), True
 
+    @pytest.mark.usefixtures("split")
     def test_runner_ups_are_ranked_legal_strategies(self):
         rng = np.random.default_rng(11)
         several = single = 0

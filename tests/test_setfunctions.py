@@ -54,6 +54,18 @@ class TestMoebius:
         with pytest.raises(InvalidInputError):
             SetFunction(g, {1: float("nan")})
 
+    @pytest.mark.parametrize("entries, default", [({1: 10**400}, 0), ({}, -(10**400))])
+    def test_integers_past_the_float_range_stay_exact(self, entries, default):
+        # An integer is finite, so the function holds it; only a float
+        # table refuses it, and exact mode keeps it.
+        f = SetFunction(GroundSet(2), entries, default)
+        for call in (f.to_dense, lambda: moebius(f), lambda: moebius(f, max_size=1)):
+            with pytest.raises(InvalidInputError, match="past the float range"):
+                call()
+        big = 10**400 if entries else -(10**400)
+        assert moebius(f, exact=True).value(0b01) == (big if entries else 0)
+        assert moebius(f, exact=True).value(0) == (0 if entries else big)
+
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
     def test_ground_set_size_must_be_an_integer(self, n):
         with pytest.raises(InvalidInputError, match="must be an integer"):
