@@ -26,14 +26,6 @@ def targets_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_bits(mask: int):
-    """Yield the 0-based bit positions set in ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def masks_up_to_size(n: int, cap: int) -> list[int]:
     """All masks over n bits with at most ``cap`` bits set, ascending."""
     out = []

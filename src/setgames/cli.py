@@ -103,23 +103,6 @@ def parse_game_json(text: str) -> GameSpec:
         raise FormatError(str(exc)) from None
 
 
-def _entries_to_json(fn: SetFunction) -> list[dict]:
-    return [{"set": list(targets_of(mask)), "value": value}
-            for mask, value in sorted(fn.entries.items())]
-
-
-def format_game_json(spec: GameSpec) -> str:
-    doc = {
-        "n": spec.n,
-        "c": spec.attacker_cap,
-        "k": spec.defender_cap,
-        "benefit": _entries_to_json(spec.benefit),
-        "cost_attacker": _entries_to_json(spec.attacker_cost),
-        "cost_defender": _entries_to_json(spec.defender_cost),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _mixture_to_json(mixture) -> list[dict]:
     return [{"set": list(targets_of(mask)), "prob": prob} for mask, prob in mixture.atoms]
 

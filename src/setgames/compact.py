@@ -48,7 +48,8 @@ from .errors import (
 from .games import GameSpec
 from .lp import solve_matrix_game
 from .oracles import PreparedOracle, _coordinates, partition_support, prepare
-from .setfunctions import SPARSITY_SCALE, GroundSet, _butterfly, _check_ints, _layout, _transform
+from .setfunctions import (SPARSITY_SCALE, GroundSet, _butterfly, _check_ints, _check_reals,
+                           _layout, _transform)
 
 HULL_TOL = 1e-7
 
@@ -82,7 +83,7 @@ class SupportSet:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The nonempty members grouped by :func:`~setgames.oracles.partition_support`,
         computed on first use and then shared by split oracle tables and callers."""
-        return tuple(map(tuple, partition_support(self.members)))
+        return tuple(map(tuple, partition_support(self.member_array)))
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,10 @@ def coordinates(masks, support: SupportSet, side: str) -> np.ndarray:
 
 def _marginal(support: SupportSet, atoms, side: str) -> np.ndarray:
     """``sum_i p_i coordinates(mask_i)`` over ``(mask, p)`` atoms, summed atom
-    by atom in order (a matrix product would round in another order)."""
+    by atom in order (a matrix product would round in another order); a probability
+    that is not a finite real raises :class:`InvalidInputError`."""
     atoms = list(atoms)
-    probs = np.array([p for _, p in atoms], dtype=float).reshape(-1, 1)
+    probs = _check_reals([p for _, p in atoms], "atom probabilities").reshape(-1, 1)
     return (probs * coordinates([m for m, _ in atoms], support, side)).sum(axis=0)
 
 
@@ -195,13 +197,10 @@ def compact_value(game: CompactGame, pa: np.ndarray, qd: np.ndarray) -> float:
     The 1x1 case of :func:`payoff_block`. On embedded pure strategies this
     reproduces the normal-form entry exactly; on marginals of mixed
     strategies it reproduces the expected payoff (coordinates of the empty
-    set are 1 by construction).
+    set are 1 by construction). Raises :class:`InvalidInputError` unless both
+    are vectors of finite reals, one per support member.
     """
-    pa = np.asarray(pa, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    if pa.shape != (game.support.size,) or qd.shape != (game.support.size,):
-        raise InvalidInputError(
-            f"coordinate vectors must have length {game.support.size}")
+    pa, qd = (_check_reals(v, "coordinates", (game.support.size,)) for v in (pa, qd))
     return float(payoff_block(game, pa[None, :], qd[None, :])[0, 0])
 
 
@@ -244,8 +243,7 @@ def caratheodory_decompose(point: np.ndarray, vertices: np.ndarray) -> list[tupl
     with ``u = p_plus - p_minus``, every vertex has ``u @ (v - point) >=
     distance``, so ``(-u, u @ point + distance / 2)`` separates.
     """
-    point = np.asarray(point, dtype=float)
-    vertices = np.asarray(vertices, dtype=float)
+    point, vertices = _check_reals(point, "point"), _check_reals(vertices, "vertices")
     dim = point.size
     if point.ndim != 1 or vertices.shape[1:] != point.shape or not len(vertices):
         raise InvalidInputError(f"vertices of shape {vertices.shape} do not stack m >= 1 "

@@ -61,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, SolverFailureError
-from .setfunctions import _check_ints
+from .setfunctions import _check_ints, _check_reals
 
 MAX_GAME_CELLS = 10_000_000
 # Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
@@ -204,13 +204,12 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     Deterministic for a given matrix and ``start``, the ``basis`` of an earlier
     float solve of a leading block. In exact mode the matrix entries are taken
     as rationals and the result is exact: a Fraction value and lists of
-    Fractions for the strategies.
+    Fractions for the strategies. Entries that are not finite reals (a ``bool``
+    is not one) raise :class:`InvalidInputError`.
     """
-    values = np.asarray(matrix, dtype=float)
+    values = _check_reals(matrix, "payoff matrix entries")
     if values.ndim != 2 or values.size == 0:
         raise InvalidInputError("payoff matrix must be two-dimensional and non-empty")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("payoff matrix contains non-finite entries")
     if values.size > MAX_GAME_CELLS:
         raise CapacityError(f"payoff matrix with {values.size} cells exceeds the guard")
     num = Fraction if exact else float

@@ -20,8 +20,10 @@ rebuilds the benefit from the survivors. Dropped coefficients perturb any
 single payoff entry by at most ``2^c * eps_c``, so the game value moves by at
 most ``2^(c+1) * eps_c``; meanwhile the surviving support usually splits into
 small disjoint components. The best-response tables of the approximate game
-(``CompactGame.oracle``) exploit them: they enumerate capped strategies
-inside each component only, and each call spends the cap across components.
+(``CompactGame.oracle``) exploit them when the whole capped listing is large
+(:func:`~setgames.oracles.prepare`): they enumerate capped strategies inside
+each component only, and each call spends the cap across components.
+Otherwise the solve lists whole strategies and never partitions the support.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .setfunctions import (
     SetFunction,
     _check_int,
     _check_ints,
+    _check_reals,
     _entries,
     _finite_real,
     zeta,
@@ -72,13 +75,8 @@ class Network:
         if self.node_values is not None:
             if len(self.node_values) != self.node_count:
                 raise InvalidInputError("node_values length must equal node_count")
-            if not all(map(_finite_real, self.node_values)):
-                raise InvalidInputError("node values must be finite real numbers, not booleans")
-            try:
-                values = tuple(map(float, self.node_values))
-            except OverflowError:  # an integer past the float range
-                raise InvalidInputError("node values must be within the float range") from None
-            object.__setattr__(self, "node_values", values)
+            values = _check_reals(self.node_values, "node values").tolist()
+            object.__setattr__(self, "node_values", tuple(values))
 
     @property
     def full_mask(self) -> int:
@@ -234,18 +232,20 @@ class ApproxResult:
     """Outcome of the coefficient-threshold approximation.
 
     ``game`` is the compact game of ``spec``, built from the kept coefficients.
-    ``components`` partitions the surviving support's nonempty members into
-    groups with pairwise disjoint target unions; ``error_bound`` is the
-    guaranteed cap ``2^(c+1) * eps_c`` on the game-value perturbation. Every
-    dropped coefficient had magnitude at most ``eps_c``.
+    ``error_bound`` is the guaranteed cap ``2^(c+1) * eps_c`` on the game-value
+    perturbation. Every dropped coefficient had magnitude at most ``eps_c``.
     """
 
     spec: GameSpec
     game: CompactGame
-    components: tuple[tuple[int, ...], ...]
     eps_c: float
     error_bound: float
     dropped_terms: int
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """``game.support.components``, partitioned when first read, as for ``net``'s printout."""
+        return self.game.support.components
 
 
 def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
@@ -263,8 +263,7 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     game = CompactGame.from_coefficients(spec, masks, table)
     kept = MobiusTransform(benefit.ground, _entries(masks, table[0]))
     spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
-    return ApproxResult(spec=spec, game=game, components=game.support.components,
-                        eps_c=float(eps_c), error_bound=error_bound,
+    return ApproxResult(spec=spec, game=game, eps_c=float(eps_c), error_bound=error_bound,
                         dropped_terms=int(dropped.sum()))
 
 

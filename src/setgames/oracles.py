@@ -8,32 +8,30 @@ maximizing the polynomial ``sum_V w[V] prod_{i in V} x_i`` over binary x with
 at least ``n - k`` ones, so the oracle is constrained pseudo-boolean
 maximization and its difficulty is governed by the support structure.
 
-One kernel serves both players. Both objectives split over the support's
-components, the groups of members whose target unions are disjoint
-(:func:`partition_support`): a strategy scores, in each component, what its
-targets inside that component score there. Only the weights change between
-calls, so ``prepare(support, attacker_cap, defender_cap)`` builds one
-read-only table per side, once per (support, caps): it keeps the last tables
-it built, so the next game with an equal support and caps (a report's
-certificate, or another game on the same support) shares them, and
-``prepare.cache_clear()`` frees them. A table lists
-every strategy of at most ``min(cap, width)`` targets inside each component,
-grouped by (component, count) and ascending within a group, with its
-incidence against the support members (the empty member counts in the first
-component's rows). It is built by array operations from a listing cached per
-(width, cap), its incidences by one ``&`` on int32 (masks of at most 30
-targets fit), and the components by one stable sort. A one-component table
-is plain enumeration of the capped strategies; on an all-singleton support it
-picks the best single targets.
+One kernel serves both players. Only the weights change between calls, so
+``prepare(support, attacker_cap, defender_cap)`` builds one read-only table
+per side, once per (support, caps); it is the one way to the tables,
+:func:`solve_separable`'s too. It keeps the last tables it built, so the next
+game with an equal support and caps (a report's certificate, or another game
+on the same support) shares them; ``prepare.cache_clear()`` frees them.
 
-The split keeps a large cap tractable, but it hides from the double oracle
-every strategy that spans components: its seed and column pool see one
-component at a time. So when both sides' whole listings are small, every
-strategy of at most the cap over the support's n targets, times the support
-size, at most :data:`WHOLE_CELLS` cells and within the guard, both tables
-take the whole support as one component, with no partition and no knapsack.
-Otherwise both split. One side whole and the other split would make the
-seeded restricted game tall and refactor its whole basis every round.
+When both sides' whole listings are small, every strategy of at most the cap
+over the support's n targets, times the support size, at most
+:data:`WHOLE_CELLS` cells and within the guard, both tables list them as one
+component: plain enumeration, no partition and no knapsack. Otherwise both
+split over the support's components, the groups of members whose target
+unions are disjoint (:func:`partition_support`, run only then): a strategy
+scores, in each component, what its targets inside it score there. The split
+keeps a large cap tractable, but hides from the double oracle's seed and
+column pool every strategy that spans components. One side whole and the
+other split would make the seeded restricted game tall and refactor its
+whole basis every round. A table lists every strategy of at most
+``min(cap, width)`` targets inside each component, grouped by (component,
+count) and ascending within a group, with its incidence against the support
+members (the empty member counts in the first component's rows), built by
+array operations from a listing cached per (width, cap), its incidences by
+one ``&`` on int32 (masks of at most 30 targets fit), and the components by
+one stable sort.
 
 A call, ``attacker_oracle(prepared, weights)`` or
 ``defender_oracle(prepared, weights)``, takes only the weights aligned with
@@ -58,8 +56,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bits import iter_bits, masks_up_to_size
+from .bits import masks_up_to_size
 from .errors import CapacityError, InvalidInputError
+from .setfunctions import GroundSet, _check_int, _check_ints, _check_reals
 
 if TYPE_CHECKING:  # compact imports prepare and partition_support from here
     from .compact import SupportSet
@@ -76,12 +75,19 @@ class PseudoBooleanProblem:
 
     ``x_i = 1`` means target i is left undefended; a defense D corresponds to
     ``x = full_mask ^ D``, and the objective value at that x equals the
-    defender oracle objective at D.
+    defender oracle objective at D. A term mask outside ``[0, 2^n)``, a weight that
+    is not a finite real or ``min_ones`` outside ``[0, n]`` raises :class:`InvalidInputError`.
     """
 
     terms: tuple[tuple[int, float], ...]
     n: int
     min_ones: int
+
+    def __post_init__(self):
+        n = GroundSet(self.n).n
+        _check_ints([m for m, _ in self.terms], "term masks", 0, (1 << n) - 1)
+        _check_reals([w for _, w in self.terms], "term weights")
+        object.__setattr__(self, "min_ones", _check_int(self.min_ones, "min_ones", 0, n))
 
     def evaluate(self, ones_mask: int) -> float:
         """Objective at the assignment whose ones are ``ones_mask``."""
@@ -103,11 +109,12 @@ class PseudoBooleanProblem:
 def to_pseudo_boolean(weights, cap: int, support: SupportSet) -> PseudoBooleanProblem:
     """Restate a defender oracle call as constrained polynomial maximization.
 
-    Raises :class:`InvalidInputError` unless ``weights`` holds one finite
-    weight per support member, as the oracles do."""
-    weights = _checked(weights, support.size)
-    terms = tuple((m, float(w)) for m, w in zip(support.members, weights))
-    return PseudoBooleanProblem(terms=terms, n=support.n, min_ones=support.n - cap)
+    Raises :class:`InvalidInputError` unless ``weights`` holds one finite weight
+    per support member, as the oracles do, and ``cap`` is an integer >= 0; a cap
+    above n means n, as in :func:`prepare`."""
+    weights = _check_reals(weights, "oracle weights", (support.size,)).tolist()
+    cap = min(_check_int(cap, "defender cap"), support.n)
+    return PseudoBooleanProblem(tuple(zip(support.members, weights)), support.n, support.n - cap)
 
 
 @dataclass(frozen=True)
@@ -187,13 +194,12 @@ def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
 def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[_Table, _Table]:
     """Attack and defense tables over the members' ``components`` (their
     :func:`partition_support`, or one group of every nonempty member) from the
-    cached strategy listing of each cap.
+    cached strategy listing of each cap; :func:`prepare` is the one caller.
     Sides whose caps list the same rows share them; ``hits`` masks their :func:`_coordinates`.
 
     Raises :class:`CapacityError` when a table would exceed
     :data:`ENUMERATION_GUARD` cells.
     """
-    components = components or [()]
     unions = [reduce(or_, c, 0) for c in components]
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
     caps = (attacker_cap, defender_cap)
@@ -204,7 +210,7 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
     widest = int(widths.max())
     targets = np.zeros((len(unions), widest), dtype=np.int64)
     for c, union in enumerate(unions):
-        targets[c, :widths[c]] = list(iter_bits(union))
+        targets[c, :widths[c]] = np.flatnonzero(union >> np.arange(union.bit_length()) & 1)
     masks = np.asarray(members, dtype=np.int64)
     # A member's component is the one whose union it meets (0 for the empty member).
     column = np.argmax(masks & np.array(unions)[:, None] != 0, axis=0) if len(unions) > 1 else None
@@ -245,7 +251,7 @@ class PreparedOracle:
     defenses: _Table
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> PreparedOracle:
     """Build both sides' oracle tables, which depend only on the support and the caps.
 
@@ -255,33 +261,26 @@ def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> Prepar
     as one component. Otherwise both split over the support's own partition,
     :attr:`~setgames.compact.SupportSet.components`. Raises
     :class:`CapacityError` when a side's table would exceed
-    :data:`ENUMERATION_GUARD` cells.
+    :data:`ENUMERATION_GUARD` cells, and :class:`InvalidInputError` unless both
+    caps are integers >= 0; a cap above n means n.
 
-    The last result is kept and returned, the same read-only object, for an
-    equal ``(support, attacker_cap, defender_cap)``: supports compare by
-    ``(n, members)``. One entry bounds memory to the tables a solve holds
-    anyway; ``prepare.cache_clear()`` frees them.
+    The last result is kept and returned, the same read-only object, for an equal
+    ``(support, attacker_cap, defender_cap)`` with caps of the same types (a ``True``
+    cap reaches the check): supports compare by ``(n, members)``. One entry bounds
+    memory to the tables a solve holds anyway; ``prepare.cache_clear()`` frees them.
     """
+    caps = _check_int(attacker_cap, "attacker cap"), _check_int(defender_cap, "defender cap")
     limit = min(WHOLE_CELLS, ENUMERATION_GUARD)
     whole = all(sum(comb(support.n, t) for t in range(min(cap, support.n) + 1)) * support.size
-                <= limit for cap in (attacker_cap, defender_cap))
+                <= limit for cap in caps)
     components = (support.members[1:],) if whole else support.components
-    return PreparedOracle(*_tables(support.members, components, attacker_cap, defender_cap))
-
-
-def _checked(weights, size: int) -> np.ndarray:
-    """``weights`` as a float vector of ``size`` finite entries."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (size,):
-        raise InvalidInputError(f"weights must have length {size}")
-    if not np.all(np.isfinite(weights)):
-        raise InvalidInputError("oracle weights contain non-finite entries")
-    return weights
+    return PreparedOracle(*_tables(support.members, components, *caps))
 
 
 def _best(table: _Table, weights, pool: int | None) -> tuple:
-    """Check a call's weights against a prepared side, then run its kernel."""
-    mask, value, runner_ups = table.best(_checked(weights, table.hits.shape[1]), pool or 0)
+    """Check a call's weights and pool (an integer >= 0, or None), then run the side's kernel."""
+    weights = _check_reals(weights, "oracle weights", table.hits.shape[1:])
+    mask, value, runner_ups = table.best(weights, 0 if pool is None else _check_int(pool, "pool"))
     return (mask, value) if pool is None else (mask, value, runner_ups)
 
 
@@ -301,13 +300,14 @@ def partition_support(members) -> list[list[int]]:
     """Split support members into groups whose target unions are disjoint.
 
     Two members land in the same group when their masks intersect, directly
-    or through a chain. The empty mask joins no group (it is a constant term).
+    or through a chain. The empty mask joins no group (it is a constant term);
+    a member that is not an integer >= 0 raises :class:`InvalidInputError`.
     Groups come out sorted, ordered by their smallest member. Bit-parallel:
     ``reach[j]``, the union of the members holding target j, takes in its
     targets' reaches until it stops growing, at j's component; a member's
     group is its lowest target's component, and one stable sort groups them.
     """
-    masks = np.sort(np.asarray(members, dtype=np.int64))
+    masks = np.sort(_check_ints(members, "support members"))
     masks = masks[masks.searchsorted(1):]
     if masks.size == 0:
         return []
@@ -353,13 +353,13 @@ def _separable_best(values, masks, sizes, budget: int) -> tuple[int, float]:
 
 
 def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
-    """Optimize a pseudo-boolean objective whose terms split into components.
-
-    Partitions the terms and runs the defender oracle's kernel over them with
-    defended-count budget ``n - min_ones``. Returns the ones mask and the
-    optimal value.
-    """
-    members, cap = [m for m, _ in problem.terms], problem.n - problem.min_ones
-    _, defenses = _tables(members, partition_support(members), cap, cap)
-    defended, value, _ = defenses.best(np.array([w for _, w in problem.terms], dtype=float))
+    """The ones mask and optimal value of a pseudo-boolean objective, by the defender
+    oracle on :func:`prepare`'s tables at cap ``n - min_ones`` for the support of the
+    term masks (repeats sum their weights; the empty set and singletons weigh 0)."""
+    from .compact import SupportSet  # compact imports this module
+    masks = np.array([m for m, _ in problem.terms], dtype=np.int64)
+    support, cap = SupportSet.from_members(problem.n, masks), problem.n - problem.min_ones
+    weights = np.zeros(support.size)
+    np.add.at(weights, support.member_array.searchsorted(masks), [w for _, w in problem.terms])
+    defended, value = defender_oracle(prepare(support, cap, cap), weights)
     return ((1 << problem.n) - 1) ^ defended, value

@@ -84,14 +84,36 @@ def _check_ints(values, what: str, low: int = 0, high: int | None = None,
     return np.array(values, dtype=np.int64)
 
 
+def _real_type(kind: type) -> bool:
+    return kind is float or kind is not bool and issubclass(kind, Real)  # float: no ABC lookup
+
+
 def _finite_real(value) -> bool:
     """The library's one rule for real input: a ``numbers.Real`` that is not a
     ``bool`` and is finite. A ``Rational`` (an int, or a ``Fraction`` in exact
     mode) is finite by type and is never converted to float, which could overflow."""
     if type(value) is float:  # the common case, without the ABC lookups
         return math.isfinite(value)
-    return (not isinstance(value, bool) and isinstance(value, Real)
-            and (isinstance(value, Rational) or math.isfinite(value)))
+    return _real_type(type(value)) and (isinstance(value, Rational) or math.isfinite(value))
+
+
+def _check_reals(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float64 array, of ``shape`` if given, by the rule of :func:`_finite_real`
+    read once per batch: element types from the dtype of an integer or float ndarray, else
+    from the set of them; then one ``isfinite``. Else raises :class:`InvalidInputError`."""
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"
+    if not numeric:
+        values = np.asarray(values, dtype=object)
+    if shape is not None and values.shape != shape:
+        raise InvalidInputError(f"{what} must have shape {shape}, not {values.shape}")
+    if numeric or all(map(_real_type, set(map(type, values.flat)))):
+        try:
+            values = np.asarray(values, dtype=float)
+        except OverflowError:  # an integer past the float range
+            raise InvalidInputError(f"{what} must be within the float range") from None
+        if np.isfinite(values).all():
+            return values
+    raise InvalidInputError(f"{what} must be finite real numbers, not booleans")
 
 
 def _check_value(value, where: str) -> None:

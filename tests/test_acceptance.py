@@ -6,6 +6,7 @@ is calibrated at runtime.
 """
 
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from setgames import (
     ValueFunction,
 )
 from setgames.oracles import prepare
-from conftest import additive_game, random_game, random_graph, random_set_function
+from conftest import additive_game, random_game, random_graph, random_set_function, split_tables
 
 
 def report(number, text):
@@ -278,6 +279,7 @@ def check_both_oracles(weights, cap, support, trial):
 class TestCriterion9OracleConsistency:
     def test_methods_agree_with_bruteforce(self):
         rng = np.random.default_rng(1009)
+        instances = []
         # 100 separable-applicable instances: several disjoint blocks.
         for trial in range(100):
             n = int(rng.integers(4, 11))
@@ -289,13 +291,23 @@ class TestCriterion9OracleConsistency:
                 used += width
             support = SupportSet.from_members(n, blocks)
             weights = rng.integers(-9, 10, size=support.size).astype(float)
-            cap = int(rng.integers(0, n + 1))
-            check_both_oracles(weights, cap, support, trial)
+            instances.append((weights, int(rng.integers(0, n + 1)), support))
         # 100 additive-applicable instances: singleton supports.
         for trial in range(100):
             n = int(rng.integers(2, 11))
             support = SupportSet.from_members(n, [])
             weights = rng.integers(-9, 10, size=support.size).astype(float)
-            cap = int(rng.integers(0, n + 1))
-            check_both_oracles(weights, cap, support, trial)
-        report(9, "200 instances: both oracles match exhaustive enumeration, ties included")
+            instances.append((weights, int(rng.integers(0, n + 1)), support))
+        # Every listing here is small, so the default rule gives whole tables;
+        # split tables answer by the knapsack across the support's components.
+        components = {}
+        for rule, name in ((nullcontext, "whole"), (split_tables, "split")):
+            with rule():
+                for trial, (weights, cap, support) in enumerate(instances):
+                    check_both_oracles(weights, cap, support, trial)
+                    components[name] = max(components.get(name, 0),
+                                           len(prepare(support, cap, cap).defenses.sizes))
+        assert components == {"whole": 1, "split": 10}
+        report(9, "200 instances: both oracles match exhaustive enumeration, ties included, "
+                  "on whole tables (1 component) and on split tables (up to "
+                  f"{components['split']} components)")

@@ -1,16 +1,12 @@
 """Mask helpers."""
 
-from setgames.bits import iter_bits, mask_of, masks_up_to_size, targets_of
+from setgames.bits import mask_of, masks_up_to_size, targets_of
 
 
 def test_mask_roundtrip():
     assert mask_of([1, 3]) == 0b101
     assert targets_of(0b101) == (1, 3)
     assert targets_of(0) == ()
-
-
-def test_iter_bits():
-    assert list(iter_bits(0b1011)) == [0, 1, 3]
 
 
 def test_masks_up_to_size():

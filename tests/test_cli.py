@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from setgames import games, oracles, setfunctions
-from setgames.cli import format_game_json, main, parse_game_json
+from setgames.cli import main, parse_game_json
 from setgames.errors import FormatError
 
 MATCHING_PENNIES = json.dumps({
@@ -42,11 +42,6 @@ def pennies_file(tmp_path):
 
 
 class TestGameFiles:
-    def test_roundtrip_identity(self):
-        spec = parse_game_json(INTERACTION_GAME)
-        again = parse_game_json(format_game_json(spec))
-        assert again == spec
-
     def test_defaults_caps_to_n(self):
         spec = parse_game_json('{"n": 3, "benefit": []}')
         assert spec.attacker_cap == 3 and spec.defender_cap == 3

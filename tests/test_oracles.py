@@ -1,6 +1,8 @@
 """Oracles: hand examples, exhaustive references, pseudo-boolean equivalence, preparation."""
 
+import json
 import sys
+from contextlib import nullcontext
 from functools import reduce
 from operator import or_
 
@@ -25,10 +27,11 @@ from setgames import (
     to_pseudo_boolean,
 )
 from setgames import cli, oracles
+from setgames.bits import targets_of
 from setgames.equilibrium import POOL
 from setgames.errors import CapacityError, InvalidInputError
 
-from conftest import random_game, random_graph
+from conftest import random_game, random_graph, split_tables
 
 
 def weights_for(support, mapping):
@@ -241,14 +244,20 @@ class TestSeparable:
         assert partition_support([]) == partition_support([0]) == []
         assert min(sizes) == 0 and max(sizes) >= 8
 
+    # solve_separable takes whole tables on these small problems; under
+    # split_tables it runs the knapsack across components.
+    RULES = (nullcontext, split_tables)
+
     def test_two_pair_components(self):
         # +4 pair stays whole; the -4 pair gets one variable zeroed.
         support = SupportSet.from_members(4, [0b0011, 0b1100])
         w = weights_for(support, {0b0011: 4.0, 0b1100: -4.0, 0: 1.0})
-        ones, value = solve_separable(to_pseudo_boolean(w, 4, support))
-        assert value == pytest.approx(1.0 + 4.0 + 0.0)
-        assert ones & 0b0011 == 0b0011  # +4 component untouched
-        assert ones & 0b1100 != 0b1100  # -4 component broken
+        for rule in self.RULES:
+            with rule():
+                ones, value = solve_separable(to_pseudo_boolean(w, 4, support))
+            assert value == pytest.approx(1.0 + 4.0 + 0.0)
+            assert ones & 0b0011 == 0b0011  # +4 component untouched
+            assert ones & 0b1100 != 0b1100  # -4 component broken
 
     def test_random_multi_component_problems_match_bruteforce(self):
         rng = np.random.default_rng(10)
@@ -271,7 +280,9 @@ class TestSeparable:
                 terms=tuple(zip(sorted(masks), weights.tolist())), n=n,
                 min_ones=int(rng.integers(0, n + 1)))
             components.append(len(partition_support(sorted(masks))))
-            assert solve_separable(problem) == problem.solve_bruteforce()
+            for rule in self.RULES:
+                with rule():
+                    assert solve_separable(problem) == problem.solve_bruteforce()
         assert max(components) >= 3
 
     def test_matches_bruteforce_including_caps(self):
@@ -489,7 +500,8 @@ class TestPrepared:
                                             defender_cap=2)
         assert report.converged
         best_response_gap(approx.spec, report, approx.game)
-        assert table_builds == ONE_BUILD
+        # Whole tables: the solve never partitions the support.
+        assert table_builds == {"partition_support": 0, "_tables": 1}
 
     def test_games_of_one_support_and_caps_share_the_last_tables(self):
         # Two dense games with different utilities have the same full support.
@@ -540,7 +552,12 @@ class TestPrepared:
     ])
     def test_cli_prepares_once(self, table_builds, tmp_path, capsys, command):
         game, graph = tmp_path / "game.json", tmp_path / "graph.txt"
-        game.write_text(cli.format_game_json(random_game(np.random.default_rng(8), 6, 3, 3)))
+        spec = random_game(np.random.default_rng(8), 6, 3, 3)
+        utilities = {"benefit": spec.benefit, "cost_attacker": spec.attacker_cost,
+                     "cost_defender": spec.defender_cost}
+        game.write_text(json.dumps({"n": spec.n, "c": spec.attacker_cap, "k": spec.defender_cap} | {
+            key: [{"set": list(targets_of(m)), "value": v} for m, v in sorted(fn.entries.items())]
+            for key, fn in utilities.items()}))
         graph.write_text("nodes 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5\n")
         assert cli.main([arg.format(game=game, graph=graph) for arg in command]) == 0
         assert table_builds == ONE_BUILD
