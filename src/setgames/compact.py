@@ -49,7 +49,7 @@ from .games import GameSpec
 from .lp import solve_matrix_game
 from .oracles import PreparedOracle, _coordinates, partition_support, prepare
 from .setfunctions import (SPARSITY_SCALE, GroundSet, _butterfly, _check_ints, _check_reals,
-                           _layout, _transform)
+                           _cut_small, _finite_real, _layout, _transform)
 
 HULL_TOL = 1e-7
 
@@ -124,10 +124,10 @@ def _coefficient_table(spec: GameSpec, exact: bool = False) -> tuple[np.ndarray,
             continue
         masks, table = sums
         tol = np.array([[0 if exact else SPARSITY_SCALE * f.max_abs()] for f in functions])
-        table[abs(table) < tol] = 0
+        _cut_small(table, tol)
         if rows.start:  # cd: the superset sums of m, signed by the parity of the mask
             _butterfly(table, _layout(n, cap)[1], signed=False, superset=True)
-            table[abs(table) < tol] = 0
+            _cut_small(table, tol)
             odd = np.bitwise_count(np.arange(1 << n) if masks is None else masks) & 1 == 1
             np.negative(table, out=table, where=odd & (table != 0))  # zeros stay +0.0
         parts.append((cap, rows, masks, table))
@@ -217,8 +217,8 @@ def vertex_to_strategy(coords, support: SupportSet) -> int:
     defense = 0
     for i, pos in enumerate(support.singleton_positions):
         c = coords[pos]
-        if not (abs(c) <= 1e-9 or abs(c - 1.0) <= 1e-9):  # NaN is neither
-            raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c}, not 0/1")
+        if not (_finite_real(c) and (abs(c) <= 1e-9 or abs(c - 1.0) <= 1e-9)):
+            raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c!r}, not 0/1")
         if c < 0.5:
             defense |= 1 << i
     return defense

@@ -14,19 +14,20 @@ tableau: the reduced costs w of the slack columns satisfy ``w M >= 1`` with
 no general LP solver; Carathéodory decompositions and hull checks are posed
 as matrix games (:func:`setgames.compact.caratheodory_decompose`).
 
-Row i < m of the tableau T holds a constraint row with its rhs last, row m
-the reduced costs and minus the objective value. A cold T holds only the n
-nonbasic columns, slot j holding variable ``labels[j]``, as in the
-dictionary form of the simplex (Chvátal, 1983): ``x - x*1`` is exactly 0, so
-the full (m+1, n+m+1) tableau's basic columns are exact unit vectors with
-zero reduced cost, and a pivot writes the leaving variable's unit column
-into the entering one's slot before the update; every held entry keeps the
-full tableau's bits. Entering variable by Dantzig's rule (most negative
-reduced cost, smallest variable index on ties); after a run of degenerate
-pivots the rule switches to Bland's, which cannot cycle. Leaving row by the
-minimum-ratio test, ties broken toward the smallest basis index. A pivot
-costs one rank-1 update of T; on the small restricted games of a double
-oracle its price is a handful of numpy calls, not arithmetic.
+The tableau T is the full (m+1, n+m+1) one: row i < m a constraint row with
+its rhs last, row m the reduced costs and minus the objective value, column j
+variable j (the n structural columns, then the m slacks). Entering variable
+by Dantzig's rule (most negative reduced cost, smallest variable index on
+ties); after a run of degenerate pivots the rule switches to Bland's, which
+cannot cycle. Leaving row by the minimum-ratio test, ties broken toward the
+smallest basis index. The simplex loops read T only a column, a row, the
+reduced costs or the rhs at a time (:class:`_Tableau`), so one set of rules
+serves two ways to pivot. A tableau of at most :data:`INPLACE_CELLS` cells
+pivots in place, by one rank-1 update; ``x - x*1`` is exactly 0 in floats, so
+from the slack basis the basic columns stay exact unit vectors. A larger one
+pivots in product form (Dantzig and Orchard-Hays, 1954): T stays as built,
+each pivot appends one eta, and only the entering column and the leaving row
+are read, at a cost that grows with the etas, not with T.
 
 A float solve may start from the final basis of an earlier solve of a
 leading block of M, as constraint generation does each round. A start is its
@@ -41,10 +42,8 @@ the solve starts over from the slack basis, its ``pivots`` add the stuck
 attempt's, and it sets ``cold_restart``. Every warm start refactors M:
 extending the last round's final tableau instead let a 2.7e-9 pivot in a
 degenerate 3x4 round leave errors of 2e-3 in it, and 6 of 12 net-small
-operations then failed certification. A warm T keeps every column, slot j holding variable j: the
-refactor leaves round-off in the basic columns (``solve(B, B) != I`` in all
-418 warm solves of a net-small pass, nonzero basic reduced costs in 342),
-which the pivots that follow see.
+operations then failed certification. The refactor leaves round-off in the
+basic columns, which the pivots that follow see.
 
 One engine serves both arithmetics. The tableau is a float64 array, or, with
 ``exact=True``, an object array of ``fractions.Fraction`` pivoted under zero
@@ -67,6 +66,12 @@ MAX_GAME_CELLS = 10_000_000
 # Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
+# Tableaux of more cells pivot in product form (:class:`_Tableau`). A measured
+# crossover (2-vCPU Xeon, numpy 2.4 with OpenBLAS on one thread): cold solves of
+# random 40x40 and 48x48 integer games (3,321 and 4,753 cells) took 1.07x and
+# 1.01x as long in product form, 64x64 ones (8,385) 0.90x, and the LP calls of
+# a net-small pass took the same time at any limit from 2,048 to 8,192.
+INPLACE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -102,50 +107,95 @@ def _result(a):
     return a.tolist() if a.dtype == object else a
 
 
-def _pivot(T, basis, labels, row, col):
-    """Slot col enters, ``basis[row]`` leaves: one rank-1 update. Column col of a full T
-    (``labels`` None) comes out a unit vector; a cold T holds the leaver's column there."""
-    c = T[:, col]
-    if labels is None:
-        basis[row] = col
-    else:  # the leaving variable's unit column takes the slot
-        c, T[:, col], T[row, col] = c.copy(), 0, 1
-        basis[row], labels[col] = labels[col], basis[row]
-    pr = T[row] / c[row]
-    T -= np.multiply.outer(c, pr)
-    T[row] = pr
+class _Tableau:
+    """The full tableau T as the simplex loops read it: :meth:`column`, :meth:`row`,
+    and ``rc`` and ``rhs``, which every :meth:`pivot` updates in place.
+
+    Up to :data:`INPLACE_CELLS` cells T pivots in place (``p = T[i] / c[i]``,
+    ``T -= outer(c, p)``, ``T[i] = p``) and every read is a view. A larger T stays as
+    built: each pivot appends the eta ``d = c - e_i`` and p, the current tableau being
+    T minus their outer products, and ``rc`` and ``rhs`` (with the objective) are
+    updated eagerly and win over the etas where a read crosses them. Once the etas
+    hold as many numbers as T, one matrix product folds them into it; an object
+    (Fraction) product is exact.
+    """
+
+    def __init__(self, T):
+        self._T, self._etas = T, 0
+        self._last, self.rc = T[:, -1], T[-1, :-1]
+        self._d = self._p = None
+        if T.size > INPLACE_CELLS:
+            self._last, self.rc = self._last.copy(), self.rc.copy()
+            fold = -(-T.size // sum(T.shape))  # etas of sum(T.shape) numbers each
+            self._d = np.empty((fold, T.shape[0]), T.dtype)
+            self._p = np.empty((fold, T.shape[1]), T.dtype)
+        self.rhs = self._last[:-1]
+
+    @property
+    def objective(self):
+        return -self._last[-1]
+
+    def column(self, j):
+        c = self._T[:, j]
+        if self._d is not None:
+            c = c - self._p[:self._etas, j] @ self._d[:self._etas]
+            c[-1] = self.rc[j]
+        return c
+
+    def row(self, i):
+        r = self._T[i]
+        if self._d is not None:
+            r = r - self._d[:self._etas, i] @ self._p[:self._etas]
+            r[-1] = self._last[i]
+        return r
+
+    def pivot(self, i, j, c):
+        """Column j, read as c by :meth:`column`, enters at row i."""
+        if self._d is None:
+            p = self._T[i] / c[i]
+            self._T -= np.multiply.outer(c, p)
+            self._T[i] = p
+            return
+        r, k = self.row(i), self._etas
+        r[j] = c[i]  # p[j] exactly 1, as in place, so rc[j] comes out 0
+        p = r / c[i]
+        self._d[k], self._p[k] = c, p
+        self._d[k, i] -= 1
+        self.rc -= c[-1] * p[:-1]
+        self._last -= c * p[-1]
+        self._last[i] = p[-1]
+        self._etas += 1
+        if self._etas == len(self._d):
+            self._T -= self._d.T @ self._p
+            self._etas = 0
 
 
-def _simplex(T, basis, labels=None):
-    """Pivot T to optimality; returns the pivot count. ``labels`` names each slot's
-    variable in a cold T (None: slot j holds variable j). The LP is bounded, so a column
-    with no row to leave is a numerical failure and raises :class:`SolverFailureError`."""
-    m, ncols = T.shape[0] - 1, T.shape[1] - 1
-    feasibility, optimality = (0, 0) if T.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
-    rc, rhs = T[m, :ncols], T[:m, -1]  # views: every pivot writes T in place
+def _simplex(T, basis):
+    """Pivot :class:`_Tableau` T to optimality; returns the pivot count. The LP is
+    bounded, so a column with no row to leave is a numerical failure and raises
+    :class:`SolverFailureError`."""
+    rc, rhs = T.rc, T.rhs  # every pivot writes them in place
+    m = rhs.size
+    feasibility, optimality = (0, 0) if rc.dtype == object else (FEASIBILITY_TOL, OPTIMALITY_TOL)
     bland, degenerate_run = False, 0
-    max_iter = 50 * (m + ncols + (0 if labels is None else m)) + 1000  # rows plus variables
+    max_iter = 50 * (m + rc.size) + 1000  # rows plus variables
     for pivots in range(max_iter):
         if bland:
             neg = (rc < -optimality).nonzero()[0]
             if neg.size == 0:
                 return pivots
-            col = neg[0] if labels is None else neg[labels[neg].argmin()]
+            col = neg[0]
         else:
             col = rc.argmin()
             if rc[col] >= -optimality:
                 return pivots
-            # Ties enter by variable index; argmin from either end differs only on a tie.
-            if labels is not None and rc[::-1].argmin() != ncols - 1 - col:
-                ties = (rc == rc[col]).nonzero()[0]
-                col = ties[labels[ties].argmin()]
-        colvals = T[:m, col]
+        c = T.column(col)
+        colvals = c[:m]
         rows = (colvals > feasibility).nonzero()[0]
         if rows.size == 0:
             raise SolverFailureError(
                 "simplex found no leaving row in matrix game",
-                diagnostics={"column": int(col if labels is None else labels[col]),
-                             "objective": float(-T[m, -1]), "bland": bland},
+                diagnostics={"column": int(col), "objective": float(T.objective), "bland": bland},
             )
         row = rows[0]
         if rows.size > 1:
@@ -159,22 +209,23 @@ def _simplex(T, basis, labels=None):
                 bland = True
         else:
             degenerate_run = 0
-        _pivot(T, basis, labels, row, col)
+        basis[row] = col
+        T.pivot(row, col, c)
     raise SolverFailureError(
         "simplex did not terminate in matrix game",
-        diagnostics={"iterations": max_iter, "objective": float(-T[m, -1]), "bland": bland},
+        diagnostics={"iterations": max_iter, "objective": float(T.objective), "bland": bland},
     )
 
 
 def _dual_simplex(T, basis):
-    """Pivot a full float T to a feasible rhs; returns the pivot count. The most
-    infeasible row leaves; only columns of feasible reduced cost enter, the largest
-    pivot among near ties, then the smallest variable index (slot = variable in a
-    full tableau). After a run of degenerate pivots (ratio 0) the rule switches to
-    Bland's, which cannot cycle: the infeasible row of the smallest basic variable
-    leaves and the smallest variable among the ratio ties enters."""
-    m, limit = T.shape[0] - 1, 50 * T.shape[1] + 1000
-    rc, rhs = T[m, :-1], T[:m, -1]
+    """Pivot a float :class:`_Tableau` T to a feasible rhs; returns the pivot count. The
+    most infeasible row leaves; only columns of feasible reduced cost enter, the largest
+    pivot among near ties, then the smallest variable index. After a run of degenerate
+    pivots (ratio 0) the rule switches to Bland's, which cannot cycle: the infeasible
+    row of the smallest basic variable leaves and the smallest variable among the ratio
+    ties enters."""
+    rc, rhs = T.rc, T.rhs
+    m, limit = rhs.size, 50 * (rc.size + 1) + 1000
     bland, degenerate_run = False, 0
     for pivots in range(limit + 1):
         row = rhs.argmin()
@@ -183,7 +234,7 @@ def _dual_simplex(T, basis):
         if bland:
             rows = (rhs < -FEASIBILITY_TOL).nonzero()[0]
             row = rows[basis[rows].argmin()]
-        a = T[row, :-1]
+        a = T.row(row)[:-1]
         cols = ((a < -FEASIBILITY_TOL) & (rc >= -OPTIMALITY_TOL)).nonzero()[0]
         if cols.size == 0 or pivots == limit:
             break
@@ -193,7 +244,8 @@ def _dual_simplex(T, basis):
         col = near[0] if bland else near[a[near].argmin()]
         degenerate_run = degenerate_run + 1 if best <= OPTIMALITY_TOL else 0
         bland = bland or degenerate_run > 20 + 2 * m
-        _pivot(T, basis, None, row, col)
+        basis[row] = col
+        T.pivot(row, col, T.column(col))
     raise SolverFailureError("dual simplex stalled",
                              diagnostics={"pivots": pivots, "row": int(row)})
 
@@ -215,8 +267,7 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     num = Fraction if exact else float
     values = _array(matrix, num) if exact else values
     m, n = values.shape
-    warm = start is not None
-    if warm:
+    if start is not None:
         if exact:
             raise InvalidInputError("start basis: float only")
         members = _check_ints(start, "start basis members", -m, n - 1)
@@ -224,34 +275,33 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
             raise InvalidInputError("start basis: no repeats, at most one member per row")
     shift = 1 - num(values.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
-    T = _array(np.zeros((m + 1, n + 1 + (m if warm else 0))), num)
+    T = _array(np.zeros((m + 1, n + m + 1)), num)
     T[:m, :n] = values + shift
+    T[:m, n:-1] = _array(np.eye(m), num)
     T[:m, -1] = num(1)
     T[m, :n] = num(-1)
-    basis = np.arange(n, n + m)
-    labels, pivots = (None if warm else np.arange(n)), 0
-    if warm:  # rebuild T from the start basis; its new rows keep their slacks
-        T[:m, n:-1] = np.eye(m)
+    basis, pivots = np.arange(n, n + m), 0
+    if start is None:
+        tableau = _Tableau(T)
+    else:  # rebuild T from the start basis; its new rows keep their slacks
         basis[:members.size] = np.where(members >= 0, members, n + ~members)
         try:
             T[:m] = np.linalg.solve(T[:m, basis], T[:m])
             T[m] -= T[m, basis] @ T[:m]
-            pivots = _dual_simplex(T, basis)
+            tableau = _Tableau(T)
+            pivots = _dual_simplex(tableau, basis)
         except (np.linalg.LinAlgError, SolverFailureError) as error:  # singular or stuck: go cold
             cold, stuck = solve_matrix_game(matrix), getattr(error, "diagnostics", {})
             return replace(cold, pivots=cold.pivots + stuck.get("pivots", 0), cold_restart=True)
-    pivots += _simplex(T, basis, labels)
+    pivots += _simplex(tableau, basis)
     z = _array(np.zeros(n), num)
     structural = basis < n
-    z[basis[structural]] = T[:m, -1][structural]
+    z[basis[structural]] = tableau.rhs[structural]
     total = num(z.sum())
     if total <= 0:  # pragma: no cover - impossible for a positive matrix
         raise SolverFailureError("matrix-game LP returned a zero mixture")
-    rc = T[m, :-1] if labels is None else _array(np.zeros(n + m), num)
-    if labels is None:  # a refactored basic column may keep round-off in its reduced cost
-        rc[basis] = 0
-    else:  # a variable without a column is basic, at reduced cost 0
-        rc[labels] = T[m, :n]
+    rc = tableau.rc
+    rc[basis] = num(0)  # a refactored or product-form basic column may keep round-off here
     # Slack reduced costs are the dual; a float one may sit just below 0.
     w = rc[n:] if exact else np.maximum(rc[n:], 0.0)
     return GameSolution(1 / total - shift, _result(w / num(w.sum())), _result(z / total),

@@ -65,18 +65,21 @@ class Network:
     def __post_init__(self):
         # Node ids become masks through bit operations, so they are stored as plain ints.
         n = _check_int(self.node_count, "node count", 1)
-        edges = [tuple(_check_int(end, "edge endpoint", 1, n) for end in (u, v))
-                 for u, v in self.edges]
+        try:
+            pairs = [(u, v) for u, v in self.edges]
+        except (TypeError, ValueError):  # not iterable, or an edge that is not a pair
+            raise InvalidInputError("edges must be pairs of node ids") from None
+        edges = [tuple(_check_int(end, "edge endpoint", 1, n) for end in pair) for pair in pairs]
         for u, v in edges:
             if u == v:
                 raise InvalidInputError(f"self-loop at node {u}")
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", tuple(sorted({(min(e), max(e)) for e in edges})))
         if self.node_values is not None:
-            if len(self.node_values) != self.node_count:
+            values = _check_reals(self.node_values, "node values")
+            if values.shape != (n,):
                 raise InvalidInputError("node_values length must equal node_count")
-            values = _check_reals(self.node_values, "node values").tolist()
-            object.__setattr__(self, "node_values", tuple(values))
+            object.__setattr__(self, "node_values", tuple(values.tolist()))
 
     @property
     def full_mask(self) -> int:

@@ -289,6 +289,14 @@ def _entries(masks: np.ndarray | None, row: np.ndarray) -> dict:
     return dict(zip((kept if masks is None else masks[kept]).tolist(), row[kept].tolist()))
 
 
+def _cut_small(table: np.ndarray, tol) -> None:
+    """The float cutoff: entries below ``tol`` in magnitude (a scalar, or one per row)
+    become +0.0, and so does -0.0, which ``abs(x) < tol`` misses at tol 0. An exact
+    (object) table is left as it is: it drops only exact zeros, and has no -0.0."""
+    if table.dtype != object:
+        table[(abs(table) < tol) | (table == 0)] = 0
+
+
 def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False) -> MobiusTransform:
     """Interaction coefficients of ``f``.
 
@@ -311,8 +319,7 @@ def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False)
     if sums is None:
         return MobiusTransform(f.ground)
     masks, table = sums
-    if not exact:
-        table[abs(table) < SPARSITY_SCALE * f.max_abs()] = 0
+    _cut_small(table, 0 if exact else SPARSITY_SCALE * f.max_abs())
     return MobiusTransform(f.ground, _entries(masks, table[0]))
 
 

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setgames import GameSpec, GroundSet, SetFunction, build_compact_game
 from setgames.oracles import partition_support
@@ -142,7 +142,18 @@ def exact_coefficients(spec):
     return [{u: v for u, v in sorted(map_.items()) if v} for map_ in maps]
 
 
+def negative_zero_spec():
+    """n = 1, c = 0, k = 1, a benefit of -0.0 everywhere and an attacker cost
+    on the empty set: its cutoff is 0, and ``abs(-0.0) < 0`` is false."""
+    ground = GroundSet(1)
+    with warnings.catch_warnings():  # a nonzero value on the empty set warns
+        warnings.simplefilter("ignore")
+        return GameSpec(ground, SetFunction(ground, {}, default=-0.0),
+                        SetFunction(ground, {0: 1.0}), SetFunction(ground), 0, 1)
+
+
 @given(game_specs())
+@example(negative_zero_spec())
 @settings(max_examples=150, deadline=None)
 def test_build_matches_per_mask_reference(spec):
     want = reference_coefficients(spec)

@@ -308,6 +308,15 @@ class TestVertexMapping:
         with pytest.raises(InvalidVertexError):
             vertex_to_strategy(row, support)
 
+    def test_rejects_coords_that_are_not_numbers(self):
+        support = compact.SupportSet.from_members(2, [3])
+        with pytest.raises(InvalidVertexError, match="coordinate for singleton 1 is 'a'"):
+            vertex_to_strategy(["a"] * 4, support)
+        row = [0.0] * 4
+        row[support.singleton_positions[1]] = None
+        with pytest.raises(InvalidVertexError, match="singleton 2 is None"):
+            vertex_to_strategy(row, support)
+
     def test_rejects_coords_of_the_wrong_length(self):
         support = build_compact_game(make_spec(2, {})).support
         row = defense_row(1, support)

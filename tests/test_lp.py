@@ -1,6 +1,8 @@
 """LP core: matrix games solved by one simplex each, with both players'
 mixtures read from one tableau; duality and equivariance checks, and warm
-starts from an earlier basis."""
+starts from an earlier basis. The solve, tie-rule and warm-start tests run
+again with every tableau pivoting in product form (the ``InProductForm``
+classes), and the two pivot paths are checked against each other."""
 
 import hashlib
 import json
@@ -29,11 +31,20 @@ def digest(values):
     return hashlib.sha256(" ".join(map(float.hex, map(float, values))).encode()).hexdigest()[:16]
 
 
-def full_tableau(condensed, num):
-    """The (m+1, n+m+1) tableau of a cold condensed one: slack unit columns inserted before the rhs."""
-    m = condensed.shape[0] - 1
-    slacks = lp._array(np.eye(m + 1, m, dtype=int).tolist(), num)
-    return np.hstack([condensed[:, :-1], slacks, condensed[:, -1:]])
+@pytest.fixture
+def product_form(monkeypatch):
+    """Every tableau pivots in product form, however small."""
+    monkeypatch.setattr(lp, "INPLACE_CELLS", 0)
+
+
+def read_back(tableau):
+    """The current (m+1, n+m+1) tableau, read a column at a time as the simplex reads it."""
+    last = np.append(tableau.rhs, -tableau.objective)
+    return np.column_stack([tableau.column(j) for j in range(tableau.rc.size)] + [last])
+
+
+def net_wide_matrix():
+    return np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
 
 
 def assert_solution_certifies(matrix, sol, tol=1e-8):
@@ -180,8 +191,8 @@ class TestMatrixGames:
             solve_matrix_game(np.zeros((4000, 3000)))
 
     def test_pivot_path_is_pinned(self):
-        # The cold path runs no BLAS, so these counts and the final basis
-        # hold on every platform.
+        # The 39x59 tableau (3,960 cells) pivots in place and runs no BLAS,
+        # so these counts and the final basis hold on every platform.
         data = json.loads(NET_WIDE_GAME.read_text())
         m = np.array(data["matrix"], dtype=float)
         sol = solve_matrix_game(m)
@@ -196,7 +207,7 @@ class TestMatrixGames:
         assert exact.basis == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
 
     def test_cold_bits_are_pinned(self):
-        # The bits of the full (m+1, n+m+1) tableau, which the condensed one keeps.
+        # The bits of cold solves that pivot in place.
         m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
         sol = solve_matrix_game(m)
         assert float.hex(sol.value) == "0x1.1c5df88808312p+7"
@@ -210,38 +221,41 @@ class TestMatrixGames:
         assert digest(sol.row_strategy) == "65b1f5080cc54f00"
         assert digest(sol.col_strategy) == "f6b21d8f00ee6d03"
 
-    def test_cold_tableau_holds_no_slack_columns(self, monkeypatch):
-        m = np.array(json.loads(NET_WIDE_GAME.read_text())["matrix"], dtype=float)
+    def test_cold_and_warm_tableaux_hold_every_column(self, monkeypatch):
+        m = net_wide_matrix()
         start = solve_matrix_game(m[:20, :30]).basis
         shapes = []
         simplex = lp._simplex
 
-        def recorded(T, basis, labels=None):
-            shapes.append(T.shape)
-            return simplex(T, basis, labels)
+        def recorded(T, basis):
+            shapes.append((T.rhs.size, T.rc.size))
+            return simplex(T, basis)
 
         monkeypatch.setattr(lp, "_simplex", recorded)
         solve_matrix_game(m)
-        solve_matrix_game(m, start=start)  # a warm tableau keeps every column
-        assert shapes == [(40, 60), (40, 99)]
+        solve_matrix_game(m, start=start)
+        assert shapes == [(39, 98), (39, 98)]
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("exact", [False, True])
     def test_cold_solve_matches_the_full_tableau(self, seed, exact):
-        # Small integer games tie often; the condensed solve must pivot and
-        # end exactly as the full tableau's simplex does.
+        # Small integer games tie often; the solve must pivot and end exactly
+        # as the simplex does on the full tableau built by hand.
         rng = np.random.default_rng(seed)
         ints = rng.integers(-3, 4, size=(rng.integers(2, 9), rng.integers(2, 9)))
         sol = solve_matrix_game(ints.tolist() if exact else ints.astype(float), exact=exact)
         num = Fraction if exact else float
         m, n = ints.shape
-        cold = lp._array(np.zeros((m + 1, n + 1)), num)
-        cold[:m, :n] = lp._array((ints + 1 - ints.min()).tolist(), num)
-        cold[:m, -1], cold[m, :n] = num(1), num(-1)
-        full, basis = full_tableau(cold, num), np.arange(n, n + m)
-        assert lp._simplex(full, basis) == sol.pivots
+        full = lp._array(np.zeros((m + 1, n + m + 1)), num)
+        full[:m, :n] = lp._array((ints + 1 - ints.min()).tolist(), num)
+        full[:m, n:-1] = lp._array(np.eye(m), num)
+        full[:m, -1], full[m, :n] = num(1), num(-1)
+        tableau, basis = lp._Tableau(full), np.arange(n, n + m)
+        assert lp._simplex(tableau, basis) == sol.pivots
         assert sol.basis == tuple(np.where(basis < n, basis, n + ~basis).tolist())
-        w = full[m, n:-1] if exact else np.maximum(full[m, n:-1], 0.0)
+        rc = tableau.rc.copy()
+        rc[basis] = num(0)
+        w = rc[n:] if exact else np.maximum(rc[n:], 0.0)
         expected = w / num(w.sum())
         if exact:
             assert sol.row_strategy == expected.tolist()
@@ -251,15 +265,13 @@ class TestMatrixGames:
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_raises_when_no_row_can_leave(self, exact):
         # maximize z subject to -z + s = 1: z enters and nothing bounds it.
+        # The failure names variable 0 and the objective reached.
         num = Fraction if exact else float
         T = lp._array([[-1, 1, 1], [-1, 0, 0]], num)
-        with pytest.raises(SolverFailureError):
-            lp._simplex(T, [1])
-        # Condensed: only z's column is held, and the failure names variable 0.
-        T = lp._array([[-1, 1], [-1, 0]], num)
         with pytest.raises(SolverFailureError) as failure:
-            lp._simplex(T, np.array([1]), np.array([0]))
+            lp._simplex(lp._Tableau(T), np.array([1]))
         assert failure.value.diagnostics["column"] == 0
+        assert failure.value.diagnostics["objective"] == 0
 
 
 class TestTieRules:
@@ -270,37 +282,20 @@ class TestTieRules:
         ints[2, 4] = 3
         T = lp._array(ints.tolist(), num) / 7
         before = T.copy()
-        basis = np.zeros(4, dtype=np.intp)
-        lp._pivot(T, basis, None, 2, 4)
-        assert basis.tolist() == [0, 0, 4, 0]
+        tableau = lp._Tableau(T)
+        tableau.pivot(2, 4, tableau.column(4))
+        after = read_back(tableau)
         unit = lp._array(np.eye(5)[:, 2], num)
-        assert np.array_equal(T[:, 4], unit)
         expected = before - np.outer(before[:, 4], before[2] / before[2, 4])
         expected[2] = before[2] / before[2, 4]
+        if exact or T.size <= lp.INPLACE_CELLS:
+            assert np.array_equal(after[:, 4], unit)
+        else:  # a float eta d = c - e_i rounds
+            assert np.allclose(after[:, 4], unit, rtol=0, atol=1e-15)
         if exact:
-            assert T.tolist() == expected.tolist()
+            assert after.tolist() == expected.tolist()
         else:
-            assert np.allclose(T, expected, rtol=1e-15, atol=1e-15)
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_condensed_pivot_gives_the_full_tableau_bits(self, exact):
-        # Variable 1 enters at row 2 and slack 5 leaves: its unit column takes
-        # slot 1, and every held column gets the full tableau's bits.
-        num = Fraction if exact else float
-        ints = np.random.default_rng(4).integers(-9, 10, size=(5, 4))
-        ints[2, 1] = 6
-        condensed = lp._array(ints.tolist(), num) / 7
-        full = full_tableau(condensed, num)
-        full_basis, basis, labels = np.arange(3, 7), np.arange(3, 7), np.arange(3)
-        lp._pivot(full, full_basis, None, 2, 1)
-        lp._pivot(condensed, basis, labels, 2, 1)
-        assert basis.tolist() == full_basis.tolist() == [3, 4, 1, 6]
-        assert labels.tolist() == [0, 5, 2]
-        held = full[:, [*labels, -1]]
-        if exact:
-            assert condensed.tolist() == held.tolist()
-        else:
-            assert condensed.tobytes() == np.ascontiguousarray(held).tobytes()
+            assert np.allclose(after, expected, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_ratio_tie_leaves_the_smallest_basis_index(self, exact):
@@ -309,13 +304,8 @@ class TestTieRules:
         num = Fraction if exact else float
         T = lp._array([[1, 0, 1, 1], [1, 1, 0, 1], [-1, 0, 0, 0]], num)
         basis = np.array([2, 1])
-        assert lp._simplex(T, basis) == 1
+        assert lp._simplex(lp._Tableau(T), basis) == 1
         assert basis.tolist() == [2, 0]
-        # Condensed, the same LP holds column 0 only; variable 1 takes its slot.
-        T = lp._array([[1, 1], [1, 1], [-1, 0]], num)
-        basis, labels = np.array([2, 1]), np.array([0])
-        assert lp._simplex(T, basis, labels) == 1
-        assert basis.tolist() == [2, 0] and labels.tolist() == [1]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_near_tie_is_a_tie_only_in_floats(self, exact):
@@ -325,50 +315,45 @@ class TestTieRules:
         num = Fraction if exact else float
         T = lp._array([[1, 0, 1, 1], [1, 1, 0, 1 + 1e-12], [-1, 0, 0, 0]], num)
         basis = np.array([2, 1])
-        lp._simplex(T, basis)
+        lp._simplex(lp._Tableau(T), basis)
         assert basis.tolist() == ([0, 1] if exact else [2, 0])
-        T = lp._array([[1, 1], [1, 1 + 1e-12], [-1, 0]], num)
-        basis, labels = np.array([2, 1]), np.array([0])
-        lp._simplex(T, basis, labels)
-        assert basis.tolist() == ([0, 1] if exact else [2, 0])
-        assert labels.tolist() == ([2] if exact else [1])
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_condensed_dantzig_tie_enters_the_smallest_variable(self, exact):
-        # Slot 0 holds slack 2 and slot 1 variable 0, both at reduced cost -1:
-        # variable 0 enters, as it would from the full tableau.
+    def test_dantzig_tie_enters_the_smallest_variable(self, exact):
+        # Variables 0 and 2 tie at reduced cost -1, and variable 2 has the
+        # larger ratio-test pivot; variable 0 enters.
         num = Fraction if exact else float
-        T = lp._array([[1, 1, 1], [-1, -1, 0]], num)
-        basis, labels = np.array([1]), np.array([2, 0])
-        assert lp._simplex(T, basis, labels) == 1
-        assert basis.tolist() == [0] and labels.tolist() == [2, 1]
+        T = lp._array([[1, 1, 2, 1], [-1, 0, -1, 0]], num)
+        basis = np.array([1])
+        assert lp._simplex(lp._Tableau(T), basis) == 1
+        assert basis.tolist() == [0]
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_condensed_bland_run_matches_the_full_tableau(self, exact):
+    def test_bland_run_ends_beales_cycle(self, exact):
         # Beale's example cycles under Dantzig's rule; after the degenerate
-        # run the Bland pivots must pick variables by index, not by slot.
+        # run the Bland pivots pick variables by index and reach the optimum.
         num = Fraction if exact else float
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        condensed = lp._array([[quarter, -8, -1, 9, 0], [half, -12, -half, 3, 0],
-                               [0, 0, 1, 0, 1], [-3 * quarter, 20, -half, 6, 0]], num)
-        full = full_tableau(condensed, num)
-        full_basis, basis, labels = np.arange(4, 7), np.arange(4, 7), np.arange(4)
-        assert lp._simplex(full, full_basis) == lp._simplex(condensed, basis, labels) == 30
-        assert basis.tolist() == full_basis.tolist() == [2, 4, 0]
-        held = full[:, [*labels, -1]]
-        if exact:
-            assert condensed.tolist() == held.tolist()
-        else:
-            assert condensed.tobytes() == np.ascontiguousarray(held).tobytes()
+        basis = np.arange(4, 7)
+        tableau = lp._Tableau(beale_tableau(num))
+        assert lp._simplex(tableau, basis) == 30
+        assert basis.tolist() == [2, 4, 0]
+        assert tableau.objective == (Fraction(-5, 4) if exact else pytest.approx(-1.25, abs=1e-12))
 
     def test_dual_simplex_near_tie_enters_the_most_negative_pivot(self):
         # Row 0 is infeasible; columns 0 and 1 tie at ratio 1, and column 1
         # has the more negative entry, so it enters although column 0 comes first.
         T = lp._array([[-1, -2, 1, -1], [1, 2, 0, 0]], float)
-        basis = np.array([2])
-        assert lp._dual_simplex(T, basis) == 1
+        tableau, basis = lp._Tableau(T), np.array([2])
+        assert lp._dual_simplex(tableau, basis) == 1
         assert basis.tolist() == [1]
-        assert T[0, -1] == 0.5
+        assert tableau.rhs[0] == 0.5
+
+
+def beale_tableau(num):
+    """Beale's LP, which cycles under Dantzig's rule, as a full tableau over the slack basis."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    return lp._array([[quarter, -8, -1, 9, 1, 0, 0, 0], [half, -12, -half, 3, 0, 1, 0, 0],
+                      [0, 0, 1, 0, 0, 0, 1, 1], [-3 * quarter, 20, -half, 6, 0, 0, 0, 0]], num)
 
 
 def _growth(kind):
@@ -430,14 +415,20 @@ class TestWarmStart:
     @pytest.mark.usefixtures("unseeded")
     @pytest.mark.parametrize("seed", range(6))
     def test_only_the_first_restricted_round_starts_cold(self, monkeypatch, seed):
-        # A cold tableau carries slot labels; a warm one does not.
-        cold = []
-        simplex = lp._simplex
+        # A warm solve runs the dual simplex before the primal one; a cold one does not.
+        cold, dual, simplex = [], lp._dual_simplex, lp._simplex
+        warm = []
 
-        def recorded(T, basis, labels=None):
-            cold.append(labels is not None)
-            return simplex(T, basis, labels)
+        def recorded_dual(T, basis):
+            warm.append(1)
+            return dual(T, basis)
 
+        def recorded(T, basis):
+            cold.append(not warm)
+            warm.clear()
+            return simplex(T, basis)
+
+        monkeypatch.setattr(lp, "_dual_simplex", recorded_dual)
         monkeypatch.setattr(lp, "_simplex", recorded)
         trace = []
         solve_compact(random_game(np.random.default_rng(seed), 7, 3, 3), trace=trace)
@@ -483,12 +474,12 @@ class TestWarmStart:
         calls = []
 
         def stuck(T, basis):
-            calls.append(T.shape)
+            calls.append((T.rhs.size, T.rc.size))
             raise SolverFailureError("dual simplex stalled")
 
         monkeypatch.setattr(lp, "_dual_simplex", stuck)
         warm = solve_matrix_game(m, start=start)
-        assert calls == [(40, 99)]
+        assert calls == [(39, 98)]
         assert warm.value == cold.value and warm.pivots == cold.pivots
         assert np.array_equal(warm.row_strategy, cold.row_strategy)
         assert np.array_equal(warm.col_strategy, cold.col_strategy)
@@ -581,5 +572,137 @@ class TestWarmStart:
         # x + s = -1 has no solution with x, s >= 0, so no column can enter.
         T = lp._array([[1, 1, -1], [-1, 0, 0]], float)
         with pytest.raises(SolverFailureError):
-            lp._dual_simplex(T, [1])
+            lp._dual_simplex(lp._Tableau(T), np.array([1]))
 
+
+
+@pytest.mark.usefixtures("product_form")
+class TestMatrixGamesInProductForm(TestMatrixGames):
+    """The solves above with product-form pivots. They read BLAS products, so
+    the pins of the in-place bits give way to the value and the duality gap;
+    an exact solve makes the same choices on either path."""
+
+    def test_pivot_path_is_pinned(self):
+        data = json.loads(NET_WIDE_GAME.read_text())
+        m = np.array(data["matrix"], dtype=float)
+        sol = solve_matrix_game(m)
+        # More pivots than the etas' fold point: the solve folds them into T once.
+        assert sol.pivots > -(-40 * 99 // (40 + 99))
+        assert sol.value == pytest.approx(data["value"], rel=1e-12)
+        p, q = np.asarray(sol.row_strategy), np.asarray(sol.col_strategy)
+        assert (m @ q).max() - (p @ m).min() <= 1e-9 * abs(m).max()
+        exact = solve_matrix_game([[int(v) for v in row] for row in m[:12, :16]], exact=True)
+        assert exact.pivots == 19
+        assert exact.value == Fraction(391847654165169451, 2574149836328142)
+        assert exact.basis == (-1, -5, 3, 2, -8, 12, 6, 10, 8, 14, -3, 7)
+
+    def test_cold_bits_are_pinned(self):
+        m = net_wide_matrix()
+        assert solve_matrix_game(m).value == pytest.approx(float.fromhex("0x1.1c5df88808312p+7"),
+                                                         rel=1e-12)
+        nf = expand_normal_form(random_game(np.random.default_rng(0), 6, 3, 3))
+        sol = solve_matrix_game(nf.matrix)
+        assert sol.value == pytest.approx(float.fromhex("-0x1.cb06ec951b9c0p-5"), rel=1e-12)
+        assert_solution_certifies(nf.matrix, sol, tol=1e-12)
+
+
+@pytest.mark.usefixtures("product_form")
+class TestTieRulesInProductForm(TestTieRules):
+    """The tie rules above with product-form pivots."""
+
+
+@pytest.mark.usefixtures("product_form")
+class TestWarmStartInProductForm(TestWarmStart):
+    """The warm starts above with product-form pivots."""
+
+
+def paths(solve):
+    """``solve()`` with in-place pivots, then with product-form ones."""
+    in_place = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "INPLACE_CELLS", 0)
+        return in_place, solve()
+
+
+class TestPivotPaths:
+    def test_size_rule_picks_the_path(self):
+        # Past INPLACE_CELLS a tableau keeps its own reduced costs and rhs
+        # rather than views of T.
+        for cells, product in ((lp.INPLACE_CELLS, False), (lp.INPLACE_CELLS + 1, True)):
+            T = np.zeros((1, cells))
+            assert (lp._Tableau(T).rc.base is T) is not product
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_product_form_pivots_match_in_place(self, exact):
+        # Pivots on nonzero entries, past the fold point (ceil(8 * 15 / 23) = 6
+        # etas): every column read, the reduced costs and the rhs agree.
+        num = Fraction if exact else float
+        rng = np.random.default_rng(4)
+        T = lp._array(rng.integers(-9, 10, size=(8, 15)).tolist(), num) / 7
+        pivots = [(i % 7, j) for i, j in enumerate(rng.permutation(14)[:11])]
+
+        def pivoted():
+            tableau = lp._Tableau(T.copy())
+            for i, j in pivots:
+                c = tableau.column(j)
+                assert c[i] != 0
+                tableau.pivot(i, j, c)
+            return read_back(tableau)
+
+        in_place, product = paths(pivoted)
+        if exact:
+            assert in_place.tolist() == product.tolist()
+        else:
+            assert np.allclose(in_place, product, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.usefixtures("product_form")
+    def test_product_form_reads_the_eager_reduced_costs_and_rhs(self):
+        # Where a column read crosses the reduced costs, or a row read the rhs,
+        # it returns those arrays, so an entering column's reduced cost is
+        # exactly 0 after its pivot, as it is in place.
+        rng = np.random.default_rng(5)
+        tableau = lp._Tableau(rng.normal(size=(6, 12)))
+        for i, j in zip([0, 3, 1, 4, 2, 0, 3, 4], [2, 7, 9, 0, 5, 10, 1, 3]):
+            tableau.pivot(i, j, tableau.column(j))
+            assert tableau.rc[j] == 0
+            assert [tableau.row(r)[-1] for r in range(5)] == tableau.rhs.tolist()
+            assert [tableau.column(k)[-1] for k in range(11)] == tableau.rc.tolist()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_bland_run_matches_in_place(self, exact):
+        num = Fraction if exact else float
+
+        def run():
+            tableau, basis = lp._Tableau(beale_tableau(num)), np.arange(4, 7)
+            return lp._simplex(tableau, basis), basis.tolist(), read_back(tableau)
+
+        (pivots, basis, in_place), (product_pivots, product_basis, product) = paths(run)
+        assert (pivots, basis) == (product_pivots, product_basis) == (30, [2, 4, 0])
+        if exact:
+            assert in_place.tolist() == product.tolist()
+        else:
+            assert np.allclose(in_place, product, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_solves_agree(self, seed, exact):
+        # An exact solve makes the same choices on both paths; a float one
+        # reaches the same value, and each certifies on its own.
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(-3, 4, size=(rng.integers(2, 20), rng.integers(2, 20)))
+        matrix = ints.tolist() if exact else ints.astype(float)
+        in_place, product = paths(lambda: solve_matrix_game(matrix, exact=exact))
+        if exact:
+            assert in_place == product
+        else:
+            assert product.value == pytest.approx(in_place.value, rel=1e-12, abs=1e-12)
+            for sol in (in_place, product):
+                assert_solution_certifies(ints, sol, tol=1e-12)
+
+    def test_warm_solves_agree(self):
+        m = net_wide_matrix()
+        start = solve_matrix_game(m[:30, :45]).basis
+        in_place, product = paths(lambda: solve_matrix_game(m, start=start))
+        assert not in_place.cold_restart and not product.cold_restart
+        assert product.value == pytest.approx(in_place.value, rel=1e-12)
+        assert_solution_certifies(m, product, tol=1e-9)

@@ -106,6 +106,9 @@ class TestNetwork:
         assert induce_benefit(net, vf, fop, 2).entries == expected.entries
         with pytest.raises(InvalidInputError):
             Network(4, ((1, 2.0),))
+        for edges in ([(1, 2, 3)], [(1,)], 5, [7]):  # not pairs, or not a collection of them
+            with pytest.raises(InvalidInputError, match="edges must be pairs"):
+                Network(2, edges)
 
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidInputError):
@@ -121,9 +124,11 @@ class TestNetwork:
 
     def test_rejects_bad_node_values(self):
         for bad in ((1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0), (1.0, True, 1.0),
-                    (1.0, "2", 1.0), (1.0, 2.0), (1.0, 10**400, 1.0)):
+                    (1.0, "2", 1.0), (1.0, 2.0), (1.0, 10**400, 1.0), 5, "abc"):
             with pytest.raises(InvalidInputError):
                 Network(3, ((1, 2),), node_values=bad)
+        with pytest.raises(InvalidInputError, match="node_values length"):
+            Network(1, (), 5)  # a number, not a sequence of them
 
     def test_edge_list_parsing(self):
         net = network_from_text("nodes 3\n1 2\n2 3\n")
