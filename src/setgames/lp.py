@@ -22,12 +22,14 @@ ties); after a run of degenerate pivots the rule switches to Bland's, which
 cannot cycle. Leaving row by the minimum-ratio test, ties broken toward the
 smallest basis index. The simplex loops read T only a column, a row, the
 reduced costs or the rhs at a time (:class:`_Tableau`), so one set of rules
-serves two ways to pivot. A tableau of at most :data:`INPLACE_CELLS` cells
+serves two ways to pivot. A float tableau of more than :data:`INPLACE_CELLS`
+cells pivots in product form (Dantzig and Orchard-Hays, 1954): T stays as
+built, each pivot appends one eta, and only the entering column and the leaving
+row are read, at a cost that grows with the etas, not with T. Any other tableau
 pivots in place, by one rank-1 update; ``x - x*1`` is exactly 0 in floats, so
-from the slack basis the basic columns stay exact unit vectors. A larger one
-pivots in product form (Dantzig and Orchard-Hays, 1954): T stays as built,
-each pivot appends one eta, and only the entering column and the leaving row
-are read, at a cost that grows with the etas, not with T.
+from the slack basis the basic columns stay exact unit vectors. A cold solve of
+a game with more rows than columns pivots the tableau of -M^T, n + 1 rows
+rather than m + 1, and reads M's mixtures, value and complementary basis from it.
 
 A float solve may start from the final basis of an earlier solve of a
 leading block of M, as constraint generation does each round. A start is its
@@ -66,11 +68,11 @@ MAX_GAME_CELLS = 10_000_000
 # Pivoting thresholds of a float tableau; a Fraction tableau uses zero.
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
-# Tableaux of more cells pivot in product form (:class:`_Tableau`). A measured
-# crossover (2-vCPU Xeon, numpy 2.4 with OpenBLAS on one thread): cold solves of
-# random 40x40 and 48x48 integer games (3,321 and 4,753 cells) took 1.07x and
-# 1.01x as long in product form, 64x64 ones (8,385) 0.90x, and the LP calls of
-# a net-small pass took the same time at any limit from 2,048 to 8,192.
+# Float tableaux of more cells pivot in product form (:func:`_product_form`). A
+# measured crossover (2-vCPU Xeon, numpy 2.4 with OpenBLAS on one thread): cold
+# solves of random 40x40 and 48x48 integer games (3,321 and 4,753 cells) took
+# 1.07x and 1.01x as long in product form, 64x64 ones (8,385) 0.90x, and the LP
+# calls of a net-small pass took the same time at any limit from 2,048 to 8,192.
 INPLACE_CELLS = 4096
 
 
@@ -107,24 +109,33 @@ def _result(a):
     return a.tolist() if a.dtype == object else a
 
 
+def _product_form(T):
+    """Whether T pivots in product form: a float tableau of more than :data:`INPLACE_CELLS`
+    cells. A Fraction tableau always pivots in place; an object matrix product runs no
+    BLAS, and its fold costs as many Fraction operations as the in-place pivots it
+    replaces, so exact cold solves from 12x16 to 56x56 took 1.2x to 1.6x as long in
+    product form (on the host above)."""
+    return T.size > INPLACE_CELLS and T.dtype != object
+
+
 class _Tableau:
     """The full tableau T as the simplex loops read it: :meth:`column`, :meth:`row`,
     and ``rc`` and ``rhs``, which every :meth:`pivot` updates in place.
 
-    Up to :data:`INPLACE_CELLS` cells T pivots in place (``p = T[i] / c[i]``,
-    ``T -= outer(c, p)``, ``T[i] = p``) and every read is a view. A larger T stays as
+    Outside :func:`_product_form` T pivots in place (``p = T[i] / c[i]``,
+    ``T -= outer(c, p)``, ``T[i] = p``) and every read is a view. In it T stays as
     built: each pivot appends the eta ``d = c - e_i`` and p, the current tableau being
     T minus their outer products, and ``rc`` and ``rhs`` (with the objective) are
     updated eagerly and win over the etas where a read crosses them. Once the etas
-    hold as many numbers as T, one matrix product folds them into it; an object
-    (Fraction) product is exact.
+    hold as many numbers as T, one matrix product folds them into it. Neither path
+    depends on the arithmetic; an object (Fraction) product is exact.
     """
 
     def __init__(self, T):
         self._T, self._etas = T, 0
         self._last, self.rc = T[:, -1], T[-1, :-1]
         self._d = self._p = None
-        if T.size > INPLACE_CELLS:
+        if _product_form(T):
             self._last, self.rc = self._last.copy(), self.rc.copy()
             fold = -(-T.size // sum(T.shape))  # etas of sum(T.shape) numbers each
             self._d = np.empty((fold, T.shape[0]), T.dtype)
@@ -250,6 +261,15 @@ def _dual_simplex(T, basis):
                              diagnostics={"pivots": pivots, "row": int(row)})
 
 
+def _complement(basis, m, n):
+    """M's basis complementary to ``basis``, an optimal one of -M^T: column j is basic
+    where -M^T's row j keeps no slack, row i's slack where -M^T's column i is not basic.
+    Row i holds its own slack or, in order, the next of those columns."""
+    members = set(basis)
+    columns = (j for j in range(n) if ~j not in members)
+    return tuple(next(columns) if i in members else ~i for i in range(m))
+
+
 def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None) -> GameSolution:
     """Optimal mixed strategies of a finite zero-sum game (rows maximize ``matrix``).
 
@@ -273,6 +293,10 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
         members = _check_ints(start, "start basis members", -m, n - 1)
         if members.size > m or len(set(members.tolist())) < members.size:
             raise InvalidInputError("start basis: no repeats, at most one member per row")
+    if start is None and m > n:  # -M^T's tableau has n + 1 rows, not m + 1
+        dual = solve_matrix_game(-values.T, exact=exact)
+        return GameSolution(-dual.value, dual.col_strategy, dual.row_strategy,
+                            _complement(dual.basis, m, n), dual.pivots)
     shift = 1 - num(values.min())
     # max 1.z : (M + shift) z <= 1  ->  min -1.z from the slack identity basis
     T = _array(np.zeros((m + 1, n + m + 1)), num)

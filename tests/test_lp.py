@@ -33,8 +33,8 @@ def digest(values):
 
 @pytest.fixture
 def product_form(monkeypatch):
-    """Every tableau pivots in product form, however small."""
-    monkeypatch.setattr(lp, "INPLACE_CELLS", 0)
+    """Every tableau pivots in product form, however small, float or Fraction."""
+    monkeypatch.setattr(lp, "_product_form", lambda T: True)
 
 
 def read_back(tableau):
@@ -240,27 +240,51 @@ class TestMatrixGames:
     @pytest.mark.parametrize("exact", [False, True])
     def test_cold_solve_matches_the_full_tableau(self, seed, exact):
         # Small integer games tie often; the solve must pivot and end exactly
-        # as the simplex does on the full tableau built by hand.
+        # as the simplex does on the full tableau built by hand: M's, or with
+        # more rows than columns -M^T's, whose row mixture is M's column one.
         rng = np.random.default_rng(seed)
         ints = rng.integers(-3, 4, size=(rng.integers(2, 9), rng.integers(2, 9)))
         sol = solve_matrix_game(ints.tolist() if exact else ints.astype(float), exact=exact)
+        tall = ints.shape[0] > ints.shape[1]
+        game = -ints.T if tall else ints
         num = Fraction if exact else float
-        m, n = ints.shape
+        m, n = game.shape
         full = lp._array(np.zeros((m + 1, n + m + 1)), num)
-        full[:m, :n] = lp._array((ints + 1 - ints.min()).tolist(), num)
+        full[:m, :n] = lp._array((game + 1 - game.min()).tolist(), num)
         full[:m, n:-1] = lp._array(np.eye(m), num)
         full[:m, -1], full[m, :n] = num(1), num(-1)
         tableau, basis = lp._Tableau(full), np.arange(n, n + m)
         assert lp._simplex(tableau, basis) == sol.pivots
-        assert sol.basis == tuple(np.where(basis < n, basis, n + ~basis).tolist())
+        members = tuple(np.where(basis < n, basis, n + ~basis).tolist())
+        assert sol.basis == (lp._complement(members, n, m) if tall else members)
         rc = tableau.rc.copy()
         rc[basis] = num(0)
         w = rc[n:] if exact else np.maximum(rc[n:], 0.0)
         expected = w / num(w.sum())
+        mixture = sol.col_strategy if tall else sol.row_strategy
         if exact:
-            assert sol.row_strategy == expected.tolist()
+            assert mixture == expected.tolist()
         else:
-            assert sol.row_strategy.tobytes() == expected.tobytes()
+            assert mixture.tobytes() == expected.tobytes()
+
+    def test_tall_game_pivots_the_tableau_of_its_transpose(self, monkeypatch):
+        # 5,000 rows and 20 columns: the solve pivots -M^T's (21, 5,021) tableau
+        # rather than M's (5,001, 5,021) one, which would hold 25M cells.
+        m = np.random.default_rng(0).normal(size=(5000, 20))
+        dual = solve_matrix_game(-m.T)
+        shapes, simplex = [], lp._simplex
+
+        def recorded(T, basis):
+            shapes.append((T.rhs.size, T.rc.size))
+            return simplex(T, basis)
+
+        monkeypatch.setattr(lp, "_simplex", recorded)
+        sol = solve_matrix_game(m)
+        assert shapes == [(20, 5020)]
+        assert sol.value == -dual.value and sol.pivots == dual.pivots
+        assert np.array_equal(sol.row_strategy, dual.col_strategy)
+        assert np.array_equal(sol.col_strategy, dual.row_strategy)
+        assert_solution_certifies(m, sol, tol=1e-12)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_simplex_raises_when_no_row_can_leave(self, exact):
@@ -288,7 +312,7 @@ class TestTieRules:
         unit = lp._array(np.eye(5)[:, 2], num)
         expected = before - np.outer(before[:, 4], before[2] / before[2, 4])
         expected[2] = before[2] / before[2, 4]
-        if exact or T.size <= lp.INPLACE_CELLS:
+        if exact or not lp._product_form(T):
             assert np.array_equal(after[:, 4], unit)
         else:  # a float eta d = c - e_i rounds
             assert np.allclose(after[:, 4], unit, rtol=0, atol=1e-15)
@@ -419,9 +443,10 @@ class TestWarmStart:
         cold, dual, simplex = [], lp._dual_simplex, lp._simplex
         warm = []
 
-        def recorded_dual(T, basis):
+        def recorded_dual(T, basis):  # a stuck run, then a cold restart, counts as cold
+            pivots = dual(T, basis)
             warm.append(1)
-            return dual(T, basis)
+            return pivots
 
         def recorded(T, basis):
             cold.append(not warm)
@@ -540,6 +565,20 @@ class TestWarmStart:
         numpy_start, int_start = (solve_matrix_game(m, start=(one,)) for one in (np.int64(1), 1))
         assert (numpy_start.value, numpy_start.basis) == (int_start.value, int_start.basis)
 
+    def test_tall_solves_basis_starts_the_next_solve_warm(self):
+        # A cold solve of a tall game returns the basis complementary to the one
+        # of -M^T it pivoted to: the columns whose slack there is not basic, and
+        # the slacks of the rows it gives no weight.
+        m = -net_wide_matrix().T  # 59 x 39
+        first = solve_matrix_game(m[:50, :30])
+        slack_rows = [~member for member in first.basis if member < 0]
+        assert len(first.basis) == 50 and slack_rows
+        assert not first.row_strategy[slack_rows].any()
+        warm, cold = solve_matrix_game(m, start=first.basis), solve_matrix_game(m)
+        assert not warm.cold_restart and warm.pivots < cold.pivots
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        assert_solution_certifies(m, warm)
+
     def test_rows_with_basic_slacks_get_no_row_weight(self):
         # Complementary slackness, exactly: a row whose slack is basic is not
         # tight, and the row mixture puts no weight on it. A warm tableau is
@@ -582,6 +621,8 @@ class TestMatrixGamesInProductForm(TestMatrixGames):
     the pins of the in-place bits give way to the value and the duality gap;
     an exact solve makes the same choices on either path."""
 
+    test_rejects_nan = test_capacity_guard = None  # input checks build no tableau
+
     def test_pivot_path_is_pinned(self):
         data = json.loads(NET_WIDE_GAME.read_text())
         m = np.array(data["matrix"], dtype=float)
@@ -615,21 +656,27 @@ class TestTieRulesInProductForm(TestTieRules):
 class TestWarmStartInProductForm(TestWarmStart):
     """The warm starts above with product-form pivots."""
 
+    # Input checks build no tableau.
+    test_rejects_exact_or_out_of_range_starts = test_rejects_repeated_members = None
+    test_rejects_members_that_are_not_integers = None
+
 
 def paths(solve):
     """``solve()`` with in-place pivots, then with product-form ones."""
     in_place = solve()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "INPLACE_CELLS", 0)
+        patch.setattr(lp, "_product_form", lambda T: True)
         return in_place, solve()
 
 
 class TestPivotPaths:
     def test_size_rule_picks_the_path(self):
-        # Past INPLACE_CELLS a tableau keeps its own reduced costs and rhs
-        # rather than views of T.
-        for cells, product in ((lp.INPLACE_CELLS, False), (lp.INPLACE_CELLS + 1, True)):
-            T = np.zeros((1, cells))
+        # Past INPLACE_CELLS a float tableau keeps its own reduced costs and rhs
+        # rather than views of T; a Fraction one of any size pivots in place.
+        for cells, dtype, product in ((lp.INPLACE_CELLS, float, False),
+                                      (lp.INPLACE_CELLS + 1, float, True),
+                                      (lp.INPLACE_CELLS + 1, object, False)):
+            T = np.zeros((1, cells), dtype)
             assert (lp._Tableau(T).rc.base is T) is not product
 
     @pytest.mark.parametrize("exact", [False, True])
