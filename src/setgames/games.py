@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .bits import masks_up_to_size
+from .bits import count_up_to_size, masks_up_to_size
 from .errors import CapacityError, InvalidInputError, InvalidStrategyError
 from .setfunctions import GroundSet, SetFunction, _check_int, _dense, _finite_real
 
@@ -70,15 +69,10 @@ class GameSpec:
 
     def attacker_strategies(self) -> list[int]:
         """All attacker pure strategies (masks of size <= c), ascending."""
-        return masks_up_to_size(self.n, self.attacker_cap)
+        return masks_up_to_size(self.n, self.attacker_cap).tolist()
 
     def defender_strategies(self) -> list[int]:
-        return masks_up_to_size(self.n, self.defender_cap)
-
-    def strategy_counts(self) -> tuple[int, int]:
-        na = sum(comb(self.n, i) for i in range(self.attacker_cap + 1))
-        nd = sum(comb(self.n, i) for i in range(self.defender_cap + 1))
-        return na, nd
+        return masks_up_to_size(self.n, self.defender_cap).tolist()
 
     def check_attack(self, mask: int) -> None:
         mask = self.ground.check_mask(mask)
@@ -127,13 +121,11 @@ def _dense_tables(spec: GameSpec):
     """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors. Each
     utility is read from its 2^n table while that has no more entries than the
     normal form, past that by binary search among its strategies' masks."""
-    na, nd = spec.strategy_counts()
+    caps = spec.attacker_cap, spec.defender_cap
+    na, nd = (count_up_to_size(spec.n, cap) for cap in caps)
     if na * nd > NORMAL_FORM_GUARD:
         raise CapacityError(f"normal form with {na}x{nd} cells exceeds the guard")
-    rows = spec.attacker_strategies()
-    cols = spec.defender_strategies()
-    a = np.array(rows, dtype=np.int64)
-    d = np.array(cols, dtype=np.int64)
+    a, d = (masks_up_to_size(spec.n, cap) for cap in caps)
     lookup = spec.ground.size > na * nd
 
     def at(f: SetFunction, strategies: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -144,7 +136,7 @@ def _dense_tables(spec: GameSpec):
         return values[strategies.searchsorted(masks)]
 
     hit = at(spec.benefit, a, a[:, None] & ~d[None, :])  # A \ D is itself an attack
-    return rows, cols, hit, at(spec.attacker_cost, a, a), at(spec.defender_cost, d, d)
+    return a.tolist(), d.tolist(), hit, at(spec.attacker_cost, a, a), at(spec.defender_cost, d, d)
 
 
 def expand_normal_form(spec: GameSpec) -> NormalForm:

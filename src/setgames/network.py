@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
-from .bits import masks_up_to_size
+from .bits import count_up_to_size, masks_up_to_size
 from .compact import CompactGame, _coefficient_table
 from .errors import CapacityError, FormatError, InvalidInputError
 from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
@@ -219,11 +219,10 @@ def induce_benefit(net: Network, value_fn: ValueFunction, failure: FailureOperat
     """Benefit of each attack of at most ``attacker_cap`` >= 0 targets: value lost after failure."""
     attacker_cap = _check_int(attacker_cap, "size cap")
     n = net.node_count
-    count = sum(comb(n, i) for i in range(min(attacker_cap, n) + 1))
-    if count > INDUCE_GUARD:
+    if (count := count_up_to_size(n, attacker_cap)) > INDUCE_GUARD:
         raise CapacityError(f"benefit induction over {count} subsets exceeds the guard")
     ground = GroundSet(n)
-    attacks = np.array(masks_up_to_size(n, attacker_cap), dtype=np.int64)
+    attacks = masks_up_to_size(n, attacker_cap)
     surviving = failure.apply(net, net.full_mask & ~attacks)
     drop = value_fn.evaluate(net, net.full_mask) - value_fn.evaluate(net, surviving)
     kept = np.flatnonzero(drop != 0)

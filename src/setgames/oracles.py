@@ -29,9 +29,9 @@ whole basis every round. A table lists every strategy of at most
 ``min(cap, width)`` targets inside each component, grouped by (component,
 count) and ascending within a group, with its incidence against the support
 members (the empty member counts in the first component's rows), built by
-array operations from a listing cached per (width, cap), its incidences by
-one ``&`` on int32 (masks of at most 30 targets fit), and the components by
-one stable sort.
+array operations from the one listing of capped masks, cached per (n, cap) in
+:mod:`setgames.bits`, its incidences by one ``&`` on int32 (masks of at most
+30 targets fit), and the components by one stable sort.
 
 A call, ``attacker_oracle(prepared, weights)`` or
 ``defender_oracle(prepared, weights)``, takes only the weights aligned with
@@ -50,13 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bits import masks_up_to_size
+from .bits import count_up_to_size, masks_up_to_size
 from .errors import CapacityError, InvalidInputError
 from .setfunctions import GroundSet, _check_int, _check_ints, _check_reals
 
@@ -98,7 +97,7 @@ class PseudoBooleanProblem:
         full = (1 << self.n) - 1
         cap = self.n - self.min_ones
         best_ones, best = -1, -np.inf
-        for defense in masks_up_to_size(self.n, cap):
+        for defense in masks_up_to_size(self.n, cap).tolist():
             ones = full ^ defense
             value = self.evaluate(ones)
             if value > best:
@@ -181,20 +180,10 @@ def _coordinates(masks: np.ndarray, members: np.ndarray, defender: bool) -> np.n
     return meet == 0 if defender else meet == members
 
 
-@lru_cache(maxsize=32)
-def _listing(width: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks of at most ``cap`` of ``width`` bits, by count and ascending
-    within a count, and their counts; built once per (width, cap), read-only."""
-    listing = sorted(masks_up_to_size(width, cap), key=int.bit_count)
-    arrays = np.array([listing, list(map(int.bit_count, listing))], dtype=np.int64)
-    arrays.flags.writeable = False
-    return arrays[0], arrays[1]
-
-
 def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[_Table, _Table]:
     """Attack and defense tables over the members' ``components`` (their
     :func:`partition_support`, or one group of every nonempty member) from the
-    cached strategy listing of each cap; :func:`prepare` is the one caller.
+    one strategy listing of each cap; :func:`prepare` is the one caller.
     Sides whose caps list the same rows share them; ``hits`` masks their :func:`_coordinates`.
 
     Raises :class:`CapacityError` when a table would exceed
@@ -204,7 +193,7 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
     widths = np.array([u.bit_count() for u in unions], dtype=np.int64)
     caps = (attacker_cap, defender_cap)
     for cap in caps:
-        rows = sum(comb(int(w), t) for w in widths for t in range(min(cap, w) + 1))
+        rows = sum(count_up_to_size(w, cap) for w in widths.tolist())
         if rows * len(members) > ENUMERATION_GUARD:
             raise CapacityError(f"oracle table of {rows}x{len(members)} exceeds the guard")
     widest = int(widths.max())
@@ -216,9 +205,11 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
     column = np.argmax(masks & np.array(unions)[:, None] != 0, axis=0) if len(unions) > 1 else None
 
     def listed(cap):
-        # Each component takes the masks of the listing over the widest component's
-        # bits that fit its width, in order, and maps local bit i onto its i-th target.
-        local, count = _listing(widest, cap)
+        # The listing over the widest component's bits in count order. Each component takes
+        # the masks that fit its width, in order, and maps local bit i onto its i-th target.
+        listing = masks_up_to_size(widest, cap)
+        local = listing[np.argsort(np.bitwise_count(listing), kind="stable")]
+        count = np.bitwise_count(local)
         comp, pos = np.nonzero(local < (1 << widths)[:, None])
         strategies = (((local[pos, None] >> np.arange(widest)) & 1) << targets[comp]).sum(axis=1)
         sizes = np.minimum(widths, cap) + 1
@@ -271,8 +262,7 @@ def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> Prepar
     """
     caps = _check_int(attacker_cap, "attacker cap"), _check_int(defender_cap, "defender cap")
     limit = min(WHOLE_CELLS, ENUMERATION_GUARD)
-    whole = all(sum(comb(support.n, t) for t in range(min(cap, support.n) + 1)) * support.size
-                <= limit for cap in caps)
+    whole = all(count_up_to_size(support.n, cap) * support.size <= limit for cap in caps)
     components = (support.members[1:],) if whole else support.components
     return PreparedOracle(*_tables(support.members, components, *caps))
 

@@ -240,13 +240,13 @@ def _layout(n: int, cap: int | None, rows: int = 1) -> tuple[np.ndarray | None, 
     without it; read-only. ``(None, None)``: all 2^n masks in order, for a cap of None or >= n."""
     if cap is None or cap >= n:
         return None, None
-    masks = np.array(masks_up_to_size(n, cap), dtype=np.int64)
+    masks = masks_up_to_size(n, cap)
     offsets, pairs = np.arange(rows)[:, None] * masks.size, []
     for bit in range(n):
         hi = np.flatnonzero(masks >> bit & 1)
         lo = np.searchsorted(masks, masks[hi] ^ (1 << bit))
         pairs.append(((hi + offsets).ravel(), (lo + offsets).ravel()))
-    for array in (masks, *(a for pair in pairs for a in pair)):
+    for array in (a for pair in pairs for a in pair):
         array.flags.writeable = False
     return masks, tuple(pairs)
 

@@ -1,6 +1,10 @@
 """Mask helpers."""
 
-from setgames.bits import mask_of, masks_up_to_size, targets_of
+from itertools import combinations
+
+import numpy as np
+
+from setgames.bits import count_up_to_size, mask_of, masks_up_to_size, targets_of
 
 
 def test_mask_roundtrip():
@@ -10,9 +14,13 @@ def test_mask_roundtrip():
 
 
 def test_masks_up_to_size():
-    assert masks_up_to_size(3, 0) == [0]
-    assert masks_up_to_size(3, 1) == [0, 1, 2, 4]
-    assert len(masks_up_to_size(4, 4)) == 16
-    got = masks_up_to_size(4, 2)
-    assert got == sorted(got)
-    assert all(m.bit_count() <= 2 for m in got)
+    # Against the combinations of each count, for every n <= 8 and cap 0..n+1.
+    for n in range(1, 9):
+        for cap in range(n + 2):
+            want = sorted(mask_of(b + 1 for b in combo)
+                          for size in range(min(cap, n) + 1)
+                          for combo in combinations(range(n), size))
+            got = masks_up_to_size(n, cap)
+            assert got.tolist() == want
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert count_up_to_size(n, cap) == got.size

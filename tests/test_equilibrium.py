@@ -1,5 +1,7 @@
 """Solvers: brute force reference, constraint generation, gap certificates."""
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from setgames import (
     EquilibriumReport,
     MixedStrategy,
+    SetFunction,
     SolverConfig,
     SupportSet,
     best_response_gap,
@@ -18,7 +21,8 @@ from setgames import (
     verify_ne_equivalence,
 )
 from setgames import equilibrium
-from setgames.cli import parse_game_json
+from setgames.bits import targets_of
+from setgames.cli import main, parse_game_json
 from setgames.equilibrium import _check_atom_bound
 from setgames.errors import InvalidInputError, InvalidStrategyError, SolverFailureError
 from conftest import additive_game, random_game
@@ -27,6 +31,25 @@ from test_games import make_spec
 
 # A dense n = 10, c = k = 3 game: its 176x176 table game is above SEED_CELLS.
 DENSE_N10 = Path(__file__).resolve().parent / "golden" / "dense_n10.json"
+
+
+def scaled(spec, factor):
+    """``spec`` with every utility multiplied by ``factor``."""
+    def times(f):
+        return SetFunction(f.ground, {m: v * factor for m, v in f.entries.items()},
+                           f.default * factor)
+    return replace(spec, benefit=times(spec.benefit), attacker_cost=times(spec.attacker_cost),
+                   defender_cost=times(spec.defender_cost))
+
+
+def game_document(spec):
+    """``spec`` as a game file; its utilities must default to 0."""
+    def records(f):
+        return [{"set": list(targets_of(m)), "value": v} for m, v in sorted(f.entries.items())]
+    return json.dumps({"n": spec.n, "c": spec.attacker_cap, "k": spec.defender_cap,
+                       "benefit": records(spec.benefit),
+                       "cost_attacker": records(spec.attacker_cost),
+                       "cost_defender": records(spec.defender_cost)})
 
 
 def matching_pennies():
@@ -196,6 +219,34 @@ class TestCompactSolver:
         a_gap, d_gap = best_response_gap(spec, report)
         assert a_gap <= 1e-7 and d_gap <= 1e-7
 
+    def test_small_gaps_still_add_strategies(self):
+        # At 1e-4 of unit scale the round gaps fall between eps_gap and
+        # 1e3 * eps_gap, so a solve that adds strategies only past a larger
+        # gap stops early and far from the equilibrium.
+        spec = scaled(random_game(np.random.default_rng(0), 10, 3, 3), 1e-4)
+        game = build_compact_game(spec)
+        report = solve_compact(spec, game=game)
+        assert report.converged
+        assert max(best_response_gap(spec, report, game)) <= 1e-9 * 1e-4
+
+    def test_gap_past_ten_eps_gap_is_not_converged(self, monkeypatch, tmp_path, capsys):
+        # The attacker's oracle reports a gap of 1e-5 (100 * eps_gap) on the empty
+        # attack, which is always in the restricted game, so the solve stops
+        # there: not converged, and the CLI exits 3.
+        real = equilibrium._gains
+
+        def stuck(game, pa, qd, current, pool=0):
+            return [(0, 1e-5)], real(game, pa, qd, current, pool)[1]
+
+        monkeypatch.setattr(equilibrium, "_gains", stuck)
+        spec = random_game(np.random.default_rng(0), 10, 3, 3)
+        assert not solve_compact(spec).converged
+        path = tmp_path / "game.json"
+        path.write_text(game_document(spec))
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: constraint generation did not converge\n")
+
     def test_small_one_component_game_solves_in_one_round(self):
         # A one-component table lists every capped strategy, so the seeded
         # first round is the whole game and both oracles certify it.
@@ -204,7 +255,7 @@ class TestCompactSolver:
         assert len(game.support.components) == 1
         tables = (game.oracle.attacks, game.oracle.defenses)
         rows, cols = (np.unique(table.strategies).size for table in tables)
-        assert (rows, cols) == spec.strategy_counts()
+        assert (rows, cols) == (len(spec.attacker_strategies()), len(spec.defender_strategies()))
         assert rows * cols <= equilibrium.SEED_CELLS
         trace = []
         report = solve_compact(spec, trace=trace, game=game)

@@ -27,7 +27,7 @@ from setgames import (
     to_pseudo_boolean,
 )
 from setgames import cli, oracles
-from setgames.bits import targets_of
+from setgames.bits import masks_up_to_size, targets_of
 from setgames.equilibrium import POOL
 from setgames.errors import CapacityError, InvalidInputError
 
@@ -460,28 +460,27 @@ class TestPrepared:
                     array[0] = 1
 
     def test_cold_and_warm_listing_give_equal_tables_and_reports(self):
-        # The strategy listing is cached per (width, cap): a build that fills
-        # the cache and one that reads it must agree in every table and report.
+        # The strategy listing is cached per (n, cap): a build that fills the
+        # cache and one that reads it must agree in every table and report.
         # Clearing the prepared tables makes the warm game build its own.
         spec = random_game(np.random.default_rng(8), 6, 3, 2)
         oracles.prepare.cache_clear()
-        oracles._listing.cache_clear()
+        masks_up_to_size.cache_clear()
         cold, warm = build_compact_game(spec), build_compact_game(spec)
         cold_tables = (cold.oracle.attacks, cold.oracle.defenses)
-        assert oracles._listing.cache_info().misses == 2
+        listed = masks_up_to_size.cache_info()
+        assert listed.misses == 2
         oracles.prepare.cache_clear()
         for got, want in zip((warm.oracle.attacks, warm.oracle.defenses), cold_tables):
             assert (got.cap, got.sizes) == (want.cap, want.sizes)
             for name in ("strategies", "hits", "segment", "starts", "component", "empty",
                          "distinct"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert oracles._listing.cache_info().hits == 2
+        assert masks_up_to_size.cache_info().misses == listed.misses
+        assert masks_up_to_size.cache_info().hits == listed.hits + 2
         assert solve_compact(spec, game=warm) == solve_compact(spec, game=cold)
-        local, count = oracles._listing(6, 3)
         with pytest.raises(ValueError):
-            local[0] = 1
-        with pytest.raises(ValueError):
-            count[0] = 1
+            masks_up_to_size(6, 3)[0] = 1
 
     @pytest.mark.usefixtures("unseeded", "split")
     def test_solve_prepares_once(self, table_builds):
