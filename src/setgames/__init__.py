@@ -10,7 +10,6 @@ approximation step.
 
 from .setfunctions import (
     GroundSet,
-    MobiusTransform,
     SetFunction,
     moebius,
     zeta,
@@ -19,12 +18,10 @@ from .games import (
     GameSpec,
     MixedStrategy,
     expand_normal_form,
-    pure_payoff,
     verify_ne_equivalence,
 )
 from .compact import (
     CompactGame,
-    SupportSet,
     build_compact_game,
     caratheodory_decompose,
     compact_value,
@@ -36,6 +33,7 @@ from .compact import (
 from .lp import GameSolution, solve_matrix_game
 from .oracles import (
     PseudoBooleanProblem,
+    SupportSet,
     attacker_oracle,
     defender_oracle,
     partition_support,
@@ -70,7 +68,6 @@ __all__ = [
     "GameSpec",
     "GroundSet",
     "MixedStrategy",
-    "MobiusTransform",
     "Network",
     "PseudoBooleanProblem",
     "SetFunction",
@@ -92,7 +89,6 @@ __all__ = [
     "moebius",
     "network_from_text",
     "partition_support",
-    "pure_payoff",
     "separable_approximation",
     "solve_bruteforce",
     "solve_compact",

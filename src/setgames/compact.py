@@ -2,7 +2,8 @@
 
 The dense normal form has one row/column per subset, but its payoff matrix
 factors through far fewer coordinates. Index a coordinate by each subset U in
-the support set S and map strategies to 0/1 vectors:
+the support set S (a :class:`~setgames.oracles.SupportSet`) and map strategies
+to 0/1 vectors:
 
     attacker A  ->  coords[U] = 1 iff U is contained in A
     defender D  ->  coords[U] = 1 iff U and D are disjoint
@@ -23,18 +24,14 @@ identity (Grabisch, Marichal and Roubens, Math. OR 2000) gives
 ``cd[U] = (-1)^|U| sum over V above U of m[V]`` from the cost's coefficients
 m truncated at k, so cd too vanishes above k. :func:`build_compact_game`
 runs b and ca (capped at c) as two rows of one transform, then m and its
-superset sums; the support is a boolean mask and the vectors one take.
+superset sums; the support holds the masks where a vector is nonzero, and the
+vectors are one take at its members.
 :func:`payoff_block` evaluates the form between stacked coordinate rows.
-
-S always contains the empty set and all singletons. The singleton floor keeps
-the defender map injective, so a defender vertex maps back to its pure
-strategy by reading the n singleton coordinates (zero coordinate = defended).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,43 +44,11 @@ from .errors import (
 )
 from .games import GameSpec
 from .lp import solve_matrix_game
-from .oracles import PreparedOracle, _coordinates, partition_support, prepare
-from .setfunctions import (SPARSITY_SCALE, GroundSet, _butterfly, _check_ints, _check_reals,
-                           _cut_small, _finite_real, _layout, _transform)
+from .oracles import PreparedOracle, SupportSet, _coordinates, prepare
+from .setfunctions import (SPARSITY_SCALE, _butterfly, _check_ints, _check_reals, _cut_small,
+                           _finite_real, _layout, _transform)
 
 HULL_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Ordered coordinate index: member masks ascending, singleton positions noted."""
-
-    n: int
-    members: tuple[int, ...]
-    singleton_positions: tuple[int, ...] = field(repr=False, compare=False)
-    member_array: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def from_members(cls, n: int, masks) -> "SupportSet":
-        """The support of ``masks``, the empty set and the singletons; a mask that is not
-        an integer (``bool`` included) in ``[0, 2^n)`` raises :class:`InvalidInputError`."""
-        ground = GroundSet(n)
-        masks = _check_ints(masks, "support members", 0, ground.size - 1).tolist()
-        members = tuple(sorted({*masks, 0, *(1 << i for i in range(ground.n))}))
-        singles = tuple(bisect_left(members, 1 << i) for i in range(ground.n))
-        array = np.array(members, dtype=np.int64)
-        array.flags.writeable = False
-        return cls(n=ground.n, members=members, singleton_positions=singles, member_array=array)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """The nonempty members grouped by :func:`~setgames.oracles.partition_support`,
-        computed on first use and then shared by split oracle tables and callers."""
-        return tuple(map(tuple, partition_support(self.member_array)))
 
 
 @dataclass(frozen=True)
@@ -99,11 +64,11 @@ class CompactGame:
 
     @classmethod
     def from_coefficients(cls, spec: GameSpec, masks: np.ndarray, vectors) -> "CompactGame":
-        """The game of a :func:`_coefficient_table`: the masks where a vector is nonzero, the
-        empty set and the singletons; a vector per array, as BLAS rounds by alignment."""
-        keep = (vectors != 0).any(axis=0) | (np.bitwise_count(masks) <= 1)
-        return cls(SupportSet.from_members(spec.n, masks[keep]),
-                   *map(np.copy, vectors[:, keep]), spec.attacker_cap, spec.defender_cap)
+        """The game of a :func:`_coefficient_table` on the support of its nonzero masks (its
+        listing holds the floor); a vector per array, as BLAS rounds by alignment."""
+        support = SupportSet.from_members(spec.n, masks[(vectors != 0).any(axis=0)])
+        return cls(support, *map(np.copy, vectors[:, masks.searchsorted(support.member_array)]),
+                   spec.attacker_cap, spec.defender_cap)
 
     @cached_property
     def oracle(self) -> PreparedOracle:
@@ -118,8 +83,7 @@ def _coefficient_table(spec: GameSpec, exact: bool = False) -> tuple[np.ndarray,
     n, parts = spec.n, []
     for functions, cap, rows in (((spec.benefit, spec.attacker_cost), spec.attacker_cap, slice(2)),
                                  ((spec.defender_cost,), spec.defender_cap, slice(2, 3))):
-        sums = _transform(spec.ground, [(f.entries, f.default) for f in functions], cap,
-                          signed=True, exact=exact)
+        sums = _transform(functions, cap, signed=True, exact=exact)
         if sums is None:
             continue
         masks, table = sums
@@ -215,7 +179,8 @@ def vertex_to_strategy(coords, support: SupportSet) -> int:
         raise InvalidVertexError(
             f"coordinates of shape {np.shape(coords)}, expected ({support.size},)")
     defense = 0
-    for i, pos in enumerate(support.singleton_positions):
+    positions = support.member_array.searchsorted(1 << np.arange(support.n))
+    for i, pos in enumerate(positions.tolist()):
         c = coords[pos]
         if not (_finite_real(c) and (abs(c) <= 1e-9 or abs(c - 1.0) <= 1e-9)):
             raise InvalidVertexError(f"coordinate for singleton {i + 1} is {c!r}, not 0/1")

@@ -1,4 +1,4 @@
-"""Game specification, pure payoffs, and the dense normal form.
+"""Game specification and the dense normal form.
 
 A game puts an attacker and a defender on a common ground set of targets.
 Pure strategies are subsets; a play (A, D) succeeds on ``A minus D`` and
@@ -67,13 +67,6 @@ class GameSpec:
     def n(self) -> int:
         return self.ground.n
 
-    def attacker_strategies(self) -> list[int]:
-        """All attacker pure strategies (masks of size <= c), ascending."""
-        return masks_up_to_size(self.n, self.attacker_cap).tolist()
-
-    def defender_strategies(self) -> list[int]:
-        return masks_up_to_size(self.n, self.defender_cap).tolist()
-
     def check_attack(self, mask: int) -> None:
         mask = self.ground.check_mask(mask)
         if mask.bit_count() > self.attacker_cap:
@@ -88,12 +81,6 @@ class GameSpec:
 
 
 @dataclass(frozen=True)
-class PurePayoff:
-    attacker: float
-    defender: float
-
-
-@dataclass(frozen=True)
 class NormalForm:
     """Dense zero-sum-equivalent matrix; rows attack, columns defend.
 
@@ -104,17 +91,6 @@ class NormalForm:
     attacker_strategies: tuple[int, ...]
     defender_strategies: tuple[int, ...]
     matrix: np.ndarray
-
-
-def pure_payoff(spec: GameSpec, attack: int, defense: int) -> PurePayoff:
-    """Payoffs of a pure strategy pair under the successful-attack rule."""
-    spec.check_attack(attack)
-    spec.check_defense(defense)
-    hit = spec.benefit.value(attack & ~defense)
-    return PurePayoff(
-        attacker=hit - spec.attacker_cost.value(attack),
-        defender=-hit - spec.defender_cost.value(defense),
-    )
 
 
 def _dense_tables(spec: GameSpec):
@@ -132,7 +108,7 @@ def _dense_tables(spec: GameSpec):
         """``f`` at ``masks``, each one of the ascending ``strategies``."""
         if not lookup:
             return f.to_dense()[masks]
-        values = _dense(f.ground, f.entries, f.default, False, strategies)
+        values = _dense(f, False, strategies)
         return values[strategies.searchsorted(masks)]
 
     hit = at(spec.benefit, a, a[:, None] & ~d[None, :])  # A \ D is itself an attack

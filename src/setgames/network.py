@@ -41,7 +41,6 @@ from .equilibrium import EquilibriumReport, SolverConfig, solve_compact
 from .games import GameSpec
 from .setfunctions import (
     GroundSet,
-    MobiusTransform,
     SetFunction,
     _check_int,
     _check_ints,
@@ -263,7 +262,7 @@ def separable_approximation(benefit: SetFunction, attacker_cost: SetFunction,
     dropped = (table[0] != 0) & (np.abs(table[0]) <= eps_c)
     table[0, dropped] = 0.0
     game = CompactGame.from_coefficients(spec, masks, table)
-    kept = MobiusTransform(benefit.ground, _entries(masks, table[0]))
+    kept = SetFunction(benefit.ground, _entries(masks, table[0]))
     spec = replace(spec, benefit=zeta(kept, max_size=attacker_cap))
     return ApproxResult(spec=spec, game=game, eps_c=float(eps_c), error_bound=error_bound,
                         dropped_terms=int(dropped.sum()))

@@ -48,10 +48,9 @@ response, a column pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter, or_
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,13 +58,41 @@ from .bits import count_up_to_size, masks_up_to_size
 from .errors import CapacityError, InvalidInputError
 from .setfunctions import GroundSet, _check_int, _check_ints, _check_reals
 
-if TYPE_CHECKING:  # compact imports prepare and partition_support from here
-    from .compact import SupportSet
-
 ENUMERATION_GUARD = 50_000_000
 # The largest whole table, in cells a side, that prepare builds in place of split ones.
 WHOLE_CELLS = 50_000
 _NO_MASK = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """Ordered coordinate index: the member masks, ascending, always with the empty set
+    and all singletons. The singleton floor keeps the defender map injective, so a
+    defense maps back from its n singleton coordinates (zero coordinate = defended)."""
+
+    n: int
+    members: tuple[int, ...]
+    member_array: np.ndarray = field(repr=False, compare=False)
+
+    @classmethod
+    def from_members(cls, n: int, masks) -> "SupportSet":
+        """The support of ``masks``, the empty set and the singletons; a mask that is not
+        an integer (``bool`` included) in ``[0, 2^n)`` raises :class:`InvalidInputError`."""
+        ground = GroundSet(n)
+        masks = _check_ints(masks, "support members", 0, ground.size - 1)
+        array = np.union1d(masks, [0, *(1 << i for i in range(ground.n))])
+        array.flags.writeable = False
+        return cls(n=ground.n, members=tuple(array.tolist()), member_array=array)
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The nonempty members grouped by :func:`partition_support`, computed
+        on first use and then shared by split oracle tables and callers."""
+        return tuple(map(tuple, partition_support(self.member_array)))
 
 
 @dataclass(frozen=True)
@@ -250,7 +277,7 @@ def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> Prepar
     n targets times the support size is at most :data:`WHOLE_CELLS` cells
     and within :data:`ENUMERATION_GUARD`, both tables take the whole support
     as one component. Otherwise both split over the support's own partition,
-    :attr:`~setgames.compact.SupportSet.components`. Raises
+    :attr:`SupportSet.components`. Raises
     :class:`CapacityError` when a side's table would exceed
     :data:`ENUMERATION_GUARD` cells, and :class:`InvalidInputError` unless both
     caps are integers >= 0; a cap above n means n.
@@ -346,7 +373,6 @@ def solve_separable(problem: PseudoBooleanProblem) -> tuple[int, float]:
     """The ones mask and optimal value of a pseudo-boolean objective, by the defender
     oracle on :func:`prepare`'s tables at cap ``n - min_ones`` for the support of the
     term masks (repeats sum their weights; the empty set and singletons weigh 0)."""
-    from .compact import SupportSet  # compact imports this module
     masks = np.array([m for m, _ in problem.terms], dtype=np.int64)
     support, cap = SupportSet.from_members(problem.n, masks), problem.n - problem.min_ones
     weights = np.zeros(support.size)

@@ -191,35 +191,19 @@ class SetFunction:
 
     def to_dense(self) -> np.ndarray:
         """Values on all 2^n subsets as a float array indexed by mask."""
-        return _dense(self.ground, self.entries, self.default, exact=False)
+        return _dense(self, exact=False)
 
 
-@dataclass(frozen=True)
-class MobiusTransform:
-    """Interaction coefficients of a set function; only nonzeros are stored."""
-
-    ground: GroundSet
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _checked_entries(self.ground, self.entries))
-
-    def value(self, mask: int):
-        return self.entries.get(mask, 0)
-
-    __call__ = value
-
-
-def _dense(ground: GroundSet, values: dict, default, exact: bool,
-           masks: np.ndarray | None = None) -> np.ndarray:
-    """The function at the ascending ``masks``, or at all 2^n masks when None,
-    with unstored masks reading ``default``, as float64 or (exact) Fractions.
+def _dense(f: SetFunction, exact: bool, masks: np.ndarray | None = None) -> np.ndarray:
+    """``f`` at the ascending ``masks``, or at all 2^n masks when None, with
+    unstored masks reading its default, as float64 or (exact) Fractions.
     A binary search places the stored keys; keys above the cap drop out."""
+    ground, values = f.ground, f.entries
     if masks is None and ground.n > MAX_DENSE:
         raise CapacityError(f"dense table for n={ground.n} exceeds the limit of {MAX_DENSE}")
     cast, dtype = (Fraction, object) if exact else (float, float)
     try:
-        table = np.full(ground.size if masks is None else len(masks), cast(default), dtype=dtype)
+        table = np.full(ground.size if masks is None else len(masks), cast(f.default), dtype=dtype)
         fill = np.fromiter(map(cast, values.values()) if exact else values.values(), dtype,
                            len(values))
     except OverflowError:  # an integer past the float range; a Fraction holds it
@@ -251,6 +235,7 @@ def _layout(n: int, cap: int | None, rows: int = 1) -> tuple[np.ndarray | None, 
     return masks, tuple(pairs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as inf, caught at the end
 def _butterfly(table: np.ndarray, pairs: tuple | None, *, signed: bool,
                superset: bool = False) -> None:
     """In place in each row of a contiguous :func:`_layout` table, U gets the sum of f(V) over
@@ -270,15 +255,15 @@ def _butterfly(table: np.ndarray, pairs: tuple | None, *, signed: bool,
         raise InvalidInputError("non-finite value in set function")
 
 
-def _transform(ground: GroundSet, functions, cap: int | None, *, signed: bool, exact: bool):
-    """:func:`_layout` masks and :func:`_butterfly` sums of ``(values, default)``
-    functions, a row each, in float64 or Fractions; None at once if all are zero."""
+def _transform(functions, cap: int | None, *, signed: bool, exact: bool):
+    """:func:`_layout` masks and :func:`_butterfly` sums of set functions on one ground
+    set, a row each, in float64 or Fractions; None at once if all are zero."""
     if cap is not None:
         _check_int(cap, "size cap")
-    if not any(default or any(values.values()) for values, default in functions):
+    if not any(f.default or any(f.entries.values()) for f in functions):
         return None
-    masks, pairs = _layout(ground.n, cap, len(functions))
-    table = np.array([_dense(ground, *function, exact, masks) for function in functions])
+    masks, pairs = _layout(functions[0].ground.n, cap, len(functions))
+    table = np.array([_dense(f, exact, masks) for f in functions])
     _butterfly(table, pairs, signed=signed)
     return masks, table
 
@@ -297,8 +282,8 @@ def _cut_small(table: np.ndarray, tol) -> None:
         table[(abs(table) < tol) | (table == 0)] = 0
 
 
-def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False) -> MobiusTransform:
-    """Interaction coefficients of ``f``.
+def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False) -> SetFunction:
+    """Interaction coefficients of ``f``, as a set function with default 0.
 
     Args:
         f: set function defined (entries plus default) on the whole lattice,
@@ -315,21 +300,22 @@ def moebius(f: SetFunction, *, max_size: int | None = None, exact: bool = False)
     absolute value of ``f`` are dropped as zeros; exact mode drops only
     exact zeros.
     """
-    sums = _transform(f.ground, [(f.entries, f.default)], max_size, signed=True, exact=exact)
+    sums = _transform([f], max_size, signed=True, exact=exact)
     if sums is None:
-        return MobiusTransform(f.ground)
+        return SetFunction(f.ground)
     masks, table = sums
     _cut_small(table, 0 if exact else SPARSITY_SCALE * f.max_abs())
-    return MobiusTransform(f.ground, _entries(masks, table[0]))
+    return SetFunction(f.ground, _entries(masks, table[0]))
 
 
-def zeta(coeffs: MobiusTransform, *, max_size: int | None = None,
-         exact: bool = False) -> SetFunction:
+def zeta(coeffs: SetFunction, *, max_size: int | None = None, exact: bool = False) -> SetFunction:
     """Rebuild the set function whose interaction coefficients are ``coeffs``.
 
-    Inverse of :func:`moebius`: the value at U is the sum of coefficients over
-    all submasks of U. With ``max_size`` below n only subsets up to that size
-    are materialized, by the same trimmed butterfly as :func:`moebius`.
+    Inverse of :func:`moebius`: the value at U is the sum of ``coeffs`` over
+    all submasks of U, an unstored submask counting the default of ``coeffs``
+    (as in :func:`moebius`). The result stores its nonzero values and has
+    default 0. With ``max_size`` below n only subsets up to that size are
+    materialized, by the same trimmed butterfly as :func:`moebius`.
     """
-    sums = _transform(coeffs.ground, [(coeffs.entries, 0)], max_size, signed=False, exact=exact)
+    sums = _transform([coeffs], max_size, signed=False, exact=exact)
     return SetFunction(coeffs.ground, {} if sums is None else _entries(sums[0], sums[1][0]))

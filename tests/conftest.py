@@ -5,8 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from setgames import (GameSpec, GroundSet, MobiusTransform, Network, SetFunction, equilibrium,
-                      oracles, zeta)
+from setgames import GameSpec, GroundSet, Network, SetFunction, equilibrium, oracles, zeta
 
 
 @pytest.fixture
@@ -57,7 +56,7 @@ def sparse_set_function(rng, n, *, terms, scale=1.0, cap=None):
         if cap is not None and mask.bit_count() > cap:
             continue
         coeffs[mask] = float(rng.normal()) * scale
-    return zeta(MobiusTransform(g, coeffs), max_size=cap), coeffs
+    return zeta(SetFunction(g, coeffs), max_size=cap), coeffs
 
 
 def random_game(rng, n, c, k, *, sparse=False, costs=True):

@@ -51,6 +51,26 @@ MUTANTS = (
       "::test_methods_agree_with_bruteforce",
       "tests/test_oracles.py::TestSeparable"
       "::test_random_multi_component_problems_match_bruteforce")),
+    ("M7: a support holds the empty set but not the singletons", "oracles.py",
+     "np.union1d(masks, [0, *(1 << i for i in range(ground.n))])", "np.union1d(masks, [0])",
+     ("tests/test_acceptance.py::TestCriterion5VertexMapping"
+      "::test_roundtrip_exhaustive_and_linear_cost",
+      "tests/test_acceptance.py::TestCriterion9OracleConsistency"
+      "::test_methods_agree_with_bruteforce")),
+    ("M8: the transform's all-zero test ignores the default", "setfunctions.py",
+     "if not any(f.default or any(f.entries.values()) for f in functions):",
+     "if not any(any(f.entries.values()) for f in functions):",
+     ("tests/test_setfunctions.py::TestMoebius::test_constant_function_collapses_to_empty_set",)),
+    ("M9: the defender cost enters the payoff with the wrong sign", "compact.py",
+     "+ (Q @ game.defender_cost_vec)", "- (Q @ game.defender_cost_vec)",
+     ("tests/test_acceptance.py::TestCriterion2DecompositionIdentity"
+      "::test_compact_value_reproduces_payoffs",
+      "tests/test_acceptance.py::TestCriterion4EquilibriumEquivalence"
+      "::test_compact_matches_bruteforce")),
+    ("M10: a polynomial term counts when none of its targets is a one", "oracles.py",
+     "mask & ~ones_mask == 0", "mask & ones_mask == 0",
+     ("tests/test_acceptance.py::TestCriterion6PseudoBooleanEquivalence"
+      "::test_three_routes_agree_exactly",)),
 )
 
 

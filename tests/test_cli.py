@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from setgames import games, oracles, setfunctions
+from setgames import cli, equilibrium, games, oracles, setfunctions
 from setgames.cli import main, parse_game_json
 from setgames.errors import FormatError
 
@@ -74,6 +74,20 @@ class TestGameFiles:
     ])
     def test_rejects_booleans_as_integers(self, doc):
         with pytest.raises(FormatError):
+            parse_game_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([2], "game file must be a JSON object"),
+        ({"n": 2, "m": 1}, r"unknown keys \['m'\] in game file"),
+        ({"benefit": []}, "game file needs a positive integer 'n'"),
+        ({"n": 2, "benefit": {"set": [1]}}, "benefit must be a list of set/value records"),
+        ({"n": 2, "benefit": [{"set": [1]}]},
+         r"benefit\[0\] must be an object with 'set' and 'value'"),
+        ({"n": 2, "cost_defender": [{"set": 1, "value": 1.0}]},
+         r"cost_defender\[0\].set must be a list of integers"),
+    ])
+    def test_rejects_malformed_documents(self, doc, message):
+        with pytest.raises(FormatError, match=message):
             parse_game_json(json.dumps(doc))
 
 
@@ -182,10 +196,10 @@ class TestCommands:
         transform = setfunctions._transform
         calls = []
 
-        def counted(ground, functions, cap, *, signed, exact):
-            if signed and any(default or any(values.values()) for values, default in functions):
+        def counted(functions, cap, *, signed, exact):
+            if signed and any(f.default or any(f.entries.values()) for f in functions):
                 calls.append(functions)  # the zero costs cost nothing to transform
-            return transform(ground, functions, cap, signed=signed, exact=exact)
+            return transform(functions, cap, signed=signed, exact=exact)
 
         for name, module in list(sys.modules.items()):
             if name == "setgames" or name.startswith("setgames."):
@@ -288,6 +302,28 @@ class TestExitCodes:
             argv = ["net", str(graph), "--c", "1", "--eps-c", "0", flag, target]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    def test_verify_discrepancy_past_the_tolerance_exits_3(self, pennies_file, monkeypatch,
+                                                           capsys):
+        # No discrepancy is below a negative tolerance.
+        monkeypatch.setattr(cli, "VERIFY_TOLERANCE", -1.0)
+        assert main(["verify", pennies_file]) == 3
+        assert capsys.readouterr().out.endswith("max payoff decomposition discrepancy: 0\nFAIL\n")
+
+    def test_net_unconverged_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The attacker's oracle reports a gap of 1e-5 on the empty attack, which is
+        # always in the restricted game, so the solve stops unconverged.
+        real = equilibrium._gains
+
+        def stuck(game, pa, qd, current, pool=0):
+            return [(0, 1e-5)], real(game, pa, qd, current, pool)[1]
+
+        monkeypatch.setattr(equilibrium, "_gains", stuck)
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes 4\n1 2\n2 3\n3 4\n")
+        assert main(["net", str(graph), "--c", "2", "--eps-c", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: constraint generation did not converge\n")
 
     def test_malformed_set_index(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

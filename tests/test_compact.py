@@ -58,6 +58,15 @@ class TestBuildSupport:
                        defender_cost=random_set_function(rng, 6, scale=0.3))
         assert max(m.bit_count() for m in build_compact_game(spec).support.members) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("utility", ["benefit", "defender cost"])
+    def test_overflow_raises_the_library_error(self, utility):
+        # The interaction at {1, 2} is -3e308, past the float range.
+        values = {0b01: 1.5e308, 0b10: 1.5e308}
+        spec = make_spec(3, values) if utility == "benefit" else make_spec(3, {}, cost_d=values)
+        with pytest.raises(InvalidInputError, match="non-finite value in set function"):
+            build_compact_game(spec)
+
     def test_uncapped_defender_cost_never_walks_submasks(self):
         # With k = n the superset sums take one O(n 2^n) butterfly in numpy,
         # so the package runs a few Python lines per coefficient; a walk
@@ -304,7 +313,7 @@ class TestVertexMapping:
     def test_rejects_non_finite_coords(self, bad):
         support = build_compact_game(make_spec(2, {})).support
         row = defense_row(1, support)
-        row[support.singleton_positions[1]] = bad
+        row[support.members.index(0b10)] = bad
         with pytest.raises(InvalidVertexError):
             vertex_to_strategy(row, support)
 
@@ -313,7 +322,7 @@ class TestVertexMapping:
         with pytest.raises(InvalidVertexError, match="coordinate for singleton 1 is 'a'"):
             vertex_to_strategy(["a"] * 4, support)
         row = [0.0] * 4
-        row[support.singleton_positions[1]] = None
+        row[support.members.index(0b10)] = None
         with pytest.raises(InvalidVertexError, match="singleton 2 is None"):
             vertex_to_strategy(row, support)
 

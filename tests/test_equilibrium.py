@@ -9,6 +9,8 @@ import pytest
 
 from setgames import (
     EquilibriumReport,
+    GameSpec,
+    GroundSet,
     MixedStrategy,
     SetFunction,
     SolverConfig,
@@ -19,12 +21,14 @@ from setgames import (
     solve_bruteforce,
     solve_compact,
     verify_ne_equivalence,
+    zeta,
 )
 from setgames import equilibrium
-from setgames.bits import targets_of
+from setgames.bits import count_up_to_size, masks_up_to_size, targets_of
 from setgames.cli import main, parse_game_json
 from setgames.equilibrium import _check_atom_bound
-from setgames.errors import InvalidInputError, InvalidStrategyError, SolverFailureError
+from setgames.errors import (CapacityError, InvalidInputError, InvalidStrategyError,
+                             SolverFailureError)
 from conftest import additive_game, random_game
 from test_games import make_spec
 
@@ -247,6 +251,16 @@ class TestCompactSolver:
         assert capsys.readouterr().err == (
             "solver failure: constraint generation did not converge\n")
 
+    def test_support_guard_stops_the_solve(self):
+        # Every one of the 10,903 sets of at most 4 of 23 targets has a coefficient.
+        g = GroundSet(23)
+        masks = masks_up_to_size(23, 4)[1:].tolist()
+        values = np.random.default_rng(0).uniform(1.0, 2.0, len(masks)).tolist()
+        benefit = zeta(SetFunction(g, dict(zip(masks, values))), max_size=4)
+        spec = GameSpec(g, benefit, SetFunction(g), SetFunction(g), 4, 1)
+        with pytest.raises(CapacityError, match="support of size 10903 exceeds the guard"):
+            solve_compact(spec)
+
     def test_small_one_component_game_solves_in_one_round(self):
         # A one-component table lists every capped strategy, so the seeded
         # first round is the whole game and both oracles certify it.
@@ -255,7 +269,7 @@ class TestCompactSolver:
         assert len(game.support.components) == 1
         tables = (game.oracle.attacks, game.oracle.defenses)
         rows, cols = (np.unique(table.strategies).size for table in tables)
-        assert (rows, cols) == (len(spec.attacker_strategies()), len(spec.defender_strategies()))
+        assert (rows, cols) == (count_up_to_size(6, 2), count_up_to_size(6, 2))
         assert rows * cols <= equilibrium.SEED_CELLS
         trace = []
         report = solve_compact(spec, trace=trace, game=game)

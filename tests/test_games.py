@@ -9,7 +9,6 @@ from setgames import (
     MixedStrategy,
     SetFunction,
     expand_normal_form,
-    pure_payoff,
     solve_bruteforce,
     verify_ne_equivalence,
 )
@@ -30,41 +29,46 @@ def make_spec(n, benefit, cost_a=None, cost_d=None, c=None, k=None):
     )
 
 
+def entry(spec, attack, defense):
+    """The normal form's payoff at the pure pair (attack, defense)."""
+    nf = expand_normal_form(spec)
+    return nf.matrix[nf.attacker_strategies.index(attack), nf.defender_strategies.index(defense)]
+
+
 class TestPurePayoff:
+    """The zero-sum payoff of a pure pair, read from the normal form, and the
+    strategy checks on the masks of a pair."""
+
     def test_attack_equals_defense_nets_nothing(self):
         spec = make_spec(2, {0b01: 3.0, 0b10: 1.0, 0b11: 4.0})
         for mask in range(4):
-            got = pure_payoff(spec, mask, mask)
-            assert got.attacker == 0.0
-            assert got.defender == 0.0
+            assert entry(spec, mask, mask) == 0.0
 
     def test_hand_computed(self):
+        # benefit{1} - cost_a{1} + cost_d{2} = 1 - 0.3 + 0.2
         spec = make_spec(2, {0b01: 1.0}, cost_a={0b01: 0.3}, cost_d={0b10: 0.2})
-        got = pure_payoff(spec, 0b01, 0b10)
-        assert got.attacker == pytest.approx(0.7)
-        assert got.defender == pytest.approx(-1.2)
+        assert entry(spec, 0b01, 0b10) == pytest.approx(0.9)
 
     def test_empty_attack(self):
         spec = make_spec(2, {0b01: 1.0}, cost_d={0b10: 0.2})
-        got = pure_payoff(spec, 0, 0b10)
-        assert got.attacker == 0.0
-        assert got.defender == pytest.approx(-0.2)
+        assert entry(spec, 0, 0b10) == pytest.approx(0.2)
 
     def test_cap_violation(self):
         spec = make_spec(3, {0b001: 1.0}, c=1, k=1)
         with pytest.raises(InvalidStrategyError):
-            pure_payoff(spec, 0b011, 0)
+            spec.check_attack(0b011)
         with pytest.raises(InvalidStrategyError):
-            pure_payoff(spec, 0, 0b011)
+            spec.check_defense(0b011)
 
     @pytest.mark.parametrize("mask", [1.5, 1.0, True, np.bool_(True), "1", None])
     def test_rejects_masks_that_are_not_integers(self, mask):
         # bool is an int subclass, so True must be rejected by type, not read as mask 1.
         spec = make_spec(2, {0b01: 1.0})
-        for attack, defense in ((mask, 0), (0, mask)):
+        for check in (spec.check_attack, spec.check_defense):
             with pytest.raises(InvalidInputError, match="mask must be an integer"):
-                pure_payoff(spec, attack, defense)
-        assert pure_payoff(spec, np.int64(1), np.uint8(0)) == pure_payoff(spec, 1, 0)
+                check(mask)
+        spec.check_attack(np.int64(1))
+        spec.check_defense(np.uint8(0))
 
 
 class TestNormalForm:
@@ -127,6 +131,11 @@ class TestGameSpec:
         with pytest.raises(InvalidInputError):
             make_spec(3, {0b001: 1.0}, **{side: bad})
 
+    def test_rejects_utilities_on_another_ground_set(self):
+        g, other = GroundSet(2), GroundSet(3)
+        with pytest.raises(InvalidInputError, match="attacker_cost is defined on a different"):
+            GameSpec(g, SetFunction(g), SetFunction(other), SetFunction(g), 1, 1)
+
     def test_numpy_integer_caps_are_stored_as_int(self):
         spec = make_spec(3, {0b001: 1.0}, c=np.int64(2), k=np.uint8(1))
         assert (spec.attacker_cap, spec.defender_cap) == (2, 1)
@@ -137,6 +146,11 @@ class TestMixedStrategy:
     def test_from_pairs_merges_and_normalizes(self):
         mix = MixedStrategy.from_pairs([(1, 0.25), (2, 0.5), (1, 0.25)])
         assert mix.atoms == ((1, 0.5), (2, 0.5))
+
+    def test_from_pairs_needs_mass_left(self):
+        for pairs in ([], [(1, 1e-13), (2, 0.0)]):
+            with pytest.raises(InvalidInputError, match="no mass left"):
+                MixedStrategy.from_pairs(pairs)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidInputError):

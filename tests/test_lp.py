@@ -190,6 +190,18 @@ class TestMatrixGames:
         with pytest.raises(CapacityError):
             solve_matrix_game(np.zeros((4000, 3000)))
 
+    @pytest.mark.parametrize("matrix", [[], [[]], [1.0, 2.0], np.zeros((2, 2, 2))])
+    def test_rejects_payoffs_that_are_not_a_nonempty_matrix(self, matrix):
+        with pytest.raises(InvalidInputError, match="two-dimensional and non-empty"):
+            solve_matrix_game(matrix)
+
+    def test_simplex_raises_when_it_runs_out_of_iterations(self, monkeypatch):
+        # A pivot that changes nothing leaves the same column entering forever.
+        monkeypatch.setattr(lp._Tableau, "pivot", lambda self, i, j, c: None)
+        with pytest.raises(SolverFailureError, match="did not terminate") as failure:
+            solve_matrix_game([[1.0, 0.0], [0.0, 1.0]])
+        assert failure.value.diagnostics["iterations"] == 50 * (2 + 4) + 1000
+
     def test_pivot_path_is_pinned(self):
         # The 39x59 tableau (3,960 cells) pivots in place and runs no BLAS,
         # so these counts and the final basis hold on every platform.

@@ -21,7 +21,7 @@ from setgames import (
     solve_network_game,
 )
 from setgames.bits import masks_up_to_size
-from setgames.errors import FormatError, InvalidInputError
+from setgames.errors import CapacityError, FormatError, InvalidInputError
 from setgames.network import _components
 
 
@@ -137,6 +137,10 @@ class TestNetwork:
             network_from_text("1 2\n")
         with pytest.raises(FormatError):
             network_from_text("nodes 3\n1 2 3\n")
+        with pytest.raises(FormatError, match="bad header line 'nodes x'"):
+            network_from_text("nodes x\n1 2\n")
+        with pytest.raises(FormatError, match="bad edge line '1 b': invalid literal"):
+            network_from_text("nodes 3\n1 b\n")
 
     def test_json_and_edge_list_give_equal_networks(self):
         edges = "[[1, 2], [2, 3], [3, 1], [3, 4], [4, 5]]"
@@ -209,6 +213,18 @@ class TestValueFunctions:
         for bad in (-1, 0b1000, np.array([1.0]), True):
             with pytest.raises(InvalidInputError):
                 vf.evaluate(net, bad)
+
+    def test_rejects_unknown_kinds(self):
+        with pytest.raises(InvalidInputError, match="unknown value function 'diameter'"):
+            ValueFunction("diameter")
+        with pytest.raises(InvalidInputError, match="unknown failure operator 'flood'"):
+            FailureOperator("flood")
+
+    def test_more_than_63_nodes_do_not_fit_a_mask_array(self):
+        net = Network(64, ((1, 64),))
+        for call in (ValueFunction().evaluate, FailureOperator().apply):
+            with pytest.raises(CapacityError, match="64 nodes exceed the 63 bits"):
+                call(net, 0)
 
     def test_rejects_non_finite_exponent(self):
         for bad in (float("nan"), float("inf"), "2"):
@@ -328,6 +344,11 @@ class TestInduceBenefit:
     def test_rejects_caps_that_are_not_nonnegative_integers(self, cap):
         with pytest.raises(InvalidInputError, match="size cap"):
             induce_benefit(path3(), ValueFunction(), FailureOperator(), cap)
+
+    def test_guard_stops_induction_before_listing(self):
+        # 7,666,240 attacks of at most 5 of 63 nodes.
+        with pytest.raises(CapacityError, match="over 7666240 subsets exceeds the guard"):
+            induce_benefit(Network(63, ()), ValueFunction(), FailureOperator(), 5)
 
     def test_triangle_symmetry(self):
         benefit = induce_benefit(Network(3, ((1, 2), (1, 3), (2, 3))),

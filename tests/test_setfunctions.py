@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgames import GroundSet, MobiusTransform, SetFunction, moebius, zeta
+from setgames import GroundSet, SetFunction, moebius, zeta
 from setgames.errors import CapacityError, InvalidInputError
 from setgames.setfunctions import _butterfly, _dense, _entries, _layout
 
@@ -78,9 +78,17 @@ class TestMoebius:
     @pytest.mark.parametrize("cap", [-1, 1.5, True])
     def test_rejects_caps_that_are_not_nonnegative_integers(self, transform, cap):
         for f in (SetFunction(GroundSet(3), {0b11: 1.0}), SetFunction(GroundSet(3))):
-            arg = MobiusTransform(f.ground, f.entries) if transform is zeta else f
             with pytest.raises(InvalidInputError, match="size cap"):
-                transform(arg, max_size=cap)
+                transform(f, max_size=cap)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("transform", [moebius, zeta])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_overflow_raises_the_library_error(self, transform, cap):
+        # Finite values whose sums at {1, 2} pass the float range: -3e308 and 3e308.
+        f = SetFunction(GroundSet(3), {0b01: 1.5e308, 0b10: 1.5e308})
+        with pytest.raises(InvalidInputError, match="non-finite value in set function"):
+            transform(f, max_size=cap)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -91,10 +99,10 @@ class TestMoebius:
 
 
 class TestMaskKeys:
-    """Entry keys must be integral masks of the ground set, for a stored
-    function and for stored coefficients alike."""
+    """Entry keys must be integral masks of the ground set. Interaction
+    coefficients are set functions too, so the rule holds for them."""
 
-    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    @pytest.mark.parametrize("cls", [SetFunction])
     def test_bool_key_is_rejected(self, cls):
         # numpy reads table[True] = v as a write to the whole table.
         with pytest.raises(InvalidInputError, match="True"):
@@ -102,25 +110,25 @@ class TestMaskKeys:
         with pytest.raises(InvalidInputError):
             cls(GroundSet(3), {np.True_: 2.0})
 
-    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    @pytest.mark.parametrize("cls", [SetFunction])
     def test_fractional_key_is_rejected(self, cls):
         # Once dropped by the capped transform and an IndexError on the full one.
         with pytest.raises(InvalidInputError, match="1.5"):
             cls(GroundSet(3), {1: 1.0, 1.5: 2.0})
 
-    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    @pytest.mark.parametrize("cls", [SetFunction])
     def test_string_key_is_rejected(self, cls):
         with pytest.raises(InvalidInputError, match="'1'"):
             cls(GroundSet(3), {"1": 2.0})
 
-    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    @pytest.mark.parametrize("cls", [SetFunction])
     def test_out_of_range_key_is_named(self, cls):
         with pytest.raises(InvalidInputError, match=r"mask must be in \[0, 7\], got 8"):
             cls(GroundSet(3), {1: 1.0, np.int64(8): 2.0})
         with pytest.raises(InvalidInputError, match=r"mask must be in \[0, 7\], got -1"):
             cls(GroundSet(3), {-1: 2.0})
 
-    @pytest.mark.parametrize("cls", [SetFunction, MobiusTransform])
+    @pytest.mark.parametrize("cls", [SetFunction])
     def test_non_real_values_are_rejected(self, cls):
         # Strings read as floats and complex values broke a later transform.
         for bad in ("a", "1.5", 1 + 2j, None, [1.0], np.float32("nan"), float("inf")):
@@ -139,25 +147,25 @@ class TestMaskKeys:
         plain = SetFunction(g, {1: 2.0, 3: 5.0, 4: 1.0})
         for cap in (1, 3):
             assert moebius(f, max_size=cap) == moebius(plain, max_size=cap)
-        coeffs = MobiusTransform(g, {np.int32(2): 1.0})
+        coeffs = SetFunction(g, {np.int32(2): 1.0})
         assert list(coeffs.entries) == [2] and type(next(iter(coeffs.entries))) is int
 
 
 class TestZeta:
     def test_inverse_of_hand_example(self):
         g = GroundSet(2)
-        mc = MobiusTransform(g, {0b01: 1.0, 0b10: 2.0, 0b11: 2.0})
+        mc = SetFunction(g, {0b01: 1.0, 0b10: 2.0, 0b11: 2.0})
         f = zeta(mc)
         assert dense_values(f) == [0.0, 1.0, 2.0, 5.0]
 
     def test_zero_transform(self):
-        f = zeta(MobiusTransform(GroundSet(3), {}))
+        f = zeta(SetFunction(GroundSet(3), {}))
         assert all(v == 0 for v in dense_values(f))
 
     def test_negative_coefficient_sum(self):
         # f({1,2}) = coeff{1} + coeff{1,2} = 1 - 2 = -1
         g = GroundSet(2)
-        f = zeta(MobiusTransform(g, {0b01: 1.0, 0b11: -2.0}))
+        f = zeta(SetFunction(g, {0b01: 1.0, 0b11: -2.0}))
         assert f.value(0b11) == -1.0
 
     @given(st.lists(st.floats(-100, 100), min_size=16, max_size=16))
@@ -204,9 +212,16 @@ class TestZeta:
         assert all(isinstance(v, float) for v in [*mf.entries.values(), *zf.entries.values()])
         assert all(isinstance(v, Fraction) for v in [*mx.entries.values(), *zx.entries.values()])
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unstored_coefficients_count_the_default(self, exact):
+        # Each of the 2^|U| submasks of U adds the default 1.
+        f = zeta(SetFunction(GroundSet(4), {}, default=1), exact=exact)
+        assert dense_values(f) == [2 ** m.bit_count() for m in range(16)]
+        assert dense_values(moebius(f, exact=exact)) == [1] * 16
+
     def test_truncated_zeta(self):
         g = GroundSet(4)
-        mc = MobiusTransform(g, {0b0001: 1.0, 0b0011: 2.0, 0b0111: 9.0})
+        mc = SetFunction(g, {0b0001: 1.0, 0b0011: 2.0, 0b0111: 9.0})
         f = zeta(mc, max_size=2)
         assert f.value(0b0011) == 3.0
         assert f.value(0b0111) == 0.0  # not materialized above the cap
@@ -226,7 +241,7 @@ class TestEngine:
                                            st.just(0) | number, max_size=1 << n))
         default = data.draw(st.just(0) | number)
         masks, pairs = _layout(n, cap)
-        table = _dense(GroundSet(n), values, default, exact, masks)[None]
+        table = _dense(SetFunction(GroundSet(n), values, default), exact, masks)[None]
         _butterfly(table, pairs, signed=signed, superset=superset)
         got = _entries(masks, table[0])
         family = [m for m in range(1 << n) if m.bit_count() <= cap]
