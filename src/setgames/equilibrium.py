@@ -48,7 +48,7 @@ SUPPORT_GUARD = 10_000
 POOL = 8
 # The restricted game starts as the oracle tables' whole game, one cold LP,
 # when its distinct attacks times distinct defenses are at most this many.
-SEED_CELLS = 20_000
+SEED_CELLS = 40_000
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,22 @@ def solve_bruteforce(spec: GameSpec) -> EquilibriumReport:
     """Equilibrium of the dense normal form as one matrix game; the reference solver."""
     nf = expand_normal_form(spec)
     solution = solve_matrix_game(nf.matrix)
-    attacker = MixedStrategy.from_pairs(zip(nf.attacker_strategies, map(float, solution.row_strategy)))
-    defender = MixedStrategy.from_pairs(zip(nf.defender_strategies, map(float, solution.col_strategy)))
     return EquilibriumReport(
         value=float(solution.value),
-        defender=defender,
-        attacker=attacker,
+        defender=_mixture(nf.defender_strategies, solution.col_strategy),
+        attacker=_mixture(nf.attacker_strategies, solution.row_strategy),
         iterations=1,
         support_size=0,
         oracle_calls=0,
         converged=True,
     )
+
+
+def _mixture(strategies, weights):
+    """:meth:`MixedStrategy.from_pairs` of the strategies of weight above 1e-12, in order;
+    NaN and infinite weights are kept, so it raises on them."""
+    keep = np.flatnonzero((weights > 1e-12) | ~np.isfinite(weights))
+    return MixedStrategy.from_pairs(zip([strategies[i] for i in keep], weights[keep].tolist()))
 
 
 def _gains(game, pa, qd, current, pool=0):
@@ -217,8 +222,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
 
     return EquilibriumReport(
         value=value,
-        defender=MixedStrategy.from_pairs(zip(defenses, col_mix.tolist())),
-        attacker=MixedStrategy.from_pairs(zip(attacks, row_mix.tolist())),
+        defender=_mixture(defenses, col_mix),
+        attacker=_mixture(attacks, row_mix),
         iterations=rounds,
         support_size=support.size,
         oracle_calls=2 * rounds,

@@ -277,7 +277,8 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     float solve of a leading block. In exact mode the matrix entries are taken
     as rationals and the result is exact: a Fraction value and lists of
     Fractions for the strategies. Entries that are not finite reals (a ``bool``
-    is not one) raise :class:`InvalidInputError`.
+    is not one) raise :class:`InvalidInputError`, and so, in a float solve, does
+    a range ``max - min`` past the float range, which the shifted tableau would overflow.
     """
     values = _check_reals(matrix, "payoff matrix entries")
     if values.ndim != 2 or values.size == 0:
@@ -287,6 +288,8 @@ def solve_matrix_game(matrix, *, exact: bool = False, start: tuple | None = None
     num = Fraction if exact else float
     values = _array(matrix, num) if exact else values
     m, n = values.shape
+    if not (exact or np.isfinite(float(values.max()) - float(values.min()))):
+        raise InvalidInputError("payoff matrix range max - min is past the float range")
     if start is not None:
         if exact:
             raise InvalidInputError("start basis: float only")

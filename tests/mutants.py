@@ -71,6 +71,9 @@ MUTANTS = (
      "mask & ~ones_mask == 0", "mask & ones_mask == 0",
      ("tests/test_acceptance.py::TestCriterion6PseudoBooleanEquivalence"
       "::test_three_routes_agree_exactly",)),
+    ("M11: no restricted game starts from the oracle tables' game", "equilibrium.py",
+     "<= SEED_CELLS", "<= 0",
+     ("tests/test_equilibrium.py::TestCompactSolver::test_dense_table_game_solves_in_one_round",)),
 )
 
 

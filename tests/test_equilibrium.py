@@ -33,8 +33,10 @@ from conftest import additive_game, random_game
 from test_games import make_spec
 
 
-# A dense n = 10, c = k = 3 game: its 176x176 table game is above SEED_CELLS.
+# A dense n = 10, c = k = 3 game: its 176x176 table game is within SEED_CELLS.
 DENSE_N10 = Path(__file__).resolve().parent / "golden" / "dense_n10.json"
+# random_game(default_rng(0), 11, 3, 3): its 232x232 table game is above SEED_CELLS.
+DENSE_N11 = Path(__file__).resolve().parent / "golden" / "dense_n11.json"
 
 
 def scaled(spec, factor):
@@ -54,6 +56,20 @@ def game_document(spec):
                        "benefit": records(spec.benefit),
                        "cost_attacker": records(spec.attacker_cost),
                        "cost_defender": records(spec.defender_cost)})
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``pool`` argument of every oracle query a solve makes, in order."""
+    asked = []
+
+    def recording(oracle):
+        return lambda prepared, weights, pool=None: asked.append(pool) or oracle(
+            prepared, weights, pool)
+
+    for name in ("attacker_oracle", "defender_oracle"):
+        monkeypatch.setattr(equilibrium, name, recording(getattr(equilibrium, name)))
+    return asked
 
 
 def matching_pennies():
@@ -223,10 +239,12 @@ class TestCompactSolver:
         a_gap, d_gap = best_response_gap(spec, report)
         assert a_gap <= 1e-7 and d_gap <= 1e-7
 
+    @pytest.mark.usefixtures("unseeded")
     def test_small_gaps_still_add_strategies(self):
         # At 1e-4 of unit scale the round gaps fall between eps_gap and
         # 1e3 * eps_gap, so a solve that adds strategies only past a larger
-        # gap stops early and far from the equilibrium.
+        # gap stops early and far from the equilibrium. Seeded, this game
+        # would be whole in round 1 and add nothing.
         spec = scaled(random_game(np.random.default_rng(0), 10, 3, 3), 1e-4)
         game = build_compact_game(spec)
         report = solve_compact(spec, game=game)
@@ -295,18 +313,10 @@ class TestCompactSolver:
             assert np.array_equal(table.distinct, np.unique(table.strategies))
 
     @pytest.mark.usefixtures("split")
-    def test_seeded_solves_ask_for_no_runner_ups(self, monkeypatch):
+    def test_seeded_solves_ask_for_no_runner_ups(self, monkeypatch, pools):
         # Every runner-up is one table row, and the seeded game holds every
         # row; an unseeded solve of the same game asks for the pool. Split
         # tables keep the seeded solve past one round.
-        pools = []
-
-        def recording(oracle):
-            return lambda prepared, weights, pool=None: pools.append(pool) or oracle(
-                prepared, weights, pool)
-
-        for name in ("attacker_oracle", "defender_oracle"):
-            monkeypatch.setattr(equilibrium, name, recording(getattr(equilibrium, name)))
         spec = additive_game(np.random.default_rng(4), 6, 2, 2)  # 6 components
         seeded = solve_compact(spec)
         assert seeded.converged and seeded.iterations > 1
@@ -316,8 +326,31 @@ class TestCompactSolver:
         assert solve_compact(spec).converged
         assert set(pools) == {equilibrium.POOL}
 
-    def test_game_over_the_seed_limit_starts_from_the_empty_pair(self):
+    def test_report_mixtures_leave_out_zero_weights_only(self):
+        # Weights of 1e-12 or less are dropped before from_pairs; NaN and
+        # infinities are not, so the mixture still raises on them.
+        weights = np.array([0.5, 0.0, -1e-13, 1e-12, 0.5])
+        assert equilibrium._mixture([5, 4, 3, 2, 1], weights) == MixedStrategy(((1, 0.5), (5, 0.5)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="not a finite real"):
+                equilibrium._mixture([1, 2], np.array([1.0, bad]))
+
+    def test_dense_table_game_solves_in_one_round(self, pools):
+        # The 176x176 table game is within the limit: one cold LP on every
+        # capped strategy, certified by both oracles with no runner-ups.
         spec = parse_game_json(DENSE_N10.read_text())
+        game = build_compact_game(spec)
+        trace = []
+        report = solve_compact(spec, trace=trace, game=game)
+        assert report.converged and report.iterations == len(trace) == 1
+        assert (trace[0]["attacker_vertices"], trace[0]["defender_vertices"]) == (176, 176)
+        assert pools == [0, 0]
+        assert report.value == pytest.approx(solve_bruteforce(spec).value, rel=1e-9, abs=1e-9)
+        assert max(best_response_gap(spec, report, game)) <= SolverConfig().eps_gap
+
+    def test_game_over_the_seed_limit_starts_from_the_empty_pair(self):
+        spec = parse_game_json(DENSE_N11.read_text())
+        assert spec == random_game(np.random.default_rng(0), 11, 3, 3)
         game = build_compact_game(spec)
         rows, cols = (np.unique(table.strategies).size
                       for table in (game.oracle.attacks, game.oracle.defenses))

@@ -6,6 +6,7 @@ classes), and the two pivot paths are checked against each other."""
 
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,6 +186,18 @@ class TestMatrixGames:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             solve_matrix_game(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("matrix, value", [([[1.5e308, -1.5e308]], -1.5e308),
+                                               ([[1.5e308], [-1.5e308]], 1.5e308)])
+    def test_rejects_a_range_past_the_float_range(self, matrix, value):
+        # Shifted to a minimum of 1, the tableau would overflow. The float solve
+        # raises before any arithmetic, so no RuntimeWarning is issued; an
+        # exact solve cannot overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="past the float range"):
+                solve_matrix_game(matrix)
+        assert solve_matrix_game(matrix, exact=True).value == Fraction(value)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -634,6 +647,7 @@ class TestMatrixGamesInProductForm(TestMatrixGames):
     an exact solve makes the same choices on either path."""
 
     test_rejects_nan = test_capacity_guard = None  # input checks build no tableau
+    test_rejects_a_range_past_the_float_range = None
 
     def test_pivot_path_is_pinned(self):
         data = json.loads(NET_WIDE_GAME.read_text())
