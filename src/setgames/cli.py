@@ -155,6 +155,12 @@ def _format_number(value) -> str:
     return str(value)  # exact mode: Fractions print as p/q
 
 
+def _converged(report):
+    if not report.converged:
+        raise SolverFailureError("constraint generation did not converge")
+    return report
+
+
 def _cmd_transform(args) -> int:
     spec = parse_game_json(_read(args.game))
     game = build_compact_game(spec, exact=args.exact)
@@ -171,9 +177,7 @@ def _cmd_solve(args) -> int:
     spec = parse_game_json(_read(args.game))
     trace: list | None = [] if args.trace else None
     game = build_compact_game(spec)
-    report = solve_compact(spec, SolverConfig(eps_gap=args.tol), trace=trace, game=game)
-    if not report.converged:
-        raise SolverFailureError("constraint generation did not converge")
+    report = _converged(solve_compact(spec, SolverConfig(eps_gap=args.tol), trace, game))
     gaps = best_response_gap(spec, report, game)
     if args.trace:
         _write(args.trace, "".join(json.dumps(record) + "\n" for record in trace))
@@ -204,9 +208,7 @@ def _cmd_net(args) -> int:
     failure = FailureOperator(args.failure, args.cascade_threshold)
     report, approx = solve_network_game(net, value_fn, failure, args.c, args.eps_c,
                                         config=SolverConfig(eps_gap=args.tol), defender_cap=args.k)
-    if not report.converged:
-        raise SolverFailureError("constraint generation did not converge")
-    gaps = best_response_gap(approx.spec, report, approx.game)
+    gaps = best_response_gap(approx.spec, _converged(report), approx.game)
 
     magnitudes = sorted(abs(float(v)) for v in approx.game.benefit_vec if v != 0)
     print(f"approximation: dropped {approx.dropped_terms} coefficient(s) at eps_c={approx.eps_c:g}")
@@ -231,7 +233,7 @@ def _cmd_verify(args) -> int:
         return 2
     reference = float(solve_matrix_game(nf.matrix).value)  # solve_bruteforce's value, same nf
     game = build_compact_game(spec)
-    compact_report = solve_compact(spec, game=game)
+    compact_report = _converged(solve_compact(spec, game=game))
     value_gap = abs(reference - compact_report.value)
 
     P = coordinates(nf.attacker_strategies, game.support, "attacker")

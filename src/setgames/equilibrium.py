@@ -23,6 +23,7 @@ a report by the same step without runner-ups.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import CapacityError, InvalidInputError, SolverFailureError
 from .games import GameSpec, MixedStrategy, expand_normal_form
 from .lp import solve_matrix_game
 from .oracles import attacker_oracle, defender_oracle
-from .setfunctions import _check_int, _finite_real
+from .setfunctions import _finite_real
 
 SUPPORT_GUARD = 10_000
 # Runner-ups per oracle query; those that also beat the restricted value by
@@ -53,17 +54,14 @@ SEED_CELLS = 40_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the constraint-generation solve; bad values raise :class:`InvalidInputError`."""
+    """The gap tolerance of the constraint-generation solve, finite and positive, else
+    :class:`InvalidInputError`. No round limit: :func:`solve_compact` stops by itself."""
 
-    eps_gap: float = 1e-7  # finite and positive
-    max_iterations: int | None = None  # at least 1; default 10 * support size + 100
+    eps_gap: float = 1e-7
 
     def __post_init__(self):
         if not (_finite_real(self.eps_gap) and self.eps_gap > 0):
             raise InvalidInputError(f"eps_gap must be finite and positive, got {self.eps_gap!r}")
-        if self.max_iterations is not None:  # an int: np.int8(127) + 1 would wrap
-            object.__setattr__(self, "max_iterations",
-                               _check_int(self.max_iterations, "max_iterations", 1))
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,9 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     the restricted matrix game and queries each side's oracle once, for
     :data:`POOL` runner-ups too when unseeded (a runner-up is one table row,
     and the seeded game holds every row). The first round that adds nothing
-    ends the solve, converged if both gaps are within ``10 * eps_gap``: a
-    side adds nothing when its gap is within ``config.eps_gap`` or its best
+    ends the solve, converged if both gaps are within ``10 * eps_gap``; the
+    lists only grow inside finite capped spaces, so that round comes. A side
+    adds nothing when its gap is within ``config.eps_gap`` or its best
     response is already in the game. A one-component table lists every
     capped strategy, so its seeded solve stops after the first round. Each
     round's restricted game is the last one with rows added at the bottom
@@ -160,7 +159,6 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     support = game.support
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
-    max_rounds = config.max_iterations or 10 * support.size + 100
 
     attacks, defenses, pool = [0], [0], POOL
     tables = (game.oracle.attacks, game.oracle.defenses)
@@ -171,8 +169,8 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     Q = coordinates(defenses, support, "defender")
     payoff = payoff_block(game, P, Q)
 
-    converged, basis = False, None
-    for rounds in range(1, max_rounds + 1):  # max_rounds >= 1 binds the mixtures below
+    basis = None
+    for rounds in itertools.count(1):
         solution = solve_matrix_game(payoff, start=basis)
         basis = solution.basis
         row_mix = np.asarray(solution.row_strategy, dtype=float)

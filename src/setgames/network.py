@@ -123,21 +123,18 @@ class ValueFunction:
     Kinds:
       * ``connected_pairs``: number of unordered node pairs joined by a path.
       * ``largest_component``: node count of the biggest component.
-      * ``weighted_component_sum``: sum over components of (total node value
-        in the component) ** exponent; with unit values and exponent 2 this
-        is a scaled variant of pair connectivity.
+      * ``weighted_component_sum``: sum over components of the square of the
+        total node value in the component; with unit values this is a scaled
+        variant of pair connectivity.
     """
 
     kind: str = "connected_pairs"
-    exponent: float = 2.0
 
     KINDS = ("connected_pairs", "largest_component", "weighted_component_sum")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown value function {self.kind!r}")
-        if not _finite_real(self.exponent):
-            raise InvalidInputError(f"exponent {self.exponent!r} is not a finite real number")
 
     def evaluate(self, net: Network, alive):
         """Score of the surviving graph: a ``float`` for one alive mask, an array for many."""
@@ -153,20 +150,19 @@ class ValueFunction:
                 np.maximum(score, size, out=score)
             else:
                 # Masses add node by node in ascending order; each distinct mass
-                # takes Python's ** (numpy's power rounds some last bits apart).
+                # is squared by Python's ** 2.0 (libm's pow), which rounds some
+                # last bits apart from numpy's mass * mass.
                 live = comp != 0
                 with np.errstate(over="ignore"):  # an overflow shows as inf, caught below
                     mass = sum(((comp[live] >> j) & 1) * v for j, v in enumerate(values))
                 if not np.isfinite(mass).all():
                     raise InvalidInputError(past_range)
-                if np.any(mass < 0) and not float(self.exponent).is_integer():
-                    raise InvalidInputError(f"negative component mass ** {self.exponent}")
                 distinct, inverse = np.unique(mass, return_inverse=True)
                 try:
-                    powers = [m ** self.exponent for m in distinct.tolist()]
-                except (OverflowError, ZeroDivisionError):
-                    raise InvalidInputError(f"a component mass ** {self.exponent} "
-                                            "is not a finite float") from None
+                    powers = [m ** 2.0 for m in distinct.tolist()]
+                except OverflowError:
+                    raise InvalidInputError(
+                        "a component mass ** 2.0 is not a finite float") from None
                 with np.errstate(over="ignore"):
                     score[live] += np.array(powers)[inverse]
         if not np.isfinite(score).all():

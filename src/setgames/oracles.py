@@ -228,8 +228,10 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
     for c, union in enumerate(unions):
         targets[c, :widths[c]] = np.flatnonzero(union >> np.arange(union.bit_length()) & 1)
     masks = np.asarray(members, dtype=np.int64)
-    # A member's component is the one whose union it meets (0 for the empty member).
-    column = np.argmax(masks & np.array(unions)[:, None] != 0, axis=0) if len(unions) > 1 else None
+    # inside[c, t]: member t is in component c, the one whose union it meets (the first
+    # for the empty member).
+    inside = masks & np.array(unions)[:, None] != 0
+    inside[0] |= masks == 0
 
     def listed(cap):
         # The listing over the widest component's bits in count order. Each component takes
@@ -247,15 +249,13 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
         fields = dict(strategies=strategies, segment=segment, sizes=tuple(sizes.tolist()),
                       starts=starts, component=comp, empty=empty,
                       distinct=np.sort(np.delete(strategies, empty[1:])))
-        return fields, None if column is None else column == comp[:, None]
+        return fields, inside[comp]
 
     shared = {cap: listed(cap) for cap in {min(cap, widest) for cap in caps}}
 
     def table(cap, defender):
         fields, own = shared[min(cap, widest)]
-        hits = _coordinates(fields["strategies"], masks, defender)
-        if own is not None:
-            hits &= own
+        hits = _coordinates(fields["strategies"], masks, defender) & own
         return _Table(cap=cap, hits=hits.astype(float), **fields)
 
     return table(attacker_cap, False), table(defender_cap, True)

@@ -74,6 +74,22 @@ MUTANTS = (
     ("M11: no restricted game starts from the oracle tables' game", "equilibrium.py",
      "<= SEED_CELLS", "<= 0",
      ("tests/test_equilibrium.py::TestCompactSolver::test_dense_table_game_solves_in_one_round",)),
+    ("M12: the transform adds where the Moebius direction subtracts", "setfunctions.py",
+     "combine = np.subtract if signed else np.add", "combine = np.add",
+     ("tests/test_acceptance.py::TestCriterion1TransformRoundtrip"
+      "::test_roundtrip_500_random_functions",)),
+    ("M13: the support is the floor alone, no coefficient's set", "compact.py",
+     "masks[(vectors != 0).any(axis=0)]", "masks[:0]",
+     ("tests/test_acceptance.py::TestCriterion3RankBound"
+      "::test_numerical_rank_at_most_support_size",)),
+    ("M14: the transform keeps coefficients below the float cutoff", "setfunctions.py",
+     "table[(abs(table) < tol) | (table == 0)] = 0", "table[table == 0] = 0",
+     ("tests/test_acceptance.py::TestCriterion7AdditiveDegeneration"
+      "::test_support_floor_and_additive_oracle",)),
+    ("M15: the approximation drops coefficients up to 8 * eps_c", "network.py",
+     "(np.abs(table[0]) <= eps_c)", "(np.abs(table[0]) <= 8 * eps_c)",
+     ("tests/test_acceptance.py::TestCriterion8ApproximationBound"
+      "::test_value_error_within_bound",)),
 )
 
 

@@ -59,7 +59,6 @@ GAME = build_compact_game(spec(2))  # over SUPPORT's members
 REALS = {
     "set function value": lambda v: SetFunction(GROUND, {1: v}),
     "set function default": lambda v: SetFunction(GROUND, default=v),
-    "value function exponent": lambda v: ValueFunction("weighted_component_sum", v),
     "cascade threshold": lambda v: FailureOperator("threshold_cascade", v),
     "eps_c": lambda v: separable_approximation(BENEFIT, ZERO, ZERO, v, 1),
     "atom probability": lambda v: MixedStrategy(((0, v),)),
@@ -81,7 +80,6 @@ INTEGERS = {
     "atom mask": lambda v: MixedStrategy(((v, 1.0),)),
     "support member": lambda v: SupportSet.from_members(2, [v]),
     "strategy mask": lambda v: coordinates([v], SupportSet.from_members(2, []), "attacker"),
-    "max_iterations": lambda v: SolverConfig(max_iterations=v),
     "node count": lambda v: Network(v, ()),
     "edge endpoint": lambda v: Network(2, ((v, 2),)),
     "alive mask": lambda v: ValueFunction().evaluate(PATH, v),

@@ -79,7 +79,7 @@ def reference_benefit(net, value_fn, failure, cap):
             return float(max((len(c) for c in comps), default=0))
         total = 0.0
         for comp in comps:
-            total += sum(values[v - 1] for v in comp) ** value_fn.exponent
+            total += sum(values[v - 1] for v in comp) ** 2
         return total
 
     baseline = score(set(nodes))
@@ -185,9 +185,11 @@ class TestValueFunctions:
         assert vf.evaluate(net, 0) == 0.0
 
     def test_weighted_component_sum(self):
-        vf = ValueFunction("weighted_component_sum", exponent=2.0)
+        vf = ValueFunction("weighted_component_sum")
         net = Network(3, ((1, 2),), node_values=(2.0, 1.0, 5.0))
         assert vf.evaluate(net, 0b111) == pytest.approx(9.0 + 25.0)
+        negative = Network(3, ((1, 2), (2, 3)), node_values=(-1.0, 2.0, 0.5))
+        assert vf.evaluate(negative, 0b001) == 1.0 and vf.evaluate(negative, 0b101) == 1.25
 
     def test_relabeling_invariance(self):
         vf = ValueFunction("connected_pairs")
@@ -226,42 +228,23 @@ class TestValueFunctions:
             with pytest.raises(CapacityError, match="64 nodes exceed the 63 bits"):
                 call(net, 0)
 
-    def test_rejects_non_finite_exponent(self):
-        for bad in (float("nan"), float("inf"), "2"):
-            with pytest.raises(InvalidInputError):
-                ValueFunction("weighted_component_sum", exponent=bad)
-
-    def test_negative_mass_under_fractional_exponent_raises(self):
-        # A negative component mass has no real power 1.5 (Python gives a complex).
-        net = Network(3, ((1, 2), (2, 3)), node_values=(-1.0, 2.0, 0.5))
-        vf = ValueFunction("weighted_component_sum", exponent=1.5)
-        with pytest.raises(InvalidInputError):
-            induce_benefit(net, vf, FailureOperator(), 2)
-        # An integer exponent keeps negative masses real.
-        squared = ValueFunction("weighted_component_sum", exponent=2.0)
-        assert squared.evaluate(net, 0b001) == 1.0
-
-    @pytest.mark.parametrize("values, exponent", [
-        ((1e200, 1e200), 2.0),  # Python's ** overflows
-        ((0.0, 0.0), -1.0),  # 0.0 ** -1 divides by zero
-    ])
-    def test_out_of_range_powers_raise_invalid_input(self, values, exponent):
-        net = Network(2, ((1, 2),), node_values=values)
-        vf = ValueFunction("weighted_component_sum", exponent=exponent)
+    def test_out_of_range_powers_raise_invalid_input(self):
+        # The mass 2e200 is finite; Python's ** 2.0 overflows on it.
+        net = Network(2, ((1, 2),), node_values=(1e200, 1e200))
+        vf = ValueFunction("weighted_component_sum")
         for alive in (0b11, np.array([0b11, 0b01])):
             with pytest.raises(InvalidInputError, match="not a finite float"):
                 vf.evaluate(net, alive)
         with pytest.raises(InvalidInputError):
             induce_benefit(net, vf, FailureOperator(), 1)
 
-    @pytest.mark.parametrize("edges, exponent", [
-        (((1, 2),), 1.0),  # the component mass overflows
-        (((1, 2),), -1.0),  # and would score inf ** -1 = 0
-        ((), 1.0),  # each component in range, their sum not
+    @pytest.mark.parametrize("edges, values", [
+        (((1, 2),), (1e308, 1e308)),  # the component mass overflows
+        ((), (1.3e154, 1.3e154)),  # each component's square in range, their sum not
     ])
-    def test_score_past_the_float_range_raises_without_warnings(self, edges, exponent):
-        net = Network(2, edges, node_values=(1e308, 1e308))
-        vf = ValueFunction("weighted_component_sum", exponent=exponent)
+    def test_score_past_the_float_range_raises_without_warnings(self, edges, values):
+        net = Network(2, edges, node_values=values)
+        vf = ValueFunction("weighted_component_sum")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidInputError, match="weighted_component_sum"):
@@ -332,13 +315,12 @@ class TestInduceBenefit:
         nets.append(grid(4, 5))  # a component wider than 16 nodes
         nets += [Network(n.node_count, n.edges,
                          tuple(rng.uniform(0.1, 3.0, n.node_count).tolist())) for n in nets[:3]]
-        for exponent in (2.0, 1.5) if kind == "weighted_component_sum" else (2.0,):
-            vf = ValueFunction(kind, exponent=exponent)
-            for net in nets:
-                cap = 2 if net.node_count > 10 else 3
-                benefit = induce_benefit(net, vf, fop, cap)
-                assert list(benefit.entries.items()) == \
-                    list(reference_benefit(net, vf, fop, cap).items())
+        vf = ValueFunction(kind)
+        for net in nets:
+            cap = 2 if net.node_count > 10 else 3
+            benefit = induce_benefit(net, vf, fop, cap)
+            assert list(benefit.entries.items()) == \
+                list(reference_benefit(net, vf, fop, cap).items())
 
     @pytest.mark.parametrize("cap", [-1, 1.5, True])
     def test_rejects_caps_that_are_not_nonnegative_integers(self, cap):
