@@ -4,7 +4,7 @@ Target ``i`` occupies bit ``i - 1``, so the subset {1, 3} is the mask 0b101.
 Masks compare in plain integer order, which is the canonical ordering used
 throughout the library. Every layer's strategy space, the masks of at most a
 cap of n targets, is listed by :func:`masks_up_to_size` and counted by
-:func:`count_up_to_size`, and nowhere else.
+:func:`count_up_to_size`, and nowhere else; :func:`lookup` reads values at listed masks.
 """
 
 from functools import lru_cache
@@ -52,3 +52,14 @@ def masks_up_to_size(n: int, cap: int) -> np.ndarray:
     listing = np.sort(np.concatenate(layers))
     listing.flags.writeable = False
     return listing
+
+
+def lookup(listing: np.ndarray, values: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
+    """``values[i]``, given at ``listing[i]`` (ascending masks over n bits), read at ``masks``,
+    all listed: through a 2^n table while it has no more entries than ``masks``, else by
+    binary search."""
+    if 1 << n > masks.size:
+        return values[listing.searchsorted(masks)]
+    table = np.empty(1 << n, dtype=values.dtype)
+    table[listing] = values
+    return table[masks]

@@ -26,7 +26,8 @@ m truncated at k, so cd too vanishes above k. :func:`build_compact_game`
 runs b and ca (capped at c) as two rows of one transform, then m and its
 superset sums; the support holds the masks where a vector is nonzero, and the
 vectors are one take at its members.
-:func:`payoff_block` evaluates the form between stacked coordinate rows.
+:func:`payoff_block` evaluates the form between stacked coordinate rows; a seeded
+solve reads its first block through the oracle tables' A∖D index instead.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ matrix game; it is the ground truth for everything else at desk scale.
 
 :func:`solve_compact` never materializes the normal form. It runs a double
 oracle over compact coordinates. The restricted game is two strategy lists
-with their stacked coordinates P (attacks) and Q (defenses), and its payoff
-matrix is :func:`~setgames.compact.payoff_block` of the two. It starts from
-the distinct strategies of the oracle tables when that game is small
-(:data:`SEED_CELLS`), else from the empty attack and defense. Each round
+with their stacked coordinates P (attacks) and Q (defenses). It starts from
+the oracle tables' distinct strategies when that game is small (:data:`SEED_CELLS`;
+:attr:`~setgames.oracles.PreparedOracle.seed`), else from the empty attack and
+defense; blocks added later are :func:`~setgames.compact.payoff_block`. Each round
 solves it and takes one best-response step (:func:`_gains`): one oracle
 query per side at the restricted optimum ranks the side's best response and,
 unseeded, :data:`POOL` runner-ups (a column pool) by their gain over the
@@ -125,8 +125,9 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     """Double-oracle solve over compact coordinates.
 
     Starts from the oracle tables' game, every distinct strategy the tables
-    list on each side, when it has at most :data:`SEED_CELLS` cells, and
-    from the empty attack and the empty defense otherwise. Each round solves
+    list on each side, when it has at most :data:`SEED_CELLS` cells (its payoff
+    read through :attr:`~setgames.oracles.PreparedOracle.seed`), and from the
+    empty attack and the empty defense otherwise. Each round solves
     the restricted matrix game and queries each side's oracle once, for
     :data:`POOL` runner-ups too when unseeded (a runner-up is one table row,
     and the seeded game holds every row). The first round that adds nothing
@@ -160,14 +161,17 @@ def solve_compact(spec: GameSpec, config: SolverConfig | None = None,
     if support.size > SUPPORT_GUARD:
         raise CapacityError(f"support of size {support.size} exceeds the guard")
 
-    attacks, defenses, pool = [0], [0], POOL
     tables = (game.oracle.attacks, game.oracle.defenses)
     if tables[0].distinct.size * tables[1].distinct.size <= SEED_CELLS:
         attacks, defenses = (table.distinct.tolist() for table in tables)
         pool = 0  # every runner-up is one table row, already in the seeded game
-    P = coordinates(attacks, support, "attacker")
-    Q = coordinates(defenses, support, "defender")
-    payoff = payoff_block(game, P, Q)
+        P, Q, index = game.oracle.seed  # benefit(A \ D) is the compact benefit at A \ D
+        payoff = ((P @ game.benefit_vec)[index] - (P @ game.attacker_cost_vec)[:, None]
+                  + (Q @ game.defender_cost_vec)[None, :])
+    else:
+        attacks, defenses, pool = [0], [0], POOL
+        P, Q = coordinates(attacks, support, "attacker"), coordinates(defenses, support, "defender")
+        payoff = payoff_block(game, P, Q)
 
     basis = None
     for rounds in itertools.count(1):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import count_up_to_size, masks_up_to_size
+from .bits import count_up_to_size, lookup, masks_up_to_size
 from .errors import CapacityError, InvalidInputError, InvalidStrategyError
 from .setfunctions import GroundSet, SetFunction, _check_int, _dense, _finite_real
 
@@ -94,25 +94,16 @@ class NormalForm:
 
 
 def _dense_tables(spec: GameSpec):
-    """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors. Each
-    utility is read from its 2^n table while that has no more entries than the
-    normal form, past that by binary search among its strategies' masks."""
+    """Both strategy lists, the ``benefit(A \\ D)`` table and both cost vectors, each
+    utility read at its strategies' masks, and at A \\ D by :func:`~setgames.bits.lookup`."""
     caps = spec.attacker_cap, spec.defender_cap
     na, nd = (count_up_to_size(spec.n, cap) for cap in caps)
     if na * nd > NORMAL_FORM_GUARD:
         raise CapacityError(f"normal form with {na}x{nd} cells exceeds the guard")
     a, d = (masks_up_to_size(spec.n, cap) for cap in caps)
-    lookup = spec.ground.size > na * nd
-
-    def at(f: SetFunction, strategies: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """``f`` at ``masks``, each one of the ascending ``strategies``."""
-        if not lookup:
-            return f.to_dense()[masks]
-        values = _dense(f, False, strategies)
-        return values[strategies.searchsorted(masks)]
-
-    hit = at(spec.benefit, a, a[:, None] & ~d[None, :])  # A \ D is itself an attack
-    return a.tolist(), d.tolist(), hit, at(spec.attacker_cost, a, a), at(spec.defender_cost, d, d)
+    hit = lookup(a, _dense(spec.benefit, False, a), a[:, None] & ~d, spec.n)  # A \ D attacks
+    cost_a, cost_d = _dense(spec.attacker_cost, False, a), _dense(spec.defender_cost, False, d)
+    return a.tolist(), d.tolist(), hit, cost_a, cost_d
 
 
 def expand_normal_form(spec: GameSpec) -> NormalForm:

@@ -11,9 +11,10 @@ maximization and its difficulty is governed by the support structure.
 One kernel serves both players. Only the weights change between calls, so
 ``prepare(support, attacker_cap, defender_cap)`` builds one read-only table
 per side, once per (support, caps); it is the one way to the tables,
-:func:`solve_separable`'s too. It keeps the last tables it built, so the next
-game with an equal support and caps (a report's certificate, or another game
-on the same support) shares them; ``prepare.cache_clear()`` frees them.
+:func:`solve_separable`'s too. It keeps the last tables it built, with the
+seeded restricted game's parts once a solve asks (:attr:`PreparedOracle.seed`),
+so the next game with an equal support and caps (a report's certificate, or
+another game on the same support) shares them; ``prepare.cache_clear()`` frees them.
 
 When both sides' whole listings are small, every strategy of at most the cap
 over the support's n targets, times the support size, at most
@@ -54,7 +55,7 @@ from operator import itemgetter, or_
 
 import numpy as np
 
-from .bits import count_up_to_size, masks_up_to_size
+from .bits import count_up_to_size, lookup, masks_up_to_size
 from .errors import CapacityError, InvalidInputError
 from .setfunctions import GroundSet, _check_int, _check_ints, _check_reals
 
@@ -265,8 +266,24 @@ def _tables(members, components, attacker_cap: int, defender_cap: int) -> tuple[
 class PreparedOracle:
     """Both sides' oracle tables for one support and fixed caps; built by :func:`prepare`."""
 
+    support: SupportSet
     attacks: _Table
     defenses: _Table
+
+    @cached_property
+    def seed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The seeded restricted game's parts, built on first use and kept with the tables,
+        read-only: the float coordinates P of the ``distinct`` attacks and Q of the defenses,
+        and ``index[i, j]``, the position of ``a_i & ~d_j`` among the attacks. Its payoff's
+        benefit part is ``(P @ b)[index]``: the attack ``A ∖ D`` covers exactly the members
+        inside A and outside D, and it is listed, as a row's subsets lie in its component."""
+        a, d, members = self.attacks.distinct, self.defenses.distinct, self.support.member_array
+        seed = (_coordinates(a, members, False).astype(float),
+                _coordinates(d, members, True).astype(float),
+                lookup(a, np.arange(a.size), a[:, None] & ~d, self.support.n))
+        for array in seed:
+            array.setflags(write=False)
+        return seed
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -291,7 +308,7 @@ def prepare(support: SupportSet, attacker_cap: int, defender_cap: int) -> Prepar
     limit = min(WHOLE_CELLS, ENUMERATION_GUARD)
     whole = all(count_up_to_size(support.n, cap) * support.size <= limit for cap in caps)
     components = (support.members[1:],) if whole else support.components
-    return PreparedOracle(*_tables(support.members, components, *caps))
+    return PreparedOracle(support, *_tables(support.members, components, *caps))
 
 
 def _best(table: _Table, weights, pool: int | None) -> tuple:

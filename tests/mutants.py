@@ -90,6 +90,9 @@ MUTANTS = (
      "(np.abs(table[0]) <= eps_c)", "(np.abs(table[0]) <= 8 * eps_c)",
      ("tests/test_acceptance.py::TestCriterion8ApproximationBound"
       "::test_value_error_within_bound",)),
+    ("M16: the seed index places A & D where the payoff reads A minus D", "oracles.py",
+     "a[:, None] & ~d", "a[:, None] & d",
+     ("tests/test_equilibrium.py::TestSeed::test_seeded_payoff_is_the_bilinear_form",)),
 )
 
 

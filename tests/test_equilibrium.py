@@ -1,11 +1,16 @@
 """Solvers: brute force reference, constraint generation, gap certificates."""
 
+import gc
 import json
+import warnings
+import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setgames import (
     EquilibriumReport,
@@ -17,19 +22,21 @@ from setgames import (
     SupportSet,
     best_response_gap,
     build_compact_game,
+    coordinates,
     expand_normal_form,
     solve_bruteforce,
     solve_compact,
     verify_ne_equivalence,
     zeta,
 )
-from setgames import equilibrium
+from setgames import equilibrium, oracles
 from setgames.bits import count_up_to_size, masks_up_to_size, targets_of
 from setgames.cli import main, parse_game_json
+from setgames.compact import payoff_block
 from setgames.equilibrium import _check_atom_bound
 from setgames.errors import (CapacityError, InvalidInputError, InvalidStrategyError,
                              SolverFailureError)
-from conftest import additive_game, random_game
+from conftest import additive_game, random_game, split_tables
 from test_games import make_spec
 
 
@@ -438,3 +445,124 @@ class TestCompactSolver:
         pooled = total_rounds()
         monkeypatch.setattr(equilibrium, "POOL", 0)
         assert total_rounds() > pooled
+
+
+class TestSeed:
+    """The seeded restricted game: its coordinates and ``A & ~D`` index are
+    built once per prepared oracle and cached with the tables."""
+
+    @pytest.mark.parametrize("make, split, searched", [
+        # Whole tables; 2^10 positions fit in the 176x176 cells, so a table places them.
+        (lambda: parse_game_json(DENSE_N10.read_text()), False, False),
+        (lambda: random_game(np.random.default_rng(3), 6, 2, 2), False, False),
+        # Split tables, over 6 one-target components and over components of 7, 3 and 1
+        # members (15x15 cells, 2^7 positions).
+        (lambda: additive_game(np.random.default_rng(4), 6, 2, 2), True, True),
+        (lambda: random_game(np.random.default_rng(1), 7, 2, 2, sparse=True, costs=False),
+         True, False),
+        # 17x17 cells against 2^16 positions: binary search.
+        (lambda: random_game(np.random.default_rng(6), 16, 1, 1), False, True),
+    ], ids=["dense_n10", "whole", "split-additive", "split-sparse", "searched"])
+    def test_seeded_payoff_is_the_bilinear_form(self, monkeypatch, make, split, searched):
+        payoffs = []
+
+        def recording(payoff, **kwargs):
+            payoffs.append(payoff)
+            return solve(payoff, **kwargs)
+
+        solve = equilibrium.solve_matrix_game
+        monkeypatch.setattr(equilibrium, "solve_matrix_game", recording)
+        spec = make()
+        with split_tables() if split else nullcontext():
+            game = build_compact_game(spec)
+            assert solve_compact(spec, game=game).converged
+            tables = (game.oracle.attacks, game.oracle.defenses)
+            P, Q, index = game.oracle.seed
+        # A split table repeats the empty strategy once per component after the first.
+        assert (tables[0].distinct.size < tables[0].strategies.size) == split
+        assert (1 << spec.n > index.size) == searched
+        assert np.array_equal(P, coordinates(tables[0].distinct, game.support, "attacker"))
+        assert np.array_equal(Q, coordinates(tables[1].distinct, game.support, "defender"))
+        expected = payoff_block(game, P, Q)
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(payoffs[0] - expected).max() <= 1e-12 * scale
+
+    def test_games_on_one_support_share_a_read_only_seed_until_the_cache_clears(self):
+        spec = random_game(np.random.default_rng(3), 6, 2, 2)
+        first, second = build_compact_game(spec), build_compact_game(scaled(spec, 2.0))
+        assert first.support == second.support and first is not second
+        seed = first.oracle.seed
+        assert second.oracle.seed is seed
+        for array in seed:
+            assert not array.flags.writeable
+        kept = weakref.ref(seed[0])
+        oracles.prepare.cache_clear()
+        assert build_compact_game(spec).oracle.seed is not seed
+        del first, second, seed
+        gc.collect()
+        assert kept() is None
+
+
+def relabeled(spec, perm):
+    """``spec`` with target ``i + 1`` renamed ``perm[i] + 1``."""
+    def move(mask):
+        return sum(1 << perm[i] for i in range(spec.n) if mask >> i & 1)
+
+    def f(fn):
+        return SetFunction(fn.ground, {move(m): v for m, v in fn.entries.items()}, fn.default)
+    return replace(spec, benefit=f(spec.benefit), attacker_cost=f(spec.attacker_cost),
+                   defender_cost=f(spec.defender_cost))
+
+
+def shifted(spec, constant):
+    """``spec`` with ``constant`` added to the benefit of every set, the empty one too."""
+    fn, masks = spec.benefit, masks_up_to_size(spec.n, spec.attacker_cap).tolist()
+    entries = {m: fn.value(m) + constant for m in masks}
+    with warnings.catch_warnings():  # a nonzero value on the empty set warns
+        warnings.simplefilter("ignore")
+        return replace(spec, benefit=SetFunction(fn.ground, entries, fn.default + constant))
+
+
+def with_unused_target(spec):
+    """``spec`` on one more target, which no utility depends on and both caps allow."""
+    ground, full = GroundSet(spec.n + 1), (1 << spec.n) - 1
+
+    def f(fn, cap):
+        masks = masks_up_to_size(spec.n + 1, cap).tolist()
+        return SetFunction(ground, {m: fn.value(m & full) for m in masks}, fn.default)
+    return GameSpec(ground, f(spec.benefit, spec.attacker_cap),
+                    f(spec.attacker_cost, spec.attacker_cap),
+                    f(spec.defender_cost, spec.defender_cap), spec.attacker_cap, spec.defender_cap)
+
+
+class TestMetamorphicRelations:
+    """Relations that need no reference solver: each transformed game's value
+    is the original's (plus the constant), up to what the two reports leave
+    uncertified (their best-response gaps) and rounding."""
+
+    @given(st.integers(0, 10_000), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_value_follows_relabeling_a_benefit_constant_and_an_unused_target(
+            self, seed, seeded, split):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        spec = random_game(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                           sparse=bool(rng.integers(2)))
+        constant = float(rng.uniform(-3, 3))
+        games = [(spec, 0.0), (relabeled(spec, rng.permutation(n).tolist()), 0.0),
+                 (shifted(spec, constant), constant), (with_unused_target(spec), 0.0)]
+        with pytest.MonkeyPatch.context() as patch, split_tables() if split else nullcontext():
+            if not seeded:
+                patch.setattr(equilibrium, "SEED_CELLS", 0)
+            values, slack = [], []
+            for game_spec, offset in games:
+                game = build_compact_game(game_spec)
+                report = solve_compact(game_spec, game=game)
+                assert report.converged
+                values.append(report.value - offset)
+                slack.append(max(0.0, *best_response_gap(game_spec, report, game)))
+        scale = max(1.0, abs(constant), *(np.abs(f.to_dense()).max()
+                                          for f in (spec.benefit, spec.attacker_cost,
+                                                    spec.defender_cost)))
+        for value, gap in zip(values[1:], slack[1:]):
+            assert abs(value - values[0]) <= gap + slack[0] + 1e-12 * scale
